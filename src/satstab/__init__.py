@@ -40,6 +40,7 @@ from .simulate import (
     gronwall_bound,
     monitor_v2,
     run,
+    run_batch,
     step_boundary_closed_loop,
     step_linear_closed_loop,
     step_nonlinear_closed_loop,

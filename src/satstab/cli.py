@@ -35,6 +35,7 @@ from .simulate import (
     fit_decay_rate,
     gronwall_bound,
     run,
+    run_batch,
 )
 from .spectral import eigen_residual, unstable_count
 from .synthesis import (
@@ -73,11 +74,11 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+    """Write CRLF-terminated lines; `rows` may be a generator, consumed as written."""
     with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
+        handle.write(",".join(header) + "\r\n")
+        for row in rows:
+            handle.write(",".join(row) + "\r\n")
 
 
 def _write_json(path, payload):
@@ -295,29 +296,19 @@ def load_certificate(path):
 
 
 def _trajectory_rows(cfg, ms, traj):
-    boundary = ms.mode == "boundary"
+    """CSV header and a generator of formatted rows, one per sample."""
     J = cfg.J
     m = traj.control.shape[1]
-    if boundary:
+    fields = traj.states
+    if ms.mode == "boundary":
         d_coeffs = -np.concatenate([ms.B[1:, 0], ms.b_tail[:, 0]])  # <d, e_j>
-    rows = []
-    for k in range(traj.times.size):
-        if boundary:
-            y = traj.states[k, 1:] + traj.states[k, 0] * d_coeffs
-        else:
-            y = traj.states[k]
-        cells = [_fmt(traj.times[k])]
-        cells += [_fmt(v) for v in y[:J]]
-        cells += [_fmt(v) for v in traj.control[k]]
-        cells += ["1" if flag else "0" for flag in traj.sat_active[k]]
-        cells += [
-            _fmt(traj.l2[k]),
-            _fmt(traj.h1[k]),
-            _fmt(traj.h2[k]),
-            _fmt(traj.v1[k]),
-            _fmt(traj.v2[k]),
-        ]
-        rows.append(cells)
+        fields = fields[:, 1:] + fields[:, :1] * d_coeffs
+    monitors = np.column_stack([traj.l2, traj.h1, traj.h2, traj.v1, traj.v2])
+    rows = (
+        [_fmt(t)] + [_fmt(v) for v in y[:J]] + [_fmt(v) for v in u]
+        + ["1" if flag else "0" for flag in active] + [_fmt(v) for v in mon]
+        for t, y, u, active, mon in zip(traj.times, fields, traj.control, traj.sat_active, monitors)
+    )
     header = (
         ["t"]
         + [f"y_{j+1}" for j in range(J)]
@@ -348,9 +339,8 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     sim = cfg.sim_config()
     traj = run(sim, ms, gain, cert, consts, level=cfg.level())
 
-    header, rows = _trajectory_rows(cfg, ms, traj)
     csv_path = _out_path(cfg, out_dir, "trajectory.csv")
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, *_trajectory_rows(cfg, ms, traj))
 
     t_start = cfg.T / 4.0
     channels = ["l2", "h2"] + (["u_plus_w"] if ms.mode == "boundary" else [])
@@ -379,7 +369,7 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
                 initial=(preset[0], amplitude),
             )
 
-        summary["basin_estimate"] = estimate_basin(
+        summary["basin_estimate"], summary["basin_bracketed"] = estimate_basin(
             make_config, ms, gain, cert, consts,
             low=preset[1], high=preset[1] * 256.0, level=cfg.level(),
         )
@@ -561,22 +551,16 @@ def cmd_verify(cfg, certificate_path=None):
         _verify_certificate_file(report, certificate_path, ms, gain)
 
     if gain is not None and ms.mode == "internal" and cert is not None:
-        sim = SimConfig(J=cfg.J, dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0),
-                        delta=0.0, nu=0.0, initial=cfg.initial)
-        starts = sample_ellipsoid(cert, rng, 10)
-        invariant_ok = True
+        sim = SimConfig(J=cfg.J, dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0))
+        starts = np.zeros((10, cfg.J))
+        starts[:, : ms.n] = sample_ellipsoid(cert, rng, 10)
+        trajs = run_batch(sim, ms, gain, starts, cert, consts, level=cfg.level())
+        slack = _dissipation_slack(ms, gain, cert, sim.dt)
+        invariant_ok = not any(traj.left_region for traj in trajs)
         dissipation_ok = True
-        for z0 in starts:
-            y0 = np.zeros(cfg.J)
-            y0[: ms.n] = z0
-            sim_i = SimConfig(J=cfg.J, dt=sim.dt, T=sim.T, initial=tuple(y0.tolist()))
-            traj = run(sim_i, ms, gain, cert, consts, level=cfg.level())
-            if traj.left_region:
-                invariant_ok = False
-            zs = traj.states[:, : ms.n]
+        for traj in trajs:
             dv = np.diff(traj.v1) / sim.dt
-            znorm_sq = np.sum(zs[:-1] ** 2, axis=1)
-            slack = _dissipation_slack(ms, gain, cert, sim.dt)
+            znorm_sq = np.sum(traj.states[:-1, : ms.n] ** 2, axis=1)
             if not np.all(dv <= -cert.alpha * znorm_sq + slack * znorm_sq + 1e-12):
                 dissipation_ok = False
         report.check("simulate.region_invariance", invariant_ok)

@@ -23,11 +23,8 @@ UNSATURATED = SaturationLevel(math.inf)
 
 def sat(s, level):
     """Clamp each component of s to [-ell, ell]."""
-    ell = level.ell
-    clipped = np.clip(np.asarray(s, dtype=float), -ell, ell)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(clipped)
-    return clipped
+    clipped = np.minimum(np.maximum(s, -level.ell), level.ell)
+    return float(clipped) if np.ndim(s) == 0 else clipped
 
 
 def deadzone(u, level):

@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import block_diag
 
 from .errors import BlowUp, BoundExpired, NonPositiveChannel
-from .saturation import sat
+from .saturation import UNSATURATED, SaturationLevel, sat
 
 EXIT_HORIZON = "horizon"
 EXIT_BLOWUP = "blowup"
@@ -40,7 +41,6 @@ class SimConfig:
     T: float
     delta: float = 0.0
     nu: float = 0.0
-    dealias: bool = True
     initial: object = ("first_mode", 0.1)
     blowup_threshold: float = 1e6
 
@@ -74,15 +74,8 @@ class Trajectory:
     nl_ratio_max: float = float("nan")
 
     def channel(self, name):
-        simple = {
-            "l2": self.l2,
-            "h1": self.h1,
-            "h2": self.h2,
-            "v1": self.v1,
-            "v2": self.v2,
-        }
-        if name in simple:
-            return simple[name]
+        if name in ("l2", "h1", "h2", "v1", "v2"):
+            return getattr(self, name)
         if self.mode == "internal":
             if name == "z":
                 raise ValueError("use znorm(n) for the head-norm channel")
@@ -92,9 +85,7 @@ class Trajectory:
         if name == "w_l2":
             return np.sqrt(np.sum(self.states[:, 1:] ** 2, axis=1))
         if name == "u_plus_w":
-            return np.abs(self.states[:, 0]) + np.sqrt(
-                np.sum(self.states[:, 1:] ** 2, axis=1)
-            )
+            return self.channel("u") + self.channel("w_l2")
         raise ValueError(f"unknown channel {name!r}")
 
     def znorm(self, n):
@@ -117,81 +108,108 @@ def _phi1(h):
     return out
 
 
-def _full_input_matrix(ms):
-    return np.vstack([ms.B, ms.b_tail]) if ms.mode == "internal" else None
+def _rowwise(rows, matrix):
+    """rows @ matrix as one vector-matrix product per row (or for one vector).
+
+    A single matrix-matrix product would round each row differently
+    depending on the batch around it; this way a trajectory gets the same
+    bits whether it runs alone or in a batch.
+    """
+    return np.matmul(rows[..., None, :], matrix)[..., 0, :]
+
+
+def quad_form(x, form):
+    """x^T G x for each row of x (or for one vector), as one matrix product."""
+    return ((x @ form) * x).sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """Exponential-Euler constants of one closed loop at one time step.
+
+    States are rows of a (batch, dim) array.  A boundary loop carries its
+    integrator as column 0, folded into the same arrays as a mode with
+    sigma = 0 and input 1; `coupling` is its column a (None for internal
+    actuation).  `norm_form` is the blow-up quadratic form I + gram_d1 +
+    gram_d2 (plus 1 for the integrator).
+    """
+
+    growth: np.ndarray  # exp(sigma dt)
+    hold: np.ndarray  # dt * phi1(sigma dt)
+    gain_t: np.ndarray  # K^T, (head, m)
+    input_t: np.ndarray  # full input matrix transposed, (m, dim)
+    coupling: np.ndarray | None
+    norm_form: np.ndarray
+    head: int
+    level: SaturationLevel
+
+    def command(self, states):
+        return _rowwise(states[:, : self.head], self.gain_t)
+
+    def step(self, states, forcing=None):
+        """y <- g y + h (a y_0 + sat(y_head K^T) B^T + forcing), row by row."""
+        drive = _rowwise(sat(self.command(states), self.level), self.input_t)
+        if self.coupling is not None:
+            drive = self.coupling * states[:, :1] + drive
+        if forcing is not None:
+            drive = drive + forcing
+        return self.growth * states + self.hold * drive
+
+
+def step_plan(ms, gain, level, dt):
+    """Step constants for the closed loop of `ms` under `gain` and `level`."""
+    es = ms.es
+    sigma = es.values
+    form = np.eye(es.count) + es.gram_d1 + es.gram_d2
+    coupling = None
+    head = ms.n
+    if ms.mode == "boundary":
+        sigma = np.concatenate([[0.0], sigma])
+        form = block_diag(1.0, form)
+        coupling = np.concatenate([ms.A[:, 0], ms.a_tail])
+        head = ms.n + 1
+    return StepPlan(
+        growth=np.exp(sigma * dt),
+        hold=dt * _phi1(sigma * dt),
+        gain_t=gain.K.T,
+        input_t=np.vstack([ms.B, ms.b_tail]).T,
+        coupling=coupling,
+        norm_form=form,
+        head=head,
+        level=level,
+    )
 
 
 def step_linear_closed_loop(state, ms, gain, level, dt):
     """One exponential-Euler step of the internally actuated linear loop."""
-    state = np.asarray(state, dtype=float)
-    sigma = ms.es.values[: state.shape[0]]
-    z = state[: ms.n]
-    command = gain.K @ z
-    forcing = _full_input_matrix(ms)[: state.shape[0]] @ sat(command, level)
-    growth = np.exp(sigma * dt)
-    return growth * state + dt * _phi1(sigma * dt) * forcing
+    return step_plan(ms, gain, level, dt).step(np.asarray(state, dtype=float)[None])[0]
 
 
-def nonlinear_forcing(es, state, delta, nu, dealias=True):
-    """Modal projection of the negated nonlinearity.
+def nonlinear_forcing(es, state, delta, nu):
+    """Modal projection of the negated nonlinearity, for one state or a row batch.
 
     The convective part projects -delta * y y_x directly; the dispersive part
     uses <d_xx(y^3), e_j> = <y^3, e_j''>, valid for every supported BC family.
     """
-    if not dealias:
-        coarse = _coarse_rule(es)
-        basis, basis_d1, basis_d2, w = coarse
-    else:
-        basis, basis_d1, basis_d2 = es.basis, es.basis_d1, es.basis_d2
-        w = es.quadrature.weights
-    y = state @ basis
+    w = es.quadrature.weights
+    y = _rowwise(state, es.basis)
     out = np.zeros_like(state)
     if delta:
-        yx = state @ basis_d1
-        out -= delta * (basis @ (w * (y * yx)))
+        yx = _rowwise(state, es.basis_d1)
+        out -= delta * _rowwise(w * (y * yx), es.basis.T)
     if nu:
-        out += nu * (basis_d2 @ (w * y**3))
+        out += nu * _rowwise(w * y**3, es.basis_d2.T)
     return out
-
-
-_COARSE_CACHE = {}
-
-
-def _coarse_rule(es):
-    """Half-density evaluation grid used when dealiasing is switched off."""
-    import weakref
-
-    key = id(es)
-    hit = _COARSE_CACHE.get(key)
-    if hit is None or hit[0]() is not es:
-        from .spectral import composite_gauss_legendre
-
-        k_max = int(np.max(es.mode_index)) if len(es.mode_index) else 1
-        panels = max(4, int(math.ceil(0.75 * k_max)))
-        rule = composite_gauss_legendre(es.params.length, panels, 8)
-        basis = np.array([m(rule.nodes) for m in es.modes])
-        basis_d1 = np.array([m(rule.nodes, 1) for m in es.modes])
-        basis_d2 = np.array([m(rule.nodes, 2) for m in es.modes])
-        hit = (weakref.ref(es), (basis, basis_d1, basis_d2, rule.weights))
-        _COARSE_CACHE[key] = hit
-    return hit[1]
 
 
 def step_nonlinear_closed_loop(state, ms, gain, level, config, dt):
     """Exponential-Euler step with frozen control plus nonlinear forcing."""
-    state = np.asarray(state, dtype=float)
-    sigma = ms.es.values[: state.shape[0]]
-    z = state[: ms.n]
-    command = gain.K @ z
-    forcing = _full_input_matrix(ms)[: state.shape[0]] @ sat(command, level)
-    forcing = forcing + nonlinear_forcing(
-        ms.es, state, config.delta, config.nu, config.dealias
-    )
-    growth = np.exp(sigma * dt)
-    new = growth * state + dt * _phi1(sigma * dt) * forcing
-    if _h2_norm_sq(ms.es, new) > config.blowup_threshold**2:
+    plan = step_plan(ms, gain, level, dt)
+    y = np.asarray(state, dtype=float)[None]
+    new = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
+    if quad_form(new, plan.norm_form)[0] > config.blowup_threshold**2:
         raise BlowUp(f"H2 norm exceeded {config.blowup_threshold:g}")
-    return new
+    return new[0]
 
 
 def step_boundary_closed_loop(state, ms, gain, level, dt):
@@ -201,25 +219,7 @@ def step_boundary_closed_loop(state, ms, gain, level, dt):
     lifted field; the integrator advances exactly under zero-order hold, the
     modes see the frozen forcing a_j u + b_j sat(h).
     """
-    state = np.asarray(state, dtype=float)
-    u, w = state[0], state[1:]
-    count = w.shape[0]
-    sigma = ms.es.values[:count]
-    z = state[: ms.n + 1]
-    command = float((gain.K @ z)[0])
-    s = sat(command, level)
-    a_full = np.concatenate([ms.A[1:, 0], ms.a_tail])[:count]
-    b_full = np.concatenate([ms.B[1:, 0], ms.b_tail[:, 0]])[:count]
-    forcing = a_full * u + b_full * s
-    out = np.empty_like(state)
-    out[0] = u + dt * s
-    out[1:] = np.exp(sigma * dt) * w + dt * _phi1(sigma * dt) * forcing
-    return out
-
-
-def _h2_norm_sq(es, coeffs):
-    c = np.asarray(coeffs)
-    return float(c @ c + es.h1_seminorm_sq(c) + es.h2_seminorm_sq(c))
+    return step_plan(ms, gain, level, dt).step(np.asarray(state, dtype=float)[None])[0]
 
 
 def resolve_initial(config, es, ms=None):
@@ -247,14 +247,30 @@ def resolve_initial(config, es, ms=None):
     return y0.copy()
 
 
-def run(config, ms, gain, cert=None, constants=None, level=None, stop_on_region_exit=False):
-    """Integrate to the horizon, a blow-up, or a region exit.
+def _v2(v1, modal, constants, sigma):
+    """Frequency-weighted energy 0.5 M v1 + sum_j (-sigma_j) y_j^2."""
+    return 0.5 * constants.M * v1 + (modal * modal) @ -sigma
 
-    Monitors every sample; with a certificate, v1 = z^T P z is recorded and
-    region exits are flagged (and optionally stop the run).  With constants,
-    v2 adds the frequency-weighted energy.  Boundary systems carry the
-    integrator as state[0] and the l2 channel reports the reconstructed
-    physical field.  `level` defaults to the unsaturated sentinel.
+
+def run(config, ms, gain, cert=None, constants=None, level=None, stop_on_region_exit=False):
+    """Integrate the configured initial state: `run_batch` with a batch of one."""
+    y0 = resolve_initial(config, ms.es, ms)
+    return run_batch(config, ms, gain, y0[None], cert, constants, level, stop_on_region_exit)[0]
+
+
+def run_batch(
+    config, ms, gain, initials, cert=None, constants=None, level=None, stop_on_region_exit=False
+):
+    """Integrate each row of `initials` to the horizon, a blow-up, or a region exit.
+
+    Rows hold J modal coefficients; boundary systems prepend the integrator at
+    rest.  The loop only steps and checks the blow-up norm (a nonlinear step
+    over the threshold is dropped, a linear sample is kept) and, when
+    `stop_on_region_exit` is set with a certificate, v1 = z^T P z.  Monitors
+    come afterwards from the stored states: with a certificate v1 and the
+    region-exit flag, with constants also v2; boundary l2 reports the
+    reconstructed physical field.  `level` defaults to the unsaturated
+    sentinel.  Returns one Trajectory per row.
     """
     es = ms.es
     if config.J != es.count:
@@ -262,113 +278,106 @@ def run(config, ms, gain, cert=None, constants=None, level=None, stop_on_region_
             f"config retains {config.J} modes but the eigen system holds {es.count}"
         )
     boundary = ms.mode == "boundary"
-    nonlinear = (config.delta != 0.0 or config.nu != 0.0) and not boundary
-    if boundary and (config.delta != 0.0 or config.nu != 0.0):
+    nonlinear = config.delta != 0.0 or config.nu != 0.0
+    if boundary and nonlinear:
         raise ValueError("boundary runs support the linear dynamics only")
-
-    y0 = resolve_initial(config, es, ms)
+    initials = np.atleast_2d(np.asarray(initials, dtype=float))
+    if initials.shape[1] != config.J:
+        raise ValueError(f"initial data must have {config.J} coefficients")
     if boundary:
-        y0 = np.concatenate([[0.0], y0])  # integrator starts at rest
+        initials = np.hstack([np.zeros((initials.shape[0], 1)), initials])
+    if level is None:
+        level = UNSATURATED
 
-    steps = int(round(config.T / config.dt))
-    samples = steps + 1
-    dim = y0.shape[0]
-    m = gain.K.shape[0]
+    plan = step_plan(ms, gain, level, config.dt)
+    limit = config.blowup_threshold**2
+    check_region = stop_on_region_exit and cert is not None
+    batch, dim = initials.shape
+    samples = int(round(config.T / config.dt)) + 1
+    states = np.empty((batch, samples, dim))
+    filled = np.full(batch, samples)
+    exits = [EXIT_HORIZON] * batch
+    peaks = np.empty((batch, samples)) if nonlinear else None  # max|N(y_k)| per step
+
+    live = np.arange(batch)
+    y = initials
+    k = 0
+    while True:
+        over = quad_form(y, plan.norm_form) > limit
+        if nonlinear and k and over.any():  # the crossing step is not stored
+            for row in live[over]:
+                filled[row], exits[row] = k, EXIT_BLOWUP
+            live, y, over = live[~over], y[~over], over[~over]
+        if live.size == batch:
+            states[:, k] = y
+        else:
+            states[live, k] = y
+        stop = over
+        if check_region:
+            region = quad_form(y[:, : plan.head], cert.P) > 1.0 + 1e-9
+            stop = over | region
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                filled[live[i]] = k + 1
+                exits[live[i]] = EXIT_LEFT_REGION if check_region and region[i] else EXIT_BLOWUP
+            live, y = live[~stop], y[~stop]
+        if k == samples - 1 or not live.size:
+            break
+        forcing = None
+        if nonlinear:
+            forcing = nonlinear_forcing(es, y, config.delta, config.nu)
+            peaks[live, k] = np.max(np.abs(forcing), axis=1)
+        y = plan.step(y, forcing)
+        k += 1
 
     times = np.arange(samples) * config.dt
-    states = np.zeros((samples, dim))
-    control = np.zeros((samples, m))
-    active = np.zeros((samples, m), dtype=bool)
-    l2 = np.zeros(samples)
-    h1 = np.zeros(samples)
-    h2 = np.zeros(samples)
-    v1 = np.full(samples, np.nan)
-    v2 = np.full(samples, np.nan)
+    return [
+        _monitored(
+            plan, ms, config, times[: filled[i]], states[i, : filled[i]], exits[i],
+            cert, constants, None if peaks is None else peaks[i, : filled[i]],
+        )
+        for i in range(batch)
+    ]
 
-    head = ms.n + 1 if boundary else ms.n
-    if level is None:
-        from .saturation import UNSATURATED
 
-        level = UNSATURATED
-    exit_reason = EXIT_HORIZON
-    left_region = False
+def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, peaks):
+    """Trajectory with every monitor channel computed from the stored states."""
+    es = ms.es
+    boundary = ms.mode == "boundary"
+    control = plan.command(states)
+    modal = states[:, 1:] if boundary else states
+    w_sq = np.sum(modal * modal, axis=1)
+    if boundary:
+        u = states[:, 0]
+        inner_wd = -(modal @ plan.input_t[0, 1:])  # <w, d> since b = -d
+        l2 = np.sqrt(np.maximum(0.0, w_sq + 2.0 * u * inner_wd + u**2 * ms.lifting.d_norm_sq()))
+    else:
+        l2 = np.sqrt(w_sq)
+    v1 = np.full(times.size, np.nan)
+    v2 = np.full(times.size, np.nan)
     nl_ratio_max = float("nan")
-
-    state = y0
-    filled = 0
-    for k in range(samples):
-        z = state[:head]
-        command = gain.K @ z
-        states[k] = state
-        control[k] = command
-        active[k] = np.abs(command) > level.ell
-
-        modal = state[1:] if boundary else state
-        w_sq = float(modal @ modal)
-        h1_sq = es.h1_seminorm_sq(modal)
-        h2_sq = es.h2_seminorm_sq(modal)
-        if boundary:
-            u = state[0]
-            b_full = np.concatenate([ms.B[1:, 0], ms.b_tail[:, 0]])
-            inner_wd = -float(modal @ b_full)  # <w, d> since b = -d
-            y_sq = w_sq + 2.0 * u * inner_wd + u**2 * ms.lifting.d_norm_sq()
-            l2[k] = math.sqrt(max(0.0, y_sq))
-        else:
-            l2[k] = math.sqrt(w_sq)
-        h1[k] = math.sqrt(max(0.0, h1_sq))
-        h2[k] = math.sqrt(max(0.0, h2_sq))
-
-        if cert is not None:
-            v1[k] = float(z @ cert.P @ z)
-            if constants is not None:
-                v2[k] = 0.5 * constants.M * v1[k] + float(-es.values @ modal**2)
-                if nonlinear and v2[k] > 0.0:
-                    f = nonlinear_forcing(es, modal, config.delta, config.nu, config.dealias)
-                    ratio = float(np.max(np.abs(f))) / v2[k]
-                    if math.isnan(nl_ratio_max) or ratio > nl_ratio_max:
-                        nl_ratio_max = ratio
-            if v1[k] > 1.0 + 1e-9:
-                left_region = True
-                if stop_on_region_exit:
-                    filled = k + 1
-                    exit_reason = EXIT_LEFT_REGION
-                    break
-
-        norm_sq = w_sq + h1_sq + h2_sq
-        if boundary:
-            norm_sq += state[0] ** 2
-        if norm_sq > config.blowup_threshold**2:
-            filled = k + 1
-            exit_reason = EXIT_BLOWUP
-            break
-
-        filled = k + 1
-        if k == samples - 1:
-            break
-        try:
-            if boundary:
-                state = step_boundary_closed_loop(state, ms, gain, level, config.dt)
-            elif nonlinear:
-                state = step_nonlinear_closed_loop(state, ms, gain, level, config, config.dt)
-            else:
-                state = step_linear_closed_loop(state, ms, gain, level, config.dt)
-        except BlowUp:
-            exit_reason = EXIT_BLOWUP
-            break
-
-    sl = slice(0, filled)
+    if cert is not None:
+        v1 = quad_form(states[:, : plan.head], cert.P)
+        if constants is not None:
+            v2 = _v2(v1, modal, constants, es.values)
+            if peaks is not None:  # the stepper never forces the last sample
+                last = nonlinear_forcing(es, modal[-1], config.delta, config.nu)
+                peaks[-1] = np.max(np.abs(last))
+                positive = v2 > 0.0
+                if positive.any():
+                    nl_ratio_max = float(np.fmax.reduce(peaks[positive] / v2[positive]))
     return Trajectory(
-        times=times[sl],
-        states=states[sl],
-        control=control[sl],
-        sat_active=active[sl],
-        l2=l2[sl],
-        h1=h1[sl],
-        h2=h2[sl],
-        v1=v1[sl],
-        v2=v2[sl],
+        times=times,
+        states=states,
+        control=control,
+        sat_active=np.abs(control) > plan.level.ell,
+        l2=l2,
+        h1=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d1))),
+        h2=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d2))),
+        v1=v1,
+        v2=v2,
         exit_reason=exit_reason,
-        left_region=left_region,
+        left_region=bool(np.any(v1 > 1.0 + 1e-9)),
         mode=ms.mode,
         nl_ratio_max=nl_ratio_max,
     )
@@ -409,10 +418,10 @@ def monitor_v2(state, cert, constants, es):
     state = np.asarray(state, dtype=float)
     n = cert.P.shape[0]
     z = state[:n]
-    value = 0.5 * constants.M * float(z @ cert.P @ z) + float(-es.values @ state**2)
+    value = float(_v2(quad_form(z, cert.P), state, constants, es.values))
     lower = 0.5 * constants.C1 * float(z @ z) + (
         constants.C1 / (2.0 * constants.C2)
-    ) * es.h2_seminorm_sq(state)
+    ) * float(quad_form(state, es.gram_d2))
     return V2Reading(value=value, sandwich_lower=lower)
 
 
@@ -461,36 +470,56 @@ def gronwall_bound(v0, b, k, p, t_grid):
     return GronwallBound(times=t.copy(), values=values, w=w)
 
 
+def _decayed(traj, t_start):
+    """The run reached the horizon with a positive fitted H2-norm rate."""
+    if traj.exit_reason != EXIT_HORIZON:
+        return False
+    try:
+        return fit_decay_rate(traj, "h2", t_start).rate > 0.0
+    except NonPositiveChannel:
+        return True  # channel hit the floor: decayed outright
+
+
+def _dyadic_points(low, high, depth):
+    """Interior points of `depth` bisection levels of [low, high], in order."""
+    if depth == 0:
+        return []
+    mid = 0.5 * (low + high)
+    return _dyadic_points(low, mid, depth - 1) + [mid] + _dyadic_points(mid, high, depth - 1)
+
+
 def estimate_basin(
     make_config, ms, gain, cert, constants, low, high, iters=12, t_start=None, level=None
 ):
-    """Bisect the initial amplitude between decay and failure.
+    """Search the initial amplitude between decay and failure by k-section.
 
-    `make_config` maps an amplitude to a SimConfig; an amplitude counts as
-    decaying when the run reaches the horizon and the fitted H2-norm rate is
-    positive.  Returns the empirical threshold estimate.
+    `make_config` maps an amplitude to a SimConfig that differs only in its
+    initial state; an amplitude counts as decaying when the run reaches the
+    horizon and the fitted H2-norm rate is positive.  Each batched call runs
+    the three quarter points of the bracket, which settles two of the `iters`
+    bisection levels, so the result equals serial bisection's.  Returns
+    (estimate, bracketed); when `high` still decays no edge lies in the
+    bracket, and the estimate is `high` with bracketed False.
     """
+    config = make_config(low)
+    start = t_start if t_start is not None else config.T / 4.0
 
-    def decays(amplitude):
-        config = make_config(amplitude)
-        traj = run(config, ms, gain, cert, constants, level=level)
-        if traj.exit_reason != EXIT_HORIZON:
-            return False
-        try:
-            start = t_start if t_start is not None else config.T / 4.0
-            fit = fit_decay_rate(traj, "h2", start)
-        except NonPositiveChannel:
-            return True  # channel hit the floor: decayed outright
-        return fit.rate > 0.0
+    def decays(amplitudes):
+        initials = [resolve_initial(make_config(a), ms.es, ms) for a in amplitudes]
+        trajs = run_batch(config, ms, gain, initials, cert, constants, level)
+        return [_decayed(traj, start) for traj in trajs]
 
-    if not decays(low):
+    low_decays, high_decays = decays([low, high])
+    if not low_decays:
         raise ValueError("lower amplitude already fails; no bracket to bisect")
-    if decays(high):
-        return high
-    for _ in range(iters):
-        mid = 0.5 * (low + high)
-        if decays(mid):
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
+    if high_decays:
+        return high, False
+    while iters > 0:
+        depth = min(2, iters)
+        points = _dyadic_points(low, high, depth)
+        verdict = dict(zip(points, decays(points)))
+        for _ in range(depth):
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if verdict[mid] else (low, mid)
+        iters -= depth
+    return 0.5 * (low + high), True

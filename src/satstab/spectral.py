@@ -163,17 +163,6 @@ class EigenSystem:
         """Modal coefficients of a function sampled on the quadrature grid."""
         return self.basis @ (self.quadrature.weights * values)
 
-    def inner_with_modes(self, values):
-        return self.project_values(values)
-
-    def h1_seminorm_sq(self, coeffs):
-        c = np.asarray(coeffs)
-        return float(c @ self.gram_d1 @ c)
-
-    def h2_seminorm_sq(self, coeffs):
-        c = np.asarray(coeffs)
-        return float(c @ self.gram_d2 @ c)
-
     def bc_residual(self, j):
         """Worst violation of this BC family by the stored j-th mode."""
         L = self.params.length

@@ -28,6 +28,7 @@ from satstab.simulate import (
     fit_decay_rate,
     gronwall_bound,
     run,
+    run_batch,
 )
 from satstab.spectral import (
     BoundaryCondition,
@@ -243,11 +244,10 @@ def test_criterion_06_v1_dissipation_and_invariance():
     acl = ms.A + ms.B @ gain.K
     scale = np.linalg.norm(acl, 2) + np.linalg.norm(ms.B @ gain.K, 2)
     slack = 4.0 * dt * float(np.linalg.norm(cert.P, 2)) * scale**2
-    for z0 in starts:
-        y0 = np.zeros(16)
-        y0[: ms.n] = z0
-        config = SimConfig(J=16, dt=dt, T=2.0, initial=tuple(y0.tolist()))
-        traj = run(config, ms, gain, cert, level=level)
+    initials = np.zeros((len(starts), 16))
+    initials[:, : ms.n] = starts
+    config = SimConfig(J=16, dt=dt, T=2.0)
+    for traj in run_batch(config, ms, gain, initials, cert, level=level):
         assert not traj.left_region
         assert np.all(traj.v1 <= 1.0 + 1e-9)
         dv = np.diff(traj.v1) / dt

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from satstab.simulate import (
     fit_decay_rate,
     monitor_v2,
     nonlinear_forcing,
+    quad_form,
     resolve_initial,
+    estimate_basin,
     run,
+    run_batch,
     step_boundary_closed_loop,
     step_linear_closed_loop,
     step_nonlinear_closed_loop,
@@ -32,6 +36,7 @@ from satstab.spectral import (
     BoundaryCondition,
     OperatorParams,
     eigen_clamped,
+    composite_gauss_legendre,
     eigen_closed_form,
     unstable_count,
 )
@@ -133,15 +138,23 @@ class TestNonlinearTerm:
         )
         np.testing.assert_allclose(a, b, atol=1e-14)
 
-    def test_dealias_off_approximates(self, hinged_system):
+    def test_forcing_matches_fine_projection(self, hinged_system):
+        # brute-force projection on a 4x finer rule, from the analytic modes
         es = hinged_system.es
-        state = np.zeros(12)
-        state[:3] = (0.2, -0.1, 0.05)
-        full = nonlinear_forcing(es, state, delta=1.0, nu=1.0, dealias=True)
-        coarse = nonlinear_forcing(es, state, delta=1.0, nu=1.0, dealias=False)
-        assert np.all(np.isfinite(coarse))
-        # low-mode content agrees; the coarse grid only degrades the tail
-        np.testing.assert_allclose(coarse[:4], full[:4], atol=1e-3)
+        panels = es.quadrature.nodes.size // 16
+        fine = composite_gauss_legendre(es.params.length, 4 * panels, 16)
+        x, w = fine.nodes, fine.weights
+        values = [[mode(x, d) for d in range(3)] for mode in es.modes]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            state = rng.normal(size=12) * 0.3
+            y = sum(c * v[0] for c, v in zip(state, values))
+            yx = sum(c * v[1] for c, v in zip(state, values))
+            oracle = np.array(
+                [-float(np.sum(w * y * yx * v[0])) + float(np.sum(w * y**3 * v[2])) for v in values]
+            )
+            f = nonlinear_forcing(es, state, delta=1.0, nu=1.0)
+            np.testing.assert_allclose(f, oracle, rtol=0.0, atol=1e-12)
 
     def test_quadrature_identity_dispersive(self):
         # <d_xx(y^3), y> = -3 int y^2 (y_x)^2 for synthesized fields
@@ -307,6 +320,102 @@ class TestRun:
         assert abs(out[24] - out[12]) < tail_energy * math.exp(-eta * 2.0) + 1e-9
 
 
+class TestBatch:
+    @staticmethod
+    def serial(config, ms, gain, starts, **kwargs):
+        return [
+            run(replace(config, initial=tuple(y0.tolist())), ms, gain, **kwargs) for y0 in starts
+        ]
+
+    @staticmethod
+    def assert_same(batch, serial, monitors=()):
+        # row-wise products give each trajectory the same bits as a serial run
+        assert len(batch) == len(serial)
+        for b, s in zip(batch, serial):
+            assert b.exit_reason == s.exit_reason
+            assert b.times.size == s.times.size
+            np.testing.assert_array_equal(b.states, s.states)
+            np.testing.assert_array_equal(b.control, s.control)
+            for name in monitors:
+                np.testing.assert_array_equal(b.channel(name), s.channel(name))
+
+    def test_mixed_internal_starts_match_serial(self, hinged_system, scalar_gain):
+        level = SaturationLevel(1.0)
+        starts = np.zeros((3, 12))
+        starts[0, 0] = 0.5  # decays
+        starts[1, 0] = 2.0  # saturated escape to blow-up
+        starts[2, :4] = (0.9, 0.1, -0.05, 0.02)  # decays, with tail content
+        config = SimConfig(J=12, dt=1e-3, T=15.0, blowup_threshold=1e5)
+        batch = run_batch(config, hinged_system, scalar_gain, starts, level=level)
+        serial = self.serial(config, hinged_system, scalar_gain, starts, level=level)
+        assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_HORIZON]
+        self.assert_same(batch, serial, ("l2", "h1", "h2"))
+        # a linear sample over the threshold is stored, then the run ends
+        plan_form = np.eye(12) + hinged_system.es.gram_d1 + hinged_system.es.gram_d2
+        assert quad_form(batch[1].states[-1], plan_form) > 1e10
+        assert quad_form(batch[1].states[-2], plan_form) <= 1e10
+
+    def test_nonlinear_batch_matches_serial(self, hinged_system):
+        ms = hinged_system
+        level = SaturationLevel(1.0)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain, ms.es)
+        starts = np.zeros((2, 12))
+        starts[0, :3] = (0.5 / math.sqrt(cert.P[0, 0]), 0.05, -0.02)  # decays
+        starts[1, 0] = 40.0  # far outside the basin: blows up
+        config = SimConfig(J=12, dt=1e-3, T=3.0, delta=1.0, nu=0.5, blowup_threshold=1e5)
+        batch = run_batch(config, ms, gain, starts, cert, consts, level=level)
+        serial = self.serial(config, ms, gain, starts, cert=cert, constants=consts, level=level)
+        assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP]
+        self.assert_same(batch, serial, ("l2", "h1", "h2", "v1", "v2"))
+        for b, s in zip(batch, serial):
+            assert b.nl_ratio_max == s.nl_ratio_max
+        # a nonlinear step over the threshold is dropped, not stored
+        plan_form = np.eye(12) + ms.es.gram_d1 + ms.es.gram_d2
+        assert quad_form(batch[1].states[-1], plan_form) <= 1e10
+
+    def test_boundary_batch_matches_serial(self, boundary_ms):
+        ms = boundary_ms
+        gain = design_gain(ms, poles=[-(i + 1.0) for i in range(ms.n + 1)])
+        level = SaturationLevel(5.0)
+        starts = np.zeros((3, 8))
+        starts[0] = 0.01 * 0.5 ** np.arange(8)
+        starts[1, 0] = 0.2  # saturates and escapes
+        starts[2, :3] = (0.02, -0.1, 0.05)
+        config = SimConfig(J=8, dt=5e-4, T=1.0)
+        batch = run_batch(config, ms, gain, starts, level=level)
+        serial = self.serial(config, ms, gain, starts, level=level)
+        assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_HORIZON]
+        assert all(t.states[0, 0] == 0.0 for t in batch)
+        self.assert_same(batch, serial, ("l2", "h1", "h2", "u_plus_w"))
+
+    @pytest.mark.parametrize("iters", [12, 3])
+    def test_ksection_matches_serial_bisection(self, hinged_system, scalar_gain, iters):
+        level = SaturationLevel(1.0)
+
+        def decays(amplitude):
+            traj = run(scalar_edge_config(amplitude), hinged_system, scalar_gain, level=level)
+            if traj.exit_reason != EXIT_HORIZON:
+                return False
+            try:
+                return fit_decay_rate(traj, "h2", 1.0).rate > 0.0
+            except NonPositiveChannel:
+                return True
+
+        low, high = 0.2, 2.0
+        for _ in range(iters):
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if decays(mid) else (low, mid)
+        assert low <= 1.0 <= high
+        edge, bracketed = estimate_basin(
+            scalar_edge_config, hinged_system, scalar_gain, None, None,
+            low=0.2, high=2.0, iters=iters, level=level,
+        )
+        assert bracketed
+        assert edge == 0.5 * (low + high)
+
+
 class TestMonitors:
     def test_v2_zero_state(self, hinged_system):
         ms = hinged_system
@@ -338,7 +447,7 @@ class TestMonitors:
             state = rng.normal(size=12) * rng.uniform(0.01, 2.0)
             reading = monitor_v2(state, cert, consts, es)
             assert reading.value >= reading.sandwich_lower * (1.0 - 1e-12) - 1e-12
-            h2_full = float(state @ state) + es.h1_seminorm_sq(state) + es.h2_seminorm_sq(state)
+            h2_full = quad_form(state, np.eye(12) + es.gram_d1 + es.gram_d2)
             assert reading.value <= consts.C4 * h2_full * (1.0 + 1e-12)
 
     def test_tail_duhamel_bound(self, hinged_system):
@@ -419,16 +528,15 @@ class TestFitDecay:
             fit_decay_rate(traj, "l2")
 
 
+def scalar_edge_config(amplitude):
+    # z' = z + sat(-3 z) with ell = 1 has its basin edge exactly at z = 1
+    return SimConfig(J=12, dt=1e-3, T=4.0, initial=("first_mode", amplitude))
+
+
 class TestEstimateBasin:
     def test_scalar_saturated_edge(self, hinged_system, scalar_gain):
-        # z' = z + sat(-3 z) with ell = 1 has its basin edge exactly at z = 1
-        from satstab.simulate import estimate_basin
-
-        def make_config(amplitude):
-            return SimConfig(J=12, dt=1e-3, T=4.0, initial=("first_mode", amplitude))
-
-        edge = estimate_basin(
-            make_config,
+        edge, bracketed = estimate_basin(
+            scalar_edge_config,
             hinged_system,
             scalar_gain,
             None,
@@ -437,17 +545,27 @@ class TestEstimateBasin:
             high=2.0,
             level=SaturationLevel(1.0),
         )
+        assert bracketed
         assert edge == pytest.approx(1.0, abs=0.05)
 
+    def test_edge_outside_bracket_reported(self, hinged_system, scalar_gain):
+        edge, bracketed = estimate_basin(
+            scalar_edge_config,
+            hinged_system,
+            scalar_gain,
+            None,
+            None,
+            low=0.2,
+            high=0.5,
+            level=SaturationLevel(1.0),
+        )
+        assert bracketed is False
+        assert edge == 0.5
+
     def test_no_bracket_rejected(self, hinged_system, scalar_gain):
-        from satstab.simulate import estimate_basin
-
-        def make_config(amplitude):
-            return SimConfig(J=12, dt=1e-3, T=4.0, initial=("first_mode", amplitude))
-
         with pytest.raises(ValueError):
             estimate_basin(
-                make_config,
+                scalar_edge_config,
                 hinged_system,
                 scalar_gain,
                 None,
