@@ -53,7 +53,6 @@ from .spectral import (
     critical_set_member,
     eigen_clamped,
     eigen_closed_form,
-    eigen_fd,
     eigen_residual,
     unstable_count,
 )

@@ -10,7 +10,7 @@ class ConfigError(SatStabError):
 
 
 class ConvergenceFailure(SatStabError):
-    """Grid refinement did not stabilize an eigenvalue to tolerance."""
+    """A numerical solve did not reach its target (e.g. too few eigenvalues bracketed)."""
 
 
 class AllModesUnstable(SatStabError):

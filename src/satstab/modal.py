@@ -158,9 +158,7 @@ def actuator_coefficients(es, shapes, count=None):
                 raise ValueError(
                     f"indicator window ends at {shape.b} beyond length {es.params.length}"
                 )
-            if es.bc in (BoundaryCondition.HINGED, BoundaryCondition.NEUMANN_CH) and (
-                es.solver == "closed-form"
-            ):
+            if es.bc in (BoundaryCondition.HINGED, BoundaryCondition.NEUMANN_CH):
                 cols.append(_indicator_closed_form(es, shape, count))
             else:
                 cols.append(_indicator_quadrature(es, shape, count))
@@ -217,10 +215,12 @@ def assemble_boundary(es, lifting, n, critical_tol=1e-8):
     """
     if es.bc != BoundaryCondition.CLAMPED:
         raise ValueError("boundary assembly requires the clamped family")
-    if critical_set_member(es.params.lam, critical_tol):
+    lam, L = es.params.lam, es.params.length
+    if critical_set_member(lam, L, critical_tol):
         raise CriticalLength(
-            f"anti-diffusion coefficient {es.params.lam} lies in the critical set; "
-            "the boundary pair is not stabilizable"
+            f"lam L^2 / pi^2 = {lam * L**2 / math.pi**2:.12g} (lam = {lam}, L = {L}) lies in "
+            "the critical set {k^2 + l^2 : k < l, same parity}; the boundary pair is not "
+            "stabilizable"
         )
     x = es.quadrature.nodes
     w = es.quadrature.weights

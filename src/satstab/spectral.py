@@ -7,28 +7,25 @@ Three boundary-condition families are supported:
 * neumann:  y'(0) = y'(L) = y'''(0) = y'''(L) = 0
 
 Hinged and Neumann eigenpairs have closed forms built on the Dirichlet /
-Neumann Laplacian.  Clamped eigenpairs come from a symmetric second-order
-finite-difference discretization solved at two resolutions, with each
-eigenvalue re-evaluated through a weak-form Rayleigh quotient of the spline
-eigenfunction and a refinement acceptance test on the cross-resolution gap.
-The same machinery runs with the hinged stencil for cross-validation against
-the closed form.
+Neumann Laplacian.  Clamped eigenpairs are exact too: the modes split into
+even and odd about L/2, each parity has one scalar secular equation in the
+trig frequency q, and its roots (bracketed on a grid, polished by brentq)
+give closed-form eigenfunctions, cos/sin(q t) plus a cosh/sinh or cos/sin
+partner.
 
-Eigenfunctions are stored in two forms at once: a per-mode analytic or
-spline record, and cached samples (value, first and second derivative) on a
-shared Gauss-Legendre quadrature grid sized so that cubic products of the
-retained modes integrate essentially exactly.
+Eigenfunctions are stored in two forms at once: a per-mode analytic record
+with derivatives 0-4, and cached samples (value, first and second
+derivative) on a shared Gauss-Legendre quadrature grid sized so that cubic
+products of the retained modes integrate essentially exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.optimize import brentq
 
 from .errors import AllModesUnstable, ConvergenceFailure
 
@@ -110,16 +107,6 @@ class TrigMode:
         return scale * (np.sin(phase) if self.kind == "sin" else np.cos(phase))
 
 
-@dataclass(frozen=True)
-class GridMode:
-    """Grid-represented mode: cubic spline through finite-difference values."""
-
-    spline: CubicSpline
-
-    def __call__(self, x, deriv=0):
-        return self.spline(np.asarray(x, dtype=float), nu=deriv)
-
-
 # ---------------------------------------------------------------------------
 # Eigen system
 
@@ -152,7 +139,6 @@ class EigenSystem:
     gram_d1: np.ndarray
     gram_d2: np.ndarray
     solver: str
-    value_error: np.ndarray
 
     def synthesize(self, coeffs, deriv=0):
         """Field values on the quadrature grid from modal coefficients."""
@@ -247,169 +233,181 @@ def eigen_closed_form(params, bc, count):
         gram_d1=gram_d1,
         gram_d2=gram_d2,
         solver="closed-form",
-        value_error=np.zeros(count),
     )
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference eigensolver (clamped, plus hinged for cross-validation)
+# Clamped family: even/odd secular equations
+#
+# With the trig frequency q >= sqrt(lam/2), sigma = q^2 (lam - q^2) and the
+# partner frequency is p = sqrt(q^2 - lam) (hyperbolic, sigma < 0) or
+# r = sqrt(lam - q^2) (trig, sigma > 0).  About the centre t = x - L/2 every
+# mode is even, cos(q t) + B cosh(p t) (or cos(r t)), or odd, sin(q t) +
+# B sinh(p t) (or sin(r t)), so each parity has one 2x2 wall determinant.
 
 
-def _fd_matrix(params, bc, cells):
-    """Symmetric pentadiagonal -D4 - lam*D2 on the interior of a uniform grid."""
-    h = params.length / cells
-    m = cells - 1
-    inv2 = 1.0 / h**2
-    inv4 = 1.0 / h**4
+def _hyperbolic(p, s, half, odd):
+    """cosh(p s) / cosh(p half) (odd=0) or sinh(p s) / cosh(p half) (odd=1), s >= 0.
 
-    main = np.full(m, -6.0 * inv4 + 2.0 * params.lam * inv2)
-    off1 = np.full(m - 1, 4.0 * inv4 - params.lam * inv2)
-    off2 = np.full(m - 2, -1.0 * inv4)
-
-    # Ghost-node elimination at both walls: y'(0)=0 folds the ghost back with
-    # +1 (clamped), y''(0)=0 with -1 (hinged).
-    ghost = {BoundaryCondition.CLAMPED: 1.0, BoundaryCondition.HINGED: -1.0}[bc]
-    main[0] += -ghost * inv4
-    main[-1] += -ghost * inv4
-
-    mat = sp.diags(
-        [off2, off1, main, off1, off2], [-2, -1, 0, 1, 2], format="csc"
-    )
-    return mat, h
-
-
-def _fd_top_eigs(params, bc, count, cells, vectors):
-    mat, h = _fd_matrix(params, bc, cells)
-    m = mat.shape[0]
-    if count > m - 1:
-        raise ValueError(f"requested {count} modes from a {m}-point interior grid")
-    # The discrete spectrum lies below lam^2/4, so this shift is strictly
-    # above it and shift-invert returns the top of the spectrum.
-    shift = 0.25 * params.lam**2 + 1.0
-    v0 = np.full(m, 1.0 / math.sqrt(m))
-    try:
-        w, v = eigsh(
-            mat,
-            k=count,
-            sigma=shift,
-            which="LM",
-            v0=v0,
-            return_eigenvectors=True,
-        )
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise ConvergenceFailure(f"sparse eigensolve failed at {cells} cells: {exc}")
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    if not vectors:
-        return w, None, h
-    v = v[:, order]
-    # deterministic sign: largest-magnitude entry positive
-    for j in range(count):
-        col = v[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            v[:, j] = -col
-    return w, v, h
-
-
-def _interval_rule(length, cells, order=4):
-    """Per-interval Gauss rule, exact for the squares of spline derivatives."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    h = length / cells
-    starts = np.arange(cells) * h
-    pts = (starts[:, None] + 0.5 * h * (xg[None, :] + 1.0)).ravel()
-    w = np.tile(0.5 * h * wg, cells)
-    return pts, w
-
-
-def _rayleigh_quotients(splines, lam, length, cells):
-    """Weak-form Rayleigh quotient (lam*|s'|^2 - |s''|^2) / |s|^2 per spline.
-
-    Quadratically insensitive to the eigenvector error and free of the
-    1/h^4 roundoff that limits the discrete eigenvalues themselves.
+    Written with non-positive exponents only, so it cannot overflow however
+    large p * half grows (the direct quotient overflows past 710).
     """
-    pts, w = _interval_rule(length, cells)
-    out = np.empty(len(splines))
-    for j, s in enumerate(splines):
-        s0 = s(pts)
-        s1 = s(pts, 1)
-        s2 = s(pts, 2)
-        out[j] = (lam * (w @ s1**2) - (w @ s2**2)) / (w @ s0**2)
-    return out
+    scale = np.exp(p * (s - half)) / (1.0 + math.exp(-2.0 * p * half))
+    if odd:
+        return scale * -np.expm1(-2.0 * p * s)
+    return scale * (1.0 + np.exp(-2.0 * p * s))
 
 
-def _fd_splines(params, bc, count, cells):
-    w, v, h = _fd_top_eigs(params, bc, count, cells, vectors=True)
-    x_full = np.linspace(0.0, params.length, cells + 1)
-    spline_bc = ((1, 0.0), (1, 0.0)) if bc == BoundaryCondition.CLAMPED else "natural"
-    raw = np.zeros((count, x_full.size))
-    raw[:, 1:-1] = (v / math.sqrt(h)).T
-    splines = [CubicSpline(x_full, raw[j], bc_type=spline_bc) for j in range(count)]
-    return raw, splines, x_full, spline_bc
+@dataclass(frozen=True)
+class ClampedMode:
+    """Clamped mode a * T(q t) + b * P(t) in the centred coordinate t = x - L/2.
+
+    Even modes (odd=0) take T = cos and P = cosh(w t) / cosh(w L/2),
+    cos(w t) or 1; odd modes (odd=1) take T = sin and P = sinh(w t) /
+    cosh(w L/2), sin(w t) or t, for `partner` "hyperbolic", "trig" or
+    "poly" (q^2 = lam).  Derivatives 0-4 are analytic, and are evaluated at
+    |t| with the parity sign applied, so both walls see identical rounding.
+    """
+
+    odd: int
+    q: float
+    partner: str  # "hyperbolic" | "trig" | "poly"
+    w: float
+    half: float
+    a: float = 1.0
+    b: float = 1.0
+
+    def parts(self, x, deriv=0):
+        """The deriv-th derivatives of T(q t) and P(t), unscaled."""
+        t = np.asarray(x, dtype=float) - self.half
+        s = np.abs(t)
+        parity = (deriv + self.odd) % 2
+        shift = (deriv - self.odd) * math.pi / 2.0
+        trig = self.q**deriv * np.cos(self.q * s + shift)
+        if self.partner == "trig":
+            partner = self.w**deriv * np.cos(self.w * s + shift)
+        elif self.partner == "hyperbolic":
+            partner = self.w**deriv * _hyperbolic(self.w, s, self.half, parity)
+        else:
+            partner = s if deriv < self.odd else np.full_like(s, float(deriv == self.odd))
+        if parity:
+            sign = np.sign(t)
+            return trig * sign, partner * sign
+        return trig, partner
+
+    def __call__(self, x, deriv=0):
+        trig, partner = self.parts(x, deriv)
+        return self.a * trig + self.b * partner
 
 
-def eigen_fd(params, bc, count, base_cells=None, rtol=1e-6):
-    """Finite-difference eigen system refined by Rayleigh-quotient polishing.
+def _secular(q, lam, half, odd):
+    """Wall determinant of one parity at trig frequency q, over a positive factor.
 
-    The symmetric stencil is eigensolved at `base_cells` and `2*base_cells`
-    cells; each eigenvector is interpolated by a BC-respecting cubic spline
-    and its eigenvalue recomputed from the weak-form Rayleigh quotient.  The
-    gap between the two resolutions is the per-mode error indicator and must
-    pass `rtol`, otherwise `ConvergenceFailure` is raised.  Stored modes are
-    the fine-grid splines, symmetric re-orthonormalized under the shared
-    quadrature.
+    Continuous in q across sigma = 0 (q^2 = lam), where the hyperbolic and
+    trig forms meet, and free of the spurious zero the raw determinant has
+    at q = r (q^2 = lam/2), where the two trig frequencies coincide.
+    """
+    s2 = q * q - lam
+    sin_qa, cos_qa = math.sin(q * half), math.cos(q * half)
+    if s2 >= 0.0:
+        p = math.sqrt(s2)
+        if odd:
+            return sin_qa / q - cos_qa * (math.tanh(p * half) / p if p > 0.0 else half)
+        return sin_qa + p / q * math.tanh(p * half) * cos_qa
+    r = math.sqrt(-s2)
+    u, v = (q + r) * half, (q - r) * half
+    u_sinc_v = u * math.sin(v) / v if v != 0.0 else u
+    if not odd:
+        return 0.5 * (math.sin(u) + u_sinc_v)
+    if 2.0 * r >= q:
+        return (u_sinc_v - math.sin(u)) / (2.0 * r)
+    ra = r * half
+    return (sin_qa * math.cos(ra) - q * cos_qa * math.sin(ra) / r) / (q - r)
+
+
+def _clamped_roots(params, count):
+    """The `count` smallest secular roots q, each with its parity (0 even, 1 odd).
+
+    Sign changes are bracketed on a grid whose steps move both q and r by at
+    most pi / (8 L): sixteen points per root spacing of one parity (about
+    2 pi / L in q), and r is gridded too because it varies fast in q near
+    sigma = 0.  Brackets are polished by brentq.  No root has q L/2 < pi/2:
+    both determinants are positive there.
+    """
+    lam, L = params.lam, params.length
+    half = 0.5 * L
+    step = math.pi / (8.0 * L)
+    q_lo = max(math.sqrt(0.5 * lam), math.pi / L)
+    q_hi = max(q_lo, math.sqrt(lam)) + (count + 2) * math.pi / L
+    grid = np.arange(q_lo, q_hi, step)
+    if q_lo * q_lo < lam:
+        r = np.arange(0.0, math.sqrt(lam - q_lo * q_lo), step)
+        grid = np.unique(np.concatenate([grid, np.sqrt(lam - r * r)]))
+    grid = grid.tolist()
+    roots = []
+    for odd in (0, 1):
+        sign = np.sign([_secular(q, lam, half, odd) for q in grid])
+        roots += [(grid[i], odd) for i in np.flatnonzero(sign == 0.0)]
+        for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+            q = brentq(_secular, grid[i], grid[i + 1], args=(lam, half, odd), xtol=1e-300)
+            roots.append((q, odd))
+    if len(roots) < count:
+        raise ConvergenceFailure(
+            f"secular scan bracketed {len(roots)} of {count} clamped eigenvalues "
+            f"up to q = {q_hi:.6g}"
+        )
+    return sorted(roots)[:count]
+
+
+def _mode_at_root(params, q, odd):
+    """Unnormalized mode at a secular root.
+
+    The coefficients are the null vector of the wall row (value or slope at
+    x = L) with the larger norm: at a double eigenvalue one row vanishes.
+    """
+    s2 = q * q - params.lam
+    partner = "hyperbolic" if s2 > 0.0 else "trig" if s2 < 0.0 else "poly"
+    unit = ClampedMode(odd, q, partner, math.sqrt(abs(s2)), 0.5 * params.length)
+    rows = [tuple(map(float, unit.parts(params.length, d))) for d in (0, 1)]
+    t_wall, p_wall = max(rows, key=lambda row: math.hypot(*row))
+    return replace(unit, a=p_wall, b=-t_wall)
+
+
+def eigen_clamped(params, count):
+    """Exact eigen system for the clamped family.
+
+    The `count` smallest roots q of the even/odd secular equations give
+    sigma = q^2 (lam - q^2), sorted nonincreasing (equal values list the even
+    mode first).  Modes are L2-normalized and signed so that y''(0) > 0.
     """
     if count < 1:
         raise ValueError("mode count must be >= 1")
-    if bc == BoundaryCondition.NEUMANN_CH:
-        raise ValueError("finite-difference solver supports clamped and hinged only")
-    if base_cells is None:
-        base_cells = max(768, 44 * count)
     L = params.length
+    roots = _clamped_roots(params, count)
+    q = np.array([root[0] for root in roots])
+    sigma = q * q * (params.lam - q * q)
+    order = np.lexsort(([root[1] for root in roots], -sigma))
+    raw = [_mode_at_root(params, *roots[j]) for j in order]
+    values = sigma[order]
 
-    _, splines_coarse, _, _ = _fd_splines(params, bc, count, base_cells)
-    rq_coarse = _rayleigh_quotients(splines_coarse, params.lam, L, base_cells)
-
-    fine_cells = 2 * base_cells
-    raw, splines_raw, x_full, spline_bc = _fd_splines(params, bc, count, fine_cells)
-
-    # Symmetric orthonormalization under the quadrature inner product.
-    quad = quadrature_for_modes(L, count)
-    basis_raw = np.array([s(quad.nodes) for s in splines_raw])
-    g = _gram(basis_raw, basis_raw, quad.weights)
-    ew, ev = np.linalg.eigh(g)
-    mix = ev @ np.diag(1.0 / np.sqrt(ew)) @ ev.T
-    grid_values = mix @ raw
-    splines = [
-        CubicSpline(x_full, grid_values[j], bc_type=spline_bc) for j in range(count)
-    ]
-    rq_fine = _rayleigh_quotients(splines, params.lam, L, fine_cells)
-
-    order = np.argsort(rq_fine)[::-1]
-    values = rq_fine[order]
-    rq_coarse = np.sort(rq_coarse)[::-1]
-    scale = np.maximum(1.0, np.abs(values))
-    indicator = np.abs(values - rq_coarse) / (2.0 * scale)
-    if np.any(indicator > rtol):
-        worst = int(np.argmax(indicator))
-        raise ConvergenceFailure(
-            f"eigenvalue {worst + 1} not stabilized: indicator "
-            f"{indicator[worst]:.3e} > {rtol:.1e} at {fine_cells} cells"
-        )
-
-    modes = tuple(GridMode(splines[j]) for j in order)
-    basis = np.array([m(quad.nodes) for m in modes])
+    quad = quadrature_for_modes(L, int(math.ceil(q.max() * L / math.pi)))
+    basis = np.array([m(quad.nodes) for m in raw])
+    scale = np.array(
+        [math.copysign(1.0, float(m(0.0, 2))) for m in raw]
+    ) / np.sqrt(basis**2 @ quad.weights)
+    modes = tuple(replace(m, a=m.a * s, b=m.b * s) for m, s in zip(raw, scale))
+    basis *= scale[:, None]
     basis_d1 = np.array([m(quad.nodes, 1) for m in modes])
     basis_d2 = np.array([m(quad.nodes, 2) for m in modes])
 
     gram_d1 = _gram(basis_d1, basis_d1, quad.weights)
-    # <e_i'', e_j''> = lam * <e_i', e_j'> - sigma_j delta_ij for eigenfunctions;
-    # avoids differentiating grid data four times.
+    # <e_i'', e_j''> = lam <e_i', e_j'> - sigma_j delta_ij for eigenfunctions
+    # satisfying the clamped walls (integrate by parts twice).
     gram_d2 = params.lam * gram_d1 - np.diag(values)
-    gram_d2 = 0.5 * (gram_d2 + gram_d2.T)
 
     return EigenSystem(
         params=params,
-        bc=bc,
+        bc=BoundaryCondition.CLAMPED,
         count=count,
         values=values,
         mode_index=np.arange(1, count + 1),
@@ -420,14 +418,8 @@ def eigen_fd(params, bc, count, base_cells=None, rtol=1e-6):
         basis_d2=basis_d2,
         gram_d1=gram_d1,
         gram_d2=gram_d2,
-        solver="fd-rayleigh",
-        value_error=indicator,
+        solver="secular",
     )
-
-
-def eigen_clamped(params, count, base_cells=None, rtol=1e-6):
-    """Numerical eigen system for the clamped family."""
-    return eigen_fd(params, BoundaryCondition.CLAMPED, count, base_cells, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -451,34 +443,33 @@ def unstable_count(es):
 
 
 def eigen_residual(es, j):
-    """Relative residual of the j-th stored eigenpair.
+    """Relative ODE residual of the j-th stored eigenpair, for every family.
 
-    Closed-form modes are differentiated analytically and the residual
-    norm evaluated by quadrature.  Grid modes report the stored refinement
-    error indicator of the polished eigenvalue.
+    The quadrature norm of -y'''' - lam y'' - sigma y over max(1, |sigma|),
+    with y'''' from the stored mode and y, y'' from the cached tables.
     """
-    if es.solver != "closed-form":
-        return float(es.value_error[j])
-    mode = es.modes[j]
-    x = es.quadrature.nodes
-    r = -mode(x, 4) - es.params.lam * mode(x, 2) - es.values[j] * mode(x, 0)
+    y4 = es.modes[j](es.quadrature.nodes, 4)
+    r = -y4 - es.params.lam * es.basis_d2[j] - es.values[j] * es.basis[j]
     norm = math.sqrt(max(0.0, es.quadrature.integrate(r**2)))
     return norm / max(1.0, abs(float(es.values[j])))
 
 
-def critical_set_member(lam, tol=1e-8):
-    """Membership of lam in {pi^2 (k^2 + l^2) : k < l, same parity}.
+def critical_set_member(lam, length, tol=1e-8):
+    """Membership of lam in {pi^2 (k^2 + l^2) / L^2 : 0 < k < l, same parity}.
 
-    Meaningful for the unit-length clamped normalization.
+    Exactly there the clamped spectrum has a double unstable eigenvalue,
+    (k l pi^2 / L^2)^2, and the wall-slope pair is not stabilizable.  `tol`
+    is absolute in lam.
     """
     if lam <= 0.0:
         return False
-    bound = (lam + tol) / math.pi**2 + 1.0
+    unit = (math.pi / length) ** 2
+    bound = (lam + tol) / unit + 1.0
     k = 1
     while k * k <= bound:
         l = k + 2
         while k * k + l * l <= bound:
-            if abs(lam - math.pi**2 * (k * k + l * l)) <= tol:
+            if abs(lam - unit * (k * k + l * l)) <= tol:
                 return True
             l += 2
         k += 1

@@ -35,7 +35,6 @@ from satstab.spectral import (
     OperatorParams,
     eigen_clamped,
     eigen_closed_form,
-    eigen_fd,
     unstable_count,
 )
 from satstab.synthesis import (
@@ -85,16 +84,16 @@ def test_criterion_01_hinged_spectrum_closed_form():
 
 
 def test_criterion_02_clamped_cross_validation():
-    # hinged stencil through the numerical machinery vs the closed form
-    p = OperatorParams(2.0, math.pi)
-    es_fd = eigen_fd(p, HINGED, 4)
-    es_cf = eigen_closed_form(p, HINGED, 4)
-    np.testing.assert_allclose(es_fd.values, es_cf.values, rtol=1e-6)
+    # exact double eigenvalue 9 pi^4 at lam = 10 pi^2, L = 1 (q = 3 pi, r = pi)
+    es = eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 4)
+    np.testing.assert_allclose(es.values[:2], 9 * math.pi**4, rtol=1e-13)
+    gram = (es.basis * es.quadrature.weights) @ es.basis.T
+    assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
     # clamped ground state vs the beam characteristic root
-    root = brentq(lambda s: math.cos(s) * math.cosh(s) - 1.0, 4.5, 5.0, xtol=1e-13)
+    root = brentq(lambda s: math.cos(s) * math.cosh(s) - 1.0, 4.5, 5.0, xtol=1e-14)
     es = eigen_clamped(OperatorParams(0.0, 1.0), 1)
-    assert es.values[0] == pytest.approx(-(root**4), rel=1e-4)
+    assert es.values[0] == pytest.approx(-(root**4), rel=1e-12)
 
     # brute-force dense second-order eigensolve at 2048 grid points
     from scipy.linalg import eigh

@@ -87,6 +87,15 @@ class TestSpectrumCommand:
         assert summary["n"] == 1
         assert summary["eta"] == pytest.approx(4.0)
 
+    def test_unbracketed_clamped_roots_exit_3(self, tmp_path, monkeypatch, capsys):
+        from satstab import spectral
+
+        monkeypatch.setattr(spectral, "_secular", lambda q, lam, half, odd: 1.0)
+        doc = base_config(bc="clamped", **{"lambda": 45.0}, length=1.0, J=8)
+        path = write_config(tmp_path, doc)
+        assert main(["spectrum", "-c", path, "-o", str(tmp_path)]) == 3
+        assert "bracketed 0 of 8" in capsys.readouterr().err
+
     def test_clamped_beam_value(self, tmp_path):
         doc = base_config(bc="clamped", **{"lambda": 1e-9}, length=1.0, J=2)
         doc["actuators"] = [{"kind": "indicator", "a": 0.1, "b": 0.9}]
@@ -158,6 +167,22 @@ class TestSynthCommand:
         )
         path = write_config(tmp_path, doc)
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+
+    def test_critical_length_scales_with_length(self, tmp_path, capsys):
+        # lam L^2 / pi^2 = 10 = 1 + 9 at L = 2: the double eigenvalue is
+        # reported as CriticalLength, not as a pole-count or rank failure
+        doc = base_config(
+            bc="clamped",
+            **{"lambda": 10 * math.pi**2 / 4},
+            length=2.0,
+            actuators=[],
+            poles=[-1.0, -2.0],
+            J=8,
+            initial={"preset": "first_mode", "amplitude": 0.01},
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+        assert "critical set" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

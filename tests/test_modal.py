@@ -129,9 +129,13 @@ class TestBoundary:
         es = eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 4)
         with pytest.raises(CriticalLength):
             assemble_boundary(es, Lifting(1.0), unstable_count(es).n)
+        # the critical set scales with 1 / L^2
+        es = eigen_clamped(OperatorParams(10 * math.pi**2 / 4, 2.0), 4)
+        with pytest.raises(CriticalLength):
+            assemble_boundary(es, Lifting(2.0), unstable_count(es).n)
 
     def test_structure(self):
-        es = eigen_clamped(OperatorParams(45.0, 1.0), 6, base_cells=512)
+        es = eigen_clamped(OperatorParams(45.0, 1.0), 6)
         n = unstable_count(es).n
         assert n >= 1
         ms = assemble_boundary(es, Lifting(1.0), n)

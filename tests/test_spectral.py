@@ -1,18 +1,22 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 from scipy.optimize import brentq
 
+from satstab import spectral
 from satstab.errors import AllModesUnstable, ConvergenceFailure
 from satstab.spectral import (
     BoundaryCondition,
+    ClampedMode,
     OperatorParams,
     composite_gauss_legendre,
     critical_set_member,
     eigen_clamped,
     eigen_closed_form,
-    eigen_fd,
     eigen_residual,
     quadrature_for_modes,
     unstable_count,
@@ -21,11 +25,6 @@ from satstab.spectral import (
 HINGED = BoundaryCondition.HINGED
 NEUMANN = BoundaryCondition.NEUMANN_CH
 CLAMPED = BoundaryCondition.CLAMPED
-
-
-def hinged_sigma(lam, length, k):
-    mu = (k * math.pi / length) ** 2
-    return mu * (lam - mu)
 
 
 class TestClosedForm:
@@ -123,53 +122,154 @@ class TestUnstableCount:
 
 class TestCriticalSet:
     def test_member(self):
-        assert critical_set_member(10 * math.pi**2)
+        assert critical_set_member(10 * math.pi**2, 1.0)
 
     def test_parity_excluded(self):
-        assert not critical_set_member(5 * math.pi**2)
+        assert not critical_set_member(5 * math.pi**2, 1.0)
 
     def test_below_minimum(self):
-        assert not critical_set_member(1.0)
+        assert not critical_set_member(1.0, 1.0)
 
     def test_tolerance_window(self):
-        assert critical_set_member(10 * math.pi**2 + 1e-9, tol=1e-8)
-        assert not critical_set_member(10 * math.pi**2 + 1e-3, tol=1e-8)
+        assert critical_set_member(10 * math.pi**2 + 1e-9, 1.0, tol=1e-8)
+        assert not critical_set_member(10 * math.pi**2 + 1e-3, 1.0, tol=1e-8)
+
+    def test_length_scaling(self):
+        # the set is {pi^2 (k^2 + l^2) / L^2}: 10 pi^2 / 4 is critical at L = 2 only
+        assert critical_set_member(10 * math.pi**2 / 4, 2.0)
+        assert not critical_set_member(10 * math.pi**2 / 4, 1.0)
+        assert not critical_set_member(5 * math.pi**2 / 4, 2.0)
+        assert critical_set_member(40.0, math.pi)
+
+    @pytest.mark.parametrize("length", [1.0, 2.0, math.pi])
+    def test_matches_double_unstable_eigenvalue(self, length):
+        # member exactly when the exact solver returns a double unstable eigenvalue
+        for k in range(1, 4):
+            for l in range(k, k + 4):
+                lam = math.pi**2 * (k * k + l * l) / length**2
+                es = eigen_clamped(OperatorParams(lam, length), 2 * l + 4)
+                head = es.values[: unstable_count(es).n]
+                gaps = -np.diff(head) / np.abs(head[1:])
+                double = bool(np.any(gaps <= 1e-12))
+                assert double == critical_set_member(lam, length), (k, l)
+                if not double:
+                    assert np.all(gaps > 1e-6), (k, l)
+
+
+def beam_root():
+    # clamped-clamped beam: cos(s) cosh(s) = 1, first root
+    return brentq(lambda s: math.cos(s) * math.cosh(s) - 1.0, 4.5, 5.0, xtol=1e-14)
+
+
+def orthonormality_error(es):
+    g = (es.basis * es.quadrature.weights) @ es.basis.T
+    return float(np.max(np.abs(g - np.eye(es.count))))
+
+
+GRID_LAMS = [2.0, 20.0, 45.0, 60.0, 100.0]
+GRID_LENGTHS = [1.0, 2.0, math.pi]
 
 
 class TestClampedSolver:
     def test_beam_ground_state(self):
-        # clamped-clamped beam: cos(s) cosh(s) = 1, mu_1 = s^4
-        s1 = brentq(lambda s: math.cos(s) * math.cosh(s) - 1.0, 4.5, 5.0, xtol=1e-13)
-        mu1 = s1**4
         es = eigen_clamped(OperatorParams(0.0, 1.0), 1)
-        assert es.values[0] == pytest.approx(-mu1, rel=1e-4)
-        # much tighter in practice
-        assert es.values[0] == pytest.approx(-mu1, rel=1e-7)
+        assert es.values[0] == pytest.approx(-beam_root() ** 4, rel=1e-12)
 
-    def test_hinged_stencil_cross_validation(self):
-        p = OperatorParams(2.0, math.pi)
-        es_fd = eigen_fd(p, HINGED, 4)
-        expected = sorted((hinged_sigma(2.0, math.pi, k) for k in range(1, 5)), reverse=True)
-        np.testing.assert_allclose(es_fd.values, expected, rtol=1e-6)
+    def test_double_eigenvalue_exact(self):
+        # lam = 10 pi^2, L = 1: cos 3 pi t + 3 cos pi t and sin 3 pi t + sin pi t
+        # (t = x - 1/2) share sigma = 9 pi^4
+        es = eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 6)
+        np.testing.assert_allclose(es.values[:2], 9 * math.pi**4, rtol=1e-13)
+        assert orthonormality_error(es) < 1e-12
+        t = es.quadrature.nodes - 0.5
+        even = np.cos(3 * math.pi * t) + 3 * np.cos(math.pi * t)
+        even /= math.sqrt(es.quadrature.integrate(even**2))
+        j = [mode.odd for mode in es.modes[:2]].index(0)
+        np.testing.assert_allclose(es.basis[j], even, atol=1e-12)
 
     def test_orthonormality_and_bc(self):
         es = eigen_clamped(OperatorParams(2.0, math.pi), 4)
-        g = (es.basis * es.quadrature.weights) @ es.basis.T
-        assert np.max(np.abs(g - np.eye(4))) < 1e-7
+        assert orthonormality_error(es) < 1e-12
         for j in range(4):
-            assert es.bc_residual(j) < 1e-7
-            assert eigen_residual(es, j) < 1e-6
+            assert es.bc_residual(j) < 1e-10
+            assert eigen_residual(es, j) < 1e-10
 
-    def test_refinement_failure(self):
-        with pytest.raises(ConvergenceFailure):
-            eigen_clamped(OperatorParams(2.0, 1.0), 6, base_cells=24, rtol=1e-10)
+    @pytest.mark.parametrize("count", [8, 16, 32, 64])
+    @pytest.mark.parametrize("lam", GRID_LAMS)
+    @pytest.mark.parametrize("length", GRID_LENGTHS)
+    def test_exact_over_grid(self, count, lam, length):
+        es = eigen_clamped(OperatorParams(lam, length), count)
+        assert np.all(np.diff(es.values) <= 0.0)
+        assert orthonormality_error(es) <= 1e-12
+        for j in range(count):
+            assert eigen_residual(es, j) <= 1e-10
+            assert es.bc_residual(j) <= 1e-10
 
-    def test_gram_consistency_hinged_fd(self):
-        # fd-with-hinged grams should approximate the analytic diagonal ones
-        p = OperatorParams(2.0, math.pi)
-        es_fd = eigen_fd(p, HINGED, 3)
-        es_cf = eigen_closed_form(p, HINGED, 3)
-        np.testing.assert_allclose(es_fd.gram_d2, es_cf.gram_d2, rtol=1e-4, atol=1e-6)
+    @pytest.mark.parametrize(
+        "lam, length",
+        # plus lam L^2 ~ 2000, where the trig-side roots near sigma = 0 crowd in q
+        [(lam, length) for lam in GRID_LAMS for length in GRID_LENGTHS] + [(200.0, math.pi)],
+    )
+    def test_complete_against_banded_stencil(self, lam, length):
+        # no root skipped: the 32 values match the top of the second-order
+        # clamped stencil at 2048 cells, whose error here is at most 5e-4 of
+        # the scale below
+        count, cells = 32, 2048
+        h = length / cells
+        m = cells - 1
+        band = np.zeros((3, m))
+        band[2] = -6.0 / h**4 + 2.0 * lam / h**2
+        band[2, [0, -1]] -= 1.0 / h**4
+        band[1, 1:] = 4.0 / h**4 - lam / h**2
+        band[0, 2:] = -1.0 / h**4
+        stencil = eig_banded(band, eigvals_only=True, select="i", select_range=(m - count, m - 1))
+        es = eigen_clamped(OperatorParams(lam, length), count)
+        scale = np.maximum(np.abs(es.values), lam**2 / 4)
+        assert np.max(np.abs(stencil[::-1] - es.values) / scale) <= 2e-3
+
+    def test_gram_d2_identity_matches_quadrature(self):
+        # gram_d2 comes from lam * gram_d1 - diag(sigma); check it against
+        # direct quadrature of the analytic second derivatives
+        for lam, length in ((2.0, math.pi), (45.0, 1.0), (100.0, 2.0)):
+            es = eigen_clamped(OperatorParams(lam, length), 12)
+            direct = (es.basis_d2 * es.quadrature.weights) @ es.basis_d2.T
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(es.gram_d2 - direct)) <= 1e-12 * scale
+
+    def test_sign_convention(self):
+        # every mode is signed so that y''(0) > 0; this fixes "smooth" states
+        for lam, length in ((0.0, 1.0), (45.0, 1.0), (10 * math.pi**2, 1.0), (100.0, math.pi)):
+            es = eigen_clamped(OperatorParams(lam, length), 16)
+            assert all(float(mode(0.0, 2)) > 0.0 for mode in es.modes)
+
+    def test_high_root_does_not_overflow(self):
+        # p L / 2 > 710: cosh(p t) itself overflows, the stored form must not
+        lam, length, half = 45.0, 1.0, 0.5
+        q = brentq(
+            spectral._secular, 1421.0 * math.pi, 1422.0 * math.pi, args=(lam, half, 0), xtol=1e-300
+        )
+        mode = spectral._mode_at_root(OperatorParams(lam, length), q, 0)
+        assert isinstance(mode, ClampedMode) and mode.partner == "hyperbolic"
+        assert mode.w * half > 710.0
+        rule = quadrature_for_modes(length, int(q * length / math.pi) + 1)
+        values = mode(rule.nodes)
+        assert np.all(np.isfinite(values))
+        norm = math.sqrt(rule.integrate(values**2))
+        for d in (0, 1):
+            for x in (0.0, length):
+                assert abs(float(mode(x, d))) / norm <= 1e-10
+
+    def test_too_few_roots_raise_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_secular", lambda q, lam, half, odd: 1.0)
+        with pytest.raises(ConvergenceFailure, match="bracketed 0 of 8"):
+            eigen_clamped(OperatorParams(2.0, 1.0), 8)
+
+
+def test_cli_import_skips_interpolate():
+    # every CLI call pays the import; scipy.interpolate is no longer needed
+    code = "import sys, satstab.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestQuadrature:
