@@ -409,8 +409,11 @@ def cmd_gronwall(path, out_dir=None):
         k = float(doc["k"])
         horizon = float(doc["T"])
         samples = int(doc.get("samples", 2001))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"gronwall config is malformed: {exc}")
+    for key, value in (("v0", v0), ("p", p), ("b", b), ("k", k), ("T", horizon)):
+        if not math.isfinite(value):
+            raise ConfigError(f"gronwall {key} must be finite, got {value}")
     output = doc.get("output", {"directory": ".", "prefix": "gronwall"})
     directory = out_dir if out_dir is not None else output.get("directory", ".")
     prefix = output.get("prefix", "gronwall")

@@ -84,11 +84,25 @@ class ExperimentConfig:
         )
 
 
+def _finite(value, key):
+    """float(value), or a ConfigError naming `key` if that is not a finite number.
+
+    Python's json reads NaN and Infinity, which no config field accepts.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 def _require_number(doc, key, minimum=None, strict=False):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    value = float(value)
+    value = _finite(value, key)
     if minimum is not None:
         if strict and not value > minimum:
             raise ConfigError(f"{key} must be > {minimum}, got {value}")
@@ -97,16 +111,17 @@ def _require_number(doc, key, minimum=None, strict=False):
     return value
 
 
-def _parse_actuator(entry):
+def _parse_actuator(entry, index):
     if not isinstance(entry, dict):
         raise ConfigError(f"actuator entries must be objects, got {entry!r}")
     kind = entry.get("kind")
+    key = f"actuators[{index}]"
     if kind == "indicator":
         extra = set(entry) - {"kind", "a", "b"}
         if extra:
             raise ConfigError(f"unknown actuator keys {sorted(extra)}")
         try:
-            return Indicator(float(entry["a"]), float(entry["b"]))
+            return Indicator(_finite(entry["a"], f"{key}.a"), _finite(entry["b"], f"{key}.b"))
         except KeyError as exc:
             raise ConfigError(f"indicator actuator missing key {exc}")
         except ValueError as exc:
@@ -118,7 +133,7 @@ def _parse_actuator(entry):
         coeffs = entry.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError("mode actuator needs a nonempty coefficient list")
-        return ModeCombination([float(c) for c in coeffs])
+        return ModeCombination([_finite(c, f"{key}.coefficients") for c in coeffs])
     raise ConfigError(f"unknown actuator kind {kind!r}")
 
 
@@ -132,14 +147,14 @@ def _parse_initial(entry):
         modal = entry["modal"]
         if not isinstance(modal, list) or not modal:
             raise ConfigError("initial.modal must be a nonempty list")
-        return tuple(float(c) for c in modal)
+        return tuple(_finite(c, "initial.modal") for c in modal)
     if "preset" in entry:
         extra = set(entry) - {"preset", "amplitude"}
         if extra:
             raise ConfigError(f"unknown initial keys {sorted(extra)}")
         if "amplitude" not in entry:
             raise ConfigError("initial.preset needs an amplitude")
-        return (str(entry["preset"]), float(entry["amplitude"]))
+        return (str(entry["preset"]), _finite(entry["amplitude"], "initial.amplitude"))
     raise ConfigError("initial must carry either 'modal' or 'preset'")
 
 
@@ -169,7 +184,11 @@ def parse_config(doc):
     if ell_raw == "inf":
         ell = math.inf
     else:
-        if isinstance(ell_raw, bool) or not isinstance(ell_raw, (int, float)):
+        if (
+            isinstance(ell_raw, bool)
+            or not isinstance(ell_raw, (int, float))
+            or not math.isfinite(ell_raw)
+        ):
             raise ConfigError(f"ell must be a positive number or 'inf', got {ell_raw!r}")
         ell = float(ell_raw)
         if not ell > 0:
@@ -177,14 +196,14 @@ def parse_config(doc):
 
     if not isinstance(doc["actuators"], list):
         raise ConfigError("actuators must be a list (empty selects boundary actuation)")
-    actuators = tuple(_parse_actuator(a) for a in doc["actuators"])
+    actuators = tuple(_parse_actuator(a, i) for i, a in enumerate(doc["actuators"]))
 
     poles_raw = doc.get("poles")
     poles = None
     if poles_raw is not None:
         if not isinstance(poles_raw, list) or not poles_raw:
             raise ConfigError("poles must be null or a nonempty list")
-        poles = tuple(float(p) for p in poles_raw)
+        poles = tuple(_finite(p, "poles") for p in poles_raw)
 
     J = doc["J"]
     if isinstance(J, bool) or not isinstance(J, int) or J < 1:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.linalg import block_diag
 
 from .errors import BlowUp, BoundExpired, NonPositiveChannel
 from .saturation import UNSATURATED, SaturationLevel, sat
@@ -165,7 +163,8 @@ def step_plan(ms, gain, level, dt):
     head = ms.n
     if ms.mode == "boundary":
         sigma = np.concatenate([[0.0], sigma])
-        form = block_diag(1.0, form)
+        form = np.pad(form, ((1, 0), (1, 0)))
+        form[0, 0] = 1.0
         coupling = np.concatenate([ms.A[:, 0], ms.a_tail])
         head = ms.n + 1
     return StepPlan(
@@ -432,6 +431,41 @@ class GronwallBound:
     w: np.ndarray
 
 
+def _simpson_pieces(y, dx):
+    """Integral over the first interval of each consecutive point triple.
+
+    Integrates the parabola through the three points (eqn 8 of Cartwright,
+    "Simpson's rule cumulative integration with MS Excel and irregularly
+    spaced data", J. Math. Sci. Math. Educ. 12, 2017).
+    """
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    return x21 / 6 * (
+        (3 - x21_x31) * y[:-2]
+        + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+        - x21x21_x31x32 * y[2:]
+    )
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative Simpson integral of y over a strictly increasing grid x, from 0.
+
+    Each interval takes the parabola through it and its right neighbour
+    (even intervals, run forward) or its left neighbour (odd intervals and
+    the last one, run backward), as scipy.integrate.cumulative_simpson does.
+    """
+    dx = np.diff(x)
+    forward = _simpson_pieces(y, dx)
+    backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(dx.size)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces)])
+
+
 def gronwall_bound(v0, b, k, p, t_grid):
     """Comparison bound for v' <= b(t) v + k(t) v^p on a time grid.
 
@@ -447,13 +481,15 @@ def gronwall_bound(v0, b, k, p, t_grid):
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 3:
         raise ValueError("time grid must hold at least three points")
+    if not np.all(np.diff(t) > 0.0):
+        raise ValueError("time grid must strictly increase")
     b_vals = np.array([float(b(s)) for s in t]) if callable(b) else np.full(t.size, float(b))
     k_vals = np.array([float(k(s)) for s in t]) if callable(k) else np.full(t.size, float(k))
 
     q = 1.0 - p
-    int_b = cumulative_simpson(b_vals, x=t, initial=0.0)
+    int_b = _cumulative_simpson(b_vals, t)
     integrand = k_vals * np.exp(-q * int_b)
-    w = v0**q + q * cumulative_simpson(integrand, x=t, initial=0.0)
+    w = v0**q + q * _cumulative_simpson(integrand, t)
     if np.any(w <= 0.0):
         first = int(np.argmax(w <= 0.0))
         partial = GronwallBound(

@@ -9,9 +9,9 @@ Three boundary-condition families are supported:
 Hinged and Neumann eigenpairs have closed forms built on the Dirichlet /
 Neumann Laplacian.  Clamped eigenpairs are exact too: the modes split into
 even and odd about L/2, each parity has one scalar secular equation in the
-trig frequency q, and its roots (bracketed on a grid, polished by brentq)
-give closed-form eigenfunctions, cos/sin(q t) plus a cosh/sinh or cos/sin
-partner.
+trig frequency q, and its roots (bracketed on a grid, polished by Illinois
+false position) give closed-form eigenfunctions, cos/sin(q t) plus a
+cosh/sinh or cos/sin partner.
 
 Eigenfunctions are stored in two forms at once: a per-mode analytic record
 with derivatives 0-4, and cached samples (value, first and second
@@ -25,7 +25,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AllModesUnstable, ConvergenceFailure
 
@@ -325,13 +324,64 @@ def _secular(q, lam, half, odd):
     return (sin_qa * math.cos(ra) - q * cos_qa * math.sin(ra) / r) / (q - r)
 
 
+# A bracket of positive floats reaches 4 eps relative width in at most 50
+# halvings, and `_polish` spends at most 3 evaluations per halving.
+_POLISH_MAX_EVALS = 200
+
+
+def _polish(f, a, b, fa, fb, args=()):
+    """Root of f(x, *args) in [a, b], given its values fa at a and fb at b of opposite sign.
+
+    Illinois false position: when one end is kept twice in a row, its weight
+    in the secant is halved so the next step lands on its side.  A step
+    bisects instead whenever the two before it did not halve the bracket, so
+    the bracket at least halves every three evaluations even where f jumps,
+    and no step lands closer than 2 eps max(|a|, |b|) to an end.  Stops when
+    b - a <= 4 eps max(|a|, |b|) or f is exactly 0, and returns the end with
+    the smaller |f|.
+    """
+    eps = math.ulp(1.0)
+    wa, wb = fa, fb  # secant weights of the two ends
+    previous = two_back = b - a  # bracket widths one and two steps back
+    kept = 0  # -1: a was kept last step, 1: b was kept, 0: neither
+    for _ in range(_POLISH_MAX_EVALS):
+        width = b - a
+        tol = 2.0 * eps * max(abs(a), abs(b))
+        if width <= 2.0 * tol:
+            break
+        if 2.0 * width > two_back:
+            c = a + 0.5 * width
+        else:
+            c = a - wa * width / (wb - wa)
+        # a step finer than tol would leave the far end in place
+        if c < a + tol:
+            c = a + tol
+        elif c > b - tol:
+            c = b - tol
+        fc = f(c, *args)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb, wb = c, fc, fc
+            if kept == -1:
+                wa *= 0.5
+            kept = -1
+        else:
+            a, fa, wa = c, fc, fc
+            if kept == 1:
+                wb *= 0.5
+            kept = 1
+        previous, two_back = width, previous
+    return a if abs(fa) < abs(fb) else b
+
+
 def _clamped_roots(params, count):
     """The `count` smallest secular roots q, each with its parity (0 even, 1 odd).
 
     Sign changes are bracketed on a grid whose steps move both q and r by at
     most pi / (8 L): sixteen points per root spacing of one parity (about
     2 pi / L in q), and r is gridded too because it varies fast in q near
-    sigma = 0.  Brackets are polished by brentq.  No root has q L/2 < pi/2:
+    sigma = 0.  Brackets are polished by `_polish`.  No root has q L/2 < pi/2:
     both determinants are positive there.
     """
     lam, L = params.lam, params.length
@@ -346,10 +396,13 @@ def _clamped_roots(params, count):
     grid = grid.tolist()
     roots = []
     for odd in (0, 1):
-        sign = np.sign([_secular(q, lam, half, odd) for q in grid])
+        values = [_secular(q, lam, half, odd) for q in grid]
+        sign = np.sign(values)
         roots += [(grid[i], odd) for i in np.flatnonzero(sign == 0.0)]
         for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-            q = brentq(_secular, grid[i], grid[i + 1], args=(lam, half, odd), xtol=1e-300)
+            q = _polish(
+                _secular, grid[i], grid[i + 1], values[i], values[i + 1], (lam, half, odd)
+            )
             roots.append((q, odd))
     if len(roots) < count:
         raise ConvergenceFailure(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from .errors import CertificateFailure, GapTooSmall, NotStabilizable
 from .spectral import unstable_count
@@ -188,6 +187,8 @@ def design_gain(ms, poles=None, weights=None):
             R = np.eye(B.shape[1])
         else:
             Q, R = weights
+        from scipy.linalg import solve_continuous_are  # see build_certificate
+
         X = solve_continuous_are(A, B, Q, R)
         K = -np.linalg.solve(R, B.T @ X)
 
@@ -226,6 +227,10 @@ def build_certificate(ms, gain, level):
         raise ValueError("no unstable modes: nothing to certify")
     if not gain.hurwitz:
         raise ValueError("gain must make the closed loop Hurwitz")
+
+    # Imported here, not at module level: spectrum, modal, simulate and
+    # gronwall never need scipy.linalg, so they start without loading it.
+    from scipy.linalg import solve_continuous_lyapunov
 
     p0 = solve_continuous_lyapunov((A + B @ K).T, -np.eye(d))
     p0 = 0.5 * (p0 + p0.T)

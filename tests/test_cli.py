@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import satstab
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
 
@@ -72,6 +76,120 @@ class TestConfig:
     def test_boundary_requires_clamped(self, tmp_path):
         path = write_config(tmp_path, base_config(actuators=[]))
         assert main(["spectrum", "-c", path, "-o", str(tmp_path)]) == 2
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _set_top(key):
+    return lambda doc, value: doc.update({key: value})
+
+
+CONFIG_NUMBERS = {
+    "lambda": _set_top("lambda"),
+    "length": _set_top("length"),
+    "delta": _set_top("delta"),
+    "nu": _set_top("nu"),
+    "ell": _set_top("ell"),
+    "dt": _set_top("dt"),
+    "T": _set_top("T"),
+    "poles": lambda doc, value: doc.update(poles=[value]),
+    "initial.modal": lambda doc, value: doc.update(initial={"modal": [value] + [0.0] * 7}),
+    "initial.amplitude": lambda doc, value: doc.update(
+        initial={"preset": "first_mode", "amplitude": value}
+    ),
+    "actuators[0].a": lambda doc, value: doc.update(
+        actuators=[{"kind": "indicator", "a": value, "b": 1.0}]
+    ),
+    "actuators[0].b": lambda doc, value: doc.update(
+        actuators=[{"kind": "indicator", "a": 0.0, "b": value}]
+    ),
+    "actuators[0].coefficients": lambda doc, value: doc.update(
+        actuators=[{"kind": "modes", "coefficients": [1.0, value]}]
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", sorted(CONFIG_NUMBERS))
+def test_non_finite_config_number_exits_2(tmp_path, capsys, key, value):
+    # json reads NaN and Infinity; "inf" (a string) is the only unsaturated ell
+    doc = base_config(J=8)
+    CONFIG_NUMBERS[key](doc, value)
+    path = write_config(tmp_path, doc)
+    assert main(["spectrum", "-c", path, "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must ")
+    assert not (tmp_path / "exp_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["v0", "p", "b", "k", "T"])
+def test_non_finite_gronwall_number_exits_2(tmp_path, capsys, key, value):
+    doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 10.0, key: value}
+    path = tmp_path / "gron.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gronwall", "-c", str(path), "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: gronwall {key} must be finite")
+    assert not (tmp_path / "gronwall.csv").exists()
+
+
+def test_infinite_gronwall_samples_exits_2(tmp_path, capsys):
+    doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 10.0, "samples": math.inf}
+    path = tmp_path / "gron.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gronwall", "-c", str(path), "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: gronwall config is malformed")
+
+
+_IMPORT_PROBE = """
+import json, sys
+import satstab.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+clamped, hinged, cert, gron, out = sys.argv[1:]
+stages = {"import": scipy_modules()}
+codes = [
+    cli.main(["spectrum", "-c", clamped, "-o", out]),
+    cli.main(["modal", "-c", clamped, "-o", out]),
+    cli.main(["simulate", "-c", hinged, "--certificate", cert, "-o", out]),
+    cli.main(["gronwall", "-c", gron, "-o", out]),
+]
+stages["numpy_only"] = scipy_modules()
+codes.append(cli.main(["synth", "-c", hinged, "-o", out]))
+stages["synth"] = scipy_modules()
+print(json.dumps({"codes": codes, "stages": stages}))
+"""
+
+
+def test_scipy_loaded_only_by_synthesis(tmp_path):
+    # every CLI call pays its imports: spectrum, modal, simulate and gronwall
+    # run on numpy alone, and synth loads scipy.linalg and nothing else
+    clamped_doc = base_config(bc="clamped", **{"lambda": 45.0}, length=1.0, J=16)
+    clamped_doc.update(actuators=[], poles=None)
+    clamped = write_config(tmp_path, clamped_doc, "clamped.json")
+    hinged = write_config(tmp_path, base_config(J=8, T=0.5), "hinged.json")
+    assert main(["synth", "-c", hinged, "-o", str(tmp_path)]) == 0
+    gron = tmp_path / "gron.json"
+    gron.write_text(json.dumps({"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 1.0}))
+    argv = [clamped, hinged, str(tmp_path / "exp_certificate.json"), str(gron), str(tmp_path)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(satstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0, 0]
+    assert report["stages"]["import"] == []
+    assert report["stages"]["numpy_only"] == []
+    synth = report["stages"]["synth"]
+    assert "scipy.linalg" in synth
+    subpackages = {name.split(".")[1] for name in synth if "." in name}
+    assert not subpackages & {"optimize", "integrate", "sparse", "signal"}
+    # scipy's own package modules (version, private helpers) and linalg only
+    assert all(sub in ("linalg", "version") or sub.startswith("_") for sub in subpackages)
 
 
 class TestSpectrumCommand:
@@ -307,6 +425,15 @@ class TestGronwallCommand:
         assert lines[0].strip() == "t,bound,w"
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0 / (1.0 + math.exp(10.0)), rel=1e-6)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_non_increasing_grid_exits_2(self, tmp_path, capsys, horizon):
+        doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": horizon}
+        path = tmp_path / "gron.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gronwall", "-c", str(path), "-o", str(tmp_path)]) == 2
+        assert "strictly increase" in capsys.readouterr().err
+        assert not (tmp_path / "gronwall.csv").exists()
 
     def test_expired_bound_exits_3(self, tmp_path):
         doc = {"v0": 2.0, "p": 2.0, "b": 1.0, "k": 1.0, "T": 2.0}

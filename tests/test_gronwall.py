@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from satstab import simulate
 from satstab.errors import BoundExpired
 from satstab.simulate import gronwall_bound
 
@@ -67,3 +68,38 @@ def test_validation():
         gronwall_bound(1.0, -1.0, 1.0, -0.5, t)
     with pytest.raises(ValueError):
         gronwall_bound(1.0, -1.0, 1.0, 2.0, t[:2])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.zeros(5),  # T = 0 on the CLI
+        np.linspace(0.0, -1.0, 11),  # T < 0 on the CLI
+        np.array([0.0, 0.5, 0.5, 1.0]),
+        np.array([0.0, 0.5, 0.25, 1.0]),
+        np.array([0.0, 0.5, math.nan, 1.0]),
+    ],
+)
+def test_grid_must_strictly_increase(grid):
+    with pytest.raises(ValueError, match="strictly increase"):
+        gronwall_bound(1.0, -1.0, 1.0, 2.0, grid)
+
+
+def _grids(size, rng):
+    uniform = np.linspace(0.0, 3.0, size)
+    nonuniform = np.cumsum(rng.uniform(0.01, 1.0, size)) - 0.3
+    return uniform, nonuniform
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 2001])
+def test_cumulative_simpson_matches_scipy_exactly(size):
+    # oracle: the scipy routine the port replaced, bit for bit
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(size)
+    for x in _grids(size, rng):
+        for y in (np.exp(-x) * np.cos(3.0 * x), rng.normal(size=size)):
+            ours = simulate._cumulative_simpson(y, x)
+            ref = cumulative_simpson(y, x=x, initial=0.0)
+            assert ours.shape == ref.shape
+            assert np.array_equal(ours, ref)

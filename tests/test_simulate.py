@@ -31,6 +31,7 @@ from satstab.simulate import (
     step_boundary_closed_loop,
     step_linear_closed_loop,
     step_nonlinear_closed_loop,
+    step_plan,
 )
 from satstab.spectral import (
     BoundaryCondition,
@@ -193,6 +194,19 @@ class TestBoundaryStepper:
         traj = run(config, boundary_ms, gain)
         assert traj.states[0, 0] == 0.0
         assert traj.states[0, 1] == 0.2
+
+    def test_norm_form_is_block_diagonal(self, boundary_ms):
+        # oracle: scipy's block_diag, the construction the plan replaced
+        from scipy.linalg import block_diag
+
+        ms = boundary_ms
+        gain = Gain(K=np.zeros((1, ms.n + 1)), closed_loop_spectrum=np.array([-1.0]))
+        plan = step_plan(ms, gain, UNSATURATED, 0.01)
+        es = ms.es
+        form = np.eye(es.count) + es.gram_d1 + es.gram_d2
+        expected = block_diag(1.0, form)
+        assert plan.norm_form.dtype == expected.dtype
+        assert np.array_equal(plan.norm_form, expected)
 
     def test_reconstruction_bound(self, boundary_ms):
         ms = boundary_ms

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -265,11 +263,54 @@ class TestClampedSolver:
             eigen_clamped(OperatorParams(2.0, 1.0), 8)
 
 
-def test_cli_import_skips_interpolate():
-    # every CLI call pays the import; scipy.interpolate is no longer needed
-    code = "import sys, satstab.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+class TestPolish:
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 45.0, 1e3, 1e4])
+    @pytest.mark.parametrize("length", [0.2, 1.0, math.pi, 8.0])
+    def test_matches_brentq_on_every_bracket(self, lam, length, monkeypatch):
+        # oracle: brentq at full precision on each bracket the scan hands over
+        polish = spectral._polish
+        calls = []
+
+        def recording(f, a, b, fa, fb, args):
+            points = []
+
+            def counted(x, *rest):
+                points.append(x)
+                return f(x, *rest)
+
+            root = polish(counted, a, b, fa, fb, args)
+            calls.append((f, a, b, args, root, len(points)))
+            return root
+
+        monkeypatch.setattr(spectral, "_polish", recording)
+        eigen_clamped(OperatorParams(lam, length), 24)
+        assert calls
+        for f, a, b, args, root, evaluations in calls:
+            ref = brentq(f, a, b, args=args, xtol=1e-300)
+            assert abs(root - ref) <= 4.0 * np.spacing(ref), (a, b, root, ref)
+            assert evaluations <= 20
+
+    @pytest.mark.parametrize("height", [1.0, 1e6])
+    def test_step_function_stops_within_cap(self, height):
+        # a jump has no root to converge on; the bisection safeguard still
+        # halves the bracket at least once per three evaluations, also when
+        # the lopsided values keep false position next to one end
+        jump = 1.2345678
+        evaluations = []
+
+        def step(x):
+            evaluations.append(x)
+            return -1.0 if x < jump else height
+
+        a, b = 1.0, 2.0
+        root = spectral._polish(step, a, b, -1.0, height)
+        eps = np.finfo(float).eps
+        halvings = math.ceil(math.log2((b - a) / (4.0 * eps * b)))
+        assert len(evaluations) <= 3 * halvings <= spectral._POLISH_MAX_EVALS
+        assert abs(root - jump) <= 4.0 * eps * jump
+
+    def test_exact_zero_returned(self):
+        assert spectral._polish(lambda x: x - 0.75, 0.5, 1.0, -0.25, 0.25) == 0.75
 
 
 class TestQuadrature:
