@@ -73,12 +73,12 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
-    """Write CRLF-terminated lines; `rows` may be a generator, consumed as written."""
+def _write_csv(path, header, lines):
+    """Write CRLF-terminated lines of joined cells; `lines` may be a generator."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        for row in rows:
-            handle.write(",".join(row) + "\r\n")
+        for line in lines:
+            handle.write(line + "\r\n")
 
 
 def _write_json(path, payload):
@@ -117,7 +117,7 @@ def cmd_spectrum(cfg, out_dir=None):
             ]
         )
     csv_path = _out_path(cfg, out_dir, "spectrum.csv")
-    _write_csv(csv_path, ["index", "sigma", "bc_residual", "norm_error"], rows)
+    _write_csv(csv_path, ["index", "sigma", "bc_residual", "norm_error"], map(",".join, rows))
     summary = {
         "bc": cfg.bc.value,
         "lambda": cfg.lam,
@@ -151,7 +151,7 @@ def cmd_modal(cfg, out_dir=None):
         path = _out_path(cfg, out_dir, f"{name}.csv")
         rows = _matrix_rows(mat)
         header = [f"c{k+1}" for k in range(len(rows[0]) if rows else 0)]
-        _write_csv(path, header, rows)
+        _write_csv(path, header, map(",".join, rows))
     summary = {
         "mode": ms.mode,
         "n": ms.n,
@@ -303,20 +303,36 @@ def load_certificate(path):
 # simulate
 
 
-def _trajectory_rows(cfg, ms, traj):
-    """CSV header and a generator of formatted rows, one per sample."""
-    J = cfg.J
-    m = traj.control.shape[1]
-    fields = traj.states
+_CSV_CHUNK = 64  # trajectory rows per conversion to Python floats; more only costs memory
+
+
+def _trajectory_lines(ms, traj):
+    """One CSV line per sample, converted to Python numbers a chunk at a time.
+
+    repr of a list of Python floats writes each cell as `_fmt` does; the
+    saturation flags go in as the ints 1/0.
+    """
+    d_coeffs = None
     if ms.mode == "boundary":
         d_coeffs = -np.concatenate([ms.B[1:, 0], ms.b_tail[:, 0]])  # <d, e_j>
-        fields = fields[:, 1:] + fields[:, :1] * d_coeffs
-    monitors = np.column_stack([traj.l2, traj.h1, traj.h2, traj.v1, traj.v2])
-    rows = (
-        [_fmt(t)] + [_fmt(v) for v in y[:J]] + [_fmt(v) for v in u]
-        + ["1" if flag else "0" for flag in active] + [_fmt(v) for v in mon]
-        for t, y, u, active, mon in zip(traj.times, fields, traj.control, traj.sat_active, monitors)
-    )
+    for lo in range(0, traj.times.size, _CSV_CHUNK):
+        rows = slice(lo, lo + _CSV_CHUNK)
+        fields = traj.states[rows]
+        if d_coeffs is not None:
+            fields = fields[:, 1:] + fields[:, :1] * d_coeffs
+        head = np.column_stack([traj.times[rows], fields, traj.control[rows]]).tolist()
+        flags = traj.sat_active[rows].astype(np.int8).tolist()
+        monitors = np.column_stack(
+            [traj.l2[rows], traj.h1[rows], traj.h2[rows], traj.v1[rows], traj.v2[rows]]
+        ).tolist()
+        for head_row, flag_row, monitor_row in zip(head, flags, monitors):
+            yield repr(head_row + flag_row + monitor_row)[1:-1].replace(", ", ",")
+
+
+def _trajectory_rows(cfg, ms, traj):
+    """CSV header and a generator of formatted lines, one per sample."""
+    J = cfg.J
+    m = traj.control.shape[1]
     header = (
         ["t"]
         + [f"y_{j+1}" for j in range(J)]
@@ -324,7 +340,7 @@ def _trajectory_rows(cfg, ms, traj):
         + [f"sat_active_{k+1}" for k in range(m)]
         + ["l2", "h1", "h2", "v1", "v2"]
     )
-    return header, rows
+    return header, _trajectory_lines(ms, traj)
 
 
 def _fit_or_none(traj, channel, t_start):
@@ -423,7 +439,7 @@ def cmd_gronwall(path, out_dir=None):
     out = gronwall_bound(v0, b, k, p, t)
     rows = [[_fmt(ti), _fmt(vi), _fmt(wi)] for ti, vi, wi in zip(out.times, out.values, out.w)]
     csv_path = os.path.join(directory, f"{prefix}.csv")
-    _write_csv(csv_path, ["t", "bound", "w"], rows)
+    _write_csv(csv_path, ["t", "bound", "w"], map(",".join, rows))
     _write_json(
         os.path.join(directory, f"{prefix}.json"),
         {"v0": v0, "p": p, "b": b, "k": k, "T": horizon, "samples": samples,

@@ -23,6 +23,7 @@ EXIT_BLOWUP = "blowup"
 EXIT_LEFT_REGION = "left_region"
 
 _PRESETS = ("first_mode", "smooth", "bump")
+_BLOCK = 64  # samples stepped between exit checks in run_batch
 
 
 @dataclass(frozen=True)
@@ -263,9 +264,12 @@ def run_batch(
     """Integrate each row of `initials` to the horizon, a blow-up, or a region exit.
 
     Rows hold J modal coefficients; boundary systems prepend the integrator at
-    rest.  The loop only steps and checks the blow-up norm (a nonlinear step
-    over the threshold is dropped, a linear sample is kept) and, when
-    `stop_on_region_exit` is set with a certificate, v1 = z^T P z.  Monitors
+    rest.  The loop only steps; after each block of samples it checks the
+    blow-up norm (a nonlinear sample over the threshold is dropped unless it
+    is the initial one, a linear sample is kept) and, when
+    `stop_on_region_exit` is set with a certificate, v1 = z^T P z, which wins
+    over a blow-up at the same sample.  A row ends at its first crossing and
+    the samples it stepped past it are discarded.  Monitors
     come afterwards from the stored states: with a certificate v1 and the
     region-exit flag, with constants also v2; boundary l2 reports the
     reconstructed physical field.  `level` defaults to the unsaturated
@@ -294,40 +298,48 @@ def run_batch(
     batch, dim = initials.shape
     samples = int(round(config.T / config.dt)) + 1
     states = np.empty((batch, samples, dim))
+    states[:, 0] = initials
     filled = np.full(batch, samples)
     exits = [EXIT_HORIZON] * batch
     peaks = np.empty((batch, samples)) if nonlinear else None  # max|N(y_k)| per step
 
     live = np.arange(batch)
     y = initials
-    k = 0
-    while True:
-        over = quad_form(y, plan.norm_form) > limit
-        if nonlinear and k and over.any():  # the crossing step is not stored
-            for row in live[over]:
-                filled[row], exits[row] = k, EXIT_BLOWUP
-            live, y, over = live[~over], y[~over], over[~over]
-        if live.size == batch:
-            states[:, k] = y
-        else:
-            states[live, k] = y
-        stop = over
-        if check_region:
-            region = quad_form(y[:, : plan.head], cert.P) > 1.0 + 1e-9
-            stop = over | region
-        if stop.any():
-            for i in np.flatnonzero(stop):
-                filled[live[i]] = k + 1
-                exits[live[i]] = EXIT_LEFT_REGION if check_region and region[i] else EXIT_BLOWUP
-            live, y = live[~stop], y[~stop]
-        if k == samples - 1 or not live.size:
-            break
-        forcing = None
-        if nonlinear:
-            forcing = nonlinear_forcing(es, y, config.delta, config.nu)
-            peaks[live, k] = np.max(np.abs(forcing), axis=1)
-        y = plan.step(y, forcing)
-        k += 1
+    start = 0
+    # Rows step on past their exit until the block ends; those samples are
+    # discarded, and may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < samples and live.size:
+            end = min(start + _BLOCK, samples)
+            for k in range(max(start, 1), end):
+                forcing = None
+                if nonlinear:
+                    forcing = nonlinear_forcing(es, y, config.delta, config.nu)
+                    peaks[live, k - 1] = np.max(np.abs(forcing), axis=1)
+                y = plan.step(y, forcing)
+                if live.size == batch:
+                    states[:, k] = y
+                else:
+                    states[live, k] = y
+            block = states[live, start:end]
+            over = quad_form(block, plan.norm_form) > limit
+            hit = over
+            if check_region:
+                region = quad_form(block[..., : plan.head], cert.P) > 1.0 + 1e-9
+                hit = over | region
+            done = hit.any(axis=1)
+            for i in np.flatnonzero(done):
+                j = int(np.argmax(hit[i]))  # the row's first crossing
+                k = start + j
+                if nonlinear and k and over[i, j]:  # the crossing step is not stored
+                    filled[live[i]], exits[live[i]] = k, EXIT_BLOWUP
+                else:
+                    filled[live[i]] = k + 1
+                    exits[live[i]] = (
+                        EXIT_LEFT_REGION if check_region and region[i, j] else EXIT_BLOWUP
+                    )
+            live, y = live[~done], y[~done]
+            start = end
 
     times = np.arange(samples) * config.dt
     return [

@@ -19,6 +19,7 @@ derivative) on a shared Gauss-Legendre quadrature grid sized so that cubic
 products of the retained modes integrate essentially exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -64,9 +65,18 @@ class Quadrature:
         return float(self.weights @ values)
 
 
+@functools.cache
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
 def composite_gauss_legendre(length, panels, order=16):
     """Composite rule with `panels` equal panels of `order` points each."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gauss_legendre(order)
     h = length / panels
     starts = np.arange(panels) * h
     nodes = (starts[:, None] + 0.5 * h * (xg[None, :] + 1.0)).ravel()

@@ -3,13 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import satstab
+from satstab import cli
+from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
+from satstab.simulate import Trajectory, run
 
 
 def base_config(**overrides):
@@ -389,6 +393,97 @@ class TestBoundarySimulate:
         assert summary["rates"]["u_plus_w"]["rate"] > 0
         header = (tmp_path / "exp_trajectory.csv").read_text().splitlines()[0].strip()
         assert header.count("y_") == 8
+
+
+def oracle_csv(J, ms, traj):
+    """The trajectory CSV formatted one cell at a time with repr(float(x))."""
+    fields = traj.states
+    if ms.mode == "boundary":
+        d_coeffs = -np.concatenate([ms.B[1:, 0], ms.b_tail[:, 0]])
+        fields = fields[:, 1:] + fields[:, :1] * d_coeffs
+    m = traj.control.shape[1]
+    header = (
+        ["t"] + [f"y_{j+1}" for j in range(J)] + [f"u_{k+1}" for k in range(m)]
+        + [f"sat_active_{k+1}" for k in range(m)] + ["l2", "h1", "h2", "v1", "v2"]
+    )
+    lines = [",".join(header)]
+    for k in range(traj.times.size):
+        cells = [repr(float(traj.times[k]))]
+        cells += [repr(float(v)) for v in fields[k, :J]]
+        cells += [repr(float(v)) for v in traj.control[k]]
+        cells += ["1" if flag else "0" for flag in traj.sat_active[k]]
+        cells += [repr(float(getattr(traj, name)[k])) for name in ("l2", "h1", "h2", "v1", "v2")]
+        lines.append(",".join(cells))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+class TestTrajectoryCsv:
+    """The chunked writer gives the same bytes as formatting each cell."""
+
+    def written(self, tmp_path, cfg, ms, traj):
+        path = tmp_path / "written.csv"
+        cli._write_csv(str(path), *cli._trajectory_rows(cfg, ms, traj))
+        return path.read_bytes()
+
+    def rerun(self, path, tmp_path, prefix):
+        cfg = load_config(path)
+        es = cfgmod.build_eigen(cfg)
+        ms, _ = cfgmod.build_modal(cfg, es)
+        _, gain, cert, consts = cli.load_certificate(str(tmp_path / f"{prefix}_certificate.json"))
+        return cfg, ms, run(cfg.sim_config(), ms, gain, cert, consts, level=cfg.level())
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_cli_output_matches_per_cell_oracle(self, tmp_path, boundary):
+        doc = base_config(J=6, T=1.2, dt=0.002)  # 601 rows: several chunks, one partial
+        if boundary:
+            doc.update(bc="clamped", length=1.0, actuators=[], poles=[-2.0, -4.0], ell=20.0)
+            doc["lambda"] = 45.0
+            doc["initial"] = {"preset": "smooth", "amplitude": 0.02}
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = str(tmp_path / "exp_certificate.json")
+        assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 0
+        cfg, ms, traj = self.rerun(path, tmp_path, "exp")
+        assert traj.times.size == 601
+        expected = oracle_csv(cfg.J, ms, traj)
+        assert (tmp_path / "exp_trajectory.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "rows", [1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1, 511, 512, 513]
+    )
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_special_values_match_per_cell_oracle(self, tmp_path, rows, boundary):
+        specials = np.array([
+            np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22,
+            1.0, 2.0, -3.0, 1e15, 123456789012345678.0, 0.1, 1.0 / 3.0, 1e-7, 2.5e-300,
+        ])
+        rng = np.random.default_rng(rows)
+        J, m = 3, 2
+
+        def column(*shape, values=specials):
+            picked = rng.choice(values, size=shape)
+            noise = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            return np.where(rng.random(shape) < 0.5, picked, noise)
+
+        if boundary:  # the field reconstruction mixes columns: keep it finite
+            states = column(rows, J + 1, values=specials[np.isfinite(specials)])
+        else:
+            states = column(rows, J)
+        traj = Trajectory(
+            times=column(rows), states=states, control=column(rows, m),
+            sat_active=rng.random((rows, m)) < 0.5, l2=column(rows), h1=column(rows),
+            h2=column(rows), v1=np.full(rows, np.nan), v2=column(rows),
+            exit_reason="horizon", left_region=False,
+        )
+        if rows > 2:
+            traj.v2[1] = np.nan
+        ms = SimpleNamespace(mode="internal")
+        if boundary:
+            ms = SimpleNamespace(
+                mode="boundary", B=np.array([[0.0], [0.5]]), b_tail=np.array([[-0.25], [1e-3]])
+            )
+        cfg = SimpleNamespace(J=J)
+        assert self.written(tmp_path, cfg, ms, traj) == oracle_csv(J, ms, traj)
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from satstab.simulate import (
     EXIT_LEFT_REGION,
     SimConfig,
     Trajectory,
+    _monitored,
     fit_decay_rate,
     monitor_v2,
     nonlinear_forcing,
@@ -41,7 +43,13 @@ from satstab.spectral import (
     eigen_closed_form,
     unstable_count,
 )
-from satstab.synthesis import Gain, build_certificate, design_gain, select_h2_constants
+from satstab.synthesis import (
+    Certificate,
+    Gain,
+    build_certificate,
+    design_gain,
+    select_h2_constants,
+)
 
 HINGED = BoundaryCondition.HINGED
 NEUMANN = BoundaryCondition.NEUMANN_CH
@@ -428,6 +436,285 @@ class TestBatch:
         )
         assert bracketed
         assert edge == 0.5 * (low + high)
+
+
+def per_step_reference(
+    config, ms, gain, initials, cert=None, constants=None, level=None, stop_on_region_exit=False
+):
+    """Oracle for `run_batch`: one row at a time, every exit check after every step.
+
+    A nonlinear sample over the blow-up threshold is dropped unless it is the
+    initial one, a linear or boundary sample is kept, and a region exit wins
+    over a blow-up at the same sample.  Monitors come from the same
+    `_monitored` as in `run_batch`, so only the loop is compared.
+    """
+    nonlinear = config.delta != 0.0 or config.nu != 0.0
+    initials = np.atleast_2d(np.asarray(initials, dtype=float))
+    if ms.mode == "boundary":
+        initials = np.hstack([np.zeros((initials.shape[0], 1)), initials])
+    plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
+    limit = config.blowup_threshold**2
+    check_region = stop_on_region_exit and cert is not None
+    samples = int(round(config.T / config.dt)) + 1
+    out = []
+    for row in initials:
+        y = row[None]
+        stored, peaks, reason = [], [], EXIT_HORIZON
+        for k in range(samples):
+            over = quad_form(y, plan.norm_form)[0] > limit
+            if nonlinear and k and over:
+                reason = EXIT_BLOWUP
+                break
+            stored.append(y[0])
+            region = check_region and quad_form(y[:, : plan.head], cert.P)[0] > 1.0 + 1e-9
+            if region or over:
+                reason = EXIT_LEFT_REGION if region else EXIT_BLOWUP
+                break
+            if k == samples - 1:
+                break
+            forcing = None
+            if nonlinear:
+                forcing = nonlinear_forcing(ms.es, y, config.delta, config.nu)
+                peaks.append(np.max(np.abs(forcing)))
+            y = plan.step(y, forcing)
+        n = len(stored)
+        peak = None
+        if nonlinear:
+            peak = np.full(n, np.nan)  # the last entry is filled by the monitors
+            peak[: min(n, len(peaks))] = peaks[:n]
+        times = np.arange(n) * config.dt
+        out.append(
+            _monitored(plan, ms, config, times, np.array(stored), reason, cert, constants, peak)
+        )
+    return out
+
+
+def assert_identical(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.exit_reason == e.exit_reason
+        assert g.left_region == e.left_region
+        np.testing.assert_array_equal(g.times, e.times)
+        for name in ("states", "control", "sat_active", "l2", "h1", "h2", "v1", "v2"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(e, name))
+        assert g.nl_ratio_max == e.nl_ratio_max or (
+            math.isnan(g.nl_ratio_max) and math.isnan(e.nl_ratio_max)
+        )
+
+
+def crossing_threshold(traj, form, p):
+    """A blow-up threshold first exceeded at sample p of an increasing norm."""
+    q = quad_form(traj.states, form)
+    if p == 0:
+        return 0.5 * math.sqrt(q[0])
+    assert np.all(np.diff(q[: p + 1]) > 0.0)
+    return (q[p - 1] * q[p]) ** 0.25  # the geometric middle of the two norms
+
+
+class TestBlockExits:
+    """`run_batch` checks exits once per block of samples; a per-step loop is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def loop(self, hinged_system):
+        ms = hinged_system
+        level = SaturationLevel(1.0)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain, ms.es)
+        form = np.eye(12) + ms.es.gram_d1 + ms.es.gram_d2
+        return ms, gain, cert, consts, level, form
+
+    @staticmethod
+    def escaping(amplitude):
+        start = np.zeros(12)
+        start[:3] = (amplitude, 0.05, -0.02)  # above the saturated edge: grows
+        return start
+
+    def check(self, config, ms, gain, starts, **kwargs):
+        expected = per_step_reference(config, ms, gain, starts, **kwargs)
+        assert_identical(run_batch(config, ms, gain, starts, **kwargs), expected)
+        for start, e in zip(starts, expected):
+            single = replace(config, initial=tuple(np.asarray(start).tolist()))
+            assert_identical([run(single, ms, gain, **kwargs)], [e])
+        return expected
+
+    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65, 127, 128])
+    def test_linear_crossing_kept(self, loop, p):
+        ms, gain, cert, consts, level, form = loop
+        start = self.escaping(3.0)
+        free = SimConfig(J=12, dt=1e-2, T=2.0, blowup_threshold=1e150)
+        probe = run_batch(free, ms, gain, start[None], level=level)[0]
+        config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
+        kwargs = dict(cert=cert, constants=consts, level=level)
+        (traj,) = self.check(config, ms, gain, start[None], **kwargs)
+        assert traj.exit_reason == EXIT_BLOWUP
+        assert traj.times.size == p + 1
+
+    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65])
+    def test_nonlinear_crossing_dropped(self, loop, p):
+        ms, gain, cert, consts, level, form = loop
+        start = self.escaping(3.0)
+        free = SimConfig(J=12, dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
+        probe = run_batch(free, ms, gain, start[None], level=level)[0]
+        config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
+        kwargs = dict(cert=cert, constants=consts, level=level)
+        (traj,) = self.check(config, ms, gain, start[None], **kwargs)
+        assert traj.exit_reason == EXIT_BLOWUP
+        assert traj.times.size == max(p, 1)  # an initial sample over the threshold stays
+        assert not math.isnan(traj.nl_ratio_max)
+
+    def test_nonlinear_blowup_far_outside(self, loop):
+        ms, gain, cert, consts, level, _ = loop
+        starts = np.zeros((2, 12))
+        starts[0, :2] = (0.1, 0.01)
+        starts[1, 0] = 40.0
+        config = SimConfig(J=12, dt=1e-3, T=0.3, delta=1.0, nu=0.5, blowup_threshold=1e5)
+        kwargs = dict(cert=cert, constants=consts, level=level)
+        trajs = self.check(config, ms, gain, starts, **kwargs)
+        assert [t.exit_reason for t in trajs] == [EXIT_HORIZON, EXIT_BLOWUP]
+
+    @pytest.mark.parametrize("samples", [31, 64, 128, 129])
+    def test_horizon_inside_and_at_block_edges(self, loop, samples):
+        ms, gain, cert, consts, level, _ = loop
+        starts = np.zeros((3, 12))
+        starts[0, :3] = (0.5 / math.sqrt(cert.P[0, 0]), 0.05, -0.02)
+        starts[1] = self.escaping(3.0)
+        starts[2, 0] = 40.0
+        config = SimConfig(
+            J=12, dt=1e-3, T=(samples - 1) * 1e-3, delta=1.0, nu=0.5, blowup_threshold=1e5
+        )
+        kwargs = dict(cert=cert, constants=consts, level=level)
+        trajs = self.check(config, ms, gain, starts, **kwargs)
+        assert trajs[0].times.size == samples
+        assert [t.exit_reason for t in trajs[:2]] == [EXIT_HORIZON, EXIT_HORIZON]
+
+    def test_rows_exit_in_different_blocks(self, loop):
+        ms, gain, cert, consts, level, _ = loop
+        # y1 = 1 + (a - 1) e^t while saturated: threshold 30 is crossed at
+        # about t = ln(16.3 / (a - 1)), samples 71, 210 and 279
+        starts = np.array([self.escaping(a) for a in (9.0, 3.0, 2.0, 0.5)])
+        starts[3, 1:] = 0.0
+        config = SimConfig(J=12, dt=1e-2, T=3.0, blowup_threshold=30.0)
+        kwargs = dict(cert=cert, constants=consts, level=level)
+        trajs = self.check(config, ms, gain, starts, **kwargs)
+        assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
+        blocks = {(t.times.size - 1) // 64 for t in trajs[:3]}
+        assert len(blocks) == 3
+
+    @pytest.fixture(scope="class")
+    def two_modes(self):
+        # hinged, lam = 6: sigma = 5 and 8 on the two unstable modes, which
+        # carry the blow-up weights 3 and 21; zero gain lets both grow freely
+        es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 6)
+        coeffs = actuator_coefficients(es, [ModeCombination([1.0, 1.0])])
+        ms = assemble_internal(es, coeffs, 2)
+        gain = Gain(K=np.zeros((1, 2)), closed_loop_spectrum=np.array([-1.0, -2.0]))
+        form = np.eye(6) + es.gram_d1 + es.gram_d2
+        starts = np.zeros((2, 6))
+        starts[0, 0] = 1e-3  # leaves the region
+        starts[1, 1] = 1.0  # blows up
+        free = SimConfig(J=6, dt=2e-3, T=0.5, blowup_threshold=1e150)
+        probe = run_batch(free, ms, gain, starts)
+        return ms, gain, form, starts, free, probe
+
+    @staticmethod
+    def region(p1):
+        P = np.diag([p1, 1e-12])
+        return Certificate(
+            P=P, D=np.eye(1), C=np.zeros((1, 2)), alpha=0.0,
+            beta_min=1e-12, beta_max=p1, ell=float("inf"),
+        )
+
+    def test_region_exit_and_blowup_in_one_block(self, two_modes):
+        ms, gain, form, starts, free, probe = two_modes
+        # all in the block of samples 64..127: row 0 leaves the region at a
+        # and would blow up at a + 10, row 1 blows up at b
+        a, b = 100, 70
+        y1 = probe[0].states[:, 0]
+        cert = self.region(1.0 / (y1[a - 1] * y1[a]))
+        threshold = crossing_threshold(probe[0], form, a + 10)
+        config = replace(free, blowup_threshold=threshold)
+        # the flow is linear: scale row 1 so that its norm crosses at b
+        q1 = quad_form(probe[1].states, form)
+        starts = starts.copy()
+        starts[1] *= threshold / (q1[b - 1] * q1[b]) ** 0.25
+        trajs = self.check(config, ms, gain, starts, cert=cert, stop_on_region_exit=True)
+        assert [t.exit_reason for t in trajs] == [EXIT_LEFT_REGION, EXIT_BLOWUP]
+        assert [t.times.size for t in trajs] == [a + 1, b + 1]
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_region_exit_and_blowup_at_one_sample(self, two_modes, nonlinear):
+        ms, gain, form, starts, free, probe = two_modes
+        a = 90
+        y1 = probe[0].states[:, 0]
+        cert = self.region(1.0 / (y1[a - 1] * y1[a]))
+        config = replace(free, blowup_threshold=crossing_threshold(probe[0], form, a))
+        if nonlinear:  # forcing ~1e-9 of the drive: same crossing sample, now dropped
+            config = replace(config, nu=1e-6)
+        (traj,) = self.check(config, ms, gain, starts[:1], cert=cert, stop_on_region_exit=True)
+        if nonlinear:
+            assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, a)
+        else:
+            assert (traj.exit_reason, traj.times.size) == (EXIT_LEFT_REGION, a + 1)
+
+    def test_boundary_batch(self, boundary_ms):
+        ms = boundary_ms
+        gain = design_gain(ms, poles=[-(i + 1.0) for i in range(ms.n + 1)])
+        starts = np.zeros((3, 8))
+        starts[0] = 0.01 * 0.5 ** np.arange(8)
+        starts[1, 0] = 0.2  # saturates and escapes
+        starts[2, 0] = 0.5
+        config = SimConfig(J=8, dt=5e-4, T=1.0)
+        trajs = self.check(config, ms, gain, starts, level=SaturationLevel(5.0))
+        assert [t.exit_reason for t in trajs] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_BLOWUP]
+        assert trajs[1].times.size != trajs[2].times.size
+
+
+class TestDiscardedOverflow:
+    """Samples stepped past an exit may overflow; no warning escapes the loop."""
+
+    def test_linear_steps_past_crossing_overflow_quietly(self, hinged_system, scalar_gain):
+        level = SaturationLevel(1.0)
+        start = np.zeros((1, 12))
+        start[0, 0] = 2.0
+        dt = 20.0  # e^20 growth per step: crosses at sample 1, inf by sample ~35
+        config = SimConfig(J=12, dt=dt, T=63 * dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (traj,) = run_batch(config, hinged_system, scalar_gain, start, level=level)
+        assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 2)
+        assert np.all(np.isfinite(traj.states))
+        # the rest of the block does overflow
+        plan = step_plan(hinged_system, scalar_gain, level, dt)
+        y = traj.states[-1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(62):
+                y = plan.step(y)
+        assert not np.all(np.isfinite(y))
+
+    def test_cubic_blowup_overflows_quietly(self, hinged_system):
+        ms = hinged_system
+        level = SaturationLevel(1.0)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain, ms.es)
+        start = np.zeros((1, 12))
+        start[0, 0] = 40.0
+        config = SimConfig(J=12, dt=1e-3, T=0.1, delta=1.0, nu=1.0, blowup_threshold=1e5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (traj,) = run_batch(config, ms, gain, start, cert, consts, level)
+        assert traj.exit_reason == EXIT_BLOWUP
+        assert traj.times.size < 64
+        for name in ("states", "control", "l2", "h1", "h2", "v1", "v2"):
+            assert np.all(np.isfinite(getattr(traj, name)))
+        assert math.isfinite(traj.nl_ratio_max)
+        plan = step_plan(ms, gain, level, config.dt)
+        y = traj.states[-1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(63 - traj.times.size):
+                y = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
+        assert not np.all(np.isfinite(y))
 
 
 class TestMonitors:

@@ -326,3 +326,31 @@ class TestQuadrature:
         assert abs(q.integrate(f)) < 1e-12
         g = np.sin(16 * math.pi * q.nodes / L) ** 2
         assert q.integrate(g) == pytest.approx(L / 2, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [8, 16, 20])
+    def test_cached_rule_matches_leggauss(self, order):
+        nodes, weights = spectral._gauss_legendre(order)
+        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_array_equal(nodes, fresh_nodes)
+        np.testing.assert_array_equal(weights, fresh_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert spectral._gauss_legendre(order)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+
+    def test_eigen_tables_match_uncached_rule(self, monkeypatch):
+        def build():
+            clamped = eigen_clamped(OperatorParams(45.0, 1.0), 8)
+            hinged = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12)
+            return clamped, hinged, composite_gauss_legendre(2.0, 3, 16)
+
+        cached = build()
+        monkeypatch.setattr(spectral, "_gauss_legendre", np.polynomial.legendre.leggauss)
+        fresh = build()
+        for a, b in zip(cached[:2], fresh[:2]):
+            for name in ("values", "basis", "basis_d1", "basis_d2", "gram_d1", "gram_d2"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            np.testing.assert_array_equal(a.quadrature.nodes, b.quadrature.nodes)
+            np.testing.assert_array_equal(a.quadrature.weights, b.quadrature.weights)
+        np.testing.assert_array_equal(cached[2].nodes, fresh[2].nodes)
+        np.testing.assert_array_equal(cached[2].weights, fresh[2].weights)
