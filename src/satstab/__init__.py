@@ -65,7 +65,6 @@ from .synthesis import (
     design_gain,
     diagnose_pair,
     ellipsoid_contains,
-    kalman_diagnose,
     select_h2_constants,
 )
 

@@ -46,7 +46,6 @@ from .synthesis import (
     check_certificate,
     design_gain,
     diagnose_pair,
-    kalman_diagnose,
     kalman_matrix,
     sample_ellipsoid,
     select_h2_constants,
@@ -244,7 +243,7 @@ def _synth_report_text(payload):
 def cmd_synth(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    report = kalman_diagnose(ms)
+    report = diagnose_pair(ms.A, ms.B)
     gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None)
     if ms.dim == 0:
         cert = None

@@ -2,11 +2,12 @@
 
 The stepper is exponential Euler with zero-order hold: the diagonal linear
 part advances exactly, control and nonlinear forcing are frozen over each
-step.  Nonlinear terms are synthesized pseudospectrally on the shared
-quadrature grid, which is sized for exact cubic products, and projected back
-onto the retained modes; the dispersive projection of the cubic term moves
-two derivatives onto the basis so no field derivative beyond second order is
-ever formed.
+step.  Nonlinear terms are synthesized pseudospectrally on the eigen
+system's quadrature grid and projected back onto the retained modes: hinged
+modes use the midpoint rule, which is exact for these cubic products, and
+Neumann and clamped modes use composite Gauss-Legendre.  The dispersive
+projection of the cubic term moves two derivatives onto the basis so no
+field derivative beyond second order is ever formed.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import BlowUp, BoundExpired, NonPositiveChannel
 from .saturation import UNSATURATED, SaturationLevel, sat
+from .spectral import quadrature_for_modes
 
 EXIT_HORIZON = "horizon"
 EXIT_BLOWUP = "blowup"
@@ -52,6 +54,13 @@ class SimConfig:
             raise ValueError("horizon must be nonnegative")
         if self.delta < 0.0 or self.nu < 0.0:
             raise ValueError("nonlinearity switches must be >= 0")
+        threshold = self.blowup_threshold
+        # run_batch compares squared norms with threshold**2; NaN would never trip
+        if not (0.0 < threshold < math.inf and threshold * threshold < math.inf):
+            raise ValueError(
+                f"blow-up threshold must be positive and finite with a finite square, "
+                f"got {threshold}"
+            )
 
 
 @dataclass
@@ -190,16 +199,13 @@ def nonlinear_forcing(es, state, delta, nu):
 
     The convective part projects -delta * y y_x directly; the dispersive part
     uses <d_xx(y^3), e_j> = <y^3, e_j''>, valid for every supported BC family.
+    One product gives y and y_x on the grid, one more projects both terms.
     """
-    w = es.quadrature.weights
-    y = _rowwise(state, es.basis)
-    out = np.zeros_like(state)
-    if delta:
-        yx = _rowwise(state, es.basis_d1)
-        out -= delta * _rowwise(w * (y * yx), es.basis.T)
-    if nu:
-        out += nu * _rowwise(w * y**3, es.basis_d2.T)
-    return out
+    fields = _rowwise(state, es.field_table)
+    nodes = fields.shape[-1] // 2
+    y = fields[..., :nodes]
+    products = np.concatenate([delta * (y * fields[..., nodes:]), nu * (y * y * y)], axis=-1)
+    return _rowwise(products, es.forcing_table)
 
 
 def step_nonlinear_closed_loop(state, ms, gain, level, config, dt):
@@ -222,6 +228,22 @@ def step_boundary_closed_loop(state, ms, gain, level, dt):
     return step_plan(ms, gain, level, dt).step(np.asarray(state, dtype=float)[None])[0]
 
 
+def _bump_coefficients(es):
+    """Modal coefficients of the Gaussian bump exp(-((x - L/2) / (L/10))^2).
+
+    The bump is no trig polynomial, so it is projected on a Gauss-Legendre
+    rule of its own rather than on the eigen system's grid, which may be
+    exact only for products of modes.  Every family has sigma = q^2 (lam -
+    q^2) with trig frequency q, so q^2 <= (lam + sqrt(lam^2 - 4 sigma)) / 2
+    bounds the frequencies the rule must resolve.
+    """
+    L, lam = es.params.length, es.params.lam
+    q_sq = 0.5 * (lam + math.sqrt(max(0.0, lam * lam - 4.0 * float(es.values.min()))))
+    rule = quadrature_for_modes(L, int(math.ceil(math.sqrt(q_sq) * L / math.pi)))
+    g = np.exp(-(((rule.nodes - L / 2) / (L / 10)) ** 2))
+    return np.array([rule.weights @ (mode(rule.nodes) * g) for mode in es.modes])
+
+
 def resolve_initial(config, es, ms=None):
     """Modal coefficients for the configured initial state."""
     entry = config.initial
@@ -235,10 +257,7 @@ def resolve_initial(config, es, ms=None):
         elif preset == "smooth":
             y0[:] = amplitude * 0.5 ** np.arange(config.J)
         else:  # bump
-            L = es.params.length
-            x = es.quadrature.nodes
-            g = np.exp(-(((x - L / 2) / (L / 10)) ** 2))
-            coeffs = es.project_values(g)
+            coeffs = _bump_coefficients(es)
             y0 = amplitude * coeffs[: config.J] / math.sqrt(float(np.sum(coeffs**2)))
         return y0
     y0 = np.asarray(entry, dtype=float)

@@ -15,13 +15,15 @@ cosh/sinh or cos/sin partner.
 
 Eigenfunctions are stored in two forms at once: a per-mode analytic record
 with derivatives 0-4, and cached samples (value, first and second
-derivative) on a shared Gauss-Legendre quadrature grid sized so that cubic
-products of the retained modes integrate essentially exactly.
+derivative) on a shared quadrature grid on which the cubic products of the
+nonlinear forcing integrate exactly or essentially so.  Hinged modes use the
+midpoint rule with 2 k_max + 1 nodes, exact for those products; Neumann and
+clamped modes use composite Gauss-Legendre.
 """
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,7 +58,7 @@ class OperatorParams:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Composite Gauss-Legendre rule on (0, L)."""
+    """Quadrature rule on (0, L): nodes and their weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -85,13 +87,23 @@ def composite_gauss_legendre(length, panels, order=16):
 
 
 def quadrature_for_modes(length, max_wavenumber, order=16):
-    """Rule integrating triple products of trig modes up to `max_wavenumber`.
+    """Composite Gauss-Legendre rule for products of modes up to `max_wavenumber`.
 
     One panel per two-pi of phase of the worst product keeps the per-panel
-    Gauss error at the 1e-14 level.
+    Gauss error at the 1e-14 level.  The Neumann and clamped grids use it;
+    hinged modes take the exact `midpoint_rule` instead.
     """
     panels = max(8, int(math.ceil(1.5 * max(1, max_wavenumber))))
     return composite_gauss_legendre(length, panels, order)
+
+
+def midpoint_rule(length, count):
+    """`count` nodes at (i + 1/2) L / count, each with weight L / count.
+
+    Integrates cos(m pi x / L) over (0, L) exactly for 0 <= m < 2 count.
+    """
+    h = length / count
+    return Quadrature(nodes=(np.arange(count) + 0.5) * h, weights=np.full(count, h))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +144,11 @@ class EigenSystem:
     `values` is nonincreasing; `modes[j]` evaluates the j-th eigenfunction;
     `basis`, `basis_d1`, `basis_d2` cache mode samples on the quadrature
     grid; `gram_d1`/`gram_d2` are the first/second-derivative Gram matrices
-    used for the H1/H2 norms.  Immutable after construction.
+    used for the H1/H2 norms.  The read-only nonlinear forcing tables are
+    derived from these: `field_table` = [basis | basis_d1], (count, 2 nodes),
+    turns coefficients into y and y_x in one product, and `forcing_table` =
+    [-w basis^T ; w basis_d2^T], (2 nodes, count), projects [y y_x, y^3]
+    back onto the modes.  Immutable after construction.
     """
 
     params: OperatorParams
@@ -148,15 +164,21 @@ class EigenSystem:
     gram_d1: np.ndarray
     gram_d2: np.ndarray
     solver: str
+    field_table: np.ndarray = field(init=False, repr=False, compare=False)
+    forcing_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = self.quadrature.weights
+        fields = np.hstack([self.basis, self.basis_d1])
+        forcing = np.hstack([-w * self.basis, w * self.basis_d2]).T.copy()
+        for name, table in (("field_table", fields), ("forcing_table", forcing)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def synthesize(self, coeffs, deriv=0):
         """Field values on the quadrature grid from modal coefficients."""
         table = (self.basis, self.basis_d1, self.basis_d2)[deriv]
         return np.asarray(coeffs) @ table
-
-    def project_values(self, values):
-        """Modal coefficients of a function sampled on the quadrature grid."""
-        return self.basis @ (self.quadrature.weights * values)
 
     def bc_residual(self, j):
         """Worst violation of this BC family by the stored j-th mode."""
@@ -208,7 +230,12 @@ def eigen_closed_form(params, bc, count):
 
     sigma, ks = _sorted_sigma(params, ks)
     k_max = int(ks.max())
-    quad = quadrature_for_modes(L, max(k_max, count))
+    if bc == BoundaryCondition.HINGED:
+        # y y_x e_j and y^3 e_j'' are cosine polynomials of degree <= 4 k_max
+        quad = midpoint_rule(L, 2 * k_max + 1)
+    else:
+        # y y_x e_j is a sine polynomial, which no equispaced rule integrates exactly
+        quad = quadrature_for_modes(L, max(k_max, count))
 
     modes = []
     for k in ks:

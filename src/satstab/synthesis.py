@@ -131,10 +131,6 @@ def diagnose_pair(A, B):
     )
 
 
-def kalman_diagnose(ms):
-    return diagnose_pair(ms.A, ms.B)
-
-
 def _ackermann(A, B, poles):
     n = A.shape[0]
     ctrb = kalman_matrix(A, B)

@@ -148,22 +148,35 @@ class TestNonlinearTerm:
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_forcing_matches_fine_projection(self, hinged_system):
-        # brute-force projection on a 4x finer rule, from the analytic modes
-        es = hinged_system.es
-        panels = es.quadrature.nodes.size // 16
-        fine = composite_gauss_legendre(es.params.length, 4 * panels, 16)
-        x, w = fine.nodes, fine.weights
-        values = [[mode(x, d) for d in range(3)] for mode in es.modes]
+        # brute-force projection from the analytic modes on a rule sized from
+        # the modes, 4x the panels of quadrature_for_modes at k = J, so the
+        # oracle does not shrink with the grid it checks.  Each state scale
+        # keeps |forcing| below about 100, where rounding stays under atol.
+        systems = (
+            (hinged_system.es, 0.3),
+            (eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8), 0.3),
+            (eigen_clamped(OperatorParams(45.0, 1.0), 8), 0.1),
+        )
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            state = rng.normal(size=12) * 0.3
-            y = sum(c * v[0] for c, v in zip(state, values))
-            yx = sum(c * v[1] for c, v in zip(state, values))
-            oracle = np.array(
-                [-float(np.sum(w * y * yx * v[0])) + float(np.sum(w * y**3 * v[2])) for v in values]
-            )
-            f = nonlinear_forcing(es, state, delta=1.0, nu=1.0)
-            np.testing.assert_allclose(f, oracle, rtol=0.0, atol=1e-12)
+        for es, scale in systems:
+            panels = 4 * max(8, math.ceil(1.5 * es.count))
+            fine = composite_gauss_legendre(es.params.length, panels, 16)
+            x, w = fine.nodes, fine.weights
+            values = [[mode(x, d) for d in range(3)] for mode in es.modes]
+            for delta, nu in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
+                for _ in range(20):
+                    state = rng.normal(size=es.count) * scale
+                    y = sum(c * v[0] for c, v in zip(state, values))
+                    yx = sum(c * v[1] for c, v in zip(state, values))
+                    oracle = np.array(
+                        [
+                            -delta * float(np.sum(w * y * yx * v[0]))
+                            + nu * float(np.sum(w * y**3 * v[2]))
+                            for v in values
+                        ]
+                    )
+                    f = nonlinear_forcing(es, state, delta=delta, nu=nu)
+                    np.testing.assert_allclose(f, oracle, rtol=0.0, atol=1e-12)
 
     def test_quadrature_identity_dispersive(self):
         # <d_xx(y^3), y> = -3 int y^2 (y_x)^2 for synthesized fields
@@ -890,6 +903,21 @@ class TestResolveInitial:
             assert y0.shape == (12,)
             assert np.all(np.isfinite(y0))
 
+    def test_bump_matches_fine_projection(self):
+        systems = [eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, J) for J in (1, 4, 8, 24)]
+        systems += [
+            eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8),
+            eigen_clamped(OperatorParams(45.0, 1.0), 8),
+        ]
+        for es in systems:
+            L = es.params.length
+            fine = composite_gauss_legendre(L, 400, 16)
+            bump = np.exp(-(((fine.nodes - L / 2) / (L / 10)) ** 2))
+            coeffs = np.array([fine.weights @ (mode(fine.nodes) * bump) for mode in es.modes])
+            config = SimConfig(J=es.count, dt=1e-3, T=1.0, initial=("bump", 1.0))
+            y0 = resolve_initial(config, es)
+            np.testing.assert_allclose(y0, coeffs / np.linalg.norm(coeffs), rtol=0.0, atol=1e-14)
+
     def test_unknown_preset(self, hinged_system):
         config = SimConfig(J=12, dt=1e-3, T=1.0, initial=("wavelet", 0.05))
         with pytest.raises(ValueError):
@@ -899,3 +927,14 @@ class TestResolveInitial:
         config = SimConfig(J=12, dt=1e-3, T=1.0, initial=(1.0, 2.0))
         with pytest.raises(ValueError):
             resolve_initial(config, hinged_system.es)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("threshold", [1e300, math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_blowup_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="blow-up threshold"):
+            SimConfig(J=4, dt=1e-3, T=1.0, blowup_threshold=threshold)
+
+    def test_blowup_threshold_with_finite_square_accepted(self):
+        config = SimConfig(J=4, dt=1e-3, T=1.0, blowup_threshold=1e150)
+        assert math.isfinite(config.blowup_threshold**2)

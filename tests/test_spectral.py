@@ -327,6 +327,23 @@ class TestQuadrature:
         g = np.sin(16 * math.pi * q.nodes / L) ** 2
         assert q.integrate(g) == pytest.approx(L / 2, rel=1e-13)
 
+    @pytest.mark.parametrize("J", [1, 8, 24])
+    def test_hinged_midpoint_rule_exact(self, J):
+        # y y_x e_j and y^3 e_j'' are cosine polynomials of degree <= 4J.  The
+        # phases m pi x_i / L = m pi (2i + 1) / 2N are reduced mod 2 pi in
+        # integers: rounded float phases near 4J pi would be off by 1e-14.
+        L = math.pi
+        q = eigen_closed_form(OperatorParams(2.0, L), HINGED, J).quadrature
+        N = 2 * J + 1
+        i = np.arange(N)
+        assert q.nodes.size == N
+        np.testing.assert_allclose(q.nodes, (i + 0.5) * L / N, rtol=1e-15)
+        np.testing.assert_array_equal(q.weights, L / N)
+        for m in range(1, 4 * J + 1):
+            phase = math.pi * (m * (2 * i + 1) % (4 * N)) / (2 * N)
+            assert abs(q.integrate(np.cos(phase))) < 1e-15
+        assert q.integrate(np.ones(N)) == pytest.approx(L, rel=1e-15)
+
     @pytest.mark.parametrize("order", [8, 16, 20])
     def test_cached_rule_matches_leggauss(self, order):
         nodes, weights = spectral._gauss_legendre(order)

@@ -15,7 +15,6 @@ from satstab.synthesis import (
     design_gain,
     diagnose_pair,
     ellipsoid_contains,
-    kalman_diagnose,
     kalman_matrix,
     sample_ellipsoid,
     select_h2_constants,
@@ -69,7 +68,7 @@ class TestDiagnose:
 
     def test_modal_system_entry_point(self):
         ms = scalar_system()
-        rep = kalman_diagnose(ms)
+        rep = diagnose_pair(ms.A, ms.B)
         assert rep.controllable
         assert rep.vandermonde_value == pytest.approx(1.0)
 
