@@ -199,13 +199,21 @@ def nonlinear_forcing(es, state, delta, nu):
 
     The convective part projects -delta * y y_x directly; the dispersive part
     uses <d_xx(y^3), e_j> = <y^3, e_j''>, valid for every supported BC family.
-    One product gives y and y_x on the grid, one more projects both terms.
+    One product gives y (and y_x if delta is on) on the grid, one more
+    projects the switched-on terms against their rows of the forcing table.
+    A switched-off term is never formed, so its overflow cannot turn into NaN.
     """
-    fields = _rowwise(state, es.field_table)
-    nodes = fields.shape[-1] // 2
+    nodes = es.quadrature.nodes.size
+    fields = _rowwise(state, es.field_table if delta else es.field_table[:, :nodes])
     y = fields[..., :nodes]
-    products = np.concatenate([delta * (y * fields[..., nodes:]), nu * (y * y * y)], axis=-1)
-    return _rowwise(products, es.forcing_table)
+    if delta and nu:
+        products = np.concatenate([delta * (y * fields[..., nodes:]), nu * (y * y * y)], axis=-1)
+        return _rowwise(products, es.forcing_table)
+    if delta:
+        return _rowwise(delta * (y * fields[..., nodes:]), es.forcing_table[:nodes])
+    if nu:
+        return _rowwise(nu * (y * y * y), es.forcing_table[nodes:])
+    return np.zeros_like(state)
 
 
 def step_nonlinear_closed_loop(state, ms, gain, level, config, dt):

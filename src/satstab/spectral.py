@@ -23,7 +23,7 @@ clamped modes use composite Gauss-Legendre.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -148,7 +148,8 @@ class EigenSystem:
     derived from these: `field_table` = [basis | basis_d1], (count, 2 nodes),
     turns coefficients into y and y_x in one product, and `forcing_table` =
     [-w basis^T ; w basis_d2^T], (2 nodes, count), projects [y y_x, y^3]
-    back onto the modes.  Immutable after construction.
+    back onto the modes; both are built on first use.  Immutable after
+    construction.
     """
 
     params: OperatorParams
@@ -164,16 +165,19 @@ class EigenSystem:
     gram_d1: np.ndarray
     gram_d2: np.ndarray
     solver: str
-    field_table: np.ndarray = field(init=False, repr=False, compare=False)
-    forcing_table: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def field_table(self):
+        table = np.hstack([self.basis, self.basis_d1])
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def forcing_table(self):
         w = self.quadrature.weights
-        fields = np.hstack([self.basis, self.basis_d1])
-        forcing = np.hstack([-w * self.basis, w * self.basis_d2]).T.copy()
-        for name, table in (("field_table", fields), ("forcing_table", forcing)):
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
+        table = np.hstack([-w * self.basis, w * self.basis_d2]).T.copy()
+        table.flags.writeable = False
+        return table
 
     def synthesize(self, coeffs, deriv=0):
         """Field values on the quadrature grid from modal coefficients."""

@@ -705,6 +705,21 @@ class TestDiscardedOverflow:
                 y = plan.step(y)
         assert not np.all(np.isfinite(y))
 
+    def test_convective_blowup_past_cube_overflow(self, hinged_system):
+        # delta only, with a threshold whose states pass the range where y^3
+        # overflows: the switched-off cubic term must not turn them into NaN
+        ms = hinged_system
+        gain = design_gain(ms, poles=[-4.0])
+        start = np.zeros((1, 12))
+        start[0, 0] = 1e60
+        config = SimConfig(J=12, dt=1e-3, T=0.1, delta=1.0, blowup_threshold=1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (traj,) = run_batch(config, ms, gain, start)
+        assert traj.exit_reason == EXIT_BLOWUP
+        assert np.all(np.isfinite(traj.states))
+        assert np.abs(traj.states).max() > 1e103
+
     def test_cubic_blowup_overflows_quietly(self, hinged_system):
         ms = hinged_system
         level = SaturationLevel(1.0)
