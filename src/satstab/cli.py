@@ -359,6 +359,12 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
             "certificate was synthesized for a different system "
             f"(mode {doc['mode']}, n {doc['n']}, J {doc['J']})"
         )
+    if basin:
+        if not isinstance(cfg.initial[0], str):
+            raise ConfigError("basin estimation needs a preset initial state")
+        preset, amplitude = cfg.initial
+        if amplitude == 0.0:
+            raise ConfigError("basin estimation needs a nonzero initial.amplitude")
     sim = cfg.sim_config()
     traj = run(sim, ms, gain, cert, consts, level=cfg.level())
 
@@ -381,20 +387,13 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
         "nl_ratio_max": None if math.isnan(traj.nl_ratio_max) else traj.nl_ratio_max,
     }
     if basin:
-        if isinstance(cfg.initial[0], str):
-            preset = cfg.initial
-        else:
-            raise ConfigError("basin estimation needs a preset initial state")
-
-        def make_config(amplitude):
+        def make_config(a):
             return SimConfig(
-                J=cfg.J, dt=cfg.dt, T=cfg.T, delta=cfg.delta, nu=cfg.nu,
-                initial=(preset[0], amplitude),
+                J=cfg.J, dt=cfg.dt, T=cfg.T, delta=cfg.delta, nu=cfg.nu, initial=(preset, a)
             )
 
         summary["basin_estimate"], summary["basin_bracketed"] = estimate_basin(
-            make_config, ms, gain, cert, consts,
-            low=preset[1], high=preset[1] * 256.0, level=cfg.level(),
+            make_config, ms, gain, low=amplitude, high=amplitude * 256.0, level=cfg.level(),
         )
     _write_json(_out_path(cfg, out_dir, "summary.json"), summary)
     print(f"wrote {csv_path}")
@@ -552,9 +551,7 @@ def cmd_verify(cfg, certificate_path=None):
                          f"M1 {check.lambda_max_m1:.2e}, M2 {check.lambda_min_m2:.2e}")
             boundary_pts = sample_ellipsoid(cert, rng, 2000, surface=True)
             margin = cfg.ell * (1.0 + 1e-9)
-            inclusion = all(
-                np.all(np.abs((gain.K - cert.C) @ z) <= margin) for z in boundary_pts
-            )
+            inclusion = bool(np.all(np.abs(boundary_pts @ (gain.K - cert.C).T) <= margin))
             report.check("synthesis.sector_inclusion", inclusion)
             vdm_ok = True
             for _ in range(100):

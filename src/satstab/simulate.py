@@ -25,7 +25,8 @@ EXIT_BLOWUP = "blowup"
 EXIT_LEFT_REGION = "left_region"
 
 _PRESETS = ("first_mode", "smooth", "bump")
-_BLOCK = 64  # samples stepped between exit checks in run_batch
+_BLOCK = 64  # samples stepped between exit checks
+_BUMP_RTOL = 1e-10  # bump projections below this fraction of its L2 norm are rounding noise
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,10 @@ class SimConfig:
     nu: float = 0.0
     initial: object = ("first_mode", 0.1)
     blowup_threshold: float = 1e6
+
+    @property
+    def nonlinear(self):
+        return self.delta != 0.0 or self.nu != 0.0
 
     def __post_init__(self):
         if self.J < 1:
@@ -243,13 +248,23 @@ def _bump_coefficients(es):
     rule of its own rather than on the eigen system's grid, which may be
     exact only for products of modes.  Every family has sigma = q^2 (lam -
     q^2) with trig frequency q, so q^2 <= (lam + sqrt(lam^2 - 4 sigma)) / 2
-    bounds the frequencies the rule must resolve.
+    bounds the frequencies the rule must resolve.  Raises ValueError when
+    the coefficients' norm is below `_BUMP_RTOL` times the bump's L2 norm:
+    their direction would be rounding noise.
     """
     L, lam = es.params.length, es.params.lam
     q_sq = 0.5 * (lam + math.sqrt(max(0.0, lam * lam - 4.0 * float(es.values.min()))))
     rule = quadrature_for_modes(L, int(math.ceil(math.sqrt(q_sq) * L / math.pi)))
     g = np.exp(-(((rule.nodes - L / 2) / (L / 10)) ** 2))
-    return np.array([rule.weights @ (mode(rule.nodes) * g) for mode in es.modes])
+    coeffs = np.array([rule.weights @ (mode(rule.nodes) * g) for mode in es.modes])
+    norm = math.sqrt(float(np.sum(coeffs**2)))
+    if not norm > _BUMP_RTOL * math.sqrt(float(rule.weights @ (g * g))):
+        raise ValueError(
+            f"the bump preset has no support on the J = {es.count} retained modes "
+            f"(coefficient norm {norm:.2g}): the bump is even about L/2 and the "
+            "retained modes are odd"
+        )
+    return coeffs
 
 
 def resolve_initial(config, es, ms=None):
@@ -291,82 +306,29 @@ def run_batch(
     """Integrate each row of `initials` to the horizon, a blow-up, or a region exit.
 
     Rows hold J modal coefficients; boundary systems prepend the integrator at
-    rest.  The loop only steps; after each block of samples it checks the
-    blow-up norm (a nonlinear sample over the threshold is dropped unless it
-    is the initial one, a linear sample is kept) and, when
-    `stop_on_region_exit` is set with a certificate, v1 = z^T P z, which wins
-    over a blow-up at the same sample.  A row ends at its first crossing and
-    the samples it stepped past it are discarded.  Monitors
-    come afterwards from the stored states: with a certificate v1 and the
-    region-exit flag, with constants also v2; boundary l2 reports the
-    reconstructed physical field.  `level` defaults to the unsaturated
-    sentinel.  Returns one Trajectory per row.
+    rest.  `_blocks` steps them and applies the exit rules; this function
+    stores every block, and monitors come afterwards from the stored states:
+    with a certificate v1 and the region-exit flag, with constants also v2;
+    boundary l2 reports the reconstructed physical field.  `level` defaults
+    to the unsaturated sentinel.  Returns one Trajectory per row.
     """
-    es = ms.es
-    if config.J != es.count:
-        raise ValueError(
-            f"config retains {config.J} modes but the eigen system holds {es.count}"
-        )
-    boundary = ms.mode == "boundary"
-    nonlinear = config.delta != 0.0 or config.nu != 0.0
-    if boundary and nonlinear:
-        raise ValueError("boundary runs support the linear dynamics only")
-    initials = np.atleast_2d(np.asarray(initials, dtype=float))
-    if initials.shape[1] != config.J:
-        raise ValueError(f"initial data must have {config.J} coefficients")
-    if boundary:
-        initials = np.hstack([np.zeros((initials.shape[0], 1)), initials])
-    if level is None:
-        level = UNSATURATED
-
-    plan = step_plan(ms, gain, level, config.dt)
-    limit = config.blowup_threshold**2
-    check_region = stop_on_region_exit and cert is not None
-    batch, dim = initials.shape
-    samples = int(round(config.T / config.dt)) + 1
+    rows = _initial_rows(config, ms, initials)
+    plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
+    region_form = cert.P if stop_on_region_exit and cert is not None else None
+    batch, dim = rows.shape
+    samples = _sample_count(config)
     states = np.empty((batch, samples, dim))
-    states[:, 0] = initials
     filled = np.full(batch, samples)
     exits = [EXIT_HORIZON] * batch
-    peaks = np.empty((batch, samples)) if nonlinear else None  # max|N(y_k)| per step
+    peaks = np.empty((batch, samples)) if config.nonlinear else None  # max|N(y_k)| per step
 
-    live = np.arange(batch)
-    y = initials
-    start = 0
-    # Rows step on past their exit until the block ends; those samples are
-    # discarded, and may overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while start < samples and live.size:
-            end = min(start + _BLOCK, samples)
-            for k in range(max(start, 1), end):
-                forcing = None
-                if nonlinear:
-                    forcing = nonlinear_forcing(es, y, config.delta, config.nu)
-                    peaks[live, k - 1] = np.max(np.abs(forcing), axis=1)
-                y = plan.step(y, forcing)
-                if live.size == batch:
-                    states[:, k] = y
-                else:
-                    states[live, k] = y
-            block = states[live, start:end]
-            over = quad_form(block, plan.norm_form) > limit
-            hit = over
-            if check_region:
-                region = quad_form(block[..., : plan.head], cert.P) > 1.0 + 1e-9
-                hit = over | region
-            done = hit.any(axis=1)
-            for i in np.flatnonzero(done):
-                j = int(np.argmax(hit[i]))  # the row's first crossing
-                k = start + j
-                if nonlinear and k and over[i, j]:  # the crossing step is not stored
-                    filled[live[i]], exits[live[i]] = k, EXIT_BLOWUP
-                else:
-                    filled[live[i]] = k + 1
-                    exits[live[i]] = (
-                        EXIT_LEFT_REGION if check_region and region[i, j] else EXIT_BLOWUP
-                    )
-            live, y = live[~done], y[~done]
-            start = end
+    for start, live, block, forcing, ends in _blocks(config, ms.es, plan, rows, region_form):
+        end = start + block.shape[1]
+        states[live, start:end] = block
+        if peaks is not None:
+            peaks[live, max(start, 1) - 1 : end - 1] = np.max(np.abs(forcing), axis=2)
+        for row, (count, reason) in ends.items():
+            filled[row], exits[row] = count, reason
 
     times = np.arange(samples) * config.dt
     return [
@@ -376,6 +338,82 @@ def run_batch(
         )
         for i in range(batch)
     ]
+
+
+def _initial_rows(config, ms, initials):
+    """Validated (batch, dim) start rows; boundary rows get the integrator at rest."""
+    if config.J != ms.es.count:
+        raise ValueError(
+            f"config retains {config.J} modes but the eigen system holds {ms.es.count}"
+        )
+    boundary = ms.mode == "boundary"
+    if boundary and config.nonlinear:
+        raise ValueError("boundary runs support the linear dynamics only")
+    rows = np.atleast_2d(np.asarray(initials, dtype=float))
+    if rows.shape[1] != config.J:
+        raise ValueError(f"initial data must have {config.J} coefficients")
+    if boundary:
+        rows = np.hstack([np.zeros((rows.shape[0], 1)), rows])
+    return rows
+
+
+def _sample_count(config):
+    return int(round(config.T / config.dt)) + 1
+
+
+def _blocks(config, es, plan, rows, region_form=None):
+    """Step `rows` to the horizon and yield them one block of samples at a time.
+
+    Yields (start, live, block, forcing, ends): `block` holds samples start,
+    start + 1, ... of the rows indexed by `live`; `forcing` (None for linear
+    runs) holds the forcing of each step the block took, the first one out
+    of sample max(start, 1) - 1.  After each block the blow-up norm is
+    checked (a nonlinear sample over the threshold is dropped unless it is
+    the initial one, a linear sample is kept) and, with `region_form`, v1 =
+    z^T P z, which wins over a blow-up at the same sample.  A row ends at its
+    first crossing: `ends` maps it to its stored sample count and exit
+    reason, and it is not stepped again.  The samples a row holds past its
+    crossing are to be discarded; they may overflow.
+    """
+    nonlinear = config.nonlinear
+    limit = config.blowup_threshold**2
+    samples = _sample_count(config)
+    live = np.arange(rows.shape[0])
+    y = rows
+    start = 0
+    while start < samples and live.size:
+        end = min(start + _BLOCK, samples)
+        first = max(start, 1)
+        block = np.empty((live.size, end - start, y.shape[1]))
+        forcing = np.empty((live.size, end - first, y.shape[1])) if nonlinear else None
+        if start == 0:
+            block[:, 0] = y
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(first, end):
+                f = None
+                if nonlinear:
+                    f = forcing[:, k - first] = nonlinear_forcing(es, y, config.delta, config.nu)
+                y = plan.step(y, f)
+                block[:, k - start] = y
+            over = quad_form(block, plan.norm_form) > limit
+            hit = over
+            if region_form is not None:
+                region = quad_form(block[..., : plan.head], region_form) > 1.0 + 1e-9
+                hit = over | region
+        done = hit.any(axis=1)
+        ends = {}
+        for i in np.flatnonzero(done):
+            j = int(np.argmax(hit[i]))  # the row's first crossing
+            k = start + j
+            if nonlinear and k and over[i, j]:  # the crossing step is not stored
+                ends[int(live[i])] = (k, EXIT_BLOWUP)
+            elif region_form is not None and region[i, j]:
+                ends[int(live[i])] = (k + 1, EXIT_LEFT_REGION)
+            else:
+                ends[int(live[i])] = (k + 1, EXIT_BLOWUP)
+        yield start, live, block, forcing, ends
+        live, y = live[~done], y[~done]
+        start = end
 
 
 def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, peaks):
@@ -411,7 +449,7 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
         sat_active=np.abs(control) > plan.level.ell,
         l2=l2,
         h1=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d1))),
-        h2=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d2))),
+        h2=_h2(modal, es),
         v1=v1,
         v2=v2,
         exit_reason=exit_reason,
@@ -419,6 +457,11 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
         mode=ms.mode,
         nl_ratio_max=nl_ratio_max,
     )
+
+
+def _h2(modal, es):
+    """H2 seminorm sqrt(y^T gram_d2 y) of each row of modal coefficients."""
+    return np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d2)))
 
 
 class DecayFit(NamedTuple):
@@ -429,10 +472,12 @@ class DecayFit(NamedTuple):
 
 def fit_decay_rate(traj, channel, t_start=0.0):
     """Least-squares exponential fit of a monitor channel from t_start on."""
-    values = traj.channel(channel)
     mask = traj.times >= t_start
-    t = traj.times[mask]
-    v = values[mask]
+    return _fit_decay(traj.times[mask], traj.channel(channel)[mask], channel)
+
+
+def _fit_decay(t, v, channel):
+    """Least-squares fit of log v = log prefactor - rate t over the samples given."""
     if t.size < 2:
         raise NonPositiveChannel("fit window holds fewer than two samples")
     if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
@@ -545,14 +590,36 @@ def gronwall_bound(v0, b, k, p, t_grid):
     return GronwallBound(times=t.copy(), values=values, w=w)
 
 
-def _decayed(traj, t_start):
-    """The run reached the horizon with a positive fitted H2-norm rate."""
-    if traj.exit_reason != EXIT_HORIZON:
-        return False
-    try:
-        return fit_decay_rate(traj, "h2", t_start).rate > 0.0
-    except NonPositiveChannel:
-        return True  # channel hit the floor: decayed outright
+def _decay_verdicts(config, ms, gain, initials, t_start, level=None):
+    """Whether each row's run decays, streamed: no states or monitors are stored.
+
+    A run decays when it reaches the horizon and its H2 norm on the samples
+    at t >= t_start has a positive fitted rate or cannot be fitted (it is not
+    positive there, or the window holds fewer than two samples); rows that
+    end earlier fail.  Each block is reduced to its H2 norms on that window.
+    """
+    rows = _initial_rows(config, ms, initials)
+    plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
+    times = np.arange(_sample_count(config)) * config.dt
+    first = int(np.searchsorted(times, t_start))  # first sample of the fit window
+    window = np.empty((rows.shape[0], times.size - first))
+    ended = np.zeros(rows.shape[0], dtype=bool)
+    cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
+    for start, live, block, _, ends in _blocks(config, ms.es, plan, rows):
+        ended[list(ends)] = True
+        lo = max(start, first)
+        end = start + block.shape[1]
+        if lo < end:
+            # rows that ended in this block may hold overflowed samples
+            with np.errstate(over="ignore", invalid="ignore"):
+                window[live, lo - first : end - first] = _h2(block[:, lo - start :, cut:], ms.es)
+    verdicts = []
+    for i in range(rows.shape[0]):
+        try:
+            verdicts.append(not ended[i] and _fit_decay(times[first:], window[i], "h2").rate > 0.0)
+        except NonPositiveChannel:
+            verdicts.append(True)  # channel hit the floor: decayed outright
+    return verdicts
 
 
 def _dyadic_points(low, high, depth):
@@ -563,26 +630,25 @@ def _dyadic_points(low, high, depth):
     return _dyadic_points(low, mid, depth - 1) + [mid] + _dyadic_points(mid, high, depth - 1)
 
 
-def estimate_basin(
-    make_config, ms, gain, cert, constants, low, high, iters=12, t_start=None, level=None
-):
+def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, level=None):
     """Search the initial amplitude between decay and failure by k-section.
 
     `make_config` maps an amplitude to a SimConfig that differs only in its
     initial state; an amplitude counts as decaying when the run reaches the
-    horizon and the fitted H2-norm rate is positive.  Each batched call runs
-    the three quarter points of the bracket, which settles two of the `iters`
-    bisection levels, so the result equals serial bisection's.  Returns
-    (estimate, bracketed); when `high` still decays no edge lies in the
-    bracket, and the estimate is `high` with bracketed False.
+    horizon and the fitted H2-norm rate is positive (t_start defaults to
+    T / 4).  Runs are streamed, keeping only their H2 norms on the fit
+    window.  One batched pass runs `low` and `high`; each further pass runs
+    the seven dyadic points of three bisection levels of the bracket, so the
+    `iters` levels take ceil(iters / 3) passes and the result equals serial
+    bisection's.  Returns (estimate, bracketed); when `high` still decays no
+    edge lies in the bracket, and the estimate is `high` with bracketed False.
     """
     config = make_config(low)
     start = t_start if t_start is not None else config.T / 4.0
 
     def decays(amplitudes):
         initials = [resolve_initial(make_config(a), ms.es, ms) for a in amplitudes]
-        trajs = run_batch(config, ms, gain, initials, cert, constants, level)
-        return [_decayed(traj, start) for traj in trajs]
+        return _decay_verdicts(config, ms, gain, initials, start, level)
 
     low_decays, high_decays = decays([low, high])
     if not low_decays:
@@ -590,7 +656,7 @@ def estimate_basin(
     if high_decays:
         return high, False
     while iters > 0:
-        depth = min(2, iters)
+        depth = min(3, iters)
         points = _dyadic_points(low, high, depth)
         verdict = dict(zip(points, decays(points)))
         for _ in range(depth):

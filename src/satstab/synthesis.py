@@ -150,7 +150,8 @@ def design_gain(ms, poles=None, weights=None):
     Single-input controllable pairs are placed at `poles` (default: the tail
     gap times 1..dim); everything else goes through a Riccati synthesis with
     the given state/input weights (default identity).  Raises
-    `NotStabilizable` when an unstable eigenvalue fails the rank test.
+    `NotStabilizable` when an unstable eigenvalue fails the rank test or
+    when the pole-placement or Riccati solver fails.
     """
     A, B = ms.A, ms.B
     d = A.shape[0]
@@ -176,7 +177,10 @@ def design_gain(ms, poles=None, weights=None):
         else:
             from scipy.signal import place_poles
 
-            K = -place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
+            try:
+                K = -place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
+            except ValueError as exc:  # np.linalg.LinAlgError included
+                raise NotStabilizable(f"pole placement (place_poles) failed: {exc}") from exc
     else:
         if weights is None:
             Q = np.eye(d)
@@ -185,7 +189,10 @@ def design_gain(ms, poles=None, weights=None):
             Q, R = weights
         from scipy.linalg import solve_continuous_are  # see build_certificate
 
-        X = solve_continuous_are(A, B, Q, R)
+        try:
+            X = solve_continuous_are(A, B, Q, R)
+        except ValueError as exc:  # np.linalg.LinAlgError included
+            raise NotStabilizable(f"Riccati solve (solve_continuous_are) failed: {exc}") from exc
         K = -np.linalg.solve(R, B.T @ X)
 
     spectrum = np.linalg.eigvals(A + B @ K)

@@ -277,6 +277,22 @@ class TestSynthCommand:
         assert summary["exit_reason"] == "horizon"
         assert summary["rates"]["l2"]["rate"] > 0
 
+    def test_riccati_failure_exits_4(self, tmp_path, capsys):
+        # lam = 150: the Riccati solve finds no finite solution for this window
+        doc = base_config(
+            bc="neumann_ch",
+            **{"lambda": 150.0},
+            length=2.0,
+            actuators=[{"kind": "indicator", "a": 1.2, "b": 1.9}],
+            poles=None,
+            J=12,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Riccati solve (solve_continuous_are) failed" in err
+        assert "Failed to find a finite solution" in err
+
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
             bc="clamped",
@@ -359,6 +375,31 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "exp_summary.json").read_text())
         # ell = 1, K = -3: the saturated scalar loop loses its basin at z = 1
         assert summary["basin_estimate"] == pytest.approx(1.0, abs=0.1)
+
+    def basin_summary(self, tmp_path, amplitude):
+        doc = base_config(J=8, T=3.0, ell=1.0, poles=[-2.0])
+        doc["actuators"] = [{"kind": "modes", "coefficients": [1.0]}]
+        doc["initial"] = {"preset": "first_mode", "amplitude": amplitude}
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = str(tmp_path / "exp_certificate.json")
+        code = main(
+            ["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path), "--basin"]
+        )
+        if code != 0:
+            return code
+        return json.loads((tmp_path / "exp_summary.json").read_text())
+
+    def test_basin_zero_amplitude_rejected(self, tmp_path, capsys):
+        assert self.basin_summary(tmp_path, 0.0) == 2
+        assert "initial.amplitude" in capsys.readouterr().err
+
+    def test_basin_negative_amplitude_mirrored(self, tmp_path):
+        # sat is odd, so the search from -a mirrors the one from a bit for bit
+        up = self.basin_summary(tmp_path, 0.2)
+        down = self.basin_summary(tmp_path, -0.2)
+        assert down["basin_bracketed"] and up["basin_bracketed"]
+        assert down["basin_estimate"] == -up["basin_estimate"]
 
     def test_mismatched_certificate_rejected(self, tmp_path):
         doc = base_config(J=8)

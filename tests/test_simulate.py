@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from satstab import simulate
 from satstab.errors import NonPositiveChannel
 from satstab.modal import (
     Indicator,
@@ -21,6 +23,7 @@ from satstab.simulate import (
     EXIT_LEFT_REGION,
     SimConfig,
     Trajectory,
+    _decay_verdicts,
     _monitored,
     fit_decay_rate,
     monitor_v2,
@@ -425,18 +428,13 @@ class TestBatch:
         assert all(t.states[0, 0] == 0.0 for t in batch)
         self.assert_same(batch, serial, ("l2", "h1", "h2", "u_plus_w"))
 
-    @pytest.mark.parametrize("iters", [12, 3])
+    @pytest.mark.parametrize("iters", [12, 5, 3, 1])
     def test_ksection_matches_serial_bisection(self, hinged_system, scalar_gain, iters):
         level = SaturationLevel(1.0)
 
         def decays(amplitude):
             traj = run(scalar_edge_config(amplitude), hinged_system, scalar_gain, level=level)
-            if traj.exit_reason != EXIT_HORIZON:
-                return False
-            try:
-                return fit_decay_rate(traj, "h2", 1.0).rate > 0.0
-            except NonPositiveChannel:
-                return True
+            return decayed(traj, 1.0)
 
         low, high = 0.2, 2.0
         for _ in range(iters):
@@ -444,7 +442,7 @@ class TestBatch:
             low, high = (mid, high) if decays(mid) else (low, mid)
         assert low <= 1.0 <= high
         edge, bracketed = estimate_basin(
-            scalar_edge_config, hinged_system, scalar_gain, None, None,
+            scalar_edge_config, hinged_system, scalar_gain,
             low=0.2, high=2.0, iters=iters, level=level,
         )
         assert bracketed
@@ -695,6 +693,9 @@ class TestDiscardedOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (traj,) = run_batch(config, hinged_system, scalar_gain, start, level=level)
+            # the streamed basin verdict reads the same block
+            verdicts = _decay_verdicts(config, hinged_system, scalar_gain, start, dt, level)
+        assert verdicts == [False]
         assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 2)
         assert np.all(np.isfinite(traj.states))
         # the rest of the block does overflow
@@ -857,6 +858,16 @@ class TestFitDecay:
             fit_decay_rate(traj, "l2")
 
 
+def decayed(traj, t_start):
+    """Reference verdict from a stored run: the horizon reached with a positive H2 rate."""
+    if traj.exit_reason != EXIT_HORIZON:
+        return False
+    try:
+        return fit_decay_rate(traj, "h2", t_start).rate > 0.0
+    except NonPositiveChannel:
+        return True  # channel hit the floor: decayed outright
+
+
 def scalar_edge_config(amplitude):
     # z' = z + sat(-3 z) with ell = 1 has its basin edge exactly at z = 1
     return SimConfig(J=12, dt=1e-3, T=4.0, initial=("first_mode", amplitude))
@@ -868,8 +879,6 @@ class TestEstimateBasin:
             scalar_edge_config,
             hinged_system,
             scalar_gain,
-            None,
-            None,
             low=0.2,
             high=2.0,
             level=SaturationLevel(1.0),
@@ -882,8 +891,6 @@ class TestEstimateBasin:
             scalar_edge_config,
             hinged_system,
             scalar_gain,
-            None,
-            None,
             low=0.2,
             high=0.5,
             level=SaturationLevel(1.0),
@@ -897,12 +904,99 @@ class TestEstimateBasin:
                 scalar_edge_config,
                 hinged_system,
                 scalar_gain,
-                None,
-                None,
                 low=1.5,
                 high=2.0,
                 level=SaturationLevel(1.0),
             )
+
+
+class TestDecayVerdicts:
+    """The basin search's streamed verdicts against runs with stored states."""
+
+    @pytest.fixture
+    def system(self, request, hinged_system, scalar_gain, boundary_ms):
+        if request.param == "boundary":
+            gain = design_gain(boundary_ms, poles=[-(i + 1.0) for i in range(boundary_ms.n + 1)])
+            config = SimConfig(J=8, dt=5e-4, T=3.0, blowup_threshold=1e100)
+            return config, boundary_ms, gain, SaturationLevel(5.0), [1e-3, 0.03, 1e95]
+        if request.param == "linear":
+            config = SimConfig(J=12, dt=1e-3, T=4.0, blowup_threshold=1e3)
+            return config, hinged_system, scalar_gain, SaturationLevel(1.0), [0.2, 1.0, 1.2, 100.0]
+        config = SimConfig(J=12, dt=1e-3, T=4.0, delta=1.0, nu=0.5, blowup_threshold=1e3)
+        return config, hinged_system, scalar_gain, SaturationLevel(0.3), [0.05, 0.5, 1.0, 20.0]
+
+    @pytest.mark.parametrize("system", ["linear", "boundary", "nonlinear"], indirect=True)
+    def test_streamed_verdicts_match_stored_runs(self, system, monkeypatch):
+        config, ms, gain, level, amplitudes = system
+        fitted = []
+        fit = simulate._fit_decay
+
+        def recording(t, v, channel):
+            fitted.append(v.copy())
+            return fit(t, v, channel)
+
+        monkeypatch.setattr(simulate, "_fit_decay", recording)
+        t_start = config.T / 4.0
+        configs = [replace(config, initial=("first_mode", a)) for a in amplitudes]
+        runs = [run(c, ms, gain, level=level) for c in configs]
+        expected = [decayed(traj, t_start) for traj in runs]
+        # the grid covers decay, a horizon run that does not decay, and blow-up
+        assert True in expected
+        assert any(t.exit_reason == EXIT_HORIZON and not v for t, v in zip(runs, expected))
+        assert any(t.exit_reason == EXIT_BLOWUP for t in runs)
+        initials = [resolve_initial(c, ms.es) for c in configs]
+        fitted.clear()
+        assert _decay_verdicts(config, ms, gain, initials, t_start, level) == expected
+        # the streamed window holds the very H2 norms a stored run fits
+        horizon = [t for t in runs if t.exit_reason == EXIT_HORIZON]
+        assert len(fitted) == len(horizon)
+        for v, traj in zip(fitted, horizon):
+            np.testing.assert_array_equal(v, traj.h2[traj.times >= t_start])
+
+    @staticmethod
+    def counted_passes(monkeypatch):
+        rows = []
+        blocks = simulate._blocks
+
+        def counting(config, es, plan, initial_rows, region_form=None):
+            rows.append(initial_rows.shape[0])
+            return blocks(config, es, plan, initial_rows, region_form)
+
+        monkeypatch.setattr(simulate, "_blocks", counting)
+        return rows
+
+    def test_pass_count(self, hinged_system, scalar_gain, monkeypatch):
+        rows = self.counted_passes(monkeypatch)
+        level = SaturationLevel(1.0)
+        estimate_basin(scalar_edge_config, hinged_system, scalar_gain, 0.2, 2.0, level=level)
+        assert rows == [2, 7, 7, 7, 7]  # the probe, then three levels per pass
+        rows.clear()
+        _, bracketed = estimate_basin(
+            scalar_edge_config, hinged_system, scalar_gain, 0.2, 0.5, level=level
+        )
+        assert not bracketed
+        assert rows == [2]
+
+    def test_search_holds_no_state_array(self, scalar_gain):
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 32)
+        ms = assemble_internal(
+            es, actuator_coefficients(es, [ModeCombination([1.0])]), 1, shape_norms_sq=[1.0]
+        )
+
+        def make_config(amplitude):
+            return SimConfig(J=32, dt=5e-4, T=4.0, initial=("first_mode", amplitude))
+
+        one_row = (int(round(4.0 / 5e-4)) + 1) * 32 * 8  # bytes of one row's states
+        tracemalloc.start()
+        try:
+            edge, bracketed = estimate_basin(
+                make_config, ms, scalar_gain, 0.2, 2.0, iters=3, level=SaturationLevel(1.0)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bracketed and 0.75 <= edge <= 1.25
+        assert peak < one_row
 
 
 class TestResolveInitial:
@@ -923,6 +1017,8 @@ class TestResolveInitial:
         systems += [
             eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8),
             eigen_clamped(OperatorParams(45.0, 1.0), 8),
+            eigen_clamped(OperatorParams(20.0, 1.0), 1),  # even first modes
+            eigen_clamped(OperatorParams(45.0, 1.0), 1),
         ]
         for es in systems:
             L = es.params.length
@@ -932,6 +1028,14 @@ class TestResolveInitial:
             config = SimConfig(J=es.count, dt=1e-3, T=1.0, initial=("bump", 1.0))
             y0 = resolve_initial(config, es)
             np.testing.assert_allclose(y0, coeffs / np.linalg.norm(coeffs), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [100.0, 150.0])
+    def test_bump_without_support_rejected(self, lam):
+        # the first clamped mode is odd about L/2 here: the bump projects to rounding noise
+        es = eigen_clamped(OperatorParams(lam, 1.0), 1)
+        config = SimConfig(J=1, dt=1e-3, T=1.0, initial=("bump", 0.1))
+        with pytest.raises(ValueError, match="even about L/2 and the retained modes are odd"):
+            resolve_initial(config, es)
 
     def test_unknown_preset(self, hinged_system):
         config = SimConfig(J=12, dt=1e-3, T=1.0, initial=("wavelet", 0.05))
