@@ -67,17 +67,88 @@ _NUMERIC_ERRORS = (
 _INFEASIBLE_ERRORS = (NotStabilizable, CriticalLength)
 
 
-def _fmt(x):
-    """Shortest round-trip decimal for CSV cells."""
-    return repr(float(x))
+_CSV_CHUNK = 64  # rows per `_csv_block` call on a long table; more only costs memory
+_NONFINITE = np.frombuffer(b"nan_inf_-inf", np.uint8).reshape(3, 4)
+_TINY_EXPONENT = np.frombuffer(b"e-05", np.uint8)
 
 
-def _write_csv(path, header, lines):
-    """Write CRLF-terminated lines of joined cells; `lines` may be a generator."""
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        for line in lines:
-            handle.write(line + "\r\n")
+def _csv_block(table, int_columns=()):
+    """CRLF CSV lines of a non-empty 2-D table, each cell as repr(float(x)) writes it.
+
+    The columns in `int_columns` hold integers below 1e16 (flags, indices)
+    and are written as ints: "1", not "1.0".  orjson writes the shortest
+    round-trip digits, the digits repr writes; one vectorized pass over its
+    bytes then rewrites the three ways its syntax differs from repr's:
+      - exponents get a sign and two digits: 1e16 -> 1e+16, 1e-7 -> 1e-07;
+      - 1e-5 <= |x| < 1e-4, written 0.0000123, takes scientific form: 1.23e-05;
+      - null becomes nan, inf or -inf, read off the table.
+    The row brackets become line ends.
+    """
+    import orjson  # imported here: `import satstab.cli` stays numpy-only
+
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    rows, width = table.shape
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = np.frombuffer(text, np.uint8).copy()
+    # "[[c,c],[c,c]]": each row has `width` cell ends ("," and the closing
+    # "]"), then the "," before the next row's "[" or the final "]"
+    seps = np.flatnonzero((text == ord(",")) | (text == ord("]"))).reshape(rows, width + 1)
+    ends = seps[:, :width]  # the byte after each cell
+    opens = np.r_[0, seps[:-1, width]] + 1  # each row's "["
+    text[ends[:, -1]] = ord("\r")
+    text[seps[:, width]] = ord("\n")
+    # ints lose their ".0"; byte `put[i]` goes in before byte `at[i]`
+    drop = [[0], opens, (ends[:, list(int_columns), None] - [1, 2]).ravel()]
+    at, put = [], []
+
+    bad = ~np.isfinite(table)  # orjson's "null", in row-major order
+    if bad.any():
+        value = table[bad]
+        kind = np.where(np.isnan(value), 0, np.where(value > 0, 1, 2))
+        first = ends[bad] - 4
+        text[first[:, None] + np.arange(4)] = _NONFINITE[kind]
+        drop.append(first[kind < 2] + 3)
+
+    magnitude = np.abs(table)
+    r, c = np.nonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
+    if r.size:
+        lead = np.where(c > 0, ends[r, c - 1], opens[r]) + 1 + np.signbit(table[r, c])
+        end = ends[r, c]
+        point = lead + 7  # after the first significant digit, if more follow
+        point = point[point < end]
+        drop.append((lead[:, None] + np.arange(6)).ravel())  # "0.0000"
+        at += [point, np.repeat(end, 4)]
+        put += [np.full(point.size, ord("."), np.uint8), np.tile(_TINY_EXPONENT, end.size)]
+
+    exp = np.flatnonzero(text == ord("e"))
+    if exp.size:
+        positive = text[exp + 1] != ord("-")
+        digit = exp + 2 - positive
+        digit = digit[text[digit + 1] < ord("0")]  # a lone digit: "," or "\r" follows
+        at += [exp[positive] + 1, digit]  # "+" goes in before "0"
+        put += [
+            np.full(positive.sum(), ord("+"), np.uint8), np.full(digit.size, ord("0"), np.uint8)
+        ]
+
+    drop = np.sort(np.concatenate(drop))
+    text = np.delete(text, drop)
+    if at:
+        at = np.concatenate(at)
+        text = np.insert(text, at - np.searchsorted(drop, at), np.concatenate(put))
+    return text.tobytes()
+
+
+def _csv_blocks(table, int_columns=()):
+    """`_csv_block` over `_CSV_CHUNK` rows of `table` at a time."""
+    for lo in range(0, len(table), _CSV_CHUNK):
+        yield _csv_block(table[lo : lo + _CSV_CHUNK], int_columns)
+
+
+def _write_csv(path, header, blocks):
+    """Write the header line, then the CSV bytes in `blocks` (an iterable)."""
+    with open(path, "wb") as handle:
+        handle.write(",".join(header).encode() + b"\r\n")
+        handle.writelines(blocks)
 
 
 def _write_json(path, payload):
@@ -105,18 +176,12 @@ def cmd_spectrum(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     split = unstable_count(es)
     bc_residuals = [es.bc_residual(j) for j in range(es.count)]
-    rows = []
-    for j in range(es.count):
-        rows.append(
-            [
-                str(j + 1),
-                _fmt(es.values[j]),
-                _fmt(bc_residuals[j]),
-                _fmt(es.norm_error(j)),
-            ]
-        )
+    table = np.column_stack([
+        np.arange(1, es.count + 1), es.values, bc_residuals,
+        [es.norm_error(j) for j in range(es.count)],
+    ])
     csv_path = _out_path(cfg, out_dir, "spectrum.csv")
-    _write_csv(csv_path, ["index", "sigma", "bc_residual", "norm_error"], map(",".join, rows))
+    _write_csv(csv_path, ["index", "sigma", "bc_residual", "norm_error"], _csv_blocks(table, [0]))
     summary = {
         "bc": cfg.bc.value,
         "lambda": cfg.lam,
@@ -138,19 +203,14 @@ def cmd_spectrum(cfg, out_dir=None):
 # modal
 
 
-def _matrix_rows(mat):
-    mat = np.atleast_2d(mat)
-    return [[_fmt(x) for x in row] for row in mat]
-
-
 def cmd_modal(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
     for name, mat in (("A", ms.A), ("B", ms.B), ("b_tail", ms.b_tail)):
         path = _out_path(cfg, out_dir, f"{name}.csv")
-        rows = _matrix_rows(mat)
-        header = [f"c{k+1}" for k in range(len(rows[0]) if rows else 0)]
-        _write_csv(path, header, map(",".join, rows))
+        mat = np.atleast_2d(mat)
+        header = [f"c{k+1}" for k in range(mat.shape[1] if len(mat) else 0)]
+        _write_csv(path, header, _csv_blocks(mat))
     summary = {
         "mode": ms.mode,
         "n": ms.n,
@@ -302,15 +362,8 @@ def load_certificate(path):
 # simulate
 
 
-_CSV_CHUNK = 64  # trajectory rows per conversion to Python floats; more only costs memory
-
-
-def _trajectory_lines(ms, traj):
-    """One CSV line per sample, converted to Python numbers a chunk at a time.
-
-    repr of a list of Python floats writes each cell as `_fmt` does; the
-    saturation flags go in as the ints 1/0.
-    """
+def _trajectory_blocks(ms, traj, flags):
+    """The CSV bytes of each `_CSV_CHUNK` samples; `flags` are the sat_active columns."""
     d_coeffs = None
     if ms.mode == "boundary":
         d_coeffs = -np.concatenate([ms.B[1:, 0], ms.b_tail[:, 0]])  # <d, e_j>
@@ -319,17 +372,15 @@ def _trajectory_lines(ms, traj):
         fields = traj.states[rows]
         if d_coeffs is not None:
             fields = fields[:, 1:] + fields[:, :1] * d_coeffs
-        head = np.column_stack([traj.times[rows], fields, traj.control[rows]]).tolist()
-        flags = traj.sat_active[rows].astype(np.int8).tolist()
-        monitors = np.column_stack(
-            [traj.l2[rows], traj.h1[rows], traj.h2[rows], traj.v1[rows], traj.v2[rows]]
-        ).tolist()
-        for head_row, flag_row, monitor_row in zip(head, flags, monitors):
-            yield repr(head_row + flag_row + monitor_row)[1:-1].replace(", ", ",")
+        table = np.column_stack([
+            traj.times[rows], fields, traj.control[rows], traj.sat_active[rows],
+            traj.l2[rows], traj.h1[rows], traj.h2[rows], traj.v1[rows], traj.v2[rows],
+        ])
+        yield _csv_block(table, flags)
 
 
 def _trajectory_rows(cfg, ms, traj):
-    """CSV header and a generator of formatted lines, one per sample."""
+    """CSV header and a generator of CSV bytes, `_CSV_CHUNK` samples at a time."""
     J = cfg.J
     m = traj.control.shape[1]
     header = (
@@ -339,7 +390,7 @@ def _trajectory_rows(cfg, ms, traj):
         + [f"sat_active_{k+1}" for k in range(m)]
         + ["l2", "h1", "h2", "v1", "v2"]
     )
-    return header, _trajectory_lines(ms, traj)
+    return header, _trajectory_blocks(ms, traj, range(1 + J + m, 1 + J + 2 * m))
 
 
 def _fit_or_none(traj, channel, t_start):
@@ -365,6 +416,16 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
         preset, amplitude = cfg.initial
         if amplitude == 0.0:
             raise ConfigError("basin estimation needs a nonzero initial.amplitude")
+
+        def make_config(a):
+            return SimConfig(
+                J=cfg.J, dt=cfg.dt, T=cfg.T, delta=cfg.delta, nu=cfg.nu, initial=(preset, a)
+            )
+
+        # searched first: a config it rejects exits before anything is written
+        edge = estimate_basin(
+            make_config, ms, gain, low=amplitude, high=amplitude * 256.0, level=cfg.level(),
+        )
     sim = cfg.sim_config()
     traj = run(sim, ms, gain, cert, consts, level=cfg.level())
 
@@ -387,14 +448,7 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
         "nl_ratio_max": None if math.isnan(traj.nl_ratio_max) else traj.nl_ratio_max,
     }
     if basin:
-        def make_config(a):
-            return SimConfig(
-                J=cfg.J, dt=cfg.dt, T=cfg.T, delta=cfg.delta, nu=cfg.nu, initial=(preset, a)
-            )
-
-        summary["basin_estimate"], summary["basin_bracketed"] = estimate_basin(
-            make_config, ms, gain, low=amplitude, high=amplitude * 256.0, level=cfg.level(),
-        )
+        summary["basin_estimate"], summary["basin_bracketed"] = edge
     _write_json(_out_path(cfg, out_dir, "summary.json"), summary)
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -435,9 +489,9 @@ def cmd_gronwall(path, out_dir=None):
 
     t = np.linspace(0.0, horizon, samples)
     out = gronwall_bound(v0, b, k, p, t)
-    rows = [[_fmt(ti), _fmt(vi), _fmt(wi)] for ti, vi, wi in zip(out.times, out.values, out.w)]
     csv_path = os.path.join(directory, f"{prefix}.csv")
-    _write_csv(csv_path, ["t", "bound", "w"], map(",".join, rows))
+    table = np.column_stack([out.times, out.values, out.w])
+    _write_csv(csv_path, ["t", "bound", "w"], _csv_blocks(table))
     _write_json(
         os.path.join(directory, f"{prefix}.json"),
         {"v0": v0, "p": p, "b": b, "k": k, "T": horizon, "samples": samples,

@@ -361,6 +361,12 @@ def _sample_count(config):
     return int(round(config.T / config.dt)) + 1
 
 
+def _fit_window(config, t_start):
+    """A run's sample times and the index of the first one at t >= t_start."""
+    times = np.arange(_sample_count(config)) * config.dt
+    return times, int(np.searchsorted(times, t_start))
+
+
 def _blocks(config, es, plan, rows, region_form=None):
     """Step `rows` to the horizon and yield them one block of samples at a time.
 
@@ -594,14 +600,13 @@ def _decay_verdicts(config, ms, gain, initials, t_start, level=None):
     """Whether each row's run decays, streamed: no states or monitors are stored.
 
     A run decays when it reaches the horizon and its H2 norm on the samples
-    at t >= t_start has a positive fitted rate or cannot be fitted (it is not
-    positive there, or the window holds fewer than two samples); rows that
-    end earlier fail.  Each block is reduced to its H2 norms on that window.
+    at t >= t_start has a positive fitted rate or is not positive there;
+    rows that end earlier fail.  Each block is reduced to its H2 norms on
+    that window, which must hold at least two samples.
     """
     rows = _initial_rows(config, ms, initials)
     plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
-    times = np.arange(_sample_count(config)) * config.dt
-    first = int(np.searchsorted(times, t_start))  # first sample of the fit window
+    times, first = _fit_window(config, t_start)
     window = np.empty((rows.shape[0], times.size - first))
     ended = np.zeros(rows.shape[0], dtype=bool)
     cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
@@ -642,9 +647,18 @@ def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, lev
     `iters` levels take ceil(iters / 3) passes and the result equals serial
     bisection's.  Returns (estimate, bracketed); when `high` still decays no
     edge lies in the bracket, and the estimate is `high` with bracketed False.
+    Raises ValueError, before running anything, when the fit window holds
+    fewer than two samples.
     """
     config = make_config(low)
     start = t_start if t_start is not None else config.T / 4.0
+    times, first = _fit_window(config, start)
+    if times.size - first < 2:
+        raise ValueError(
+            f"basin search cannot fit a decay rate: T = {config.T} and dt = {config.dt} "
+            f"leave {times.size - first} sample(s) at or after the fit window start "
+            f"t = {start} (T/4 unless given); it needs at least two"
+        )
 
     def decays(amplitudes):
         initials = [resolve_initial(make_config(a), ms.es, ms) for a in amplitudes]

@@ -7,13 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satstab
 from satstab import cli
 from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
-from satstab.simulate import Trajectory, run
+from satstab.simulate import Trajectory, gronwall_bound, run
 
 
 def base_config(**overrides):
@@ -154,8 +156,10 @@ def scipy_modules():
 
 clamped, hinged, cert, gron, out = sys.argv[1:]
 stages = {"import": scipy_modules()}
-codes = [
-    cli.main(["spectrum", "-c", clamped, "-o", out]),
+orjson = {"import": "orjson" in sys.modules}
+codes = [cli.main(["spectrum", "-c", clamped, "-o", out])]
+orjson["spectrum"] = "orjson" in sys.modules
+codes += [
     cli.main(["modal", "-c", clamped, "-o", out]),
     cli.main(["simulate", "-c", hinged, "--certificate", cert, "-o", out]),
     cli.main(["gronwall", "-c", gron, "-o", out]),
@@ -163,7 +167,7 @@ codes = [
 stages["numpy_only"] = scipy_modules()
 codes.append(cli.main(["synth", "-c", hinged, "-o", out]))
 stages["synth"] = scipy_modules()
-print(json.dumps({"codes": codes, "stages": stages}))
+print(json.dumps({"codes": codes, "stages": stages, "orjson": orjson}))
 """
 
 
@@ -194,6 +198,8 @@ def test_scipy_loaded_only_by_synthesis(tmp_path):
     assert not subpackages & {"optimize", "integrate", "sparse", "signal"}
     # scipy's own package modules (version, private helpers) and linalg only
     assert all(sub in ("linalg", "version") or sub.startswith("_") for sub in subpackages)
+    # the CSV writer imports orjson on first use, not `import satstab.cli`
+    assert report["orjson"] == {"import": False, "spectrum": True}
 
 
 class TestSpectrumCommand:
@@ -401,6 +407,34 @@ class TestSimulateCommand:
         assert down["basin_bracketed"] and up["basin_bracketed"]
         assert down["basin_estimate"] == -up["basin_estimate"]
 
+    def sweep_basin(self, tmp_path, horizon):
+        # the trajectory_sweep benchmark system at J = 8 and dt = 1e-3
+        doc = base_config(J=8, dt=0.001, T=horizon)
+        doc["actuators"] = [{"kind": "indicator", "a": 0.3, "b": 2.8}]
+        doc["initial"] = {"preset": "first_mode", "amplitude": 0.01}
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = str(tmp_path / "exp_certificate.json")
+        return main(
+            ["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path), "--basin"]
+        )
+
+    def test_basin_fit_window_of_one_sample_exits_2(self, tmp_path, capsys):
+        # T = dt: the window t >= T/4 holds one sample, so no run can be judged
+        assert self.sweep_basin(tmp_path, 0.001) == 2
+        err = capsys.readouterr().err
+        assert "T = 0.001 and dt = 0.001" in err
+        assert "t = 0.00025" in err
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
+
+    def test_basin_fit_window_of_two_samples_brackets(self, tmp_path):
+        assert self.sweep_basin(tmp_path, 0.0015) == 0
+        summary = json.loads((tmp_path / "exp_summary.json").read_text())
+        assert summary["samples"] == 3
+        assert summary["basin_bracketed"] is True
+        assert summary["basin_estimate"] == 1.5069421386718749
+
     def test_mismatched_certificate_rejected(self, tmp_path):
         doc = base_config(J=8)
         path = self.synth_then_simulate(tmp_path, doc)
@@ -525,6 +559,106 @@ class TestTrajectoryCsv:
             )
         cfg = SimpleNamespace(J=J)
         assert self.written(tmp_path, cfg, ms, traj) == oracle_csv(J, ms, traj)
+
+
+def oracle_lines(rows):
+    """CRLF lines of cells formatted one at a time: repr(float(x)), or str for ints."""
+    return "".join(
+        ",".join(cell if isinstance(cell, str) else repr(float(cell)) for cell in row) + "\r\n"
+        for row in rows
+    ).encode()
+
+
+def table_oracle(table, int_columns=()):
+    return oracle_lines(
+        [[str(int(x)) if k in int_columns else x for k, x in enumerate(row)] for row in table]
+    )
+
+
+@st.composite
+def csv_tables(draw):
+    """Float64 rows of widths 1-40 with some integer (flag or index) columns."""
+    width = draw(st.integers(1, 40))
+    cells = st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        min_size=width, max_size=width,
+    )
+    table = np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.float64)
+    int_columns = sorted(draw(st.sets(st.integers(0, width - 1), max_size=3)))
+    for k in int_columns:
+        high = draw(st.sampled_from([1, 10**6]))  # sat flags, or indices
+        table[:, k] = draw(st.lists(st.integers(0, high), min_size=len(table), max_size=len(table)))
+    return table, int_columns
+
+
+CSV_EDGES = [
+    1e-5, np.nextafter(1e-4, 0.0), 1e-4, 10.00001, 1234567890123456.0, 1e16, 1e22,
+    5e-324, -0.0, np.nan, -np.inf,
+]
+
+
+class TestCsvBlock:
+    """The block formatter writes each cell as repr(float(x)) (ints as ints)."""
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(csv_tables())
+    def test_matches_repr(self, drawn):
+        table, int_columns = drawn
+        assert cli._csv_block(table, int_columns) == table_oracle(table, int_columns)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edges(self, sign):
+        row = sign * np.array(CSV_EDGES)
+        assert cli._csv_block(row[None, :]) == table_oracle(row[None, :])
+        assert cli._csv_block(row[:, None]) == table_oracle(row[:, None])
+
+    def test_edge_bytes(self):
+        assert cli._csv_block(np.array([CSV_EDGES + [np.inf]])) == (
+            b"1e-05,9.999999999999999e-05,0.0001,10.00001,1234567890123456.0,1e+16,1e+22,"
+            b"5e-324,-0.0,nan,-inf,inf\r\n"
+        )
+
+
+class TestCsvOracles:
+    """The spectrum, modal and gronwall CSVs against per-cell formatting."""
+
+    CLAMPED = {"bc": "clamped", "lambda": 45.0, "length": 1.0, "actuators": [], "poles": None}
+
+    @pytest.mark.parametrize("doc", [{}, CLAMPED], ids=["hinged", "clamped"])
+    def test_spectrum(self, tmp_path, doc):
+        path = write_config(tmp_path, base_config(J=10, **doc))
+        assert main(["spectrum", "-c", path, "-o", str(tmp_path)]) == 0
+        es = cfgmod.build_eigen(load_config(path))
+        rows = [["index", "sigma", "bc_residual", "norm_error"]] + [
+            [str(j + 1), es.values[j], es.bc_residual(j), es.norm_error(j)]
+            for j in range(es.count)
+        ]
+        assert (tmp_path / "exp_spectrum.csv").read_bytes() == oracle_lines(rows)
+
+    STABLE = {"lambda": 0.5, "length": 1.0, "poles": None,
+              "actuators": [{"kind": "indicator", "a": 0.0, "b": 0.5}]}
+
+    @pytest.mark.parametrize("doc", [{}, CLAMPED, STABLE], ids=["internal", "boundary", "n0"])
+    def test_modal(self, tmp_path, doc):
+        path = write_config(tmp_path, base_config(J=10, **doc))
+        assert main(["modal", "-c", path, "-o", str(tmp_path)]) == 0
+        cfg = load_config(path)
+        ms, _ = cfgmod.build_modal(cfg, cfgmod.build_eigen(cfg))
+        for name, mat in (("A", ms.A), ("B", ms.B), ("b_tail", ms.b_tail)):
+            mat = np.atleast_2d(mat)
+            header = [f"c{k+1}" for k in range(mat.shape[1] if len(mat) else 0)]
+            expected = oracle_lines([header] + mat.tolist())
+            assert (tmp_path / f"exp_{name}.csv").read_bytes() == expected, name
+
+    def test_gronwall(self, tmp_path):
+        # 2001 rows: 31 full blocks and a partial one; the bound falls to 4e-18
+        doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 40.0, "samples": 2001}
+        path = tmp_path / "gron.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gronwall", "-c", str(path), "-o", str(tmp_path)]) == 0
+        out = gronwall_bound(0.5, -1.0, 1.0, 2.0, np.linspace(0.0, 40.0, 2001))
+        rows = [["t", "bound", "w"]] + list(zip(out.times, out.values, out.w))
+        assert (tmp_path / "gronwall.csv").read_bytes() == oracle_lines(rows)
 
 
 class TestVerifyCommand:

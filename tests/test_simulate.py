@@ -977,6 +977,19 @@ class TestDecayVerdicts:
         assert not bracketed
         assert rows == [2]
 
+    @pytest.mark.parametrize("t_start", [3.9995, 4.0, 5.0])
+    def test_short_fit_window_rejected_before_any_run(
+        self, hinged_system, scalar_gain, monkeypatch, t_start
+    ):
+        # samples at 3.999 and 4.0: a window from t_start > 3.999 holds one or none
+        rows = self.counted_passes(monkeypatch)
+        with pytest.raises(ValueError, match=f"fit window start t = {t_start}"):
+            estimate_basin(
+                scalar_edge_config, hinged_system, scalar_gain, 0.2, 2.0, t_start=t_start,
+                level=SaturationLevel(1.0),
+            )
+        assert rows == []
+
     def test_search_holds_no_state_array(self, scalar_gain):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 32)
         ms = assemble_internal(
