@@ -28,7 +28,6 @@ from .modal import (
     actuator_norms_sq,
     assemble_boundary,
     assemble_internal,
-    project,
     suggest_actuators,
 )
 from .saturation import UNSATURATED, SaturationLevel, deadzone, sat, sector_holds
@@ -64,7 +63,6 @@ from .synthesis import (
     check_certificate,
     design_gain,
     diagnose_pair,
-    ellipsoid_contains,
     select_h2_constants,
 )
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -39,14 +40,14 @@ from .simulate import (
 )
 from .spectral import eigen_residual, unstable_count
 from .synthesis import (
-    Certificate,
-    Gain,
-    H2Constants,
     build_certificate,
+    certificate_document,
+    certificate_head,
     check_certificate,
     design_gain,
     diagnose_pair,
     kalman_matrix,
+    read_certificate,
     sample_ellipsoid,
     select_h2_constants,
 )
@@ -230,73 +231,37 @@ def cmd_modal(cfg, out_dir=None):
 # synth
 
 
-def _certificate_payload(cfg, ms, split, gain, cert, consts, report):
-    payload = {
-        "mode": ms.mode,
-        "n": ms.n,
-        "m": ms.m,
-        "J": cfg.J,
-        "eta": split.eta,
-        "ell": "inf" if math.isinf(cfg.ell) else cfg.ell,
-        "K": gain.K.tolist(),
-        "closed_loop_spectrum_real": gain.closed_loop_spectrum.real.tolist(),
-        "closed_loop_spectrum_imag": gain.closed_loop_spectrum.imag.tolist(),
-        "diagnostics": {
-            "rank": report.rank,
-            "dim": report.dim,
-            "controllable": report.controllable,
-            "stabilizable": report.stabilizable,
-            "vandermonde": report.vandermonde_value,
-            "pbh_failures_real": [f.real for f in report.pbh_failures],
-        },
-    }
-    if cert is None:
-        payload.update({"P": None, "D": None, "C": None, "alpha": None,
-                        "beta_min": None, "beta_max": None, "constants": None})
-        return payload
-    payload.update(
-        {
-            "P": cert.P.tolist(),
-            "D": cert.D.tolist(),
-            "C": cert.C.tolist(),
-            "alpha": cert.alpha,
-            "beta_min": cert.beta_min,
-            "beta_max": cert.beta_max,
-        }
-    )
-    payload["constants"] = None if consts is None else {
-        "M": consts.M,
-        "C1": consts.C1,
-        "C2": consts.C2,
-        "C3": consts.C3,
-        "C4": consts.C4,
-        "a": consts.a,
-    }
-    return payload
+def _system_head(cfg, ms, split):
+    """The `certificate_head` of the system the config describes."""
+    return certificate_head(ms.mode, ms.n, ms.m, cfg.J, split.eta, cfg.ell)
 
 
-def _synth_report_text(payload):
+def _design(cfg, es, ms):
+    """Gain, certificate and energy constants; no certificate when no mode is unstable."""
+    gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None)
+    if ms.dim == 0:
+        return gain, None, None
+    cert = build_certificate(ms, gain, cfg.level())
+    return gain, cert, select_h2_constants(cert, ms, gain, es)
+
+
+def _synth_report_text(head, report, gain, cert, consts):
     lines = [
-        f"mode: {payload['mode']}  (n = {payload['n']}, m = {payload['m']}, J = {payload['J']})",
-        f"tail gap eta = {payload['eta']:.6g}",
-        f"kalman rank {payload['diagnostics']['rank']} of {payload['diagnostics']['dim']}"
-        f" (controllable: {payload['diagnostics']['controllable']})",
+        f"mode: {head['mode']}  (n = {head['n']}, m = {head['m']}, J = {head['J']})",
+        f"tail gap eta = {head['eta']:.6g}",
+        f"kalman rank {report.rank} of {report.dim} (controllable: {report.controllable})",
     ]
-    if payload["alpha"] is None:
+    if cert is None:
         lines.append("no unstable modes: zero gain, no certificate needed")
     else:
-        lines.append(f"gain K = {payload['K']}")
+        lines.append(f"gain K = {gain.K.tolist()}")
         lines.append(
-            f"certificate: alpha = {payload['alpha']:.6g}, "
-            f"beta range [{payload['beta_min']:.6g}, {payload['beta_max']:.6g}]"
+            f"certificate: alpha = {cert.alpha:.6g}, "
+            f"beta range [{cert.beta_min:.6g}, {cert.beta_max:.6g}]"
         )
-        c = payload["constants"]
-        if c is not None:
-            lines.append(
-                f"energy constants: M = {c['M']:.6g}, C1 = {c['C1']:.6g}, "
-                f"C2 = {c['C2']:.6g}, C3 = {c['C3']:.6g}, C4 = {c['C4']:.6g}, "
-                f"a = {c['a']:.6g}"
-            )
+        if consts is not None:
+            values = (f"{f.name} = {getattr(consts, f.name):.6g}" for f in fields(consts))
+            lines.append("energy constants: " + ", ".join(values))
     return "\n".join(lines) + "\n"
 
 
@@ -304,24 +269,18 @@ def cmd_synth(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
     report = diagnose_pair(ms.A, ms.B)
-    gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None)
-    if ms.dim == 0:
-        cert = None
-        consts = None
-    else:
-        cert = build_certificate(ms, gain, cfg.level())
-        consts = select_h2_constants(cert, ms, gain, es)
-    payload = _certificate_payload(cfg, ms, split, gain, cert, consts, report)
+    gain, cert, consts = _design(cfg, es, ms)
+    head = _system_head(cfg, ms, split)
     path = _out_path(cfg, out_dir, "certificate.json")
-    _write_json(path, payload)
+    _write_json(path, certificate_document(head, gain, report, cert, consts))
     with open(_out_path(cfg, out_dir, "synth_report.txt"), "w") as handle:
-        handle.write(_synth_report_text(payload))
+        handle.write(_synth_report_text(head, report, gain, cert, consts))
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def load_certificate(path):
-    """Gain, certificate, and constants from a synth JSON file."""
+    """The JSON document of a synth file, and the gain, certificate and constants in it."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -330,32 +289,28 @@ def load_certificate(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"certificate {path} is not valid JSON: {exc}")
     try:
-        spectrum = np.array(doc["closed_loop_spectrum_real"], dtype=float) + 1j * np.array(
-            doc["closed_loop_spectrum_imag"], dtype=float
-        )
-        gain = Gain(K=np.array(doc["K"], dtype=float), closed_loop_spectrum=spectrum)
-        if doc.get("P") is None:
-            return doc, gain, None, None
-        ell = math.inf if doc["ell"] == "inf" else float(doc["ell"])
-        cert = Certificate(
-            P=np.array(doc["P"], dtype=float),
-            D=np.array(doc["D"], dtype=float),
-            C=np.array(doc["C"], dtype=float),
-            alpha=float(doc["alpha"]),
-            beta_min=float(doc["beta_min"]),
-            beta_max=float(doc["beta_max"]),
-            ell=ell,
-        )
-        consts = None
-        if doc.get("constants"):
-            c = doc["constants"]
-            consts = H2Constants(
-                M=float(c["M"]), C1=float(c["C1"]), C2=float(c["C2"]),
-                C3=float(c["C3"]), C4=float(c["C4"]), a=float(c["a"]),
-            )
-        return doc, gain, cert, consts
+        return (doc, *read_certificate(doc))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"certificate {path} is malformed: {exc}")
+
+
+def _matching_certificate(path, cfg, ms, split):
+    """`load_certificate`'s gain, certificate and constants, if built for the config.
+
+    Every head field but the derived tail gap eta must equal the config's;
+    otherwise exit 2, naming each field that differs and both its values.
+    """
+    doc, gain, cert, consts = load_certificate(path)
+    differ = [
+        f"{key}: file {doc.get(key)!r}, config {value!r}"
+        for key, value in _system_head(cfg, ms, split).items()
+        if key != "eta" and doc.get(key) != value
+    ]
+    if differ:
+        raise ConfigError(
+            f"certificate {path} was synthesized for a different system ({'; '.join(differ)})"
+        )
+    return gain, cert, consts
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +359,7 @@ def _fit_or_none(traj, channel, t_start):
 def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    doc, gain, cert, consts = load_certificate(certificate_path)
-    if doc["mode"] != ms.mode or doc["n"] != ms.n or doc["J"] != cfg.J:
-        raise ConfigError(
-            "certificate was synthesized for a different system "
-            f"(mode {doc['mode']}, n {doc['n']}, J {doc['J']})"
-        )
+    gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
     if basin:
         if not isinstance(cfg.initial[0], str):
             raise ConfigError("basin estimation needs a preset initial state")
@@ -517,8 +467,8 @@ class _Report:
             self.failures.append(name)
 
 
-def _verify_certificate_file(report, path, ms, gain):
-    doc, file_gain, cert, consts = load_certificate(path)
+def _verify_certificate_file(report, ms, gain, cert):
+    """Check the certificate `cert` read from a file against `ms` under the file's `gain`."""
     if cert is None:
         report.check("certificate.present", False, "file holds no certificate block")
         return
@@ -530,7 +480,7 @@ def _verify_certificate_file(report, path, ms, gain):
     report.check("certificate.D_diagonal_positive", bool(d_ok))
     if not (p_sym and np.all(p_eigs > 0.0) and d_ok):
         return
-    check = check_certificate(cert, ms, file_gain)
+    check = check_certificate(cert, ms, gain)
     report.check("certificate.M1_negative_definite", check.lambda_max_m1 < 0.0,
                  f"lambda_max = {check.lambda_max_m1:.3e}")
     report.check("certificate.M2_positive_semidefinite",
@@ -543,6 +493,9 @@ def cmd_verify(cfg, certificate_path=None):
     report = _Report()
 
     es = cfgmod.build_eigen(cfg)
+    ms, split = cfgmod.build_modal(cfg, es)
+    if certificate_path is not None:
+        file_gain, file_cert, _ = _matching_certificate(certificate_path, cfg, ms, split)
     ortho = _orthonormality_error(es)
     report.check("spectral.orthonormality", ortho <= 1e-10, f"worst {ortho:.2e}")
     residuals = [eigen_residual(es, j) for j in range(es.count)]
@@ -551,7 +504,6 @@ def cmd_verify(cfg, certificate_path=None):
         "spectral.values_sorted", bool(np.all(np.diff(es.values) <= 1e-12))
     )
 
-    ms, split = cfgmod.build_modal(cfg, es)
     if ms.mode == "internal":
         partial = np.sum(np.vstack([ms.B, ms.b_tail]) ** 2, axis=0)
         report.check(
@@ -589,14 +541,10 @@ def cmd_verify(cfg, certificate_path=None):
     lip = np.max(np.abs(sat(a, level) - sat(b, level)) - np.abs(a - b))
     report.check("saturation.lipschitz", lip <= 1e-14)
 
-    gain = None
-    cert = None
-    consts = None
+    gain = cert = consts = None
     if ms.dim > 0:
         try:
-            gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None)
-            cert = build_certificate(ms, gain, cfg.level())
-            consts = select_h2_constants(cert, ms, gain, es)
+            gain, cert, consts = _design(cfg, es, ms)
         except SatStabError as exc:
             report.check("synthesis.certificate", False, str(exc))
         if cert is not None:
@@ -620,10 +568,10 @@ def cmd_verify(cfg, certificate_path=None):
                     vdm_ok = False
             report.check("synthesis.vandermonde_product", vdm_ok)
 
-    if certificate_path is not None and gain is not None:
-        _verify_certificate_file(report, certificate_path, ms, gain)
+    if certificate_path is not None and ms.dim > 0:
+        _verify_certificate_file(report, ms, file_gain, file_cert)
 
-    if gain is not None and ms.mode == "internal" and cert is not None:
+    if cert is not None and ms.mode == "internal":
         sim = SimConfig(J=cfg.J, dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0))
         starts = np.zeros((10, cfg.J))
         starts[:, : ms.n] = sample_ellipsoid(cert, rng, 10)

@@ -1,8 +1,8 @@
 """Finite-dimensional truncation of the controlled dynamics.
 
 Assembles the unstable-subsystem matrices, the actuator coefficient table,
-the projection/split of modal states, and the boundary lifting used when the
-control enters through the wall slope with an integrator.
+and the boundary lifting used when the control enters through the wall
+slope with an integrator.
 """
 
 import math
@@ -244,14 +244,6 @@ def assemble_boundary(es, lifting, n, critical_tol=1e-8):
         a_tail=a_coeff[n:].copy(),
         lifting=lifting,
     )
-
-
-def project(state, n):
-    """Split modal coefficients into the leading n entries and the tail."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[0] < n:
-        raise ValueError(f"state of length {state.shape[0]} cannot hold {n} head modes")
-    return state[:n].copy(), state[n:].copy()
 
 
 def _multiplicity_groups(values, tol=1e-9):

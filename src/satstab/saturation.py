@@ -29,11 +29,8 @@ def sat(s, level):
 
 def deadzone(u, level):
     """sat(u) - u; zero exactly where the clamp is inactive."""
-    u_arr = np.asarray(u, dtype=float)
-    out = np.clip(u_arr, -level.ell, level.ell) - u_arr
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
+    out = sat(u, level) - u
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class SectorReport(NamedTuple):

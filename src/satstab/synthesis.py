@@ -4,11 +4,12 @@ The certificate follows a constructive feasibility path rather than an SDP
 solver: solve a Lyapunov equation for the closed loop, scale until the
 ellipsoid fits inside the clamp-free sector, then grow the deadzone weight
 until the block matrix is negative definite.  Every certificate is verified
-a posteriori by independent symmetric eigensolves.
+a posteriori by independent symmetric eigensolves.  The certificate file's
+JSON format is written and read here and nowhere else.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -312,11 +313,6 @@ def check_certificate(cert, ms, gain):
     )
 
 
-def ellipsoid_contains(cert, z):
-    z = np.asarray(z, dtype=float)
-    return bool(z @ cert.P @ z <= 1.0)
-
-
 def sample_ellipsoid(cert, rng, count, surface=False):
     """Uniform samples from the certified ellipsoid (or its boundary)."""
     d = cert.P.shape[0]
@@ -383,3 +379,69 @@ def _verify_h2_constants(consts, cert, ms, gain, sigma_tail, gain_energy):
     ]
     if not all(checks):
         raise CertificateFailure(f"constant selection failed its own checks: {checks}")
+
+
+# ---------------------------------------------------------------------------
+# the certificate file: one JSON document, written and read by field loops
+
+
+def _write(value):
+    """A value as the certificate file holds it: arrays as nested lists, inf as "inf"."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return "inf" if value == math.inf else value
+
+
+def _read(field, value):
+    if field.type is np.ndarray:
+        return np.array(value, dtype=float)
+    return math.inf if value == "inf" else float(value)
+
+
+def _read_record(cls, values):
+    return cls(**{f.name: _read(f, values[f.name]) for f in fields(cls)})
+
+
+def certificate_head(mode, n, m, J, eta, ell):
+    """The system a certificate is built for, as its file writes it."""
+    return {"mode": mode, "n": n, "m": m, "J": J, "eta": eta, "ell": _write(ell)}
+
+
+def certificate_document(head, gain, report, cert, consts):
+    """The certificate file's JSON document.
+
+    The `certificate_head`, the gain, the controllability diagnostics, each
+    `Certificate` field the head does not hold (null without a certificate),
+    and the `H2Constants` (null without them).
+    """
+    doc = dict(head)
+    doc["K"] = gain.K.tolist()
+    doc["closed_loop_spectrum_real"] = gain.closed_loop_spectrum.real.tolist()
+    doc["closed_loop_spectrum_imag"] = gain.closed_loop_spectrum.imag.tolist()
+    doc["diagnostics"] = dict(
+        rank=report.rank, dim=report.dim, controllable=report.controllable,
+        stabilizable=report.stabilizable, vandermonde=report.vandermonde_value,
+        pbh_failures_real=[f.real for f in report.pbh_failures],
+    )
+    for f in fields(Certificate):
+        if f.name not in head:
+            doc[f.name] = None if cert is None else _write(getattr(cert, f.name))
+    doc["constants"] = None if consts is None else {
+        f.name: _write(getattr(consts, f.name)) for f in fields(H2Constants)
+    }
+    return doc
+
+
+def read_certificate(doc):
+    """(gain, cert, consts) from a `certificate_document`; cert and consts may be None.
+
+    Raises KeyError, TypeError or ValueError on a malformed document.
+    """
+    spectrum = np.array(doc["closed_loop_spectrum_real"], dtype=float).astype(complex)
+    spectrum.imag = doc["closed_loop_spectrum_imag"]
+    gain = Gain(K=np.array(doc["K"], dtype=float), closed_loop_spectrum=spectrum)
+    if doc.get("P") is None:
+        return gain, None, None
+    cert = _read_record(Certificate, doc)
+    consts = _read_record(H2Constants, doc["constants"]) if doc.get("constants") else None
+    return gain, cert, consts

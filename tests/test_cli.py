@@ -445,6 +445,51 @@ class TestSimulateCommand:
         assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 2
 
 
+TWO_INPUTS = [{"kind": "indicator", "a": 0.3, "b": 1.4}, {"kind": "indicator", "a": 1.6, "b": 2.9}]
+ONE_INPUT = [{"kind": "indicator", "a": 0.3, "b": 2.8}]
+
+
+class TestMismatchedCertificate:
+    """A certificate synthesized for another system exits 2 before any run or suite."""
+
+    @pytest.mark.parametrize(
+        "command, synth, config, message",
+        [
+            ("verify", {"lambda": 6.0, "poles": None, "actuators": ONE_INPUT},
+             {"actuators": ONE_INPUT}, "n: file 2, config 1"),
+            ("simulate", {}, {"actuators": TWO_INPUTS, "poles": None}, "m: file 1, config 2"),
+            ("verify", {}, {"actuators": TWO_INPUTS, "poles": None}, "m: file 1, config 2"),
+            ("simulate", {"ell": 1.0}, {"ell": 0.01}, "ell: file 1.0, config 0.01"),
+            ("verify", {"ell": 1.0}, {"ell": 0.01}, "ell: file 1.0, config 0.01"),
+        ],
+        ids=["n-verify", "m-simulate", "m-verify", "ell-simulate", "ell-verify"],
+    )
+    def test_field_named(self, tmp_path, capsys, command, synth, config, message):
+        other = base_config(output={"directory": ".", "prefix": "other"}, **synth)
+        other_path = write_config(tmp_path, other, name="other.json")
+        assert main(["synth", "-c", other_path, "-o", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = write_config(tmp_path, base_config(**config))
+        cert = str(tmp_path / "other_certificate.json")
+        assert main([command, "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "matmul" not in err
+        assert out == ""  # no suite ran
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
+
+    def test_every_field_named(self, tmp_path, capsys):
+        other = base_config(J=6, ell="inf", output={"directory": ".", "prefix": "other"})
+        other_path = write_config(tmp_path, other, name="other.json")
+        assert main(["synth", "-c", other_path, "-o", str(tmp_path)]) == 0
+        path = write_config(tmp_path, base_config(J=8, ell=0.5))
+        cert = str(tmp_path / "other_certificate.json")
+        assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "J: file 6, config 8; ell: file 'inf', config 0.5" in err
+
+
 class TestBoundarySimulate:
     def test_boundary_round_trip(self, tmp_path):
         doc = base_config(
@@ -523,16 +568,21 @@ class TestTrajectoryCsv:
         expected = oracle_csv(cfg.J, ms, traj)
         assert (tmp_path / "exp_trajectory.csv").read_bytes() == expected
 
+    # row counts: literals, and "block" plus an offset for the writer's block
+    # size; the RNG is seeded from the name, so neither names nor data move
+    # with the block size
     @pytest.mark.parametrize(
-        "rows", [1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1, 511, 512, 513]
+        "size", ["1", "63", "64", "65", "511", "512", "513", "block-1", "block", "block+1"]
     )
     @pytest.mark.parametrize("boundary", [False, True])
-    def test_special_values_match_per_cell_oracle(self, tmp_path, rows, boundary):
+    def test_special_values_match_per_cell_oracle(self, tmp_path, size, boundary):
         specials = np.array([
             np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22,
             1.0, 2.0, -3.0, 1e15, 123456789012345678.0, 0.1, 1.0 / 3.0, 1e-7, 2.5e-300,
         ])
-        rng = np.random.default_rng(rows)
+        block = size.startswith("block")
+        rows = cli._CSV_CHUNK + int(size[5:] or 0) if block else int(size)
+        rng = np.random.default_rng(int.from_bytes(size.encode(), "big"))
         J, m = 3, 2
 
         def column(*shape, values=specials):

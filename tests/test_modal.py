@@ -12,7 +12,6 @@ from satstab.modal import (
     actuator_norms_sq,
     assemble_boundary,
     assemble_internal,
-    project,
     suggest_actuators,
 )
 from satstab.spectral import (
@@ -150,25 +149,6 @@ class TestBoundary:
     def test_requires_clamped(self, es_pi):
         with pytest.raises(ValueError):
             assemble_boundary(es_pi, Lifting(math.pi), 1)
-
-
-class TestProject:
-    def test_split(self):
-        z, tail = project(np.array([1.0, 2.0, 3.0]), 2)
-        np.testing.assert_array_equal(z, [1.0, 2.0])
-        np.testing.assert_array_equal(tail, [3.0])
-
-    def test_empty_head(self):
-        z, tail = project(np.array([1.0, 2.0]), 0)
-        assert z.size == 0
-        assert tail.size == 2
-
-    def test_parseval_split(self):
-        rng = np.random.default_rng(5)
-        state = rng.normal(size=9)
-        z, tail = project(state, 4)
-        assert np.sum(state**2) == pytest.approx(np.sum(z**2) + np.sum(tail**2))
-        np.testing.assert_array_equal(np.concatenate([z, tail]), state)
 
 
 class TestSuggestActuators:

@@ -1,21 +1,30 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satstab.errors import GapTooSmall, NotStabilizable
 from satstab.modal import Indicator, ModeCombination, actuator_coefficients, assemble_internal
 from satstab.saturation import UNSATURATED, SaturationLevel
+from satstab.simulate import quad_form
 from satstab.spectral import BoundaryCondition, OperatorParams, eigen_closed_form
 from satstab.synthesis import (
     Certificate,
+    ControllabilityReport,
     Gain,
+    H2Constants,
     build_certificate,
+    certificate_document,
+    certificate_head,
     check_certificate,
     design_gain,
     diagnose_pair,
-    ellipsoid_contains,
     kalman_matrix,
+    read_certificate,
     sample_ellipsoid,
     select_h2_constants,
 )
@@ -244,15 +253,15 @@ class TestEllipsoid:
             P=np.array([[9.0]]), D=np.array([[2.0]]), C=np.array([[0.0]]),
             alpha=1.0, beta_min=9.0, beta_max=9.0, ell=1.0,
         )
-        assert ellipsoid_contains(cert, [0.0])
+        assert quad_form(np.array([0.0]), cert.P) <= 1.0
 
     def test_boundary_and_outside(self):
         cert = Certificate(
             P=np.array([[9.0]]), D=np.array([[2.0]]), C=np.array([[0.0]]),
             alpha=1.0, beta_min=9.0, beta_max=9.0, ell=1.0,
         )
-        assert ellipsoid_contains(cert, [1.0 / 3.0])
-        assert not ellipsoid_contains(cert, [0.34])
+        assert quad_form(np.array([1.0 / 3.0]), cert.P) <= 1.0
+        assert not quad_form(np.array([0.34]), cert.P) <= 1.0
 
     def test_sector_inclusion_sampling(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
@@ -305,3 +314,83 @@ class TestH2Constants:
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         with pytest.raises(GapTooSmall):
             select_h2_constants(cert, ms, gain, es)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def floats(draw, *shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(FINITE, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def synth_records(draw):
+    """A certificate head, gain, certificate and constants as synth could write them."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(1, 3))
+    pairs = draw(st.integers(0, n // 2))  # complex-conjugate pairs; the rest is real
+    real = floats(draw, n - 2 * pairs)
+    re, im = floats(draw, pairs), floats(draw, pairs)
+    spectrum = np.concatenate([real, re, re]).astype(complex)
+    spectrum.imag[real.size :] = np.concatenate([im, -im])
+    gain = Gain(K=floats(draw, m, n), closed_loop_spectrum=spectrum)
+    ell = draw(st.floats(min_value=0.0, exclude_min=True) | st.just(math.inf))
+    cert = consts = None
+    if n and draw(st.booleans()):  # otherwise the null certificate
+        cert = Certificate(
+            P=floats(draw, n, n), D=floats(draw, m, m), C=floats(draw, m, n),
+            alpha=draw(FINITE), beta_min=draw(FINITE), beta_max=draw(FINITE), ell=ell,
+        )
+        consts = H2Constants(*floats(draw, 6).tolist())
+    head = certificate_head("internal", n, m, draw(st.integers(n + 1, 64)), draw(FINITE), ell)
+    return head, gain, cert, consts
+
+
+def bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+class TestCertificateFile:
+    """certificate_document -> JSON text -> read_certificate gives back the same bits."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(synth_records())
+    def test_round_trip_is_bit_exact(self, records):
+        head, gain, cert, consts = records
+        report = ControllabilityReport(gain.K.shape[1], gain.K.shape[1], True, True, None, ())
+        text = json.dumps(certificate_document(head, gain, report, cert, consts))
+        back_gain, back_cert, back_consts = read_certificate(json.loads(text))
+        assert bits(back_gain.K) == bits(gain.K)
+        assert bits(back_gain.closed_loop_spectrum) == bits(gain.closed_loop_spectrum)
+        assert (back_cert is None, back_consts is None) == (cert is None, consts is None)
+        for record, back in ((cert, back_cert), (consts, back_consts)):
+            for f in fields(record) if record is not None else ():
+                assert bits(getattr(back, f.name)) == bits(getattr(record, f.name)), f.name
+
+    def test_key_order(self):
+        ms = scalar_system()
+        gain = design_gain(ms, poles=[-2.0])
+        cert = build_certificate(ms, gain, SaturationLevel(1.0))
+        consts = select_h2_constants(cert, ms, gain, ms.es)
+        head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
+        report = diagnose_pair(ms.A, ms.B)
+        top = [
+            "mode", "n", "m", "J", "eta", "ell", "K", "closed_loop_spectrum_real",
+            "closed_loop_spectrum_imag", "diagnostics", "P", "D", "C", "alpha", "beta_min",
+            "beta_max", "constants",
+        ]
+        doc = certificate_document(head, gain, report, cert, consts)
+        assert list(doc) == top
+        assert list(doc["diagnostics"]) == [
+            "rank", "dim", "controllable", "stabilizable", "vandermonde", "pbh_failures_real",
+        ]
+        assert list(doc["constants"]) == ["M", "C1", "C2", "C3", "C4", "a"]
+        null = certificate_document(head, gain, report, None, None)
+        assert list(null) == top
+        assert {key: null[key] for key in top[:6]} == head
+        assert [null[key] for key in top[10:]] == [None] * 7
+
+    def test_unsaturated_level_written_as_inf(self):
+        assert certificate_head("internal", 1, 1, 8, 4.0, math.inf)["ell"] == "inf"
