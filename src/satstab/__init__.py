@@ -28,7 +28,6 @@ from .modal import (
     actuator_norms_sq,
     assemble_boundary,
     assemble_internal,
-    suggest_actuators,
 )
 from .saturation import UNSATURATED, SaturationLevel, deadzone, sat, sector_holds
 from .simulate import (
@@ -37,7 +36,6 @@ from .simulate import (
     estimate_basin,
     fit_decay_rate,
     gronwall_bound,
-    monitor_v2,
     run,
     run_batch,
     step_boundary_closed_loop,

@@ -581,8 +581,8 @@ def cmd_verify(cfg, certificate_path=None):
         dissipation_ok = True
         for traj in trajs:
             dv = np.diff(traj.v1) / sim.dt
-            znorm_sq = np.sum(traj.states[:-1, : ms.n] ** 2, axis=1)
-            if not np.all(dv <= -cert.alpha * znorm_sq + slack * znorm_sq + 1e-12):
+            z_sq = np.sum(traj.states[:-1, : ms.n] ** 2, axis=1)
+            if not np.all(dv <= -cert.alpha * z_sq + slack * z_sq + 1e-12):
                 dissipation_ok = False
         report.check("simulate.region_invariance", invariant_ok)
         report.check("simulate.v1_dissipation", dissipation_ok)

@@ -7,7 +7,6 @@ serialize -> parse is the identity.
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -257,20 +256,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    cfg = parse_config(doc)
-    seed_override = os.environ.get("SATSTAB_SEED")
-    if seed_override is not None:
-        try:
-            cfg = replace_seed(cfg, int(seed_override))
-        except ValueError:
-            raise ConfigError(f"SATSTAB_SEED must be an integer, got {seed_override!r}")
-    return cfg
-
-
-def replace_seed(cfg, seed):
-    import dataclasses
-
-    return dataclasses.replace(cfg, seed=seed)
+    return parse_config(doc)
 
 
 def serialize_config(cfg):

@@ -79,9 +79,6 @@ class Lifting:
     def d_norm_sq(self):
         return self.length**3 / 105.0
 
-    def a_norm_sq(self, lam):
-        return 4.0 * lam**2 / self.length
-
 
 @dataclass(frozen=True)
 class ModalSystem:
@@ -112,11 +109,11 @@ class ModalSystem:
         return self.B.shape[1]
 
 
-def _indicator_closed_form(es, shape, count):
+def _indicator_closed_form(es, shape):
     """Analytic window integrals of the closed-form trig modes."""
     L = es.params.length
-    out = np.empty(count)
-    for row in range(count):
+    out = np.empty(es.count)
+    for row in range(es.count):
         k = int(es.mode_index[row])
         if k == 0:
             out[row] = (shape.b - shape.a) / math.sqrt(L)
@@ -130,27 +127,23 @@ def _indicator_closed_form(es, shape, count):
     return out
 
 
-def _indicator_quadrature(es, shape, count):
+def _indicator_quadrature(es, shape):
     k_max = int(np.max(es.mode_index)) if len(es.mode_index) else 1
     width_fraction = (shape.b - shape.a) / es.params.length
     panels = max(4, int(math.ceil(1.5 * k_max * width_fraction)) + 2)
     rule = composite_gauss_legendre(shape.b - shape.a, panels)
     x = rule.nodes + shape.a
     return np.array(
-        [rule.weights @ es.modes[row](x) for row in range(count)]
+        [rule.weights @ mode(x) for mode in es.modes]
     )
 
 
-def actuator_coefficients(es, shapes, count=None):
-    """Coefficient table <b_k, e_j> for j < count, one column per channel.
+def actuator_coefficients(es, shapes):
+    """Coefficient table <b_k, e_j> over the retained modes, one column per channel.
 
     Hinged/Neumann indicator windows use the analytic integrals; everything
     else goes through quadrature.
     """
-    if count is None:
-        count = es.count
-    if count > es.count:
-        raise ValueError(f"requested {count} rows but only {es.count} modes computed")
     cols = []
     for shape in shapes:
         if isinstance(shape, Indicator):
@@ -159,19 +152,19 @@ def actuator_coefficients(es, shapes, count=None):
                     f"indicator window ends at {shape.b} beyond length {es.params.length}"
                 )
             if es.bc in (BoundaryCondition.HINGED, BoundaryCondition.NEUMANN_CH):
-                cols.append(_indicator_closed_form(es, shape, count))
+                cols.append(_indicator_closed_form(es, shape))
             else:
-                cols.append(_indicator_quadrature(es, shape, count))
+                cols.append(_indicator_quadrature(es, shape))
         elif isinstance(shape, ModeCombination):
-            c = np.zeros(count)
+            c = np.zeros(es.count)
             coeffs = np.asarray(shape.coefficients)
             if len(coeffs) > es.count:
                 raise ValueError("mode combination longer than the retained basis")
-            c[: min(count, len(coeffs))] = coeffs[:count]
+            c[: len(coeffs)] = coeffs
             cols.append(c)
         else:
             raise TypeError(f"unknown actuator shape {shape!r}")
-    return np.column_stack(cols) if cols else np.zeros((count, 0))
+    return np.column_stack(cols) if cols else np.zeros((es.count, 0))
 
 
 def actuator_norms_sq(es, shapes):
@@ -205,7 +198,7 @@ def assemble_internal(es, coeffs, n, shape_norms_sq=None):
     )
 
 
-def assemble_boundary(es, lifting, n, critical_tol=1e-8):
+def assemble_boundary(es, lifting, n):
     """Integrator-augmented system for wall-slope actuation.
 
     State z = (u, w_1..w_n): the first equation integrates the saturated
@@ -216,7 +209,7 @@ def assemble_boundary(es, lifting, n, critical_tol=1e-8):
     if es.bc != BoundaryCondition.CLAMPED:
         raise ValueError("boundary assembly requires the clamped family")
     lam, L = es.params.lam, es.params.length
-    if critical_set_member(lam, L, critical_tol):
+    if critical_set_member(lam, L, 1e-8):
         raise CriticalLength(
             f"lam L^2 / pi^2 = {lam * L**2 / math.pi**2:.12g} (lam = {lam}, L = {L}) lies in "
             "the critical set {k^2 + l^2 : k < l, same parity}; the boundary pair is not "
@@ -245,41 +238,3 @@ def assemble_boundary(es, lifting, n, critical_tol=1e-8):
         lifting=lifting,
     )
 
-
-def _multiplicity_groups(values, tol=1e-9):
-    groups = []
-    start = 0
-    for j in range(1, len(values) + 1):
-        if j == len(values) or abs(values[j] - values[start]) > tol * max(
-            1.0, abs(values[start])
-        ):
-            groups.append(list(range(start, j)))
-            start = j
-    return groups
-
-
-def suggest_actuators(es, shapes, n):
-    """Extra channels restoring controllability under repeated eigenvalues.
-
-    Returns one mode-combination shape per level of the largest eigenvalue
-    multiplicity among the unstable modes; the k-th suggestion excites the
-    (k+1)-th member of every multiplicity group, which completes the rank of
-    the controllability matrix.  Empty when the current shapes already pass.
-    """
-    coeffs = actuator_coefficients(es, shapes, n)
-    A = np.diag(es.values[:n])
-    if n == 0:
-        return []
-    kalman = np.hstack([np.linalg.matrix_power(A, i) @ coeffs for i in range(n)])
-    if np.linalg.matrix_rank(kalman) == n:
-        return []
-    groups = _multiplicity_groups(es.values[:n])
-    extra = max(len(g) for g in groups)
-    suggestions = []
-    for level in range(extra):
-        c = np.zeros(n)
-        for g in groups:
-            if level < len(g):
-                c[g[level]] = 1.0
-        suggestions.append(ModeCombination(c))
-    return suggestions

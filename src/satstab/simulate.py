@@ -22,7 +22,6 @@ from .spectral import quadrature_for_modes
 
 EXIT_HORIZON = "horizon"
 EXIT_BLOWUP = "blowup"
-EXIT_LEFT_REGION = "left_region"
 
 _PRESETS = ("first_mode", "smooth", "bump")
 _BLOCK = 64  # samples stepped between exit checks
@@ -90,8 +89,6 @@ class Trajectory:
         if name in ("l2", "h1", "h2", "v1", "v2"):
             return getattr(self, name)
         if self.mode == "internal":
-            if name == "z":
-                raise ValueError("use znorm(n) for the head-norm channel")
             raise ValueError(f"unknown channel {name!r}")
         if name == "u":
             return np.abs(self.states[:, 0])
@@ -100,10 +97,6 @@ class Trajectory:
         if name == "u_plus_w":
             return self.channel("u") + self.channel("w_l2")
         raise ValueError(f"unknown channel {name!r}")
-
-    def znorm(self, n):
-        head = self.states[:, : n + 1] if self.mode == "boundary" else self.states[:, :n]
-        return np.sqrt(np.sum(head**2, axis=1))
 
     @property
     def sat_duty(self):
@@ -294,19 +287,17 @@ def _v2(v1, modal, constants, sigma):
     return 0.5 * constants.M * v1 + (modal * modal) @ -sigma
 
 
-def run(config, ms, gain, cert=None, constants=None, level=None, stop_on_region_exit=False):
+def run(config, ms, gain, cert=None, constants=None, level=None):
     """Integrate the configured initial state: `run_batch` with a batch of one."""
     y0 = resolve_initial(config, ms.es, ms)
-    return run_batch(config, ms, gain, y0[None], cert, constants, level, stop_on_region_exit)[0]
+    return run_batch(config, ms, gain, y0[None], cert, constants, level)[0]
 
 
-def run_batch(
-    config, ms, gain, initials, cert=None, constants=None, level=None, stop_on_region_exit=False
-):
-    """Integrate each row of `initials` to the horizon, a blow-up, or a region exit.
+def run_batch(config, ms, gain, initials, cert=None, constants=None, level=None):
+    """Integrate each row of `initials` to the horizon or a blow-up.
 
     Rows hold J modal coefficients; boundary systems prepend the integrator at
-    rest.  `_blocks` steps them and applies the exit rules; this function
+    rest.  `_blocks` steps them and applies the blow-up rule; this function
     stores every block, and monitors come afterwards from the stored states:
     with a certificate v1 and the region-exit flag, with constants also v2;
     boundary l2 reports the reconstructed physical field.  `level` defaults
@@ -314,7 +305,6 @@ def run_batch(
     """
     rows = _initial_rows(config, ms, initials)
     plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
-    region_form = cert.P if stop_on_region_exit and cert is not None else None
     batch, dim = rows.shape
     samples = _sample_count(config)
     states = np.empty((batch, samples, dim))
@@ -322,7 +312,7 @@ def run_batch(
     exits = [EXIT_HORIZON] * batch
     peaks = np.empty((batch, samples)) if config.nonlinear else None  # max|N(y_k)| per step
 
-    for start, live, block, forcing, ends in _blocks(config, ms.es, plan, rows, region_form):
+    for start, live, block, forcing, ends in _blocks(config, ms.es, plan, rows):
         end = start + block.shape[1]
         states[live, start:end] = block
         if peaks is not None:
@@ -367,7 +357,7 @@ def _fit_window(config, t_start):
     return times, int(np.searchsorted(times, t_start))
 
 
-def _blocks(config, es, plan, rows, region_form=None):
+def _blocks(config, es, plan, rows):
     """Step `rows` to the horizon and yield them one block of samples at a time.
 
     Yields (start, live, block, forcing, ends): `block` holds samples start,
@@ -375,10 +365,9 @@ def _blocks(config, es, plan, rows, region_form=None):
     runs) holds the forcing of each step the block took, the first one out
     of sample max(start, 1) - 1.  After each block the blow-up norm is
     checked (a nonlinear sample over the threshold is dropped unless it is
-    the initial one, a linear sample is kept) and, with `region_form`, v1 =
-    z^T P z, which wins over a blow-up at the same sample.  A row ends at its
-    first crossing: `ends` maps it to its stored sample count and exit
-    reason, and it is not stepped again.  The samples a row holds past its
+    the initial one, a linear sample is kept).  A row ends at its first
+    crossing: `ends` maps it to its stored sample count and exit reason, and
+    it is not stepped again.  The samples a row holds past its
     crossing are to be discarded; they may overflow.
     """
     nonlinear = config.nonlinear
@@ -402,21 +391,12 @@ def _blocks(config, es, plan, rows, region_form=None):
                 y = plan.step(y, f)
                 block[:, k - start] = y
             over = quad_form(block, plan.norm_form) > limit
-            hit = over
-            if region_form is not None:
-                region = quad_form(block[..., : plan.head], region_form) > 1.0 + 1e-9
-                hit = over | region
-        done = hit.any(axis=1)
+        done = over.any(axis=1)
         ends = {}
         for i in np.flatnonzero(done):
-            j = int(np.argmax(hit[i]))  # the row's first crossing
-            k = start + j
-            if nonlinear and k and over[i, j]:  # the crossing step is not stored
-                ends[int(live[i])] = (k, EXIT_BLOWUP)
-            elif region_form is not None and region[i, j]:
-                ends[int(live[i])] = (k + 1, EXIT_LEFT_REGION)
-            else:
-                ends[int(live[i])] = (k + 1, EXIT_BLOWUP)
+            k = start + int(np.argmax(over[i]))  # the row's first crossing
+            # a nonlinear crossing step is not stored
+            ends[int(live[i])] = (k if nonlinear and k else k + 1, EXIT_BLOWUP)
         yield start, live, block, forcing, ends
         live, y = live[~done], y[~done]
         start = end
@@ -495,23 +475,6 @@ def _fit_decay(t, v, channel):
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(rate=-float(slope), prefactor=float(np.exp(intercept)), r_squared=r2)
-
-
-class V2Reading(NamedTuple):
-    value: float
-    sandwich_lower: float
-
-
-def monitor_v2(state, cert, constants, es):
-    """Frequency-weighted energy and its sandwich lower bound at one state."""
-    state = np.asarray(state, dtype=float)
-    n = cert.P.shape[0]
-    z = state[:n]
-    value = float(_v2(quad_form(z, cert.P), state, constants, es.values))
-    lower = 0.5 * constants.C1 * float(z @ z) + (
-        constants.C1 / (2.0 * constants.C2)
-    ) * float(quad_form(state, es.gram_d2))
-    return V2Reading(value=value, sandwich_lower=lower)
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,12 @@ def _ackermann(A, B, poles):
     return -k[None, :]
 
 
-def design_gain(ms, poles=None, weights=None):
+def design_gain(ms, poles=None):
     """Stabilizing gain for the truncated pair.
 
     Single-input controllable pairs are placed at `poles` (default: the tail
     gap times 1..dim); everything else goes through a Riccati synthesis with
-    the given state/input weights (default identity).  Raises
+    identity state and input weights.  Raises
     `NotStabilizable` when an unstable eigenvalue fails the rank test or
     when the pole-placement or Riccati solver fails.
     """
@@ -164,7 +164,7 @@ def design_gain(ms, poles=None, weights=None):
         bad = ", ".join(f"{f.real:.4g}" for f in report.pbh_failures if f.real >= 0)
         raise NotStabilizable(f"unstable eigenvalues fail the rank test: {bad}")
 
-    if poles is None and weights is None and B.shape[1] == 1 and report.controllable:
+    if poles is None and B.shape[1] == 1 and report.controllable:
         eta = unstable_count(ms.es).eta
         poles = [-eta * (i + 1) for i in range(d)]
 
@@ -183,18 +183,13 @@ def design_gain(ms, poles=None, weights=None):
             except ValueError as exc:  # np.linalg.LinAlgError included
                 raise NotStabilizable(f"pole placement (place_poles) failed: {exc}") from exc
     else:
-        if weights is None:
-            Q = np.eye(d)
-            R = np.eye(B.shape[1])
-        else:
-            Q, R = weights
         from scipy.linalg import solve_continuous_are  # see build_certificate
 
         try:
-            X = solve_continuous_are(A, B, Q, R)
+            X = solve_continuous_are(A, B, np.eye(d), np.eye(B.shape[1]))
         except ValueError as exc:  # np.linalg.LinAlgError included
             raise NotStabilizable(f"Riccati solve (solve_continuous_are) failed: {exc}") from exc
-        K = -np.linalg.solve(R, B.T @ X)
+        K = -B.T @ X
 
     spectrum = np.linalg.eigvals(A + B @ K)
     gain = Gain(K=K, closed_loop_spectrum=spectrum)

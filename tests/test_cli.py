@@ -67,12 +67,6 @@ class TestConfig:
         path = write_config(tmp_path, base_config(**{"lambda": -1.0}))
         assert main(["spectrum", "-c", path, "-o", str(tmp_path)]) == 2
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, base_config())
-        monkeypatch.setenv("SATSTAB_SEED", "777")
-        cfg = load_config(path)
-        assert cfg.seed == 777
-
     def test_ell_inf_parse(self, tmp_path):
         path = write_config(tmp_path, base_config(ell="inf"))
         cfg = load_config(path)

@@ -12,7 +12,6 @@ from satstab.modal import (
     actuator_norms_sq,
     assemble_boundary,
     assemble_internal,
-    suggest_actuators,
 )
 from satstab.spectral import (
     BoundaryCondition,
@@ -33,13 +32,13 @@ def es_pi():
 
 class TestCoefficients:
     def test_full_window_first_mode(self, es_pi):
-        b = actuator_coefficients(es_pi, [Indicator(0.0, math.pi)], 1)
+        b = actuator_coefficients(es_pi, [Indicator(0.0, math.pi)])[:1]
         assert b[0, 0] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-13)
 
     def test_antisymmetric_window_kills_even_modes(self):
         L = 2.0
         es = eigen_closed_form(OperatorParams(1.0, L), HINGED, 8)
-        b = actuator_coefficients(es, [Indicator(L / 4, 3 * L / 4)], 8)
+        b = actuator_coefficients(es, [Indicator(L / 4, 3 * L / 4)])
         for row in range(8):
             if es.mode_index[row] % 2 == 0:
                 assert abs(b[row, 0]) < 1e-12
@@ -50,14 +49,14 @@ class TestCoefficients:
 
     def test_window_inside_domain(self, es_pi):
         with pytest.raises(ValueError):
-            actuator_coefficients(es_pi, [Indicator(0.0, 10.0)], 2)
+            actuator_coefficients(es_pi, [Indicator(0.0, 10.0)])
 
     def test_closed_form_matches_quadrature(self, es_pi):
         from satstab.modal import _indicator_quadrature
 
         shape = Indicator(0.4, 2.2)
-        closed = actuator_coefficients(es_pi, [shape], 10)[:, 0]
-        quad = _indicator_quadrature(es_pi, shape, 10)
+        closed = actuator_coefficients(es_pi, [shape])[:10, 0]
+        quad = _indicator_quadrature(es_pi, shape)[:10]
         np.testing.assert_allclose(closed, quad, atol=1e-10)
 
     def test_neumann_closed_form_matches_quadrature(self):
@@ -65,17 +64,17 @@ class TestCoefficients:
 
         es = eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 8)
         shape = Indicator(0.1, 1.9)
-        closed = actuator_coefficients(es, [shape], 8)[:, 0]
-        quad = _indicator_quadrature(es, shape, 8)
+        closed = actuator_coefficients(es, [shape])[:, 0]
+        quad = _indicator_quadrature(es, shape)
         np.testing.assert_allclose(closed, quad, atol=1e-10)
 
     def test_mode_combination_passthrough(self, es_pi):
-        b = actuator_coefficients(es_pi, [ModeCombination([0.0, 1.5, -0.5])], 5)
+        b = actuator_coefficients(es_pi, [ModeCombination([0.0, 1.5, -0.5])])[:5]
         np.testing.assert_allclose(b[:, 0], [0.0, 1.5, -0.5, 0.0, 0.0])
 
     def test_bessel_inequality(self, es_pi):
         shapes = [Indicator(0.3, 1.1), ModeCombination([1.0, 2.0])]
-        coeffs = actuator_coefficients(es_pi, shapes, 12)
+        coeffs = actuator_coefficients(es_pi, shapes)
         norms = actuator_norms_sq(es_pi, shapes)
         partial = np.sum(coeffs**2, axis=0)
         assert np.all(partial <= norms + 1e-12)
@@ -120,9 +119,6 @@ class TestBoundary:
         lift = Lifting(2.0)
         x = np.linspace(0, 2, 20001)
         assert lift.d_norm_sq() == pytest.approx(np.trapezoid(lift.d(x) ** 2, x), rel=1e-6)
-        assert lift.a_norm_sq(1.5) == pytest.approx(
-            np.trapezoid(lift.a(x, 1.5) ** 2, x), rel=1e-6
-        )
 
     def test_critical_length_rejected(self):
         es = eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 4)
@@ -150,22 +146,3 @@ class TestBoundary:
         with pytest.raises(ValueError):
             assemble_boundary(es_pi, Lifting(math.pi), 1)
 
-
-class TestSuggestActuators:
-    def test_repeated_eigenvalue_fixed(self):
-        # lam = 5, L = pi: sigma_1 = sigma_2 = 4, double eigenvalue
-        es = eigen_closed_form(OperatorParams(5.0, math.pi), HINGED, 6)
-        assert es.values[0] == pytest.approx(es.values[1])
-        n = unstable_count(es).n
-        assert n == 2
-        shapes = [Indicator(0.0, math.pi)]
-        extra = suggest_actuators(es, shapes, n)
-        assert len(extra) == 2
-        coeffs = actuator_coefficients(es, shapes + extra, n)
-        A = np.diag(es.values[:n])
-        kalman = np.hstack([np.linalg.matrix_power(A, i) @ coeffs for i in range(n)])
-        assert np.linalg.matrix_rank(kalman) == n
-
-    def test_controllable_needs_nothing(self, es_pi):
-        n = unstable_count(es_pi).n
-        assert suggest_actuators(es_pi, [Indicator(0.0, math.pi)], n) == []

@@ -20,13 +20,11 @@ from satstab.saturation import UNSATURATED, SaturationLevel
 from satstab.simulate import (
     EXIT_BLOWUP,
     EXIT_HORIZON,
-    EXIT_LEFT_REGION,
     SimConfig,
     Trajectory,
     _decay_verdicts,
     _monitored,
     fit_decay_rate,
-    monitor_v2,
     nonlinear_forcing,
     quad_form,
     resolve_initial,
@@ -278,11 +276,11 @@ class TestRun:
         # run with a much tighter clamp than certified: growth escapes the set
         edge = 0.98 / math.sqrt(cert.P[0, 0])
         config = SimConfig(J=12, dt=1e-3, T=10.0, initial=(edge,) + (0.0,) * 11)
-        traj = run(
-            config, ms, gain, cert, level=SaturationLevel(1e-4), stop_on_region_exit=True
-        )
-        assert traj.exit_reason == EXIT_LEFT_REGION
+        traj = run(config, ms, gain, cert, level=SaturationLevel(1e-4))
+        # leaving the region is flagged afterwards; it does not end the run
         assert traj.left_region
+        assert traj.v1[0] < 1.0 < traj.v1[-1]
+        assert (traj.exit_reason, traj.times.size) == (EXIT_HORIZON, 10001)
 
     def test_unsaturated_equivalence(self, hinged_system):
         ms = hinged_system
@@ -331,7 +329,7 @@ class TestRun:
         traj = run(config, ms_full, gain)
 
         state = np.array([0.2])
-        coeffs_head = actuator_coefficients(es, [ModeCombination([1.0])], 1)
+        coeffs_head = actuator_coefficients(es, [ModeCombination([1.0])])[:1]
         sigma = es.values[:1]
         for k in range(1, traj.times.size):
             u = float((gain.K @ state)[0])
@@ -449,15 +447,12 @@ class TestBatch:
         assert edge == 0.5 * (low + high)
 
 
-def per_step_reference(
-    config, ms, gain, initials, cert=None, constants=None, level=None, stop_on_region_exit=False
-):
-    """Oracle for `run_batch`: one row at a time, every exit check after every step.
+def per_step_reference(config, ms, gain, initials, cert=None, constants=None, level=None):
+    """Oracle for `run_batch`: one row at a time, the blow-up check after every step.
 
     A nonlinear sample over the blow-up threshold is dropped unless it is the
-    initial one, a linear or boundary sample is kept, and a region exit wins
-    over a blow-up at the same sample.  Monitors come from the same
-    `_monitored` as in `run_batch`, so only the loop is compared.
+    initial one, and a linear or boundary sample is kept.  Monitors come from
+    the same `_monitored` as in `run_batch`, so only the loop is compared.
     """
     nonlinear = config.delta != 0.0 or config.nu != 0.0
     initials = np.atleast_2d(np.asarray(initials, dtype=float))
@@ -465,7 +460,6 @@ def per_step_reference(
         initials = np.hstack([np.zeros((initials.shape[0], 1)), initials])
     plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
     limit = config.blowup_threshold**2
-    check_region = stop_on_region_exit and cert is not None
     samples = int(round(config.T / config.dt)) + 1
     out = []
     for row in initials:
@@ -477,9 +471,8 @@ def per_step_reference(
                 reason = EXIT_BLOWUP
                 break
             stored.append(y[0])
-            region = check_region and quad_form(y[:, : plan.head], cert.P)[0] > 1.0 + 1e-9
-            if region or over:
-                reason = EXIT_LEFT_REGION if region else EXIT_BLOWUP
+            if over:
+                reason = EXIT_BLOWUP
                 break
             if k == samples - 1:
                 break
@@ -622,7 +615,7 @@ class TestBlockExits:
         gain = Gain(K=np.zeros((1, 2)), closed_loop_spectrum=np.array([-1.0, -2.0]))
         form = np.eye(6) + es.gram_d1 + es.gram_d2
         starts = np.zeros((2, 6))
-        starts[0, 0] = 1e-3  # leaves the region
+        starts[0, 0] = 1e-3  # leaves the region, then blows up
         starts[1, 1] = 1.0  # blows up
         free = SimConfig(J=6, dt=2e-3, T=0.5, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, starts)
@@ -638,8 +631,8 @@ class TestBlockExits:
 
     def test_region_exit_and_blowup_in_one_block(self, two_modes):
         ms, gain, form, starts, free, probe = two_modes
-        # all in the block of samples 64..127: row 0 leaves the region at a
-        # and would blow up at a + 10, row 1 blows up at b
+        # all in the block of samples 64..127: row 0 leaves the region at a,
+        # which only sets its flag, and blows up at a + 10; row 1 blows up at b
         a, b = 100, 70
         y1 = probe[0].states[:, 0]
         cert = self.region(1.0 / (y1[a - 1] * y1[a]))
@@ -649,9 +642,11 @@ class TestBlockExits:
         q1 = quad_form(probe[1].states, form)
         starts = starts.copy()
         starts[1] *= threshold / (q1[b - 1] * q1[b]) ** 0.25
-        trajs = self.check(config, ms, gain, starts, cert=cert, stop_on_region_exit=True)
-        assert [t.exit_reason for t in trajs] == [EXIT_LEFT_REGION, EXIT_BLOWUP]
-        assert [t.times.size for t in trajs] == [a + 1, b + 1]
+        trajs = self.check(config, ms, gain, starts, cert=cert)
+        assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP, EXIT_BLOWUP]
+        assert [t.times.size for t in trajs] == [a + 11, b + 1]
+        assert [t.left_region for t in trajs] == [True, False]
+        assert np.flatnonzero(trajs[0].v1 > 1.0 + 1e-9)[0] == a
 
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_region_exit_and_blowup_at_one_sample(self, two_modes, nonlinear):
@@ -662,11 +657,14 @@ class TestBlockExits:
         config = replace(free, blowup_threshold=crossing_threshold(probe[0], form, a))
         if nonlinear:  # forcing ~1e-9 of the drive: same crossing sample, now dropped
             config = replace(config, nu=1e-6)
-        (traj,) = self.check(config, ms, gain, starts[:1], cert=cert, stop_on_region_exit=True)
+        (traj,) = self.check(config, ms, gain, starts[:1], cert=cert)
+        # the region flag reads the stored samples only: a dropped one never sets it
         if nonlinear:
-            assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, a)
+            assert (traj.exit_reason, traj.times.size, traj.left_region) == (EXIT_BLOWUP, a, False)
         else:
-            assert (traj.exit_reason, traj.times.size) == (EXIT_LEFT_REGION, a + 1)
+            assert (traj.exit_reason, traj.times.size, traj.left_region) == (
+                EXIT_BLOWUP, a + 1, True
+            )
 
     def test_boundary_batch(self, boundary_ms):
         ms = boundary_ms
@@ -746,15 +744,23 @@ class TestDiscardedOverflow:
         assert not np.all(np.isfinite(y))
 
 
+def v2_and_sandwich_lower(state, cert, consts, es):
+    """v2 at one state as `run_batch` computes it, and its sandwich lower bound."""
+    z = state[: cert.P.shape[0]]
+    v2 = float(simulate._v2(quad_form(z, cert.P), state, consts, es.values))
+    lower = 0.5 * consts.C1 * float(z @ z) + consts.C1 / (2.0 * consts.C2) * float(
+        quad_form(state, es.gram_d2)
+    )
+    return v2, lower
+
+
 class TestMonitors:
     def test_v2_zero_state(self, hinged_system):
         ms = hinged_system
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         consts = select_h2_constants(cert, ms, gain, ms.es)
-        reading = monitor_v2(np.zeros(12), cert, consts, ms.es)
-        assert reading.value == 0.0
-        assert reading.sandwich_lower == 0.0
+        assert v2_and_sandwich_lower(np.zeros(12), cert, consts, ms.es) == (0.0, 0.0)
 
     def test_v2_single_stable_mode(self, hinged_system):
         ms = hinged_system
@@ -763,8 +769,8 @@ class TestMonitors:
         consts = select_h2_constants(cert, ms, gain, ms.es)
         state = np.zeros(12)
         state[1] = 1.0  # sigma = -8, z = 0
-        reading = monitor_v2(state, cert, consts, ms.es)
-        assert reading.value == pytest.approx(8.0)
+        v2, _ = v2_and_sandwich_lower(state, cert, consts, ms.es)
+        assert v2 == pytest.approx(8.0)
 
     def test_sandwich_on_random_states(self, hinged_system):
         ms = hinged_system
@@ -775,10 +781,10 @@ class TestMonitors:
         rng = np.random.default_rng(31)
         for _ in range(1000):
             state = rng.normal(size=12) * rng.uniform(0.01, 2.0)
-            reading = monitor_v2(state, cert, consts, es)
-            assert reading.value >= reading.sandwich_lower * (1.0 - 1e-12) - 1e-12
+            v2, lower = v2_and_sandwich_lower(state, cert, consts, es)
+            assert v2 >= lower * (1.0 - 1e-12) - 1e-12
             h2_full = quad_form(state, np.eye(12) + es.gram_d1 + es.gram_d2)
-            assert reading.value <= consts.C4 * h2_full * (1.0 + 1e-12)
+            assert v2 <= consts.C4 * h2_full * (1.0 + 1e-12)
 
     def test_tail_duhamel_bound(self, hinged_system):
         ms = hinged_system
@@ -791,7 +797,7 @@ class TestMonitors:
         config = SimConfig(J=12, dt=2e-4, T=2.0, initial=tuple(y0.tolist()))
         traj = run(config, ms, gain, cert, level=SaturationLevel(1.0))
         fit = fit_decay_rate(traj, "l2", t_start=0.5)
-        zfit = traj.znorm(1)
+        zfit = np.sqrt(np.sum(traj.states[:, : ms.n] ** 2, axis=1))
         a_hat = fit_decay_rate_from(traj.times, zfit)
         z_envelope = float(np.max(zfit * np.exp(a_hat * traj.times)))
         norm_k = float(np.abs(gain.K).max())
@@ -958,9 +964,9 @@ class TestDecayVerdicts:
         rows = []
         blocks = simulate._blocks
 
-        def counting(config, es, plan, initial_rows, region_form=None):
+        def counting(config, es, plan, initial_rows):
             rows.append(initial_rows.shape[0])
-            return blocks(config, es, plan, initial_rows, region_form)
+            return blocks(config, es, plan, initial_rows)
 
         monkeypatch.setattr(simulate, "_blocks", counting)
         return rows
