@@ -42,6 +42,7 @@ from .spectral import eigen_residual, unstable_count
 from .synthesis import (
     build_certificate,
     certificate_document,
+    certificate_fields_held,
     certificate_head,
     check_certificate,
     design_gain,
@@ -295,7 +296,7 @@ def load_certificate(path):
 
 
 def _matching_certificate(path, cfg, ms, split):
-    """`load_certificate`'s gain, certificate and constants, if built for the config.
+    """`load_certificate`'s document, gain, certificate and constants, if built for the config.
 
     Every head field but the derived tail gap eta must equal the config's;
     otherwise exit 2, naming each field that differs and both its values.
@@ -310,7 +311,7 @@ def _matching_certificate(path, cfg, ms, split):
         raise ConfigError(
             f"certificate {path} was synthesized for a different system ({'; '.join(differ)})"
         )
-    return gain, cert, consts
+    return doc, gain, cert, consts
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,7 @@ def _fit_or_none(traj, channel, t_start):
 def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
+    _, gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
     if basin:
         if not isinstance(cfg.initial[0], str):
             raise ConfigError("basin estimation needs a preset initial state")
@@ -467,8 +468,18 @@ class _Report:
             self.failures.append(name)
 
 
-def _verify_certificate_file(report, ms, gain, cert):
-    """Check the certificate `cert` read from a file against `ms` under the file's `gain`."""
+def _verify_certificate_file(report, ms, doc, gain, cert):
+    """Check the certificate `cert` read from a file against `ms` under the file's `gain`.
+
+    With no unstable mode there is nothing to certify: the file must hold no
+    certificate block and a gain without columns.
+    """
+    if ms.dim == 0:
+        columns = gain.K.shape[1]
+        held = certificate_fields_held(doc) + ([f"a {columns}-column gain"] if columns else [])
+        report.check("certificate.absent", not held,
+                     "no mode is unstable, yet the file holds " + ", ".join(held))
+        return
     if cert is None:
         report.check("certificate.present", False, "file holds no certificate block")
         return
@@ -495,7 +506,9 @@ def cmd_verify(cfg, certificate_path=None):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
     if certificate_path is not None:
-        file_gain, file_cert, _ = _matching_certificate(certificate_path, cfg, ms, split)
+        file_doc, file_gain, file_cert, _ = _matching_certificate(
+            certificate_path, cfg, ms, split
+        )
     ortho = _orthonormality_error(es)
     report.check("spectral.orthonormality", ortho <= 1e-10, f"worst {ortho:.2e}")
     residuals = [eigen_residual(es, j) for j in range(es.count)]
@@ -568,8 +581,8 @@ def cmd_verify(cfg, certificate_path=None):
                     vdm_ok = False
             report.check("synthesis.vandermonde_product", vdm_ok)
 
-    if certificate_path is not None and ms.dim > 0:
-        _verify_certificate_file(report, ms, file_gain, file_cert)
+    if certificate_path is not None:
+        _verify_certificate_file(report, ms, file_doc, file_gain, file_cert)
 
     if cert is not None and ms.mode == "internal":
         sim = SimConfig(J=cfg.J, dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0))

@@ -194,7 +194,11 @@ def design_gain(ms, poles=None):
     spectrum = np.linalg.eigvals(A + B @ K)
     gain = Gain(K=K, closed_loop_spectrum=spectrum)
     if not gain.hurwitz:
-        raise NotStabilizable("designed gain failed to produce a Hurwitz closed loop")
+        method = "Riccati" if poles is None else "pole placement"
+        raise NotStabilizable(
+            f"designed gain ({method}) failed to produce a Hurwitz closed loop: "
+            f"largest closed-loop real part {np.max(spectrum.real):.6g}"
+        )
     return gain
 
 
@@ -252,9 +256,11 @@ def build_certificate(ms, gain, level):
     d_val = max(d0, 1e-9)
     C = np.zeros((m, d))
     alpha = None
+    lowest = math.inf  # the smallest lambda_max(M1) reached
     for _ in range(200):
         D = d_val * np.eye(m)
         lam_max = float(np.max(np.linalg.eigvalsh(_m1(A, B, K, P, D, C))))
+        lowest = min(lowest, lam_max)
         if lam_max < 0.0:
             if alpha is not None and lam_max > -alpha * 1.05:
                 break  # no further improvement worth another doubling
@@ -263,7 +269,10 @@ def build_certificate(ms, gain, level):
             continue
         d_val *= 2.0
     if alpha is None:
-        raise CertificateFailure("deadzone weight search exhausted its iterations")
+        raise CertificateFailure(
+            f"deadzone weight search exhausted its iterations: last weight tried "
+            f"{d_val / 2.0:.3e}, smallest lambda_max(M1) reached {lowest:.3e} (needs < 0)"
+        )
     d_val /= 2.0  # the accepted weight
 
     D = d_val * np.eye(m)
@@ -427,16 +436,45 @@ def certificate_document(head, gain, report, cert, consts):
     return doc
 
 
+def certificate_fields_held(doc):
+    """The fields of the certificate block that `doc` holds, i.e. does not leave null.
+
+    The block is each `Certificate` field outside the head (which holds ell)
+    and `constants`; a file without a certificate holds none of them.
+    """
+    names = [f.name for f in fields(Certificate) if f.name != "ell"] + ["constants"]
+    return [name for name in names if doc.get(name) is not None]
+
+
+def _shaped(name, array, shape):
+    """`array`, after checking that it has the `shape` the certificate head gives it."""
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, the head asks for {shape}")
+    return array
+
+
 def read_certificate(doc):
     """(gain, cert, consts) from a `certificate_document`; cert and consts may be None.
 
+    Each array must have the shape the head gives it.  With h = n (n + 1 for
+    mode "boundary"): K and C are (m, h), each spectrum part has h entries,
+    P is (h, h) and D is (m, m); `constants` is present exactly when P is.
     Raises KeyError, TypeError or ValueError on a malformed document.
     """
-    spectrum = np.array(doc["closed_loop_spectrum_real"], dtype=float).astype(complex)
-    spectrum.imag = doc["closed_loop_spectrum_imag"]
-    gain = Gain(K=np.array(doc["K"], dtype=float), closed_loop_spectrum=spectrum)
+    h = doc["n"] + (doc["mode"] == "boundary")
+    m = doc["m"]
+
+    def read(name, shape):
+        return _shaped(name, np.array(doc[name], dtype=float), shape)
+
+    spectrum = read("closed_loop_spectrum_real", (h,)).astype(complex)
+    spectrum.imag = read("closed_loop_spectrum_imag", (h,))
+    gain = Gain(K=read("K", (m, h)), closed_loop_spectrum=spectrum)
+    if (doc.get("P") is None) != (doc.get("constants") is None):
+        raise ValueError("constants must be present exactly when P is")
     if doc.get("P") is None:
         return gain, None, None
     cert = _read_record(Certificate, doc)
-    consts = _read_record(H2Constants, doc["constants"]) if doc.get("constants") else None
-    return gain, cert, consts
+    for name, shape in (("P", (h, h)), ("D", (m, m)), ("C", (m, h))):
+        _shaped(name, getattr(cert, name), shape)
+    return gain, cert, _read_record(H2Constants, doc["constants"])

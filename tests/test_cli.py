@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -293,6 +294,33 @@ class TestSynthCommand:
         assert "Riccati solve (solve_continuous_are) failed" in err
         assert "Failed to find a finite solution" in err
 
+    @pytest.mark.parametrize(
+        "bc, window, code, pattern",
+        [
+            ("hinged", (0.1, 1.3), 3, r"smallest lambda_max\(M1\) reached (\S+) "),
+            ("hinged", (0.3, 0.9), 3, r"smallest lambda_max\(M1\) reached (\S+) "),
+            ("neumann_ch", (0.1, 1.3), 4, r"\(Riccati\) .* largest closed-loop real part (\S+)$"),
+        ],
+        ids=["hinged-wide", "hinged-narrow", "neumann"],
+    )
+    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window, code, pattern):
+        # lam = 150: unstable sigma up to about 5e3 for one indicator
+        doc = base_config(
+            bc=bc,
+            **{"lambda": 150.0},
+            length=2.0,
+            actuators=[{"kind": "indicator", "a": window[0], "b": window[1]}],
+            poles=None,
+            J=12,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
+        err = capsys.readouterr().err.strip()
+        margin = float(re.search(pattern, err).group(1))
+        assert margin > 0.0  # the failed inequality asks for a negative value
+        if code == 3:
+            assert float(re.search(r"last weight tried (\S+),", err).group(1)) > 0.0
+
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
             bc="clamped",
@@ -482,6 +510,47 @@ class TestMismatchedCertificate:
         assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "J: file 6, config 8; ell: file 'inf', config 0.5" in err
+
+
+class TestCertificateShapes:
+    """A certificate array whose shape disagrees with the file's head exits 2 up front."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("K", [[1.0, 2.0]], "K has shape (1, 2), the head asks for (1, 1)"),
+            ("P", [[1.0, 0.0], [0.0, 1.0]], "P has shape (2, 2), the head asks for (1, 1)"),
+        ],
+        ids=["K", "P"],
+    )
+    def test_edited_array_rejected(self, tmp_path, capsys, command, field, value, message):
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cert = tmp_path / "exp_certificate.json"
+        doc = json.loads(cert.read_text())
+        doc[field] = value
+        cert.write_text(json.dumps(doc))
+        assert main([command, "-c", path, "--certificate", str(cert), "-o", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "matmul" not in err
+        assert out == ""  # no suite ran
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+
+    def test_boundary_head_counts_the_integrator(self, tmp_path):
+        doc = base_config(
+            bc="clamped", **{"lambda": 45.0}, length=1.0, actuators=[], poles=None, J=8,
+            initial={"preset": "first_mode", "amplitude": 0.01},
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        _, gain, cert, _ = cli.load_certificate(str(tmp_path / "exp_certificate.json"))
+        h = json.loads((tmp_path / "exp_certificate.json").read_text())["n"] + 1
+        assert (gain.K.shape, cert.P.shape, cert.C.shape, cert.D.shape) == (
+            (1, h), (h, h), (1, h), (1, 1)
+        )
 
 
 class TestBoundarySimulate:
@@ -727,6 +796,31 @@ class TestVerifyCommand:
         assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
         out = capsys.readouterr().out
         assert "FAIL certificate.P_positive_definite" in out
+
+    def stable(self, tmp_path):
+        """A synthesized config with no unstable mode (lam = 0.5, L = 1) and its file."""
+        doc = base_config(**{"lambda": 0.5}, length=1.0, J=6, poles=None, T=1.0)
+        doc["actuators"] = [{"kind": "indicator", "a": 0.0, "b": 0.5}]
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        return path, tmp_path / "exp_certificate.json"
+
+    def test_no_unstable_mode_checks_the_file(self, tmp_path, capsys):
+        path, cert_path = self.stable(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if " certificate." in line] == ["PASS certificate.absent"]
+
+    def test_no_unstable_mode_rejects_a_certificate_block(self, tmp_path, capsys):
+        path, cert_path = self.stable(tmp_path)
+        doc = json.loads(cert_path.read_text())
+        doc["alpha"] = 0.5  # P stays null, so the reader loads no certificate
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL certificate.absent (no mode is unstable, yet the file holds alpha)" in out
 
 
 class TestGronwallCommand:

@@ -1,0 +1,76 @@
+"""What files outside the package rely on: the benchmark harness and the README."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import satstab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(satstab.__file__)))
+
+
+def bench_spans():
+    """bench/spans.py, loaded from its file: the bench directory is no package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_name_is_a_package_function():
+    # the tracer wraps each name with getattr; a missing one breaks `--trace 1`
+    names = bench_spans().SPAN_NAMES
+    assert names
+    for name in names:
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"satstab.{module_name}")
+        assert callable(getattr(module, attr, None)), name
+
+
+# (module, function) -> parameter names, for every package function the
+# workloads call directly
+WORKLOAD_CALLS = {
+    ("config", "load_config"): ["path"],
+    ("config", "build_eigen"): ["cfg"],
+    ("config", "build_modal"): ["cfg", "es"],
+    ("cli", "load_certificate"): ["path"],
+    ("cli", "main"): ["argv"],
+    ("synthesis", "check_certificate"): ["cert", "ms", "gain"],
+}
+
+
+@pytest.mark.parametrize("module_name, name", list(WORKLOAD_CALLS), ids="{0[0]}.{0[1]}".format)
+def test_workload_calls_keep_their_signatures(module_name, name):
+    fn = getattr(importlib.import_module(f"satstab.{module_name}"), name)
+    params = list(inspect.signature(fn).parameters)
+    assert params == WORKLOAD_CALLS[module_name, name]
+
+
+def test_workload_calls_are_pinned():
+    # the package functions the workloads import or call through a module
+    source = (ROOT / "bench" / "workloads.py").read_text()
+    used = set()
+    for module, names in re.findall(r"from satstab\.(\w+) import ([\w, ]+)", source):
+        used.update((module, name.strip()) for name in names.split(","))
+    used.update(("config", name) for name in re.findall(r"\bcfgmod\.(\w+)\(", source))
+    used.update(("cli", name) for name in re.findall(r"\bcli\.(\w+)\(", source))
+    assert used == set(WORKLOAD_CALLS)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.split()[0] == "horizon"
+    assert float(out.stdout.split()[1]) > 0.0  # the fitted l2 decay rate

@@ -145,4 +145,3 @@ class TestBoundary:
     def test_requires_clamped(self, es_pi):
         with pytest.raises(ValueError):
             assemble_boundary(es_pi, Lifting(math.pi), 1)
-

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -127,6 +128,14 @@ class TestDesignGain:
         )
         with pytest.raises(NotStabilizable):
             design_gain(bad)
+
+    def test_unstable_placement_names_path_and_margin(self):
+        with pytest.raises(NotStabilizable) as info:
+            design_gain(scalar_system(), poles=[3.0])
+        message = str(info.value)
+        assert "designed gain (pole placement) failed" in message
+        real = float(message.rsplit("largest closed-loop real part ", 1)[1])
+        assert real == pytest.approx(3.0, rel=1e-12)
 
     def test_riccati_for_stabilizable_pair(self):
         ms = scalar_system()
@@ -391,6 +400,30 @@ class TestCertificateFile:
         assert list(null) == top
         assert {key: null[key] for key in top[:6]} == head
         assert [null[key] for key in top[10:]] == [None] * 7
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("K", [[1.0], [2.0]], "K has shape (2, 1), the head asks for (1, 1)"),
+            ("closed_loop_spectrum_real", [], "closed_loop_spectrum_real has shape (0,)"),
+            ("closed_loop_spectrum_imag", [0.0, 0.0], "closed_loop_spectrum_imag has shape (2,)"),
+            ("P", [1.0], "P has shape (1,), the head asks for (1, 1)"),
+            ("D", [[1.0, 0.0]], "D has shape (1, 2), the head asks for (1, 1)"),
+            ("C", [[0.0, 0.0]], "C has shape (1, 2), the head asks for (1, 1)"),
+            ("P", None, "constants must be present exactly when P is"),
+        ],
+    )
+    def test_shapes_checked_against_head(self, field, value, message):
+        ms = scalar_system()
+        gain = design_gain(ms, poles=[-2.0])
+        cert = build_certificate(ms, gain, SaturationLevel(1.0))
+        consts = select_h2_constants(cert, ms, gain, ms.es)
+        head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
+        doc = certificate_document(head, gain, diagnose_pair(ms.A, ms.B), cert, consts)
+        read_certificate(doc)
+        doc[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_certificate(doc)
 
     def test_unsaturated_level_written_as_inf(self):
         assert certificate_head("internal", 1, 1, 8, 4.0, math.inf)["ell"] == "inf"
