@@ -28,8 +28,7 @@ from .errors import (
     NotStabilizable,
     SatStabError,
 )
-from .modal import Lifting
-from .saturation import SaturationLevel, sat, sector_holds
+from .saturation import SaturationLevel, sector_holds
 from .simulate import (
     SimConfig,
     estimate_basin,
@@ -47,7 +46,6 @@ from .synthesis import (
     check_certificate,
     design_gain,
     diagnose_pair,
-    kalman_matrix,
     read_certificate,
     sample_ellipsoid,
     select_h2_constants,
@@ -361,6 +359,11 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
     _, gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
+    if ms.dim > 0 and cert is None:
+        raise ConfigError(
+            f"certificate {certificate_path} has P = null, but {ms.n} mode(s) are unstable:"
+            " no region to monitor"
+        )
     if basin:
         if not isinstance(cfg.initial[0], str):
             raise ConfigError("basin estimation needs a preset initial state")
@@ -433,9 +436,8 @@ def cmd_gronwall(path, out_dir=None):
     for key, value in (("v0", v0), ("p", p), ("b", b), ("k", k), ("T", horizon)):
         if not math.isfinite(value):
             raise ConfigError(f"gronwall {key} must be finite, got {value}")
-    output = doc.get("output", {"directory": ".", "prefix": "gronwall"})
-    directory = out_dir if out_dir is not None else output.get("directory", ".")
-    prefix = output.get("prefix", "gronwall")
+    directory, prefix = cfgmod.parse_output(doc, "gronwall")
+    directory = out_dir if out_dir is not None else directory
     os.makedirs(directory, exist_ok=True)
 
     t = np.linspace(0.0, horizon, samples)
@@ -462,7 +464,7 @@ class _Report:
 
     def check(self, name, ok, detail=""):
         status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail and not ok else ""
+        suffix = f" ({detail})" if detail else ""
         print(f"{status} {name}{suffix}")
         if not ok:
             self.failures.append(name)
@@ -478,7 +480,7 @@ def _verify_certificate_file(report, ms, doc, gain, cert):
         columns = gain.K.shape[1]
         held = certificate_fields_held(doc) + ([f"a {columns}-column gain"] if columns else [])
         report.check("certificate.absent", not held,
-                     "no mode is unstable, yet the file holds " + ", ".join(held))
+                     "no mode is unstable, yet the file holds " + ", ".join(held) if held else "")
         return
     if cert is None:
         report.check("certificate.present", False, "file holds no certificate block")
@@ -486,7 +488,7 @@ def _verify_certificate_file(report, ms, doc, gain, cert):
     p_sym = np.allclose(cert.P, cert.P.T)
     p_eigs = np.linalg.eigvalsh(0.5 * (cert.P + cert.P.T))
     report.check("certificate.P_positive_definite", p_sym and np.all(p_eigs > 0.0),
-                 f"eigenvalues {p_eigs.tolist()}")
+                 f"lambda_min = {p_eigs.min():.3e}" + ("" if p_sym else ", not symmetric"))
     d_ok = np.allclose(cert.D, np.diag(np.diag(cert.D))) and np.all(np.diag(cert.D) > 0)
     report.check("certificate.D_diagonal_positive", bool(d_ok))
     if not (p_sym and np.all(p_eigs > 0.0) and d_ok):
@@ -523,36 +525,15 @@ def cmd_verify(cfg, certificate_path=None):
             "modal.bessel_inequality",
             bool(np.all(partial <= ms.shape_norms_sq + 1e-10)),
         )
-    lift = Lifting(cfg.length)
-    lift_ok = (
-        lift.d(0.0) == 0.0
-        and abs(lift.d(cfg.length)) < 1e-12
-        and lift.d1(0.0) == 1.0
-        and abs(lift.d1(cfg.length)) < 1e-12
-    )
-    report.check("modal.lifting_identities", lift_ok)
-
-    level = cfg.level() if not math.isinf(cfg.ell) else SaturationLevel(1.0)
-    worst = 0.0
-    for _ in range(2000):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 3))
-        K = rng.normal(size=(m, n))
-        C = rng.normal(size=(m, n))
-        D = np.diag(rng.uniform(0.1, 4.0, m))
-        z = rng.normal(size=n)
-        gap = np.abs((K - C) @ z)
-        if gap.max() > 0:
-            z *= min(1.0, level.ell / gap.max()) * rng.uniform(0.0, 1.0)
-        result = sector_holds(z, K, C, D, level)
-        worst = max(worst, result.weighted_value)
-        if not (result.hypothesis_ok and result.holds):
-            break
-    report.check("saturation.sector_condition", worst <= 1e-12, f"worst {worst:.2e}")
-    a = rng.uniform(-5, 5, 500)
-    b = rng.uniform(-5, 5, 500)
-    lip = np.max(np.abs(sat(a, level) - sat(b, level)) - np.abs(a - b))
-    report.check("saturation.lipschitz", lip <= 1e-14)
+    else:
+        lift = ms.lifting
+        lift_ok = (
+            lift.d(0.0) == 0.0
+            and abs(lift.d(cfg.length)) < 1e-12
+            and lift.d1(0.0) == 1.0
+            and abs(lift.d1(cfg.length)) < 1e-12
+        )
+        report.check("modal.lifting_identities", lift_ok)
 
     gain = cert = consts = None
     if ms.dim > 0:
@@ -568,18 +549,9 @@ def cmd_verify(cfg, certificate_path=None):
             margin = cfg.ell * (1.0 + 1e-9)
             inclusion = bool(np.all(np.abs(boundary_pts @ (gain.K - cert.C).T) <= margin))
             report.check("synthesis.sector_inclusion", inclusion)
-            vdm_ok = True
-            for _ in range(100):
-                size = int(rng.integers(2, 5))
-                sigma = np.sort(rng.uniform(-4, 4, size))[::-1]
-                if np.min(-np.diff(sigma)) < 0.25:
-                    continue
-                bvec = rng.uniform(0.4, 2.0, size) * rng.choice([-1.0, 1.0], size)
-                rep = diagnose_pair(np.diag(sigma), bvec[:, None])
-                det = float(np.linalg.det(kalman_matrix(np.diag(sigma), bvec[:, None])))
-                if abs(det - rep.vandermonde_value) > 1e-8 * max(1.0, abs(det)):
-                    vdm_ok = False
-            report.check("synthesis.vandermonde_product", vdm_ok)
+            sector = sector_holds(boundary_pts, gain.K, cert.C, cert.D, cfg.level())
+            worst = float(sector.weighted_value.max())
+            report.check("synthesis.sector_condition", worst <= 1e-12, f"worst {worst:.2e}")
 
     if certificate_path is not None:
         _verify_certificate_file(report, ms, file_doc, file_gain, file_cert)
@@ -617,13 +589,6 @@ def cmd_verify(cfg, certificate_path=None):
             if abs(quad_sq - modal_sq) > 1e-12 * max(modal_sq, 1e-30):
                 parseval_ok = False
         report.check("simulate.parseval", parseval_ok)
-
-    t = np.linspace(0.0, 10.0, 2001)
-    out = gronwall_bound(0.5, -1.0, 1.0, 2.0, t)
-    exact = 1.0 / (1.0 + np.exp(t))
-    report.check(
-        "gronwall.logistic_oracle", float(np.max(np.abs(out.values - exact))) <= 1e-8
-    )
 
     if report.failures:
         print(f"{len(report.failures)} invariant(s) failed")

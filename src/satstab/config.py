@@ -157,6 +157,18 @@ def _parse_initial(entry):
     raise ConfigError("initial must carry either 'modal' or 'preset'")
 
 
+def parse_output(doc, prefix):
+    """(directory, prefix) from the document's optional `output` object.
+
+    Its keys must be within `directory` (default ".") and `prefix`
+    (default: the `prefix` argument).
+    """
+    output = doc.get("output", {})
+    if not isinstance(output, dict) or set(output) - {"directory", "prefix"}:
+        raise ConfigError("output must be an object with 'directory' and 'prefix'")
+    return str(output.get("directory", ".")), str(output.get("prefix", prefix))
+
+
 def parse_config(doc):
     """Validate a JSON document (already loaded) into an ExperimentConfig."""
     if not isinstance(doc, dict):
@@ -218,11 +230,7 @@ def parse_config(doc):
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
-    output = doc.get("output", {"directory": ".", "prefix": "experiment"})
-    if not isinstance(output, dict) or set(output) - {"directory", "prefix"}:
-        raise ConfigError("output must be an object with 'directory' and 'prefix'")
-    out_dir = str(output.get("directory", "."))
-    out_prefix = str(output.get("prefix", "experiment"))
+    out_dir, out_prefix = parse_output(doc, "experiment")
 
     if len(actuators) == 0 and _BC_NAMES[bc_name] != BoundaryCondition.CLAMPED:
         raise ConfigError("boundary actuation (empty actuators) requires clamped bc")

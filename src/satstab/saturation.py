@@ -44,13 +44,14 @@ def sector_holds(z, K, C, D, level, tol=1e-12):
 
     The inequality is guaranteed when |((K - C) z)_j| <= ell for every
     channel; that hypothesis is checked and reported separately so callers
-    can distinguish a violated premise from a violated conclusion.
+    can distinguish a violated premise from a violated conclusion.  A row
+    batch z of shape (N, n) gives each field per row, as arrays of length N.
     """
     z = np.asarray(z, dtype=float)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    phi = deadzone(K @ z, level)
-    hypothesis_ok = bool(np.all(np.abs((K - C) @ z) <= level.ell))
-    value = float(phi @ D @ (phi + C @ z))
+    phi = deadzone(z @ K.T, level)
+    hypothesis_ok = np.all(np.abs(z @ (K - C).T) <= level.ell, axis=-1)
+    value = np.sum((phi @ D) * (phi + z @ C.T), axis=-1)
     return SectorReport(hypothesis_ok=hypothesis_ok, weighted_value=value, holds=value <= tol)

@@ -120,18 +120,22 @@ def test_criterion_02_clamped_cross_validation():
 
 
 def test_criterion_03_kalman_product_formula():
-    rng = np.random.default_rng(2024)
-    done = 0
-    while done < 100:
-        n = int(rng.integers(2, 6))
-        sigma = np.sort(rng.uniform(-5.0, 5.0, n))[::-1]
-        if n > 1 and np.min(-np.diff(sigma)) < 0.3:
-            continue
-        b = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
-        det = float(np.linalg.det(kalman_matrix(np.diag(sigma), b[:, None])))
-        rep = diagnose_pair(np.diag(sigma), b[:, None])
-        assert det == pytest.approx(rep.vandermonde_value, rel=1e-8)
-        done += 1
+    # (seed, sizes, eigenvalue spread, least gap, least |b|): 100 draws each; the
+    # second set reaches closer eigenvalues and smaller inputs
+    for seed, sizes, spread, gap, b_low in ((2024, (2, 6), 5.0, 0.3, 0.5),
+                                            (4048, (2, 5), 4.0, 0.25, 0.4)):
+        rng = np.random.default_rng(seed)
+        done = 0
+        while done < 100:
+            n = int(rng.integers(*sizes))
+            sigma = np.sort(rng.uniform(-spread, spread, n))[::-1]
+            if n > 1 and np.min(-np.diff(sigma)) < gap:
+                continue
+            b = rng.uniform(b_low, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            det = float(np.linalg.det(kalman_matrix(np.diag(sigma), b[:, None])))
+            rep = diagnose_pair(np.diag(sigma), b[:, None])
+            assert det == pytest.approx(rep.vandermonde_value, rel=1e-8)
+            done += 1
 
     A = np.diag([2.0, 2.0, 1.0])
     assert diagnose_pair(A, [[2.0], [3.0], [4.0]]).rank == 2

@@ -142,6 +142,22 @@ def test_infinite_gronwall_samples_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: gronwall config is malformed")
 
 
+@pytest.mark.parametrize(
+    "output", ["x", {"directory": "o", "prefx": "q"}], ids=["string", "misspelled-key"]
+)
+@pytest.mark.parametrize("command", ["spectrum", "gronwall"])
+def test_bad_output_block_exits_2(tmp_path, capsys, command, output):
+    if command == "gronwall":
+        doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 10.0, "output": output}
+    else:
+        doc = base_config(J=8, output=output)
+    path = write_config(tmp_path, doc)
+    assert main([command, "-c", path, "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: output must be an object with 'directory' and 'prefix'\n"
+    assert not any(tmp_path.glob("*.csv"))
+
+
 _IMPORT_PROBE = """
 import json, sys
 import satstab.cli as cli
@@ -465,6 +481,25 @@ class TestSimulateCommand:
         assert main(["synth", "-c", other_path, "-o", str(tmp_path)]) == 0
         cert = str(tmp_path / "other_certificate.json")
         assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 2
+
+    def test_missing_certificate_block_exits_2(self, tmp_path, capsys):
+        # the trajectory_sweep system at J = 8, its file stripped of the certificate block
+        path = write_config(tmp_path, base_config(J=8, actuators=ONE_INPUT))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = tmp_path / "exp_certificate.json"
+        doc = json.loads(cert.read_text())
+        for key in ("P", "D", "C", "alpha", "beta_min", "beta_max", "constants"):
+            doc[key] = None
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["simulate", "-c", path, "--certificate", str(cert), "-o", str(tmp_path)])
+        assert code == 2
+        assert "P = null" in capsys.readouterr().err
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
+        assert main(["verify", "-c", path, "--certificate", str(cert)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL certificate.present (file holds no certificate block)" in out
 
 
 TWO_INPUTS = [{"kind": "indicator", "a": 0.3, "b": 1.4}, {"kind": "indicator", "a": 1.6, "b": 2.9}]
@@ -796,6 +831,39 @@ class TestVerifyCommand:
         assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
         out = capsys.readouterr().out
         assert "FAIL certificate.P_positive_definite" in out
+
+    @pytest.mark.parametrize(
+        "system, names",
+        [
+            ({}, [
+                "spectral.orthonormality", "spectral.eigen_residual", "spectral.values_sorted",
+                "modal.bessel_inequality", "synthesis.certificate",
+                "synthesis.sector_inclusion", "synthesis.sector_condition",
+                "certificate.P_positive_definite", "certificate.D_diagonal_positive",
+                "certificate.M1_negative_definite", "certificate.M2_positive_semidefinite",
+                "simulate.region_invariance", "simulate.v1_dissipation",
+                "simulate.unsaturated_equivalence", "simulate.parseval",
+            ]),
+            ({"bc": "clamped", "lambda": 45.0, "length": 1.0, "actuators": [], "poles": None}, [
+                "spectral.orthonormality", "spectral.eigen_residual", "spectral.values_sorted",
+                "modal.lifting_identities", "synthesis.certificate",
+                "synthesis.sector_inclusion", "synthesis.sector_condition",
+                "certificate.P_positive_definite", "certificate.D_diagonal_positive",
+                "certificate.M1_negative_definite", "certificate.M2_positive_semidefinite",
+            ]),
+        ],
+        ids=["internal", "boundary"],
+    )
+    def test_check_names(self, tmp_path, capsys, system, names):
+        path = write_config(tmp_path, base_config(J=8, **system))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cert_path = str(tmp_path / "exp_certificate.json")
+        assert main(["verify", "-c", path, "--certificate", cert_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == names
+        # C = 0, and the ellipsoid is clamp-free: the deadzone is zero on its surface
+        assert "PASS synthesis.sector_condition (worst 0.00e+00)" in lines
 
     def stable(self, tmp_path):
         """A synthesized config with no unstable mode (lam = 0.5, L = 1) and its file."""

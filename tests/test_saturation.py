@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,30 @@ class TestSector:
             assert report.hypothesis_ok
             assert report.holds, (K, C, z, ell)
             checked += 1
+
+    def test_row_batch_matches_each_row(self):
+        # one call on a batch of states gives criterion 05's per-row formula for each row
+        rng = np.random.default_rng(2718)
+        flagged = 0
+        for draw in range(300):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 4))
+            K = rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0)
+            C = rng.normal(size=(m, n)) * rng.uniform(0.0, 2.0)
+            D = np.diag(rng.uniform(0.05, 5.0, m))
+            level = SaturationLevel(math.inf if draw % 5 == 0 else float(rng.uniform(0.2, 3.0)))
+            # from well inside the hypothesis to ten times past it
+            z = rng.normal(size=(40, n)) * rng.uniform(0.0, 10.0, (40, 1))
+            batch = sector_holds(z, K, C, D, level)
+            assert [a.shape for a in batch] == [(40,)] * 3
+            for row, ok, value, holds in zip(z, *batch):
+                phi = deadzone(K @ row, level)
+                expected = phi @ D @ (phi + C @ row)
+                # the two orders of summation round apart by a few eps of |K||z| in phi
+                size = np.abs(K) @ np.abs(row)
+                scale = size @ D @ (size + np.abs(C) @ np.abs(row))
+                assert ok == bool(np.all(np.abs((K - C) @ row) <= level.ell))
+                assert abs(value - expected) <= 1e-14 * scale
+                assert holds == (expected <= 1e-12)
+            flagged += int(np.sum(~batch.hypothesis_ok))
+        assert flagged > 1000  # the draws do leave the hypothesis
