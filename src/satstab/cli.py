@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -364,24 +364,21 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
             f"certificate {certificate_path} has P = null, but {ms.n} mode(s) are unstable:"
             " no region to monitor"
         )
+    sim = cfg.sim_config()
     if basin:
         if not isinstance(cfg.initial[0], str):
             raise ConfigError("basin estimation needs a preset initial state")
         preset, amplitude = cfg.initial
         if amplitude == 0.0:
             raise ConfigError("basin estimation needs a nonzero initial.amplitude")
-
-        def make_config(a):
-            return SimConfig(
-                J=cfg.J, dt=cfg.dt, T=cfg.T, delta=cfg.delta, nu=cfg.nu, initial=(preset, a)
-            )
-
-        # searched first: a config it rejects exits before anything is written
-        edge = estimate_basin(
-            make_config, ms, gain, low=amplitude, high=amplitude * 256.0, level=cfg.level(),
+        # searched first: a config it rejects exits before anything is written;
+        # its first pass steps the configured run (the low end) and keeps it
+        *edge, traj = estimate_basin(
+            lambda a: replace(sim, initial=(preset, a)), ms, gain, low=amplitude,
+            high=amplitude * 256.0, level=cfg.level(), monitors=(cert, consts),
         )
-    sim = cfg.sim_config()
-    traj = run(sim, ms, gain, cert, consts, level=cfg.level())
+    else:
+        traj = run(sim, ms, gain, cert, consts, level=cfg.level())
 
     csv_path = _out_path(cfg, out_dir, "trajectory.csv")
     _write_csv(csv_path, *_trajectory_rows(cfg, ms, traj))

@@ -26,6 +26,7 @@ EXIT_BLOWUP = "blowup"
 _PRESETS = ("first_mode", "smooth", "bump")
 _BLOCK = 64  # samples stepped between exit checks
 _BUMP_RTOL = 1e-10  # bump projections below this fraction of its L2 norm are rounding noise
+_LEVELS_PER_PASS = 4  # bisection levels a basin-search pass settles: 15 amplitudes
 
 
 @dataclass(frozen=True)
@@ -297,37 +298,75 @@ def run_batch(config, ms, gain, initials, cert=None, constants=None, level=None)
     """Integrate each row of `initials` to the horizon or a blow-up.
 
     Rows hold J modal coefficients; boundary systems prepend the integrator at
-    rest.  `_blocks` steps them and applies the blow-up rule; this function
-    stores every block, and monitors come afterwards from the stored states:
-    with a certificate v1 and the region-exit flag, with constants also v2;
-    boundary l2 reports the reconstructed physical field.  `level` defaults
-    to the unsaturated sentinel.  Returns one Trajectory per row.
+    rest.  Monitors come from the stored states after the run: with a
+    certificate v1 and the region-exit flag, with constants also v2; boundary
+    l2 reports the reconstructed physical field.  `level` defaults to the
+    unsaturated sentinel.  Returns one Trajectory per row.
+    """
+    return _stepping_pass(config, ms, gain, initials, level, cert=cert, constants=constants)[0]
+
+
+def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=None,
+                   cert=None, constants=None):
+    """Step the rows of `initials` once; store the first `keep`, judge all from `t_start`.
+
+    `_blocks` steps the rows and applies the blow-up rule.  The first `keep`
+    rows (all by default) are stored block by block and monitored afterwards,
+    as `run_batch` describes.  With `t_start`, every row is also reduced to
+    its H2 norms on the samples at t >= t_start, which must hold at least
+    two, and judged: it decays when it reaches the horizon and the fitted
+    rate is positive, or when the channel is not positive on the window.
+    Returns (the kept rows' Trajectories, the verdicts or None).
     """
     rows = _initial_rows(config, ms, initials)
     plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
     batch, dim = rows.shape
-    samples = _sample_count(config)
-    states = np.empty((batch, samples, dim))
-    filled = np.full(batch, samples)
+    keep = batch if keep is None else keep
+    times, first = _fit_window(config, math.inf if t_start is None else t_start)
+    states = np.empty((keep, times.size, dim))
+    peaks = np.empty((keep, times.size)) if config.nonlinear else None  # max|N(y_k)| per step
+    filled = np.full(batch, times.size)
     exits = [EXIT_HORIZON] * batch
-    peaks = np.empty((batch, samples)) if config.nonlinear else None  # max|N(y_k)| per step
+    window = np.empty((batch, times.size - first))
+    cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
 
     for start, live, block, forcing, ends in _blocks(config, ms.es, plan, rows):
         end = start + block.shape[1]
-        states[live, start:end] = block
-        if peaks is not None:
-            peaks[live, max(start, 1) - 1 : end - 1] = np.max(np.abs(forcing), axis=2)
+        held = int(np.searchsorted(live, keep))  # live rows ascend, so the kept ones lead
+        if held:
+            states[live[:held], start:end] = block[:held]
+            if peaks is not None:
+                peaks[live[:held], max(start, 1) - 1 : end - 1] = np.max(
+                    np.abs(forcing[:held]), axis=2
+                )
+        lo = max(start, first)
+        if lo < end:
+            # rows that ended in this block may hold overflowed samples
+            with np.errstate(over="ignore", invalid="ignore"):
+                window[live, lo - first : end - first] = _h2(block[:, lo - start :, cut:], ms.es)
         for row, (count, reason) in ends.items():
             filled[row], exits[row] = count, reason
 
-    times = np.arange(samples) * config.dt
-    return [
+    verdicts = None
+    if t_start is not None:
+        verdicts = []
+        for i in range(batch):
+            try:
+                verdicts.append(
+                    exits[i] == EXIT_HORIZON
+                    and _fit_decay(times[first:], window[i], "h2").rate > 0.0
+                )
+            except NonPositiveChannel:
+                verdicts.append(True)  # channel hit the floor: decayed outright
+    del window, block, forcing  # free before the monitors' temporaries
+    kept = [
         _monitored(
             plan, ms, config, times[: filled[i]], states[i, : filled[i]], exits[i],
             cert, constants, None if peaks is None else peaks[i, : filled[i]],
         )
-        for i in range(batch)
+        for i in range(keep)
     ]
+    return kept, verdicts
 
 
 def _initial_rows(config, ms, initials):
@@ -559,37 +598,6 @@ def gronwall_bound(v0, b, k, p, t_grid):
     return GronwallBound(times=t.copy(), values=values, w=w)
 
 
-def _decay_verdicts(config, ms, gain, initials, t_start, level=None):
-    """Whether each row's run decays, streamed: no states or monitors are stored.
-
-    A run decays when it reaches the horizon and its H2 norm on the samples
-    at t >= t_start has a positive fitted rate or is not positive there;
-    rows that end earlier fail.  Each block is reduced to its H2 norms on
-    that window, which must hold at least two samples.
-    """
-    rows = _initial_rows(config, ms, initials)
-    plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
-    times, first = _fit_window(config, t_start)
-    window = np.empty((rows.shape[0], times.size - first))
-    ended = np.zeros(rows.shape[0], dtype=bool)
-    cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
-    for start, live, block, _, ends in _blocks(config, ms.es, plan, rows):
-        ended[list(ends)] = True
-        lo = max(start, first)
-        end = start + block.shape[1]
-        if lo < end:
-            # rows that ended in this block may hold overflowed samples
-            with np.errstate(over="ignore", invalid="ignore"):
-                window[live, lo - first : end - first] = _h2(block[:, lo - start :, cut:], ms.es)
-    verdicts = []
-    for i in range(rows.shape[0]):
-        try:
-            verdicts.append(not ended[i] and _fit_decay(times[first:], window[i], "h2").rate > 0.0)
-        except NonPositiveChannel:
-            verdicts.append(True)  # channel hit the floor: decayed outright
-    return verdicts
-
-
 def _dyadic_points(low, high, depth):
     """Interior points of `depth` bisection levels of [low, high], in order."""
     if depth == 0:
@@ -598,20 +606,25 @@ def _dyadic_points(low, high, depth):
     return _dyadic_points(low, mid, depth - 1) + [mid] + _dyadic_points(mid, high, depth - 1)
 
 
-def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, level=None):
+def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, level=None,
+                   monitors=None):
     """Search the initial amplitude between decay and failure by k-section.
 
     `make_config` maps an amplitude to a SimConfig that differs only in its
     initial state; an amplitude counts as decaying when the run reaches the
     horizon and the fitted H2-norm rate is positive (t_start defaults to
     T / 4).  Runs are streamed, keeping only their H2 norms on the fit
-    window.  One batched pass runs `low` and `high`; each further pass runs
-    the seven dyadic points of three bisection levels of the bracket, so the
-    `iters` levels take ceil(iters / 3) passes and the result equals serial
+    window.  The first batched pass runs `low`, `high` and the 15 dyadic
+    points of the first four bisection levels of the bracket, 17 amplitudes;
+    each further pass runs the 15 points of the next four levels, so the
+    `iters` levels take ceil(iters / 4) passes and the result equals serial
     bisection's.  Returns (estimate, bracketed); when `high` still decays no
     edge lies in the bracket, and the estimate is `high` with bracketed False.
-    Raises ValueError, before running anything, when the fit window holds
-    fewer than two samples.
+    With `monitors`, a (certificate, constants) pair, the first pass also
+    stores the `low` run in full, so the configured run is stepped once: its
+    monitored Trajectory, the one `run(make_config(low), ...)` gives, comes
+    third.  Raises ValueError, before running anything, when the fit window
+    holds fewer than two samples.
     """
     config = make_config(low)
     start = t_start if t_start is not None else config.T / 4.0
@@ -622,22 +635,29 @@ def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, lev
             f"leave {times.size - first} sample(s) at or after the fit window start "
             f"t = {start} (T/4 unless given); it needs at least two"
         )
+    cert, constants = (None, None) if monitors is None else monitors
 
-    def decays(amplitudes):
+    def stepped(amplitudes, keep=0):
         initials = [resolve_initial(make_config(a), ms.es, ms) for a in amplitudes]
-        return _decay_verdicts(config, ms, gain, initials, start, level)
+        return _stepping_pass(config, ms, gain, initials, level, keep, start, cert, constants)
 
-    low_decays, high_decays = decays([low, high])
+    depth = min(_LEVELS_PER_PASS, iters)
+    points = _dyadic_points(low, high, depth)
+    kept, (low_decays, high_decays, *verdicts) = stepped(
+        [low, high] + points, keep=0 if monitors is None else 1
+    )
     if not low_decays:
         raise ValueError("lower amplitude already fails; no bracket to bisect")
     if high_decays:
-        return high, False
-    while iters > 0:
-        depth = min(3, iters)
-        points = _dyadic_points(low, high, depth)
-        verdict = dict(zip(points, decays(points)))
+        return high, False, *kept
+    while True:
+        verdict = dict(zip(points, verdicts))
         for _ in range(depth):
             mid = 0.5 * (low + high)
             low, high = (mid, high) if verdict[mid] else (low, mid)
         iters -= depth
-    return 0.5 * (low + high), True
+        if iters <= 0:
+            return 0.5 * (low + high), True, *kept
+        depth = min(_LEVELS_PER_PASS, iters)
+        points = _dyadic_points(low, high, depth)
+        verdicts = stepped(points)[1]

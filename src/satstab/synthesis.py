@@ -235,7 +235,12 @@ def build_certificate(ms, gain, level):
     # gronwall never need scipy.linalg, so they start without loading it.
     from scipy.linalg import solve_continuous_lyapunov
 
-    p0 = solve_continuous_lyapunov((A + B @ K).T, -np.eye(d))
+    try:
+        p0 = solve_continuous_lyapunov((A + B @ K).T, -np.eye(d))
+    except ValueError as exc:  # np.linalg.LinAlgError included
+        raise CertificateFailure(
+            f"Lyapunov solve (solve_continuous_lyapunov) failed: {exc}"
+        ) from exc
     p0 = 0.5 * (p0 + p0.T)
     p0_min = float(np.min(np.linalg.eigvalsh(p0)))
     if p0_min <= 0:

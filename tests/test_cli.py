@@ -337,6 +337,20 @@ class TestSynthCommand:
         if code == 3:
             assert float(re.search(r"last weight tried (\S+),", err).group(1)) > 0.0
 
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+    def test_lyapunov_failure_exits_3(self, tmp_path, capsys, monkeypatch, error):
+        import scipy.linalg
+
+        def failing(a, q):
+            raise error("singular matrix")
+
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", failing)
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Lyapunov solve (solve_continuous_lyapunov) failed: singular matrix" in err
+        assert "config error" not in err
+
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
             bc="clamped",
@@ -472,6 +486,41 @@ class TestSimulateCommand:
         assert summary["samples"] == 3
         assert summary["basin_bracketed"] is True
         assert summary["basin_estimate"] == 1.5069421386718749
+
+    @pytest.mark.parametrize("kind", ["internal", "boundary"])
+    def test_basin_writes_the_plain_run(self, tmp_path, kind):
+        # the search's first pass steps the configured run and keeps it
+        if kind == "internal":
+            doc = base_config(J=8, T=2.0, delta=1.0, nu=0.5)
+            doc["initial"] = {"preset": "smooth", "amplitude": 0.05}
+        else:
+            doc = base_config(
+                bc="clamped", **{"lambda": 45.0}, length=1.0, actuators=[],
+                poles=[-2.0, -4.0], ell=20.0, J=8, T=2.0, dt=0.0005,
+            )
+            doc["initial"] = {"preset": "smooth", "amplitude": 0.02}
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = str(tmp_path / "exp_certificate.json")
+        outputs = {}
+        for name, extra in (("plain", []), ("basin", ["--basin"])):
+            out = tmp_path / name
+            argv = ["simulate", "-c", path, "--certificate", cert, "-o", str(out)]
+            assert main(argv + extra) == 0
+            summary = json.loads((out / "exp_summary.json").read_text())
+            outputs[name] = (out / "exp_trajectory.csv").read_bytes(), summary
+        (plain_csv, plain), (basin_csv, basin) = outputs["plain"], outputs["basin"]
+        assert basin_csv == plain_csv
+        assert basin.pop("basin_bracketed") in (True, False)
+        assert basin.pop("basin_estimate") >= doc["initial"]["amplitude"]
+        assert basin == plain
+
+    def test_rejected_basin_search_writes_nothing(self, tmp_path, capsys):
+        # amplitude 1.5 lies past the scalar loop's edge at 1: the low end fails
+        assert self.basin_summary(tmp_path, 1.5) == 2
+        assert "lower amplitude already fails" in capsys.readouterr().err
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
 
     def test_mismatched_certificate_rejected(self, tmp_path):
         doc = base_config(J=8)

@@ -22,8 +22,8 @@ from satstab.simulate import (
     EXIT_HORIZON,
     SimConfig,
     Trajectory,
-    _decay_verdicts,
     _monitored,
+    _stepping_pass,
     fit_decay_rate,
     nonlinear_forcing,
     quad_form,
@@ -426,7 +426,7 @@ class TestBatch:
         assert all(t.states[0, 0] == 0.0 for t in batch)
         self.assert_same(batch, serial, ("l2", "h1", "h2", "u_plus_w"))
 
-    @pytest.mark.parametrize("iters", [12, 5, 3, 1])
+    @pytest.mark.parametrize("iters", [12, 9, 8, 5, 4, 3, 2, 1])
     def test_ksection_matches_serial_bisection(self, hinged_system, scalar_gain, iters):
         level = SaturationLevel(1.0)
 
@@ -692,7 +692,9 @@ class TestDiscardedOverflow:
             warnings.simplefilter("error")
             (traj,) = run_batch(config, hinged_system, scalar_gain, start, level=level)
             # the streamed basin verdict reads the same block
-            verdicts = _decay_verdicts(config, hinged_system, scalar_gain, start, dt, level)
+            _, verdicts = _stepping_pass(
+                config, hinged_system, scalar_gain, start, level, keep=0, t_start=dt
+            )
         assert verdicts == [False]
         assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 2)
         assert np.all(np.isfinite(traj.states))
@@ -952,12 +954,31 @@ class TestDecayVerdicts:
         assert any(t.exit_reason == EXIT_BLOWUP for t in runs)
         initials = [resolve_initial(c, ms.es) for c in configs]
         fitted.clear()
-        assert _decay_verdicts(config, ms, gain, initials, t_start, level) == expected
+        _, verdicts = _stepping_pass(config, ms, gain, initials, level, keep=0, t_start=t_start)
+        assert verdicts == expected
         # the streamed window holds the very H2 norms a stored run fits
         horizon = [t for t in runs if t.exit_reason == EXIT_HORIZON]
         assert len(fitted) == len(horizon)
         for v, traj in zip(fitted, horizon):
             np.testing.assert_array_equal(v, traj.h2[traj.times >= t_start])
+
+    @pytest.mark.parametrize("bracketed", [True, False])
+    @pytest.mark.parametrize("system", ["linear", "boundary", "nonlinear"], indirect=True)
+    def test_first_pass_keeps_the_low_run(self, system, bracketed):
+        config, ms, gain, level, amplitudes = system
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain, ms.es)
+        low = amplitudes[0]
+        high = amplitudes[-1] if bracketed else 2.0 * low  # blows up, or still decays
+
+        def make_config(amplitude):
+            return replace(config, initial=("first_mode", amplitude))
+
+        _, found, kept = estimate_basin(
+            make_config, ms, gain, low, high, level=level, monitors=(cert, consts)
+        )
+        assert found is bracketed
+        assert_identical([kept], [run(make_config(low), ms, gain, cert, consts, level=level)])
 
     @staticmethod
     def counted_passes(monkeypatch):
@@ -975,13 +996,13 @@ class TestDecayVerdicts:
         rows = self.counted_passes(monkeypatch)
         level = SaturationLevel(1.0)
         estimate_basin(scalar_edge_config, hinged_system, scalar_gain, 0.2, 2.0, level=level)
-        assert rows == [2, 7, 7, 7, 7]  # the probe, then three levels per pass
+        assert rows == [17, 15, 15]  # the ends and four levels, then four levels per pass
         rows.clear()
         _, bracketed = estimate_basin(
             scalar_edge_config, hinged_system, scalar_gain, 0.2, 0.5, level=level
         )
         assert not bracketed
-        assert rows == [2]
+        assert rows == [17]
 
     @pytest.mark.parametrize("t_start", [3.9995, 4.0, 5.0])
     def test_short_fit_window_rejected_before_any_run(
