@@ -7,6 +7,7 @@ error, 3 numerical failure, 4 control-theoretic infeasibility.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -604,7 +605,9 @@ def _dissipation_slack(ms, gain, cert, dt):
 # entry
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on the first `main` call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="satstab",
         description="saturated-feedback stabilization toolbox",
@@ -643,9 +646,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 

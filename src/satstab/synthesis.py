@@ -145,14 +145,40 @@ def _ackermann(A, B, poles):
     return -k[None, :]
 
 
+def _single_input_direction(A, B):
+    """The unit g that leaves (A, Bg) best conditioned for `_ackermann`, or None.
+
+    The candidates are (1, t, ..., t^(m-1)), normalized, for t = 1, -1, 2,
+    -2, ..., +-(d (m - 1) + 1) (Heymann, IEEE TAC 1968).  For a diagonal A
+    with distinct eigenvalues, (A, Bg) is controllable when no entry of Bg
+    is zero; each entry is a polynomial in t of degree below m, nonzero when
+    (A, B) is controllable, so at most d (m - 1) values of t fail.  Of the
+    candidates that pass the Kalman rank test, the one whose Kalman matrix
+    has the smallest condition number is taken; None when none passes.
+    """
+    d, m = B.shape
+    best, best_cond = None, math.inf
+    for t in range(1, d * (m - 1) + 2):
+        for s in (t, -t):
+            g = float(s) ** np.arange(m)
+            g /= np.linalg.norm(g)
+            ctrb = kalman_matrix(A, B @ g[:, None])
+            cond = np.linalg.cond(ctrb)
+            if cond < best_cond and np.linalg.matrix_rank(ctrb) == d:
+                best, best_cond = g, cond
+    return best
+
+
 def design_gain(ms, poles=None):
     """Stabilizing gain for the truncated pair.
 
     Single-input controllable pairs are placed at `poles` (default: the tail
-    gap times 1..dim); everything else goes through a Riccati synthesis with
-    identity state and input weights.  Raises
-    `NotStabilizable` when an unstable eigenvalue fails the rank test or
-    when the pole-placement or Riccati solver fails.
+    gap times 1..dim) by Ackermann's formula; explicit poles with several
+    inputs go through one input direction g (`_single_input_direction`),
+    K = g k.  Everything else goes through `solve_riccati`, with identity
+    state and input weights.  Raises `NotStabilizable` when an unstable
+    eigenvalue fails the rank test or when the pole placement or the
+    Riccati solve fails.
     """
     A, B = ms.A, ms.B
     d = A.shape[0]
@@ -171,24 +197,23 @@ def design_gain(ms, poles=None):
     if poles is not None:
         if len(poles) != d:
             raise ValueError(f"need {d} poles, got {len(poles)}")
+        if not report.controllable:
+            raise NotStabilizable("pole placement requires a controllable pair")
         if B.shape[1] == 1:
-            if not report.controllable:
-                raise NotStabilizable("pole placement requires a controllable pair")
             K = _ackermann(A, B, poles)
         else:
-            from scipy.signal import place_poles
-
-            try:
-                K = -place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
-            except ValueError as exc:  # np.linalg.LinAlgError included
-                raise NotStabilizable(f"pole placement (place_poles) failed: {exc}") from exc
+            g = _single_input_direction(A, B)
+            if g is None:
+                raise NotStabilizable(
+                    f"pole placement failed: none of the {2 * d * (B.shape[1] - 1) + 2} input "
+                    f"directions g tried makes (A, Bg) pass the rank test"
+                )
+            K = g[:, None] @ _ackermann(A, B @ g[:, None], poles)
     else:
-        from scipy.linalg import solve_continuous_are  # see build_certificate
-
         try:
-            X = solve_continuous_are(A, B, np.eye(d), np.eye(B.shape[1]))
+            X = solve_riccati(A, B)
         except ValueError as exc:  # np.linalg.LinAlgError included
-            raise NotStabilizable(f"Riccati solve (solve_continuous_are) failed: {exc}") from exc
+            raise NotStabilizable(f"Riccati solve (solve_riccati) failed: {exc}") from exc
         K = -B.T @ X
 
     spectrum = np.linalg.eigvals(A + B @ K)
@@ -200,6 +225,101 @@ def design_gain(ms, poles=None):
             f"largest closed-loop real part {np.max(spectrum.real):.6g}"
         )
     return gain
+
+
+# ---------------------------------------------------------------------------
+# matrix equations on the head, in numpy alone
+
+_RESIDUAL_TOL = 1e-8  # largest normalized residual a solve may return: about sqrt(eps)
+
+
+def _gate(residual):
+    """`residual`, after checking that it is at most `_RESIDUAL_TOL` (NaN fails)."""
+    if not residual <= _RESIDUAL_TOL:
+        raise np.linalg.LinAlgError(
+            f"normalized residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}"
+        )
+    return residual
+
+
+def solve_lyapunov(a, q):
+    """X with a X + X a^T = q, and its normalized residual.
+
+    One LU solve of the Kronecker form (a (x) I + I (x) a) vec X = vec q,
+    vec stacking rows: d^2 unknowns, few on a truncated head.  The residual
+    is the backward error ||a X + X a^T - q||_F / (2 ||a||_F ||X||_F + ||q||_F).
+    Raises LinAlgError when the system is singular (a and -a share an
+    eigenvalue) or the residual fails `_gate`.
+    """
+    d = a.shape[0]
+    op = np.zeros((d, d, d, d))
+    idx = np.arange(d)
+    op[:, idx, :, idx] = a  # row (i, j), column (k, j): a[i, k]
+    op[idx, :, idx, :] += a  # row (i, j), column (i, l): a[j, l]
+    x = np.linalg.solve(op.reshape(d * d, d * d), q.ravel()).reshape(d, d)
+    scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
+    return x, _gate(float(np.linalg.norm(a @ x + x @ a.T - q) / scale))
+
+
+def _riccati_residual(a, b, x):
+    """Normalized residual of a^T X + X a - X b b^T X + I = 0 (see `solve_riccati`)."""
+    d = a.shape[0]
+    xb = x @ b
+    res = a.T @ x + x @ a - xb @ xb.T + np.eye(d)
+    scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(xb) ** 2 + math.sqrt(d)
+    return float(np.linalg.norm(res) / scale)
+
+
+_NEWTON_STEPS = 8  # Newton-Kleinman refinements at most; each one is a Lyapunov solve
+
+
+def solve_riccati(a, b):
+    """The stabilizing X of a^T X + X a - X b b^T X + I = 0.
+
+    The stable invariant subspace [U1; U2] of the Hamiltonian
+    [[a, -b b^T], [-I, -a^T]], from its eigenvectors, gives X = U2 U1^-1.
+    Newton-Kleinman steps then refine X: with k = b^T X, each solves
+    (a - b k)^T X' + X' (a - b k) = -(I + k^T k) by `solve_lyapunov`
+    (Kleinman, IEEE TAC 1968).  A step is kept while it lowers the residual
+    and a - b b^T X' stays Hurwitz; from a gain that does not stabilize,
+    the iteration can settle on a solution that does not stabilize either.
+    The residual is
+    ||a^T X + X a - X b b^T X + I||_F / (2 ||a||_F ||X||_F + ||X b||_F^2 + sqrt(d)).
+    Raises LinAlgError naming the cause: a Hamiltonian without d stable
+    eigenvalues, a singular U1, a residual that fails `_gate`, or an X
+    that leaves a - b b^T X with an eigenvalue off the open left half-plane.
+    """
+    d = a.shape[0]
+    ham = np.block([[a, -b @ b.T], [-np.eye(d), -a.T]])
+    w, v = np.linalg.eig(ham)
+    stable = w.real < 0.0
+    if stable.sum() != d:
+        raise np.linalg.LinAlgError(
+            f"the Hamiltonian has {stable.sum()} eigenvalues in the open left half-plane, "
+            f"not {d}; the smallest |real part| is {np.min(np.abs(w.real)):.3e}"
+        )
+    x = np.linalg.solve(v[:d, stable].T, v[d:, stable].T).T.real  # U2 U1^-1
+    x = 0.5 * (x + x.T)
+    residual = _riccati_residual(a, b, x)
+    for _ in range(_NEWTON_STEPS):
+        k = b.T @ x
+        try:
+            step, _ = solve_lyapunov((a - b @ k).T, -(np.eye(d) + k.T @ k))
+        except np.linalg.LinAlgError:
+            break
+        step = 0.5 * (step + step.T)
+        step_residual = _riccati_residual(a, b, step)
+        stabilizes = np.max(np.linalg.eigvals(a - b @ (b.T @ step)).real) < 0.0
+        if not (step_residual < residual and stabilizes):
+            break
+        x, residual = step, step_residual
+    _gate(residual)
+    largest = np.max(np.linalg.eigvals(a - b @ (b.T @ x)).real)
+    if not largest < 0.0:
+        raise np.linalg.LinAlgError(
+            f"the solution does not stabilize: largest closed-loop real part {largest:.6g}"
+        )
+    return x
 
 
 def _m1(A, B, K, P, D, C):
@@ -231,20 +351,17 @@ def build_certificate(ms, gain, level):
     if not gain.hurwitz:
         raise ValueError("gain must make the closed loop Hurwitz")
 
-    # Imported here, not at module level: spectrum, modal, simulate and
-    # gronwall never need scipy.linalg, so they start without loading it.
-    from scipy.linalg import solve_continuous_lyapunov
-
     try:
-        p0 = solve_continuous_lyapunov((A + B @ K).T, -np.eye(d))
+        p0, residual = solve_lyapunov((A + B @ K).T, -np.eye(d))
     except ValueError as exc:  # np.linalg.LinAlgError included
-        raise CertificateFailure(
-            f"Lyapunov solve (solve_continuous_lyapunov) failed: {exc}"
-        ) from exc
+        raise CertificateFailure(f"Lyapunov solve (solve_lyapunov) failed: {exc}") from exc
     p0 = 0.5 * (p0 + p0.T)
     p0_min = float(np.min(np.linalg.eigvalsh(p0)))
     if p0_min <= 0:
-        raise CertificateFailure("Lyapunov solve returned a non-definite matrix")
+        raise CertificateFailure(
+            f"Lyapunov solve (solve_lyapunov) returned a non-definite matrix: "
+            f"lambda_min(P0) = {p0_min:.3e} (needs > 0), normalized residual {residual:.3e}"
+        )
 
     if math.isinf(ell):
         scale = 1.0

@@ -47,6 +47,7 @@ from satstab.synthesis import (
     kalman_matrix,
     sample_ellipsoid,
     select_h2_constants,
+    solve_lyapunov,
 )
 
 HINGED = BoundaryCondition.HINGED
@@ -210,6 +211,28 @@ def test_criterion_04_certificate_sweep():
     assert -check.lambda_max_m1 == pytest.approx(20.0 - math.sqrt(337.0), abs=1e-9)
     assert check.ok
     announce(4, "certificate sweep valid under independent eigensolves")
+
+
+def test_criterion_04_lyapunov_matches_scipy():
+    # the certificate's Lyapunov solve on each sweep head, against scipy's
+    from scipy.linalg import solve_continuous_lyapunov
+
+    eps = np.finfo(float).eps
+    for bc, lam, length, ell in _SWEEP:
+        shape = Indicator(0.13 * length, 0.61 * length)
+        _, _, ms, gain, _, _ = build_loop(lam, length, bc, shape, 24, None, ell)
+        a = (ms.A + ms.B @ gain.K).T
+        q = -np.eye(ms.dim)
+        x, _ = solve_lyapunov(a, q)
+        residual = np.linalg.norm(a @ x + x @ a.T - q) / (
+            2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
+        )
+        assert residual <= 1e-14
+        oracle = solve_continuous_lyapunov(a, q)
+        # the heads reach cond(P0) = 8.6e12 (Neumann, lam = 7, L = 2 pi),
+        # where the two solves part at 3.2e-3
+        change = np.linalg.norm(x - oracle) / np.linalg.norm(oracle)
+        assert change <= 10.0 * eps * np.linalg.cond(oracle)
 
 
 def test_criterion_05_sector_condition_fuzz():

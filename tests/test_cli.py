@@ -168,28 +168,34 @@ def scipy_modules():
 clamped, hinged, cert, gron, out = sys.argv[1:]
 stages = {"import": scipy_modules()}
 orjson = {"import": "orjson" in sys.modules}
-codes = [cli.main(["spectrum", "-c", clamped, "-o", out])]
-orjson["spectrum"] = "orjson" in sys.modules
-codes += [
-    cli.main(["modal", "-c", clamped, "-o", out]),
-    cli.main(["simulate", "-c", hinged, "--certificate", cert, "-o", out]),
-    cli.main(["gronwall", "-c", gron, "-o", out]),
-]
-stages["numpy_only"] = scipy_modules()
-codes.append(cli.main(["synth", "-c", hinged, "-o", out]))
-stages["synth"] = scipy_modules()
+codes = []
+for name, argv in [
+    ("spectrum", ["spectrum", "-c", clamped]),
+    ("modal", ["modal", "-c", clamped]),
+    ("synth", ["synth", "-c", hinged]),
+    ("simulate", ["simulate", "-c", hinged, "--certificate", cert]),
+    ("simulate --basin", ["simulate", "-c", hinged, "--certificate", cert, "--basin"]),
+    ("verify", ["verify", "-c", hinged]),
+    ("verify --certificate", ["verify", "-c", hinged, "--certificate", cert]),
+    ("gronwall", ["gronwall", "-c", gron]),
+]:
+    codes.append(cli.main(argv + ["-o", out]))
+    stages[name] = scipy_modules()
+    orjson.setdefault(name, "orjson" in sys.modules)
 print(json.dumps({"codes": codes, "stages": stages, "orjson": orjson}))
 """
 
 
-def test_scipy_loaded_only_by_synthesis(tmp_path):
-    # every CLI call pays its imports: spectrum, modal, simulate and gronwall
-    # run on numpy alone, and synth loads scipy.linalg and nothing else
+def test_no_scipy_module_after_any_subcommand(tmp_path):
+    # every CLI call pays its imports: no subcommand, synth and the
+    # certificate checks included, loads any scipy module
     clamped_doc = base_config(bc="clamped", **{"lambda": 45.0}, length=1.0, J=16)
     clamped_doc.update(actuators=[], poles=None)
     clamped = write_config(tmp_path, clamped_doc, "clamped.json")
-    hinged = write_config(tmp_path, base_config(J=8, T=0.5), "hinged.json")
-    assert main(["synth", "-c", hinged, "-o", str(tmp_path)]) == 0
+    hinged_doc = base_config(J=8, T=0.5, poles=[-2.0])
+    hinged_doc["actuators"] = [{"kind": "modes", "coefficients": [1.0]}]
+    hinged_doc["initial"] = {"preset": "first_mode", "amplitude": 0.2}
+    hinged = write_config(tmp_path, hinged_doc, "hinged.json")
     gron = tmp_path / "gron.json"
     gron.write_text(json.dumps({"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 1.0}))
     argv = [clamped, hinged, str(tmp_path / "exp_certificate.json"), str(gron), str(tmp_path)]
@@ -200,17 +206,43 @@ def test_scipy_loaded_only_by_synthesis(tmp_path):
         capture_output=True, text=True, check=True, env=env,
     )
     report = json.loads(out.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0]
-    assert report["stages"]["import"] == []
-    assert report["stages"]["numpy_only"] == []
-    synth = report["stages"]["synth"]
-    assert "scipy.linalg" in synth
-    subpackages = {name.split(".")[1] for name in synth if "." in name}
-    assert not subpackages & {"optimize", "integrate", "sparse", "signal"}
-    # scipy's own package modules (version, private helpers) and linalg only
-    assert all(sub in ("linalg", "version") or sub.startswith("_") for sub in subpackages)
+    assert report["codes"] == [0] * 8
+    assert report["stages"] == dict.fromkeys(report["stages"], [])
+    assert len(report["stages"]) == 9
     # the CSV writer imports orjson on first use, not `import satstab.cli`
-    assert report["orjson"] == {"import": False, "spectrum": True}
+    assert report["orjson"]["import"] is False
+    assert report["orjson"]["spectrum"] is True
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    # main builds its parser on the first call; a rejected argv (simulate
+    # without --certificate) leaves it as a fresh parser would be
+    path = write_config(tmp_path, base_config(J=8, T=0.5))
+    cert = str(tmp_path / "exp_certificate.json")
+    calls = [
+        ["simulate", "-c", path],
+        ["synth", "-c", path, "-o", str(tmp_path)],
+        ["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)],
+        ["verify", "-c", path, "--certificate", cert],
+    ]
+
+    def run_all(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            seen.append((main(argv), capsys.readouterr().err))
+        return seen + [(tmp_path / "exp_trajectory.csv").read_bytes()]
+
+    cli._parser.cache_clear()
+    shared = run_all(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _ in shared[:4]] == [2, 0, 0, 0]
+    assert "the following arguments are required: --certificate" in shared[0][1]
+    assert shared == run_all(fresh=True)
+    for argv in calls[1:]:
+        reused = cli._parser().parse_args(argv)
+        assert vars(reused) == vars(cli._parser.__wrapped__().parse_args(argv))
 
 
 class TestSpectrumCommand:
@@ -295,7 +327,7 @@ class TestSynthCommand:
         assert summary["rates"]["l2"]["rate"] > 0
 
     def test_riccati_failure_exits_4(self, tmp_path, capsys):
-        # lam = 150: the Riccati solve finds no finite solution for this window
+        # lam = 150: the Riccati solve cannot reach its residual gate for this window
         doc = base_config(
             bc="neumann_ch",
             **{"lambda": 150.0},
@@ -307,20 +339,19 @@ class TestSynthCommand:
         path = write_config(tmp_path, doc)
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
         err = capsys.readouterr().err
-        assert "Riccati solve (solve_continuous_are) failed" in err
-        assert "Failed to find a finite solution" in err
+        assert "Riccati solve (solve_riccati) failed" in err
+        residual = float(re.search(r"normalized residual (\S+) exceeds 1e-08", err).group(1))
+        assert residual > 1e-8
 
     @pytest.mark.parametrize(
-        "bc, window, code, pattern",
-        [
-            ("hinged", (0.1, 1.3), 3, r"smallest lambda_max\(M1\) reached (\S+) "),
-            ("hinged", (0.3, 0.9), 3, r"smallest lambda_max\(M1\) reached (\S+) "),
-            ("neumann_ch", (0.1, 1.3), 4, r"\(Riccati\) .* largest closed-loop real part (\S+)$"),
-        ],
+        "bc, window",
+        [("hinged", (0.1, 1.3)), ("hinged", (0.3, 0.9)), ("neumann_ch", (0.1, 1.3))],
         ids=["hinged-wide", "hinged-narrow", "neumann"],
     )
-    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window, code, pattern):
-        # lam = 150: unstable sigma up to about 5e3 for one indicator
+    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window):
+        # lam = 150: unstable sigma up to about 5e3 for one indicator, and
+        # sigma_1 = 5447.7, sigma_2 = 5433.8 barely separated by one input;
+        # no Riccati solution in double precision meets the residual gate
         doc = base_config(
             bc=bc,
             **{"lambda": 150.0},
@@ -330,25 +361,69 @@ class TestSynthCommand:
             J=12,
         )
         path = write_config(tmp_path, doc)
-        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
         err = capsys.readouterr().err.strip()
-        margin = float(re.search(pattern, err).group(1))
-        assert margin > 0.0  # the failed inequality asks for a negative value
-        if code == 3:
-            assert float(re.search(r"last weight tried (\S+),", err).group(1)) > 0.0
+        pattern = (
+            r"infeasible: Riccati solve \(solve_riccati\) failed: "
+            r"normalized residual (\S+) exceeds 1e-08"
+        )
+        residual = float(re.fullmatch(pattern, err).group(1))
+        assert residual > 1e-8  # the failed inequality asks for at most 1e-8
+
+    @pytest.mark.parametrize("window", [(0.1, 1.3), (0.3, 0.9)], ids=["wide", "narrow"])
+    def test_refined_riccati_certifies_ill_conditioned_head(self, tmp_path, window):
+        # lam = 110: six unstable modes, sigma up to 2980; the eigenvector
+        # start leaves a Riccati residual of 2e-2 / 3e-4 (U1 condition 6e11 /
+        # 4e10), and the Newton-Kleinman steps bring it under the gate
+        doc = base_config(
+            **{"lambda": 110.0},
+            length=2.0,
+            actuators=[{"kind": "indicator", "a": window[0], "b": window[1]}],
+            poles=None,
+            J=12,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert_doc = json.loads((tmp_path / "exp_certificate.json").read_text())
+        assert cert_doc["n"] == 6
+        assert max(cert_doc["closed_loop_spectrum_real"]) < 0.0
+        assert cert_doc["alpha"] > 0.0
+
+    def test_non_definite_lyapunov_names_margin(self, tmp_path, capsys, monkeypatch):
+        # a solve that returns -P0: the message carries lambda_min(-P0) and the residual
+        from satstab import synthesis
+
+        solve = synthesis.solve_lyapunov
+
+        def negated(a, q):
+            x, residual = solve(a, q)
+            return -x, residual
+
+        monkeypatch.setattr(synthesis, "solve_lyapunov", negated)
+        path = write_config(tmp_path, base_config(J=8, poles=[-4.0]))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip()
+        match = re.fullmatch(
+            r"numerical failure: Lyapunov solve \(solve_lyapunov\) returned a non-definite "
+            r"matrix: lambda_min\(P0\) = (\S+) \(needs > 0\), normalized residual (\S+)",
+            err,
+        )
+        # the gain places sigma_1 = 1 at -4, so P0 = 1/8 and the solve returned -1/8
+        assert float(match.group(1)) == pytest.approx(-0.125, rel=1e-3)
+        assert 0.0 <= float(match.group(2)) <= 1e-14
 
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
     def test_lyapunov_failure_exits_3(self, tmp_path, capsys, monkeypatch, error):
-        import scipy.linalg
+        from satstab import synthesis
 
         def failing(a, q):
             raise error("singular matrix")
 
-        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", failing)
+        monkeypatch.setattr(synthesis, "solve_lyapunov", failing)
         path = write_config(tmp_path, base_config(J=8))
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "Lyapunov solve (solve_continuous_lyapunov) failed: singular matrix" in err
+        assert "Lyapunov solve (solve_lyapunov) failed: singular matrix" in err
         assert "config error" not in err
 
     def test_critical_length_exits_4(self, tmp_path):

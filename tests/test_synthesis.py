@@ -5,11 +5,17 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from satstab.errors import GapTooSmall, NotStabilizable
-from satstab.modal import Indicator, ModeCombination, actuator_coefficients, assemble_internal
+from satstab.modal import (
+    Indicator,
+    ModeCombination,
+    actuator_coefficients,
+    actuator_norms_sq,
+    assemble_internal,
+)
 from satstab.saturation import UNSATURATED, SaturationLevel
 from satstab.simulate import quad_form
 from satstab.spectral import BoundaryCondition, OperatorParams, eigen_closed_form
@@ -28,6 +34,8 @@ from satstab.synthesis import (
     read_certificate,
     sample_ellipsoid,
     select_h2_constants,
+    solve_lyapunov,
+    solve_riccati,
 )
 
 HINGED = BoundaryCondition.HINGED
@@ -164,6 +172,151 @@ class TestDesignGain:
         )
         gain = design_gain(pair)
         assert gain.hurwitz
+
+
+    def test_multi_input_explicit_poles(self):
+        # lam = 12, L = pi: sigma = 32, 27, 11 unstable, two indicators
+        es = eigen_closed_form(OperatorParams(12.0, math.pi), HINGED, 12)
+        shapes = [Indicator(0.2, 1.1), Indicator(1.6, 2.7)]
+        coeffs = actuator_coefficients(es, shapes)
+        ms = assemble_internal(es, coeffs, 3, shape_norms_sq=actuator_norms_sq(es, shapes))
+        assert ms.B.shape == (3, 2)
+        for poles in ([-1.0, -2.0, -3.0], [-5.0, -6.0, -40.0]):
+            gain = design_gain(ms, poles=poles)
+            assert gain.K.shape == (2, 3)
+            spectrum = np.linalg.eigvals(ms.A + ms.B @ gain.K)
+            np.testing.assert_allclose(np.sort_complex(spectrum), sorted(poles), rtol=1e-8)
+
+    def test_multi_input_explicit_poles_need_a_controllable_pair(self):
+        # stabilizable (the mode no input reaches is stable), not controllable
+        ms = scalar_system()
+        pair = type(ms)(
+            es=ms.es,
+            n=2,
+            A=np.diag([1.0, -0.5]),
+            B=np.array([[1.0, 0.2], [0.0, 0.0]]),
+            b_tail=np.zeros((0, 2)),
+            mode="internal",
+            shape_norms_sq=np.array([1.0, 1.0]),
+        )
+        with pytest.raises(NotStabilizable, match="pole placement requires a controllable pair"):
+            design_gain(pair, poles=[-1.0, -2.0])
+
+
+def lyapunov_residual(a, x, q):
+    return np.linalg.norm(a @ x + x @ a.T - q) / (
+        2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
+    )
+
+
+def riccati_residual(a, b, x):
+    xb = x @ b
+    res = a.T @ x + x @ a - xb @ xb.T + np.eye(len(a))
+    scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(xb) ** 2
+    return np.linalg.norm(res) / (scale + math.sqrt(len(a)))
+
+
+# entries on a 1e-3 grid: no subnormal inputs for scipy's balancing to choke on
+ENTRIES = st.floats(-3.0, 3.0).map(lambda v: round(v, 3))
+
+
+@st.composite
+def hurwitz_heads(draw):
+    """A d x d matrix, d <= 8, shifted so its rightmost eigenvalue sits at -margin."""
+    d = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+    margin = draw(st.floats(1e-3, 2.0))
+    return a - (np.max(np.linalg.eigvals(a).real) + margin) * np.eye(d)
+
+
+@st.composite
+def random_pairs(draw):
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    flat = np.array(draw(st.lists(ENTRIES, min_size=d * (d + m), max_size=d * (d + m))))
+    return flat[: d * d].reshape(d, d), flat[d * d :].reshape(d, m)
+
+
+class TestMatrixEquations:
+    """The numpy solves against scipy's, kept here as the oracle."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(hurwitz_heads())
+    def test_lyapunov_matches_scipy(self, a):
+        from scipy.linalg import solve_continuous_lyapunov
+
+        d = len(a)
+        q = -np.eye(d)
+        x, residual = solve_lyapunov(a, q)
+        assert residual == pytest.approx(lyapunov_residual(a, x, q), rel=1e-6, abs=1e-300)
+        assert lyapunov_residual(a, x, q) <= 1e-14
+        oracle = solve_continuous_lyapunov(a, q)
+        # both solves are backward stable: each forward error is at most the
+        # Kronecker operator's condition number times its backward error
+        op = np.kron(a, np.eye(d)) + np.kron(np.eye(d), a)
+        norm_op = np.linalg.norm(op, 2)
+        backward = [np.linalg.norm(op @ y.ravel() - q.ravel()) / (norm_op * np.linalg.norm(y))
+                    for y in (x, oracle)]
+        bound = 2.0 * np.linalg.cond(op) * (sum(backward) + np.finfo(float).eps)
+        assert np.linalg.norm(x - oracle) <= bound * np.linalg.norm(oracle)
+
+    def test_lyapunov_singular_operator_raises(self):
+        # a and -a share the eigenvalue 0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lyapunov(np.diag([0.0, -1.0]), -np.eye(2))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.diag([-1.0, -1.0, 1.0]), np.array([[0.0], [0.0], [1.0]])),
+            (np.diag([1.0, 0.5]), np.array([[1.0, 0.2], [0.0, 1.0]])),
+            (np.array([[1.0]]), np.array([[1.0]])),
+        ],
+        ids=["stabilizable", "multi-input", "scalar"],
+    )
+    def test_riccati_matches_scipy_on_fixed_pairs(self, a, b):
+        from scipy.linalg import solve_continuous_are
+
+        x = solve_riccati(a, b)
+        oracle = solve_continuous_are(a, b, np.eye(len(a)), np.eye(b.shape[1]))
+        assert riccati_residual(a, b, x) <= 1e-14
+        np.testing.assert_allclose(x, oracle, rtol=1e-12, atol=1e-12 * np.linalg.norm(oracle))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(random_pairs())
+    def test_riccati_matches_scipy_on_drawn_pairs(self, pair):
+        from scipy.linalg import solve_continuous_are
+
+        a, b = pair
+        d, m = b.shape
+        try:
+            oracle = solve_continuous_are(a, b, np.eye(d), np.eye(m))
+        except ValueError:  # np.linalg.LinAlgError included: no solution to compare with
+            reject()
+        # scipy also returns an X for some pairs that cannot be stabilized:
+        # keep the pairs it solves, to a stabilizing, well-conditioned X
+        assume(riccati_residual(a, b, oracle) <= 1e-12)
+        assume(np.max(np.linalg.eigvals(a - b @ b.T @ oracle).real) < 0.0)
+        assume(np.linalg.cond(oracle) <= 1e4)
+        x = solve_riccati(a, b)
+        assert riccati_residual(a, b, x) <= 1e-13
+        assert np.max(np.linalg.eigvals(a - b @ b.T @ x).real) < 0.0
+        assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize(
+        "a, b, cause",
+        [
+            # the stable eigenvector of the unreached mode's Hamiltonian
+            # block has no state part, so U1 is singular
+            (np.diag([1.0, -2.0]), np.array([[0.0], [1.0]]), "Singular matrix"),
+            # the mode (1, -1) sits at 0 and no input reaches it
+            (np.full((2, 2), -1.218), np.full((2, 1), -1.218), "does not stabilize"),
+        ],
+        ids=["unstable-unreached", "zero-unreached"],
+    )
+    def test_riccati_unstabilizable_pair_raises(self, a, b, cause):
+        with pytest.raises(np.linalg.LinAlgError, match=cause):
+            solve_riccati(a, b)
 
 
 class TestCertificate:
