@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CertificateFailure, GapTooSmall, NotStabilizable
+from .errors import CertificateFailure, ConvergenceFailure, GapTooSmall, NotStabilizable
 from .spectral import unstable_count
 
 _MARGIN = 0.1  # multiplicative slack turning strict inequalities into margins
@@ -146,27 +146,23 @@ def _ackermann(A, B, poles):
 
 
 def _single_input_direction(A, B):
-    """The unit g that leaves (A, Bg) best conditioned for `_ackermann`, or None.
+    """A unit g for which (A, Bg) passes the Kalman rank test, or None.
 
     The candidates are (1, t, ..., t^(m-1)), normalized, for t = 1, -1, 2,
-    -2, ..., +-(d (m - 1) + 1) (Heymann, IEEE TAC 1968).  For a diagonal A
-    with distinct eigenvalues, (A, Bg) is controllable when no entry of Bg
-    is zero; each entry is a polynomial in t of degree below m, nonzero when
-    (A, B) is controllable, so at most d (m - 1) values of t fail.  Of the
-    candidates that pass the Kalman rank test, the one whose Kalman matrix
-    has the smallest condition number is taken; None when none passes.
+    -2, ..., +-(d (m - 1) + 1) (Heymann, IEEE TAC 1968), and the first that
+    passes is taken.  For a diagonal A with distinct eigenvalues, (A, Bg) is
+    controllable when no entry of Bg is zero; each entry is a polynomial in
+    t of degree below m, nonzero when (A, B) is controllable, so at most
+    d (m - 1) values of t fail.
     """
     d, m = B.shape
-    best, best_cond = None, math.inf
     for t in range(1, d * (m - 1) + 2):
         for s in (t, -t):
             g = float(s) ** np.arange(m)
             g /= np.linalg.norm(g)
-            ctrb = kalman_matrix(A, B @ g[:, None])
-            cond = np.linalg.cond(ctrb)
-            if cond < best_cond and np.linalg.matrix_rank(ctrb) == d:
-                best, best_cond = g, cond
-    return best
+            if np.linalg.matrix_rank(kalman_matrix(A, B @ g[:, None])) == d:
+                return g
+    return None
 
 
 def design_gain(ms, poles=None):
@@ -177,8 +173,9 @@ def design_gain(ms, poles=None):
     inputs go through one input direction g (`_single_input_direction`),
     K = g k.  Everything else goes through `solve_riccati`, with identity
     state and input weights.  Raises `NotStabilizable` when an unstable
-    eigenvalue fails the rank test or when the pole placement or the
-    Riccati solve fails.
+    eigenvalue fails the rank test, when the pole placement fails, or when
+    the Riccati solve finds no stabilizing solution; `ConvergenceFailure`
+    when the Riccati solve misses its residual gate.
     """
     A, B = ms.A, ms.B
     d = A.shape[0]
@@ -212,6 +209,8 @@ def design_gain(ms, poles=None):
     else:
         try:
             X = solve_riccati(A, B)
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(f"Riccati solve (solve_riccati) failed: {exc}") from exc
         except ValueError as exc:  # np.linalg.LinAlgError included
             raise NotStabilizable(f"Riccati solve (solve_riccati) failed: {exc}") from exc
         K = -B.T @ X
@@ -233,10 +232,10 @@ def design_gain(ms, poles=None):
 _RESIDUAL_TOL = 1e-8  # largest normalized residual a solve may return: about sqrt(eps)
 
 
-def _gate(residual):
+def _gate(residual, error=np.linalg.LinAlgError):
     """`residual`, after checking that it is at most `_RESIDUAL_TOL` (NaN fails)."""
     if not residual <= _RESIDUAL_TOL:
-        raise np.linalg.LinAlgError(
+        raise error(
             f"normalized residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}"
         )
     return residual
@@ -285,9 +284,13 @@ def solve_riccati(a, b):
     the iteration can settle on a solution that does not stabilize either.
     The residual is
     ||a^T X + X a - X b b^T X + I||_F / (2 ||a||_F ||X||_F + ||X b||_F^2 + sqrt(d)).
-    Raises LinAlgError naming the cause: a Hamiltonian without d stable
-    eigenvalues, a singular U1, a residual that fails `_gate`, or an X
-    that leaves a - b b^T X with an eigenvalue off the open left half-plane.
+    Raises LinAlgError when there is no stabilizing X to working precision:
+    a Hamiltonian without d stable eigenvalues, a U1 that is singular or,
+    once the residual fails `_gate`, rank deficient by `np.linalg.matrix_rank`
+    (the stable subspace is then no graph over the state), or an X that
+    leaves a - b b^T X with an eigenvalue off the open left half-plane.
+    Raises ConvergenceFailure when the residual fails `_gate` and U1 has
+    full rank: a stabilizing X exists, and the solve missed it.
     """
     d = a.shape[0]
     ham = np.block([[a, -b @ b.T], [-np.eye(d), -a.T]])
@@ -298,7 +301,8 @@ def solve_riccati(a, b):
             f"the Hamiltonian has {stable.sum()} eigenvalues in the open left half-plane, "
             f"not {d}; the smallest |real part| is {np.min(np.abs(w.real)):.3e}"
         )
-    x = np.linalg.solve(v[:d, stable].T, v[d:, stable].T).T.real  # U2 U1^-1
+    u1 = v[:d, stable]
+    x = np.linalg.solve(u1.T, v[d:, stable].T).T.real  # U2 U1^-1
     x = 0.5 * (x + x.T)
     residual = _riccati_residual(a, b, x)
     for _ in range(_NEWTON_STEPS):
@@ -313,7 +317,13 @@ def solve_riccati(a, b):
         if not (step_residual < residual and stabilizes):
             break
         x, residual = step, step_residual
-    _gate(residual)
+    rank = d if residual <= _RESIDUAL_TOL else int(np.linalg.matrix_rank(u1))
+    if rank < d:
+        raise np.linalg.LinAlgError(
+            f"the stable eigenvectors' state block U1 has rank {rank} of {d} "
+            f"(condition number {np.linalg.cond(u1):.3e}); normalized residual {residual:.3e}"
+        )
+    _gate(residual, ConvergenceFailure)
     largest = np.max(np.linalg.eigvals(a - b @ (b.T @ x)).real)
     if not largest < 0.0:
         raise np.linalg.LinAlgError(

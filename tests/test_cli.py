@@ -327,7 +327,8 @@ class TestSynthCommand:
         assert summary["rates"]["l2"]["rate"] > 0
 
     def test_riccati_failure_exits_4(self, tmp_path, capsys):
-        # lam = 150: the Riccati solve cannot reach its residual gate for this window
+        # lam = 150: the Hamiltonian's stable subspace is no graph over the
+        # state to working precision, so no stabilizing solution is found
         doc = base_config(
             bc="neumann_ch",
             **{"lambda": 150.0},
@@ -340,18 +341,31 @@ class TestSynthCommand:
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert "Riccati solve (solve_riccati) failed" in err
-        residual = float(re.search(r"normalized residual (\S+) exceeds 1e-08", err).group(1))
-        assert residual > 1e-8
+        assert "the stable eigenvectors' state block U1 has rank 7 of 8" in err
 
+    # lam = 150: unstable sigma up to about 5e3 for one indicator, and
+    # sigma_1 = 5447.7, sigma_2 = 5433.8 barely separated by one input.  On
+    # the hinged heads U1 has full rank (cond(U1) about 4e14 and 1e14 with 80
+    # digits), but no X the solve reaches meets the residual gate: a
+    # numerical failure.  The Neumann head's U1 is rank deficient at working
+    # precision (cond(U1) about 3e16 with 80 digits): no stabilizing X.
     @pytest.mark.parametrize(
-        "bc, window",
-        [("hinged", (0.1, 1.3)), ("hinged", (0.3, 0.9)), ("neumann_ch", (0.1, 1.3))],
+        "bc, window, code, pattern",
+        [
+            ("hinged", (0.1, 1.3), 3,
+             r"numerical failure: Riccati solve \(solve_riccati\) failed: "
+             r"normalized residual (\S+) exceeds 1e-08"),
+            ("hinged", (0.3, 0.9), 3,
+             r"numerical failure: Riccati solve \(solve_riccati\) failed: "
+             r"normalized residual (\S+) exceeds 1e-08"),
+            ("neumann_ch", (0.1, 1.3), 4,
+             r"infeasible: Riccati solve \(solve_riccati\) failed: the stable eigenvectors' "
+             r"state block U1 has rank 7 of 8 \(condition number \S+\); "
+             r"normalized residual (\S+)"),
+        ],
         ids=["hinged-wide", "hinged-narrow", "neumann"],
     )
-    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window):
-        # lam = 150: unstable sigma up to about 5e3 for one indicator, and
-        # sigma_1 = 5447.7, sigma_2 = 5433.8 barely separated by one input;
-        # no Riccati solution in double precision meets the residual gate
+    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window, code, pattern):
         doc = base_config(
             bc=bc,
             **{"lambda": 150.0},
@@ -361,12 +375,8 @@ class TestSynthCommand:
             J=12,
         )
         path = write_config(tmp_path, doc)
-        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
         err = capsys.readouterr().err.strip()
-        pattern = (
-            r"infeasible: Riccati solve \(solve_riccati\) failed: "
-            r"normalized residual (\S+) exceeds 1e-08"
-        )
         residual = float(re.fullmatch(pattern, err).group(1))
         assert residual > 1e-8  # the failed inequality asks for at most 1e-8
 
