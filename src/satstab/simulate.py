@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BlowUp, BoundExpired, NonPositiveChannel
-from .saturation import UNSATURATED, SaturationLevel, sat
+from .saturation import UNSATURATED, SaturationLevel
 from .spectral import quadrature_for_modes
 
 EXIT_HORIZON = "horizon"
@@ -120,8 +120,12 @@ def _rowwise(rows, matrix):
 
     A single matrix-matrix product would round each row differently
     depending on the batch around it; this way a trajectory gets the same
-    bits whether it runs alone or in a batch.
+    bits whether it runs alone or in a batch.  With an inner dimension of at
+    most one each entry is a single product (or none), and the plain matrix
+    product gives the same bits, signed zeros included, at less cost.
     """
+    if matrix.shape[0] <= 1:
+        return rows @ matrix
     return np.matmul(rows[..., None, :], matrix)[..., 0, :]
 
 
@@ -139,6 +143,14 @@ class StepPlan:
     sigma = 0 and input 1; `coupling` is its column a (None for internal
     actuation).  `norm_form` is the blow-up quadratic form I + gram_d1 +
     gram_d2 (plus 1 for the integrator).
+
+    A step of a few rows costs its numpy calls, not its arithmetic:
+    `stepper(rows)` lays the constants out as (rows, dim) arrays once per
+    batch, the clamp works in place, and `step` is that function for one
+    call.  Each row still gets the bits it gets alone: the command and the
+    drive are `_rowwise` products and every other operation is elementwise.
+    The operations and their order are those of the formula in `step`, so
+    the step rounds as it does written out with broadcast constants.
     """
 
     growth: np.ndarray  # exp(sigma dt)
@@ -153,14 +165,33 @@ class StepPlan:
     def command(self, states):
         return _rowwise(states[:, : self.head], self.gain_t)
 
+    def stepper(self, rows):
+        """The step function for batches of `rows` rows: (states, forcing=None) -> states."""
+        growth, hold, coupling = (
+            None if v is None else np.tile(v, (rows, 1))
+            for v in (self.growth, self.hold, self.coupling)
+        )
+        head, gain_t, input_t, ell = self.head, self.gain_t, self.input_t, self.level.ell
+
+        def step(states, forcing=None):
+            u = _rowwise(states[:, :head], gain_t)
+            np.maximum(u, -ell, out=u)
+            np.minimum(u, ell, out=u)
+            drive = _rowwise(u, input_t)
+            if coupling is not None:
+                drive += coupling * states[:, :1]
+            if forcing is not None:
+                drive += forcing
+            drive *= hold
+            new = growth * states
+            new += drive
+            return new
+
+        return step
+
     def step(self, states, forcing=None):
         """y <- g y + h (a y_0 + sat(y_head K^T) B^T + forcing), row by row."""
-        drive = _rowwise(sat(self.command(states), self.level), self.input_t)
-        if self.coupling is not None:
-            drive = self.coupling * states[:, :1] + drive
-        if forcing is not None:
-            drive = drive + forcing
-        return self.growth * states + self.hold * drive
+        return self.stepper(len(states))(states, forcing)
 
 
 def step_plan(ms, gain, level, dt):
@@ -414,6 +445,7 @@ def _blocks(config, es, plan, rows):
     samples = _sample_count(config)
     live = np.arange(rows.shape[0])
     y = rows
+    step = plan.stepper(live.size)
     start = 0
     while start < samples and live.size:
         end = min(start + _BLOCK, samples)
@@ -427,7 +459,7 @@ def _blocks(config, es, plan, rows):
                 f = None
                 if nonlinear:
                     f = forcing[:, k - first] = nonlinear_forcing(es, y, config.delta, config.nu)
-                y = plan.step(y, f)
+                y = step(y, f)
                 block[:, k - start] = y
             over = quad_form(block, plan.norm_form) > limit
         done = over.any(axis=1)
@@ -437,7 +469,9 @@ def _blocks(config, es, plan, rows):
             # a nonlinear crossing step is not stored
             ends[int(live[i])] = (k if nonlinear and k else k + 1, EXIT_BLOWUP)
         yield start, live, block, forcing, ends
-        live, y = live[~done], y[~done]
+        if ends:
+            live, y = live[~done], y[~done]
+            step = plan.stepper(live.size)
         start = end
 
 

@@ -436,6 +436,24 @@ class TestSynthCommand:
         assert "Lyapunov solve (solve_lyapunov) failed: singular matrix" in err
         assert "config error" not in err
 
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (np.linalg.LinAlgError, 3, "numerical failure: LinAlgError: Eigenvalues did not converge"),
+            (ValueError, 2, "config error: Eigenvalues did not converge"),
+        ],
+    )
+    def test_escaped_solver_error_exit_class(self, tmp_path, capsys, monkeypatch, error, code,
+                                             message):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure, not a config error
+        def failing(A, B):
+            raise error("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "diagnose_pair", failing)
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
+        assert capsys.readouterr().err.strip() == message
+
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
             bc="clamped",
@@ -786,7 +804,7 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("boundary", [False, True])
     def test_cli_output_matches_per_cell_oracle(self, tmp_path, boundary):
-        doc = base_config(J=6, T=1.2, dt=0.002)  # 601 rows: several chunks, one partial
+        doc = base_config(J=6, T=2.4, dt=0.002)  # 1201 rows: a full chunk and a partial one
         if boundary:
             doc.update(bc="clamped", length=1.0, actuators=[], poles=[-2.0, -4.0], ell=20.0)
             doc["lambda"] = 45.0
@@ -796,7 +814,7 @@ class TestTrajectoryCsv:
         cert = str(tmp_path / "exp_certificate.json")
         assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 0
         cfg, ms, traj = self.rerun(path, tmp_path, "exp")
-        assert traj.times.size == 601
+        assert traj.times.size == 1201
         expected = oracle_csv(cfg.J, ms, traj)
         assert (tmp_path / "exp_trajectory.csv").read_bytes() == expected
 
@@ -950,6 +968,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "all invariants passed" in out
+
+    def test_boolean_checks_print_margins(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["verify", "-c", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sci = r"(-?\d\.\d\de[+-]\d\d)"
+        formats = {
+            "spectral.values_sorted": (rf"largest increase {sci}", lambda v: v < 0.0),
+            "modal.bessel_inequality": (rf"smallest slack {sci}", lambda v: v >= -1e-10),
+            "synthesis.sector_inclusion": (
+                r"largest \|\(K - C\)z\|/ell (\d\.\d+)", lambda v: 0.0 < v <= 1.0 + 1e-9
+            ),
+            "simulate.region_invariance": (r"largest v1 (\d\.\d+)", lambda v: 0.0 < v <= 1.0),
+            "simulate.v1_dissipation": (rf"smallest slack {sci}", lambda v: v >= -1e-12),
+            "simulate.unsaturated_equivalence": (
+                rf"max difference {sci}", lambda v: 0.0 <= v <= 1e-14
+            ),
+            "simulate.parseval": (rf"worst relative error {sci}", lambda v: 0.0 <= v <= 1e-12),
+        }
+        for name, (pattern, holds) in formats.items():
+            [line] = [line for line in lines if line.split()[1] == name]
+            match = re.fullmatch(rf"PASS {re.escape(name)} \({pattern}\)", line)
+            assert match, line
+            assert holds(float(match.group(1))), line
 
     def test_seed_change_still_passes(self, tmp_path):
         path = write_config(tmp_path, base_config(J=8, seed=999))

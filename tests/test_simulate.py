@@ -241,6 +241,136 @@ class TestBoundaryStepper:
         assert np.all(traj.l2 <= w_l2 + u_abs * d_norm + 1e-12)
 
 
+def two_input_hinged():
+    # lam = 6: sigma = 5 and 8 on the two unstable modes, two windows
+    es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
+    coeffs = actuator_coefficients(es, [Indicator(0.3, 1.2), Indicator(1.5, 2.8)])
+    return assemble_internal(es, coeffs, 2)
+
+
+def oracle_step(ms, K, ell, dt, y, f):
+    """One exponential-Euler step of one row in Python floats, and its error scale.
+
+    y_j <- e^(sigma_j dt) y_j + dt phi1(sigma_j dt) (a_j y_0 + sum_i B_ji
+    sat((K y_head)_i) + f_j); a boundary loop's integrator is row 0 with
+    sigma = 0, a = 0 and input 1.  The scale bounds the sum of the terms'
+    magnitudes, the command's as if unclamped, so rounding stays under a few
+    eps times it.
+    """
+    B = np.vstack([ms.B, ms.b_tail])
+    if ms.mode == "boundary":
+        sigma = [0.0] + list(ms.es.values)
+        a = list(ms.A[:, 0]) + list(ms.a_tail)
+    else:
+        sigma, a = list(ms.es.values), [0.0] * ms.es.count
+    head = K.shape[1]
+    terms = [[float(K[i, k]) * float(y[k]) for k in range(head)] for i in range(K.shape[0])]
+    u = [min(max(math.fsum(t), -ell), ell) for t in terms]
+    reach = [sum(abs(v) for v in t) for t in terms]
+    out, scale = [], []
+    for j in range(len(y)):
+        h = sigma[j] * dt
+        growth = math.exp(h)
+        hold = dt * (math.expm1(h) / h if h else 1.0)
+        parts = [a[j] * y[0], f[j]] + [float(B[j, i]) * u[i] for i in range(len(u))]
+        out.append(growth * y[j] + hold * math.fsum(parts))
+        bound = abs(a[j] * y[0]) + abs(f[j]) + sum(abs(B[j, i]) * r for i, r in enumerate(reach))
+        scale.append(abs(growth * y[j]) + hold * bound)
+    return np.array(out), np.array(scale)
+
+
+class TestStepper:
+    """`StepPlan.step` against a per-row Python-float evaluation of the step formula."""
+
+    @pytest.fixture(
+        scope="class", params=["internal_m1", "internal_m2", "boundary", "already_stable"]
+    )
+    def loop(self, request, boundary_ms):
+        if request.param == "internal_m1":
+            es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
+            ms = assemble_internal(es, actuator_coefficients(es, [Indicator(0.3, 2.8)]), 2)
+        elif request.param == "internal_m2":
+            ms = two_input_hinged()
+        elif request.param == "boundary":
+            ms = boundary_ms
+        else:  # lam = 0.5, L = 1: no unstable mode, so K has no columns
+            es = eigen_closed_form(OperatorParams(0.5, 1.0), HINGED, 6)
+            assert unstable_count(es).n == 0
+            ms = assemble_internal(es, actuator_coefficients(es, [Indicator(0.0, 0.5)]), 0)
+        head = ms.n + (ms.mode == "boundary")
+        K = np.random.default_rng(7).normal(size=(ms.B.shape[1], head))
+        return ms, Gain(K=K, closed_loop_spectrum=np.full(head, -1.0))
+
+    @pytest.mark.parametrize("ell", [1.0, math.inf])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_step_matches_python_floats(self, loop, ell, forced):
+        ms, gain = loop
+        rng = np.random.default_rng(11)
+        dt = 1e-2
+        plan = step_plan(ms, gain, SaturationLevel(ell), dt)
+        dim = len(plan.growth)
+        cut = 1 if ms.mode == "boundary" else 0
+        rows = rng.normal(size=(6, dim)) * np.array([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])[:, None]
+        forcing = None
+        if forced:  # the forcing of a nonlinear run, 0 on a boundary loop's integrator
+            forcing = np.zeros_like(rows)
+            forcing[:, cut:] = nonlinear_forcing(ms.es, rows[:, cut:], 1.0, 0.5)
+        command = np.abs(rows[:, : gain.K.shape[1]] @ gain.K.T)
+        if gain.K.shape[1] and ell == 1.0:  # both clamped and free rows
+            assert np.any(command > ell) and np.any(command < ell)
+        got = plan.step(rows, forcing)
+        eps = np.finfo(float).eps
+        for i, row in enumerate(rows):
+            f = np.zeros(dim) if forcing is None else forcing[i]
+            want, scale = oracle_step(ms, gain.K, ell, dt, row, f)
+            assert np.all(np.abs(got[i] - want) <= 32 * eps * scale), i
+            # alone or in a batch, a row gets the same bits
+            alone = plan.step(rows[i : i + 1], None if forcing is None else forcing[i : i + 1])
+            np.testing.assert_array_equal(alone[0], got[i])
+
+    @pytest.mark.parametrize("rows", [1, 17, 64, 1000])
+    @pytest.mark.parametrize("inner", [0, 1])
+    def test_short_rowwise_is_the_stacked_product(self, rows, inner):
+        # the plain product `_rowwise` takes for inner dimension <= 1 must give
+        # the stacked product's bits, signed zeros of underflowed products too
+        rng = np.random.default_rng(rows)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-200, -1e-200]
+
+        def draw(shape):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+            mask = rng.random(shape) < 0.2
+            x[mask] = rng.choice(specials, size=int(mask.sum()))
+            return x
+
+        states, matrix = draw((rows, 3)), draw((inner, 33))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = simulate._rowwise(states[:, :inner], matrix)
+            want = np.matmul(states[:, None, :inner], matrix)[:, 0, :]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_two_input_rows_end_in_different_blocks(self):
+        ms = two_input_hinged()
+        gain = Gain(
+            K=np.array([[-3.0, 1.0], [0.5, -2.0]]), closed_loop_spectrum=np.array([-1.0, -2.0])
+        )
+        level = SaturationLevel(0.5)
+        # the clamped input cannot hold the unstable modes: each row grows, and
+        # the smaller it starts the later it crosses the threshold
+        starts = np.zeros((4, 10))
+        starts[:, :3] = np.array([[1.0], [0.05], [2e-3], [0.0]]) * [1.0, 0.5, -0.2]
+        config = SimConfig(J=10, dt=1e-2, T=2.5, blowup_threshold=30.0)
+        batch = run_batch(config, ms, gain, starts, level=level)
+        assert [t.exit_reason for t in batch] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
+        assert len({(t.times.size - 1) // 64 for t in batch[:3]}) == 3
+        assert_identical(batch, per_step_reference(config, ms, gain, starts, level=level))
+        serial = [
+            run(replace(config, initial=tuple(y0.tolist())), ms, gain, level=level)
+            for y0 in starts
+        ]
+        assert_identical(batch, serial)
+
+
 class TestRun:
     def test_horizon_exit_and_contraction(self, hinged_system):
         ms = hinged_system
