@@ -15,6 +15,7 @@ from .errors import (
     ConvergenceFailure,
     CriticalLength,
     GapTooSmall,
+    Infeasible,
     NonPositiveChannel,
     NotStabilizable,
     SatStabError,

@@ -256,15 +256,19 @@ def parse_config(doc):
     )
 
 
-def load_config(path):
+def read_json(path, what):
+    """The JSON document in the file at `path`; a ConfigError names it as `what` otherwise."""
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    return parse_config(doc)
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def load_config(path):
+    return parse_config(read_json(path, "config"))
 
 
 def serialize_config(cfg):

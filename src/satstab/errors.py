@@ -1,12 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI exit code and label."""
 
 
 class SatStabError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; by default a numerical failure."""
+
+    exit_code = 3
+    label = "numerical failure"
 
 
 class ConfigError(SatStabError):
     """Invalid experiment configuration."""
+
+    exit_code = 2
+    label = "config error"
+
+
+class Infeasible(SatStabError):
+    """The configured system admits no stabilizing design."""
+
+    exit_code = 4
+    label = "infeasible"
 
 
 class ConvergenceFailure(SatStabError):
@@ -17,11 +30,11 @@ class AllModesUnstable(SatStabError):
     """No negative eigenvalue among the computed modes (mode count too small)."""
 
 
-class CriticalLength(SatStabError):
+class CriticalLength(Infeasible):
     """Anti-diffusion parameter lies in the critical set; boundary pair not stabilizable."""
 
 
-class NotStabilizable(SatStabError):
+class NotStabilizable(Infeasible):
     """An unstable eigenvalue fails the rank test; no stabilizing gain exists."""
 
 

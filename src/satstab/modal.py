@@ -108,6 +108,23 @@ class ModalSystem:
     def m(self):
         return self.B.shape[1]
 
+    @property
+    def lift_coefficients(self):
+        """<d, e_j> over the J modes (the input column below the integrator is b = -d).
+
+        None for internal actuation.
+        """
+        if self.mode != "boundary":
+            return None
+        return -np.concatenate([self.B[1:, 0], self.b_tail[:, 0]])
+
+    def field_coefficients(self, states):
+        """Modal coefficients of the field: w + u d for boundary rows (u, w), else the rows."""
+        d = self.lift_coefficients
+        if d is None:
+            return states
+        return states[:, 1:] + states[:, :1] * d
+
 
 def _indicator_closed_form(es, shape):
     """Analytic window integrals of the closed-form trig modes."""

@@ -200,13 +200,11 @@ def step_plan(ms, gain, level, dt):
     sigma = es.values
     form = np.eye(es.count) + es.gram_d1 + es.gram_d2
     coupling = None
-    head = ms.n
     if ms.mode == "boundary":
         sigma = np.concatenate([[0.0], sigma])
         form = np.pad(form, ((1, 0), (1, 0)))
         form[0, 0] = 1.0
         coupling = np.concatenate([ms.A[:, 0], ms.a_tail])
-        head = ms.n + 1
     return StepPlan(
         growth=np.exp(sigma * dt),
         hold=dt * _phi1(sigma * dt),
@@ -214,7 +212,7 @@ def step_plan(ms, gain, level, dt):
         input_t=np.vstack([ms.B, ms.b_tail]).T,
         coupling=coupling,
         norm_form=form,
-        head=head,
+        head=ms.dim,
         level=level,
     )
 
@@ -292,7 +290,7 @@ def _bump_coefficients(es):
     return coeffs
 
 
-def resolve_initial(config, es, ms=None):
+def resolve_initial(config, es):
     """Modal coefficients for the configured initial state."""
     entry = config.initial
     if isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str):
@@ -321,7 +319,7 @@ def _v2(v1, modal, constants, sigma):
 
 def run(config, ms, gain, cert=None, constants=None, level=None):
     """Integrate the configured initial state: `run_batch` with a batch of one."""
-    y0 = resolve_initial(config, ms.es, ms)
+    y0 = resolve_initial(config, ms.es)
     return run_batch(config, ms, gain, y0[None], cert, constants, level)[0]
 
 
@@ -484,7 +482,7 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
     w_sq = np.sum(modal * modal, axis=1)
     if boundary:
         u = states[:, 0]
-        inner_wd = -(modal @ plan.input_t[0, 1:])  # <w, d> since b = -d
+        inner_wd = modal @ ms.lift_coefficients  # <w, d>
         l2 = np.sqrt(np.maximum(0.0, w_sq + 2.0 * u * inner_wd + u**2 * ms.lifting.d_norm_sq()))
     else:
         l2 = np.sqrt(w_sq)
@@ -672,7 +670,7 @@ def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, lev
     cert, constants = (None, None) if monitors is None else monitors
 
     def stepped(amplitudes, keep=0):
-        initials = [resolve_initial(make_config(a), ms.es, ms) for a in amplitudes]
+        initials = [resolve_initial(make_config(a), ms.es) for a in amplitudes]
         return _stepping_pass(config, ms, gain, initials, level, keep, start, cert, constants)
 
     depth = min(_LEVELS_PER_PASS, iters)

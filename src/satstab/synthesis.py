@@ -168,14 +168,15 @@ def _single_input_direction(A, B):
 def design_gain(ms, poles=None):
     """Stabilizing gain for the truncated pair.
 
-    Single-input controllable pairs are placed at `poles` (default: the tail
-    gap times 1..dim) by Ackermann's formula; explicit poles with several
-    inputs go through one input direction g (`_single_input_direction`),
-    K = g k.  Everything else goes through `solve_riccati`, with identity
-    state and input weights.  Raises `NotStabilizable` when an unstable
-    eigenvalue fails the rank test, when the pole placement fails, or when
-    the Riccati solve finds no stabilizing solution; `ConvergenceFailure`
-    when the Riccati solve misses its residual gate.
+    Poles are placed on a controllable pair through one input direction g
+    (`_single_input_direction`, which picks g = [1] for a single input) by
+    Ackermann's formula on (A, Bg): K = g k.  A single input's poles default
+    to the tail gap times 1..dim.  Everything else goes through
+    `solve_riccati`, with identity state and input weights.  Raises
+    `NotStabilizable` when an unstable eigenvalue fails the rank test, when
+    the pole placement fails, or when the Riccati solve finds no stabilizing
+    solution; `ConvergenceFailure` when the Riccati solve misses its
+    residual gate.
     """
     A, B = ms.A, ms.B
     d = A.shape[0]
@@ -196,16 +197,13 @@ def design_gain(ms, poles=None):
             raise ValueError(f"need {d} poles, got {len(poles)}")
         if not report.controllable:
             raise NotStabilizable("pole placement requires a controllable pair")
-        if B.shape[1] == 1:
-            K = _ackermann(A, B, poles)
-        else:
-            g = _single_input_direction(A, B)
-            if g is None:
-                raise NotStabilizable(
-                    f"pole placement failed: none of the {2 * d * (B.shape[1] - 1) + 2} input "
-                    f"directions g tried makes (A, Bg) pass the rank test"
-                )
-            K = g[:, None] @ _ackermann(A, B @ g[:, None], poles)
+        g = _single_input_direction(A, B)
+        if g is None:
+            raise NotStabilizable(
+                f"pole placement failed: none of the {2 * d * (B.shape[1] - 1) + 2} input "
+                f"directions g tried makes (A, Bg) pass the rank test"
+            )
+        K = g[:, None] @ _ackermann(A, B @ g[:, None], poles)
     else:
         try:
             X = solve_riccati(A, B)

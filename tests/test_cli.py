@@ -16,7 +16,28 @@ from satstab import cli
 from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
+from satstab.errors import SatStabError
+from satstab.modal import ModalSystem
 from satstab.simulate import Trajectory, gronwall_bound, run
+
+
+def all_subclasses(cls):
+    """`cls` and every class derived from it, depth first."""
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in all_subclasses(direct)]
+
+
+# the exit classes README documents; every other library error is a numerical failure
+EXIT_CLASSES = {
+    "ConfigError": (2, "config error"),
+    "Infeasible": (4, "infeasible"),
+    "NotStabilizable": (4, "infeasible"),
+    "CriticalLength": (4, "infeasible"),
+}
+
+
+def test_exit_classes_cover_the_library_errors():
+    names = {error.__name__ for error in all_subclasses(SatStabError)}
+    assert set(EXIT_CLASSES) | {"BlowUp", "ConvergenceFailure", "BoundExpired"} <= names
 
 
 def base_config(**overrides):
@@ -454,6 +475,21 @@ class TestSynthCommand:
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
         assert capsys.readouterr().err.strip() == message
 
+    @pytest.mark.parametrize(
+        "error", all_subclasses(SatStabError), ids=lambda error: error.__name__
+    )
+    def test_library_error_exit_class(self, tmp_path, capsys, monkeypatch, error):
+        # every library error gets its class's code and label, BlowUp and future types included
+        code, label = EXIT_CLASSES.get(error.__name__, (3, "numerical failure"))
+
+        def failing(A, B):
+            raise error("the cause, with its margin 1.5e-03")
+
+        monkeypatch.setattr(cli, "diagnose_pair", failing)
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"{label}: the cause, with its margin 1.5e-03\n"
+
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
             bc="clamped",
@@ -852,10 +888,15 @@ class TestTrajectoryCsv:
         )
         if rows > 2:
             traj.v2[1] = np.nan
-        ms = SimpleNamespace(mode="internal")
+        # a system with no eigen system behind it: the writer reads only the lift
+        ms = ModalSystem(
+            es=None, n=0, A=np.zeros((0, 0)), B=np.zeros((0, m)), b_tail=np.zeros((J, m)),
+            mode="internal", shape_norms_sq=np.zeros(m),
+        )
         if boundary:
-            ms = SimpleNamespace(
-                mode="boundary", B=np.array([[0.0], [0.5]]), b_tail=np.array([[-0.25], [1e-3]])
+            ms = ModalSystem(
+                es=None, n=1, A=np.zeros((2, 2)), B=np.array([[0.0], [0.5]]),
+                b_tail=np.array([[-0.25], [1e-3]]), mode="boundary", shape_norms_sq=np.zeros(1),
             )
         cfg = SimpleNamespace(J=J)
         assert self.written(tmp_path, cfg, ms, traj) == oracle_csv(J, ms, traj)
@@ -961,6 +1002,9 @@ class TestCsvOracles:
         assert (tmp_path / "gronwall.csv").read_bytes() == oracle_lines(rows)
 
 
+BOUNDARY = {"bc": "clamped", "lambda": 45.0, "length": 1.0, "actuators": [], "poles": None}
+
+
 class TestVerifyCommand:
     def test_default_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(J=8))
@@ -981,7 +1025,8 @@ class TestVerifyCommand:
                 r"largest \|\(K - C\)z\|/ell (\d\.\d+)", lambda v: 0.0 < v <= 1.0 + 1e-9
             ),
             "simulate.region_invariance": (r"largest v1 (\d\.\d+)", lambda v: 0.0 < v <= 1.0),
-            "simulate.v1_dissipation": (rf"smallest slack {sci}", lambda v: v >= -1e-12),
+            # relative to |z|^2, so late samples of a decayed run do not pin it to ~0
+            "simulate.v1_dissipation": (rf"smallest slack/\|z\|\^2 {sci}", lambda v: v > 1.0),
             "simulate.unsaturated_equivalence": (
                 rf"max difference {sci}", lambda v: 0.0 <= v <= 1e-14
             ),
@@ -1020,7 +1065,7 @@ class TestVerifyCommand:
                 "simulate.region_invariance", "simulate.v1_dissipation",
                 "simulate.unsaturated_equivalence", "simulate.parseval",
             ]),
-            ({"bc": "clamped", "lambda": 45.0, "length": 1.0, "actuators": [], "poles": None}, [
+            (BOUNDARY, [
                 "spectral.orthonormality", "spectral.eigen_residual", "spectral.values_sorted",
                 "modal.lifting_identities", "synthesis.certificate",
                 "synthesis.sector_inclusion", "synthesis.sector_condition",
@@ -1040,6 +1085,44 @@ class TestVerifyCommand:
         assert [line.split()[1] for line in lines[:-1]] == names
         # C = 0, and the ellipsoid is clamp-free: the deadzone is zero on its surface
         assert "PASS synthesis.sector_condition (worst 0.00e+00)" in lines
+        D = np.array(json.loads((tmp_path / "exp_certificate.json").read_text())["D"])
+        (line,) = [line for line in lines if "certificate.D_diagonal_positive" in line]
+        match = re.fullmatch(
+            r"PASS certificate\.D_diagonal_positive \(smallest diagonal (\S+), "
+            r"largest off-diagonal (\S+)\)", line,
+        )
+        assert match, line
+        assert float(match.group(1)) == pytest.approx(np.diag(D).min(), rel=1e-3)
+        assert float(match.group(2)) == 0.0  # one input: D has no off-diagonal entry
+        if system:
+            (line,) = [line for line in lines if "modal.lifting_identities" in line]
+            match = re.fullmatch(r"PASS modal\.lifting_identities \(largest residual (\S+)\)", line)
+            assert match, line
+            assert 0.0 <= float(match.group(1)) < 1e-12
+
+    def test_off_diagonal_deadzone_weight_fails_with_its_size(self, tmp_path, capsys):
+        doc = base_config(J=8)
+        doc["actuators"] = [
+            {"kind": "indicator", "a": 0.0, "b": 1.0}, {"kind": "indicator", "a": 1.5, "b": 3.0}
+        ]
+        doc["poles"] = None
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert_path = tmp_path / "exp_certificate.json"
+        cert_doc = json.loads(cert_path.read_text())
+        cert_doc["D"][0][1] = cert_doc["D"][1][0] = 0.25
+        cert_path.write_text(json.dumps(cert_doc))
+        capsys.readouterr()
+        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "certificate.D_diagonal_positive" in line
+        ]
+        smallest = min(cert_doc["D"][0][0], cert_doc["D"][1][1])
+        assert line == (
+            f"FAIL certificate.D_diagonal_positive (smallest diagonal {smallest:.3e}, "
+            "largest off-diagonal 2.50e-01)"
+        )
 
     def stable(self, tmp_path):
         """A synthesized config with no unstable mode (lam = 0.5, L = 1) and its file."""

@@ -142,6 +142,28 @@ class TestBoundary:
         np.testing.assert_allclose(eigs, expected, atol=1e-10)
         assert ms.a_tail.shape == (6 - n,)
 
+    @pytest.mark.parametrize("lam, length", [(45.0, 1.0), (20.0, 2.0)])
+    def test_lift_coefficients_project_d(self, lam, length):
+        es = eigen_clamped(OperatorParams(lam, length), 10)
+        lift = Lifting(length)
+        ms = assemble_boundary(es, lift, unstable_count(es).n)
+        x, w = es.quadrature.nodes, es.quadrature.weights
+        expected = np.array([math.fsum(w * es.basis[j] * lift.d(x)) for j in range(es.count)])
+        assert np.max(np.abs(expected)) > 1e-3
+        np.testing.assert_allclose(ms.lift_coefficients, expected, rtol=0.0, atol=1e-12)
+
+    def test_field_coefficients(self, es_pi):
+        es = eigen_clamped(OperatorParams(45.0, 1.0), 6)
+        ms = assemble_boundary(es, Lifting(1.0), unstable_count(es).n)
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((4, 7))
+        d = ms.lift_coefficients
+        for row, field in zip(states, ms.field_coefficients(states)):
+            np.testing.assert_array_equal(field, row[1:] + row[0] * d)
+        internal = assemble_internal(es_pi, actuator_coefficients(es_pi, [Indicator(0.0, 1.0)]), 1)
+        assert internal.lift_coefficients is None
+        np.testing.assert_array_equal(internal.field_coefficients(states), states)
+
     def test_requires_clamped(self, es_pi):
         with pytest.raises(ValueError):
             assemble_boundary(es_pi, Lifting(math.pi), 1)

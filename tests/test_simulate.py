@@ -946,6 +946,23 @@ class TestMonitors:
             assert np.all(np.abs(traj.states[:, j]) <= bound * (1.0 + 1e-6) + 1e-12)
 
 
+    def test_boundary_l2_is_the_lifted_field_norm(self):
+        # l2 of a boundary run is the physical field w + u d, integrated on the grid
+        es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
+        lift = Lifting(1.0)
+        ms = assemble_boundary(es, lift, unstable_count(es).n)
+        gain = design_gain(ms, poles=[-2.0, -4.0])
+        config = SimConfig(J=8, dt=5e-4, T=0.5, initial=("smooth", 0.02))
+        traj = run(config, ms, gain, level=SaturationLevel(20.0))
+        x = es.quadrature.nodes
+        for k in range(0, traj.times.size, 50):
+            u, w = traj.states[k, 0], traj.states[k, 1:]
+            field = es.synthesize(w) + u * lift.d(x)
+            assert abs(u) > 1e-4 or k == 0
+            expected = math.sqrt(es.quadrature.integrate(field**2))
+            assert traj.l2[k] == pytest.approx(expected, rel=1e-12)
+
+
 def fit_decay_rate_from(times, values):
     slope, _ = np.polyfit(times, np.log(np.maximum(values, 1e-300)), 1)
     return -float(slope)

@@ -11,19 +11,28 @@ from hypothesis import strategies as st
 from satstab.errors import GapTooSmall, NotStabilizable
 from satstab.modal import (
     Indicator,
+    Lifting,
     ModeCombination,
     actuator_coefficients,
     actuator_norms_sq,
+    assemble_boundary,
     assemble_internal,
 )
 from satstab.saturation import UNSATURATED, SaturationLevel
 from satstab.simulate import quad_form
-from satstab.spectral import BoundaryCondition, OperatorParams, eigen_closed_form
+from satstab.spectral import (
+    BoundaryCondition,
+    OperatorParams,
+    eigen_clamped,
+    eigen_closed_form,
+    unstable_count,
+)
 from satstab.synthesis import (
     Certificate,
     ControllabilityReport,
     Gain,
     H2Constants,
+    _ackermann,
     build_certificate,
     certificate_document,
     certificate_head,
@@ -116,6 +125,24 @@ class TestDesignGain:
         gain = design_gain(ms, poles=[-1.0, -2.0])
         got = np.sort(gain.closed_loop_spectrum.real)
         np.testing.assert_allclose(got, [-2.0, -1.0], atol=1e-10)
+
+    @pytest.mark.parametrize("head", ["internal", "boundary"])
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "default"])
+    def test_single_input_gain_is_ackermanns(self, head, explicit):
+        # one pole-placement path: for m = 1 it is Ackermann's formula on (A, B), bit for bit
+        if head == "internal":
+            es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
+            ms = assemble_internal(es, actuator_coefficients(es, [Indicator(0.0, 3.0)]), 2)
+        else:
+            es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
+            ms = assemble_boundary(es, Lifting(1.0), unstable_count(es).n)
+        d = ms.dim
+        step = 1.5 if explicit else unstable_count(es).eta
+        poles = [-step * (i + 1) for i in range(d)]
+        gain = design_gain(ms, poles=poles if explicit else None)
+        expected = _ackermann(ms.A, ms.B, poles)
+        assert gain.K.shape == expected.shape == (1, d)
+        assert gain.K.tobytes() == expected.tobytes()
 
     def test_default_poles_use_gap(self):
         ms = scalar_system()
