@@ -35,15 +35,12 @@ from .synthesis import (
     certificate_head,
     check_certificate,
     design_gain,
-    diagnose_pair,
     read_certificate,
     sample_ellipsoid,
     select_h2_constants,
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICS = 3
 
 
 # Rows per `_csv_block` call on a long table.  Against 64 rows, 1024 cut the
@@ -227,7 +224,8 @@ def _design(cfg, es, ms):
     return gain, cert, select_h2_constants(cert, ms, gain, es)
 
 
-def _synth_report_text(head, report, gain, cert, consts):
+def _synth_report_text(head, gain, cert, consts):
+    report = gain.report
     lines = [
         f"mode: {head['mode']}  (n = {head['n']}, m = {head['m']}, J = {head['J']})",
         f"tail gap eta = {head['eta']:.6g}",
@@ -250,13 +248,12 @@ def _synth_report_text(head, report, gain, cert, consts):
 def cmd_synth(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    report = diagnose_pair(ms.A, ms.B)
     gain, cert, consts = _design(cfg, es, ms)
     head = _system_head(cfg, ms, split)
     path = _out_path(cfg, out_dir, "certificate.json")
-    _write_json(path, certificate_document(head, gain, report, cert, consts))
+    _write_json(path, certificate_document(head, gain, gain.report, cert, consts))
     with open(_out_path(cfg, out_dir, "synth_report.txt"), "w") as handle:
-        handle.write(_synth_report_text(head, report, gain, cert, consts))
+        handle.write(_synth_report_text(head, gain, cert, consts))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -271,10 +268,12 @@ def load_certificate(path):
 
 
 def _matching_certificate(path, cfg, ms, split):
-    """`load_certificate`'s document, gain, certificate and constants, if built for the config.
+    """`load_certificate`'s document, gain, certificate and constants, if usable for the config.
 
-    Every head field but the derived tail gap eta must equal the config's;
-    otherwise exit 2, naming each field that differs and both its values.
+    Exits 2 (ConfigError) unless every head field but the derived tail gap
+    eta equals the config's (naming each field that differs and both its
+    values), a certificate is present when some mode is unstable, and
+    `check_certificate` accepts its P and D (naming the values it rejects).
     """
     doc, gain, cert, consts = load_certificate(path)
     differ = [
@@ -285,6 +284,16 @@ def _matching_certificate(path, cfg, ms, split):
     if differ:
         raise ConfigError(
             f"certificate {path} was synthesized for a different system ({'; '.join(differ)})"
+        )
+    if cert is not None:
+        try:
+            check_certificate(cert, ms, gain)
+        except ValueError as exc:
+            raise ConfigError(f"certificate {path} is malformed: {exc}")
+    elif ms.dim > 0:
+        raise ConfigError(
+            f"certificate {path} has P = null, but {ms.n} mode(s) are unstable:"
+            " no region to monitor"
         )
     return doc, gain, cert, consts
 
@@ -331,11 +340,6 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
     _, gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
-    if ms.dim > 0 and cert is None:
-        raise ConfigError(
-            f"certificate {certificate_path} has P = null, but {ms.n} mode(s) are unstable:"
-            " no region to monitor"
-        )
     sim = cfg.sim_config()
     if basin:
         if not isinstance(cfg.initial[0], str):
@@ -433,50 +437,16 @@ class _Report:
             self.failures.append(name)
 
 
-def _verify_certificate_file(report, ms, doc, gain, cert):
-    """Check the certificate `cert` read from a file against `ms` under the file's `gain`.
-
-    With no unstable mode there is nothing to certify: the file must hold no
-    certificate block and a gain without columns.
-    """
-    if ms.dim == 0:
-        columns = gain.K.shape[1]
-        held = certificate_fields_held(doc) + ([f"a {columns}-column gain"] if columns else [])
-        report.check("certificate.absent", not held,
-                     "no mode is unstable, yet the file holds " + ", ".join(held) if held else "")
-        return
-    if cert is None:
-        report.check("certificate.present", False, "file holds no certificate block")
-        return
-    p_sym = np.allclose(cert.P, cert.P.T)
-    p_eigs = np.linalg.eigvalsh(0.5 * (cert.P + cert.P.T))
-    report.check("certificate.P_positive_definite", p_sym and np.all(p_eigs > 0.0),
-                 f"lambda_min = {p_eigs.min():.3e}" + ("" if p_sym else ", not symmetric"))
-    diagonal = np.diag(cert.D)
-    d_ok = np.allclose(cert.D, np.diag(diagonal)) and np.all(diagonal > 0)
-    off = float(np.max(np.abs(cert.D - np.diag(diagonal)), initial=0.0))
-    report.check("certificate.D_diagonal_positive", bool(d_ok),
-                 f"smallest diagonal {diagonal.min():.3e}, largest off-diagonal {off:.2e}")
-    if not (p_sym and np.all(p_eigs > 0.0) and d_ok):
-        return
-    check = check_certificate(cert, ms, gain)
-    report.check("certificate.M1_negative_definite", check.lambda_max_m1 < 0.0,
-                 f"lambda_max = {check.lambda_max_m1:.3e}")
-    report.check("certificate.M2_positive_semidefinite",
-                 math.isinf(cert.ell) or check.lambda_min_m2 >= -1e-9,
-                 f"lambda_min = {check.lambda_min_m2:.3e}")
-
-
 def cmd_verify(cfg, certificate_path=None):
+    """Check one (gain, certificate, constants) triple: the file's if given, else `_design`'s."""
     rng = np.random.default_rng(cfg.seed)
     report = _Report()
 
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
+    gain = cert = consts = None
     if certificate_path is not None:
-        file_doc, file_gain, file_cert, _ = _matching_certificate(
-            certificate_path, cfg, ms, split
-        )
+        doc, gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
     ortho = _orthonormality_error(es)
     report.check("spectral.orthonormality", ortho <= 1e-10, f"worst {ortho:.2e}")
     residuals = [eigen_residual(es, j) for j in range(es.count)]
@@ -498,27 +468,29 @@ def cmd_verify(cfg, certificate_path=None):
         lift_ok = ends[0] == 0.0 and ends[2] == 0.0 and residual < 1e-12
         report.check("modal.lifting_identities", lift_ok, f"largest residual {residual:.2e}")
 
-    gain = cert = consts = None
-    if ms.dim > 0:
+    if certificate_path is None and ms.dim > 0:
         try:
             gain, cert, consts = _design(cfg, es, ms)
         except SatStabError as exc:
             report.check("synthesis.certificate", False, str(exc))
-        if cert is not None:
-            check = check_certificate(cert, ms, gain)
-            report.check("synthesis.certificate", check.ok,
-                         f"M1 {check.lambda_max_m1:.2e}, M2 {check.lambda_min_m2:.2e}")
-            boundary_pts = sample_ellipsoid(cert, rng, 2000, surface=True)
-            margin = cfg.ell * (1.0 + 1e-9)
-            reach = float(np.max(np.abs(boundary_pts @ (gain.K - cert.C).T)))
-            report.check("synthesis.sector_inclusion", reach <= margin,
-                         f"largest |(K - C)z|/ell {reach / cfg.ell:.6g}")
-            sector = sector_holds(boundary_pts, gain.K, cert.C, cert.D, cfg.level())
-            worst = float(sector.weighted_value.max())
-            report.check("synthesis.sector_condition", worst <= 1e-12, f"worst {worst:.2e}")
-
-    if certificate_path is not None:
-        _verify_certificate_file(report, ms, file_doc, file_gain, file_cert)
+    elif ms.dim == 0 and certificate_path is not None:
+        # nothing to certify: the file must hold no certificate block and a gain without columns
+        columns = gain.K.shape[1]
+        held = certificate_fields_held(doc) + ([f"a {columns}-column gain"] if columns else [])
+        report.check("certificate.absent", not held,
+                     "no mode is unstable, yet the file holds " + ", ".join(held) if held else "")
+    if cert is not None:
+        check = check_certificate(cert, ms, gain)
+        report.check("synthesis.certificate", check.ok,
+                     f"M1 {check.lambda_max_m1:.2e}, M2 {check.lambda_min_m2:.2e}")
+        boundary_pts = sample_ellipsoid(cert, rng, 2000, surface=True)
+        margin = cfg.ell * (1.0 + 1e-9)
+        reach = float(np.max(np.abs(boundary_pts @ (gain.K - cert.C).T)))
+        report.check("synthesis.sector_inclusion", reach <= margin,
+                     f"largest |(K - C)z|/ell {reach / cfg.ell:.6g}")
+        sector = sector_holds(boundary_pts, gain.K, cert.C, cert.D, cfg.level())
+        worst = float(sector.weighted_value.max())
+        report.check("synthesis.sector_condition", worst <= 1e-12, f"worst {worst:.2e}")
 
     if cert is not None and ms.mode == "internal":
         sim = SimConfig(J=cfg.J, dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0))
@@ -540,7 +512,8 @@ def cmd_verify(cfg, certificate_path=None):
         report.check("simulate.region_invariance", invariant_ok,
                      f"largest v1 {max(float(np.max(traj.v1)) for traj in trajs):.6g}")
         report.check("simulate.v1_dissipation", dissipation_ok,
-                     f"smallest slack/|z|^2 {np.min(np.concatenate(gaps), initial=math.inf):.2e}")
+                     f"smallest slack/|z|^2 {np.min(np.concatenate(gaps), initial=math.inf):.2e}, "
+                     f"allowance/alpha {slack / cert.alpha:.2e}")
 
         y0 = np.zeros(cfg.J)
         y0[0] = 0.5 / math.sqrt(cert.P[0, 0]) if ms.n else 0.01
@@ -564,7 +537,7 @@ def cmd_verify(cfg, certificate_path=None):
 
     if report.failures:
         print(f"{len(report.failures)} invariant(s) failed")
-        return EXIT_NUMERICS
+        return SatStabError.exit_code
     print("all invariants passed")
     return EXIT_OK
 
@@ -623,7 +596,7 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+        return ConfigError.exit_code if exc.code not in (0, None) else EXIT_OK
 
     try:
         if args.command == "gronwall":
@@ -644,11 +617,11 @@ def main(argv=None):
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so ahead of the config errors
-        print(f"numerical failure: LinAlgError: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+        print(f"{SatStabError.label}: LinAlgError: {exc}", file=sys.stderr)
+        return SatStabError.exit_code
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{ConfigError.label}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 def entry():

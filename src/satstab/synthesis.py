@@ -22,8 +22,11 @@ _MARGIN = 0.1  # multiplicative slack turning strict inequalities into margins
 
 @dataclass(frozen=True)
 class Gain:
+    """A feedback gain u = Kz; `report` is the pair's `diagnose_pair` when designed here."""
+
     K: np.ndarray
     closed_loop_spectrum: np.ndarray
+    report: "ControllabilityReport | None" = None
 
     @property
     def hurwitz(self):
@@ -166,7 +169,7 @@ def _single_input_direction(A, B):
 
 
 def design_gain(ms, poles=None):
-    """Stabilizing gain for the truncated pair.
+    """Stabilizing gain for the truncated pair, carrying the pair's `diagnose_pair` report.
 
     Poles are placed on a controllable pair through one input direction g
     (`_single_input_direction`, which picks g = [1] for a single input) by
@@ -180,10 +183,10 @@ def design_gain(ms, poles=None):
     """
     A, B = ms.A, ms.B
     d = A.shape[0]
-    if d == 0:
-        return Gain(K=np.zeros((B.shape[1], 0)), closed_loop_spectrum=np.array([]))
-
     report = diagnose_pair(A, B)
+    if d == 0:
+        return Gain(K=np.zeros((B.shape[1], 0)), closed_loop_spectrum=np.array([]), report=report)
+
     if not report.stabilizable:
         bad = ", ".join(f"{f.real:.4g}" for f in report.pbh_failures if f.real >= 0)
         raise NotStabilizable(f"unstable eigenvalues fail the rank test: {bad}")
@@ -214,7 +217,7 @@ def design_gain(ms, poles=None):
         K = -B.T @ X
 
     spectrum = np.linalg.eigvals(A + B @ K)
-    gain = Gain(K=K, closed_loop_spectrum=spectrum)
+    gain = Gain(K=K, closed_loop_spectrum=spectrum, report=report)
     if not gain.hurwitz:
         method = "Riccati" if poles is None else "pole placement"
         raise NotStabilizable(
@@ -426,12 +429,26 @@ def build_certificate(ms, gain, level):
 
 
 def check_certificate(cert, ms, gain):
-    """Independent eigensolve of both block matrices plus the Schur cross-check."""
+    """Independent eigensolve of both block matrices plus the Schur cross-check.
+
+    Raises ValueError, naming the values, unless P is symmetric positive
+    definite and D is diagonal with positive entries (NaN fails both).
+    """
     P, D, C, ell = cert.P, cert.D, cert.C, cert.ell
-    if np.any(np.diag(D) <= 0.0) or not np.allclose(D, np.diag(np.diag(D))):
-        raise ValueError("deadzone weight must be diagonal positive definite")
-    if np.any(np.linalg.eigvalsh(0.5 * (P + P.T)) <= 0.0):
-        raise ValueError("ellipsoid matrix must be symmetric positive definite")
+    diagonal = np.diag(D)
+    if not (np.all(diagonal > 0.0) and np.allclose(D, np.diag(diagonal))):
+        off = float(np.max(np.abs(D - np.diag(diagonal)), initial=0.0))
+        raise ValueError(
+            f"deadzone weight D must be diagonal positive definite: smallest diagonal "
+            f"{diagonal.min():.3e}, largest off-diagonal {off:.2e}"
+        )
+    symmetric = np.allclose(P, P.T)
+    p_min = float(np.min(np.linalg.eigvalsh(0.5 * (P + P.T))))
+    if not (symmetric and p_min > 0.0):
+        raise ValueError(
+            f"ellipsoid matrix P must be symmetric positive definite: lambda_min = {p_min:.3e}"
+            + ("" if symmetric else ", not symmetric")
+        )
 
     lam_max = float(np.max(np.linalg.eigvalsh(_m1(ms.A, ms.B, gain.K, P, D, C))))
     if math.isinf(ell):

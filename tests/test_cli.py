@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satstab
-from satstab import cli
+from satstab import cli, synthesis
 from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
@@ -470,7 +470,7 @@ class TestSynthCommand:
         def failing(A, B):
             raise error("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cli, "diagnose_pair", failing)
+        monkeypatch.setattr(synthesis, "diagnose_pair", failing)
         path = write_config(tmp_path, base_config(J=8))
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
         assert capsys.readouterr().err.strip() == message
@@ -485,10 +485,33 @@ class TestSynthCommand:
         def failing(A, B):
             raise error("the cause, with its margin 1.5e-03")
 
-        monkeypatch.setattr(cli, "diagnose_pair", failing)
+        monkeypatch.setattr(synthesis, "diagnose_pair", failing)
         path = write_config(tmp_path, base_config(J=8))
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
         assert capsys.readouterr().err == f"{label}: the cause, with its margin 1.5e-03\n"
+
+    @pytest.mark.parametrize(
+        "system",
+        [{}, {"lambda": 0.5, "length": 1.0, "poles": None,
+              "actuators": [{"kind": "indicator", "a": 0.0, "b": 0.5}]}],
+        ids=["unstable", "n0"],
+    )
+    def test_one_controllability_diagnosis_per_synth(self, tmp_path, monkeypatch, system):
+        pairs = []
+        original = synthesis.diagnose_pair
+
+        def counting(A, B):
+            pairs.append(A)
+            return original(A, B)
+
+        # at every module attribute that could bind it, as the benchmark's tracer wraps it
+        monkeypatch.setattr(synthesis, "diagnose_pair", counting)
+        monkeypatch.setattr(cli, "diagnose_pair", counting, raising=False)
+        path = write_config(tmp_path, base_config(J=8, **system))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        assert len(pairs) == 1
+        doc = json.loads((tmp_path / "exp_certificate.json").read_text())
+        assert doc["diagnostics"]["dim"] == len(pairs[0])  # the report still reaches the file
 
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
@@ -685,9 +708,10 @@ class TestSimulateCommand:
         assert "P = null" in capsys.readouterr().err
         assert not (tmp_path / "exp_trajectory.csv").exists()
         assert not (tmp_path / "exp_summary.json").exists()
-        assert main(["verify", "-c", path, "--certificate", str(cert)]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL certificate.present (file holds no certificate block)" in out
+        assert main(["verify", "-c", path, "--certificate", str(cert)]) == 2
+        out, err = capsys.readouterr()
+        assert "has P = null, but 1 mode(s) are unstable" in err
+        assert out == ""  # no suite ran
 
 
 TWO_INPUTS = [{"kind": "indicator", "a": 0.3, "b": 1.4}, {"kind": "indicator", "a": 1.6, "b": 2.9}]
@@ -736,7 +760,7 @@ class TestMismatchedCertificate:
 
 
 class TestCertificateShapes:
-    """A certificate array whose shape disagrees with the file's head exits 2 up front."""
+    """A certificate array of the wrong shape, or a malformed P or D, exits 2 up front."""
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize(
@@ -744,8 +768,10 @@ class TestCertificateShapes:
         [
             ("K", [[1.0, 2.0]], "K has shape (1, 2), the head asks for (1, 1)"),
             ("P", [[1.0, 0.0], [0.0, 1.0]], "P has shape (2, 2), the head asks for (1, 1)"),
+            ("P", [[-1.0]], "P must be symmetric positive definite: lambda_min = -1.000e+00"),
+            ("D", [[-2.0]], "D must be diagonal positive definite: smallest diagonal -2.000e+00"),
         ],
-        ids=["K", "P"],
+        ids=["K", "P", "P-indefinite", "D-negative"],
     )
     def test_edited_array_rejected(self, tmp_path, capsys, command, field, value, message):
         path = write_config(tmp_path, base_config(J=8))
@@ -757,10 +783,12 @@ class TestCertificateShapes:
         cert.write_text(json.dumps(doc))
         assert main([command, "-c", path, "--certificate", str(cert), "-o", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
+        assert err.startswith(f"config error: certificate {cert} is malformed: ")
         assert message in err
         assert "matmul" not in err
         assert out == ""  # no suite ran
         assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
 
     def test_boundary_head_counts_the_integrator(self, tmp_path):
         doc = base_config(
@@ -1026,7 +1054,11 @@ class TestVerifyCommand:
             ),
             "simulate.region_invariance": (r"largest v1 (\d\.\d+)", lambda v: 0.0 < v <= 1.0),
             # relative to |z|^2, so late samples of a decayed run do not pin it to ~0
-            "simulate.v1_dissipation": (rf"smallest slack/\|z\|\^2 {sci}", lambda v: v > 1.0),
+            # the allowance is small against alpha here, so the check has teeth
+            "simulate.v1_dissipation": (
+                rf"smallest slack/\|z\|\^2 {sci}, allowance/alpha {sci}",
+                lambda v, allowance: v > 1.0 and 0.0 < allowance < 0.05,
+            ),
             "simulate.unsaturated_equivalence": (
                 rf"max difference {sci}", lambda v: 0.0 <= v <= 1e-14
             ),
@@ -1036,7 +1068,7 @@ class TestVerifyCommand:
             [line] = [line for line in lines if line.split()[1] == name]
             match = re.fullmatch(rf"PASS {re.escape(name)} \({pattern}\)", line)
             assert match, line
-            assert holds(float(match.group(1))), line
+            assert holds(*map(float, match.groups())), line
 
     def test_seed_change_still_passes(self, tmp_path):
         path = write_config(tmp_path, base_config(J=8, seed=999))
@@ -1049,9 +1081,12 @@ class TestVerifyCommand:
         doc = json.loads(cert_path.read_text())
         doc["P"] = [[-1.0]]
         cert_path.write_text(json.dumps(doc))
-        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL certificate.P_positive_definite" in out
+        capsys.readouterr()
+        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"certificate {cert_path} is malformed" in err
+        assert "P must be symmetric positive definite: lambda_min = -1.000e+00" in err
+        assert out == ""  # no suite ran
 
     @pytest.mark.parametrize(
         "system, names",
@@ -1060,8 +1095,6 @@ class TestVerifyCommand:
                 "spectral.orthonormality", "spectral.eigen_residual", "spectral.values_sorted",
                 "modal.bessel_inequality", "synthesis.certificate",
                 "synthesis.sector_inclusion", "synthesis.sector_condition",
-                "certificate.P_positive_definite", "certificate.D_diagonal_positive",
-                "certificate.M1_negative_definite", "certificate.M2_positive_semidefinite",
                 "simulate.region_invariance", "simulate.v1_dissipation",
                 "simulate.unsaturated_equivalence", "simulate.parseval",
             ]),
@@ -1069,8 +1102,6 @@ class TestVerifyCommand:
                 "spectral.orthonormality", "spectral.eigen_residual", "spectral.values_sorted",
                 "modal.lifting_identities", "synthesis.certificate",
                 "synthesis.sector_inclusion", "synthesis.sector_condition",
-                "certificate.P_positive_definite", "certificate.D_diagonal_positive",
-                "certificate.M1_negative_definite", "certificate.M2_positive_semidefinite",
             ]),
         ],
         ids=["internal", "boundary"],
@@ -1085,15 +1116,15 @@ class TestVerifyCommand:
         assert [line.split()[1] for line in lines[:-1]] == names
         # C = 0, and the ellipsoid is clamp-free: the deadzone is zero on its surface
         assert "PASS synthesis.sector_condition (worst 0.00e+00)" in lines
-        D = np.array(json.loads((tmp_path / "exp_certificate.json").read_text())["D"])
-        (line,) = [line for line in lines if "certificate.D_diagonal_positive" in line]
-        match = re.fullmatch(
-            r"PASS certificate\.D_diagonal_positive \(smallest diagonal (\S+), "
-            r"largest off-diagonal (\S+)\)", line,
-        )
-        assert match, line
-        assert float(match.group(1)) == pytest.approx(np.diag(D).min(), rel=1e-3)
-        assert float(match.group(2)) == 0.0  # one input: D has no off-diagonal entry
+        # the block matrices are the file's, under the file's gain
+        cfg = load_config(path)
+        ms, _ = cfgmod.build_modal(cfg, cfgmod.build_eigen(cfg))
+        _, gain, cert, _ = cli.load_certificate(cert_path)
+        check = synthesis.check_certificate(cert, ms, gain)
+        assert (
+            f"PASS synthesis.certificate (M1 {check.lambda_max_m1:.2e}, "
+            f"M2 {check.lambda_min_m2:.2e})"
+        ) in lines
         if system:
             (line,) = [line for line in lines if "modal.lifting_identities" in line]
             match = re.fullmatch(r"PASS modal\.lifting_identities \(largest residual (\S+)\)", line)
@@ -1113,16 +1144,58 @@ class TestVerifyCommand:
         cert_doc["D"][0][1] = cert_doc["D"][1][0] = 0.25
         cert_path.write_text(json.dumps(cert_doc))
         capsys.readouterr()
-        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
-        (line,) = [
-            line for line in capsys.readouterr().out.splitlines()
-            if "certificate.D_diagonal_positive" in line
-        ]
         smallest = min(cert_doc["D"][0][0], cert_doc["D"][1][1])
-        assert line == (
-            f"FAIL certificate.D_diagonal_positive (smallest diagonal {smallest:.3e}, "
-            "largest off-diagonal 2.50e-01)"
+        for command in ("simulate", "verify"):
+            argv = [command, "-c", path, "--certificate", str(cert_path), "-o", str(tmp_path)]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert (
+                f"D must be diagonal positive definite: smallest diagonal {smallest:.3e}, "
+                "largest off-diagonal 2.50e-01"
+            ) in err
+            assert out == ""
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
+
+    def test_file_triple_is_checked_without_a_design(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+        def failing(*args):
+            raise AssertionError("verify --certificate designed a gain")
+
+        monkeypatch.setattr(cli, "_design", failing)
+        cert_path = str(tmp_path / "exp_certificate.json")
+        assert main(["verify", "-c", path, "--certificate", cert_path]) == 0
+        assert capsys.readouterr().out.endswith("all invariants passed\n")
+
+    def inclusion(self, lines):
+        (line,) = [line for line in lines if " synthesis.sector_inclusion " in line]
+        match = re.fullmatch(
+            r"(PASS|FAIL) synthesis\.sector_inclusion \(largest \|\(K - C\)z\|/ell (\S+)\)", line
         )
+        assert match, line
+        return match.group(1), float(match.group(2))
+
+    def test_shrunk_p_fails_on_the_files_ellipsoid(self, tmp_path, capsys):
+        # P/4 doubles every semi-axis, so |(K - C)z| doubles on the same surface draws
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert_path = tmp_path / "exp_certificate.json"
+        capsys.readouterr()
+        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 0
+        status, valid = self.inclusion(capsys.readouterr().out.splitlines())
+        assert status == "PASS" and 0.0 < valid <= 1.0
+        doc = json.loads(cert_path.read_text())
+        doc["P"] = (np.array(doc["P"]) / 4.0).tolist()
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", "-c", path, "--certificate", str(cert_path)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        status, shrunk = self.inclusion(lines)
+        assert status == "FAIL"
+        assert shrunk == pytest.approx(2.0 * valid, rel=1e-3)
+        assert any(line.startswith("FAIL synthesis.certificate (") for line in lines)
 
     def stable(self, tmp_path):
         """A synthesized config with no unstable mode (lam = 0.5, L = 1) and its file."""
