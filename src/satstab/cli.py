@@ -268,12 +268,14 @@ def load_certificate(path):
 
 
 def _matching_certificate(path, cfg, ms, split):
-    """`load_certificate`'s document, gain, certificate and constants, if usable for the config.
+    """`load_certificate`'s four values, if usable for the config, and the certificate's check.
 
     Exits 2 (ConfigError) unless every head field but the derived tail gap
     eta equals the config's (naming each field that differs and both its
     values), a certificate is present when some mode is unstable, and
     `check_certificate` accepts its P and D (naming the values it rejects).
+    The check is that call's result (None without a certificate); whether
+    its LMIs hold is the caller's to judge.
     """
     doc, gain, cert, consts = load_certificate(path)
     differ = [
@@ -285,9 +287,10 @@ def _matching_certificate(path, cfg, ms, split):
         raise ConfigError(
             f"certificate {path} was synthesized for a different system ({'; '.join(differ)})"
         )
+    check = None
     if cert is not None:
         try:
-            check_certificate(cert, ms, gain)
+            check = check_certificate(cert, ms, gain)
         except ValueError as exc:
             raise ConfigError(f"certificate {path} is malformed: {exc}")
     elif ms.dim > 0:
@@ -295,7 +298,7 @@ def _matching_certificate(path, cfg, ms, split):
             f"certificate {path} has P = null, but {ms.n} mode(s) are unstable:"
             " no region to monitor"
         )
-    return doc, gain, cert, consts
+    return doc, gain, cert, consts, check
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,13 @@ def _fit_or_none(traj, channel, t_start):
 def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    _, gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
+    _, gain, cert, consts, check = _matching_certificate(certificate_path, cfg, ms, split)
+    if check is not None and not check.ok:
+        raise ConfigError(
+            f"certificate {certificate_path} does not certify this system: "
+            f"lambda_max(M1) = {check.lambda_max_m1:.3e}, "
+            f"lambda_min(M2) = {check.lambda_min_m2:.3e}"
+        )
     sim = cfg.sim_config()
     if basin:
         if not isinstance(cfg.initial[0], str):
@@ -444,9 +453,9 @@ def cmd_verify(cfg, certificate_path=None):
 
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    gain = cert = consts = None
+    gain = cert = consts = check = None
     if certificate_path is not None:
-        doc, gain, cert, consts = _matching_certificate(certificate_path, cfg, ms, split)
+        doc, gain, cert, consts, check = _matching_certificate(certificate_path, cfg, ms, split)
     ortho = _orthonormality_error(es)
     report.check("spectral.orthonormality", ortho <= 1e-10, f"worst {ortho:.2e}")
     residuals = [eigen_residual(es, j) for j in range(es.count)]
@@ -474,13 +483,13 @@ def cmd_verify(cfg, certificate_path=None):
         except SatStabError as exc:
             report.check("synthesis.certificate", False, str(exc))
     elif ms.dim == 0 and certificate_path is not None:
-        # nothing to certify: the file must hold no certificate block and a gain without columns
-        columns = gain.K.shape[1]
-        held = certificate_fields_held(doc) + ([f"a {columns}-column gain"] if columns else [])
+        # nothing to certify: the file must hold no certificate block
+        held = certificate_fields_held(doc)
         report.check("certificate.absent", not held,
                      "no mode is unstable, yet the file holds " + ", ".join(held) if held else "")
     if cert is not None:
-        check = check_certificate(cert, ms, gain)
+        if check is None:  # a designed certificate; a file's was checked on loading
+            check = check_certificate(cert, ms, gain)
         report.check("synthesis.certificate", check.ok,
                      f"M1 {check.lambda_max_m1:.2e}, M2 {check.lambda_min_m2:.2e}")
         boundary_pts = sample_ellipsoid(cert, rng, 2000, surface=True)

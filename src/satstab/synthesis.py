@@ -2,10 +2,10 @@
 
 The certificate follows a constructive feasibility path rather than an SDP
 solver: solve a Lyapunov equation for the closed loop, scale until the
-ellipsoid fits inside the clamp-free sector, then grow the deadzone weight
-until the block matrix is negative definite.  Every certificate is verified
-a posteriori by independent symmetric eigensolves.  The certificate file's
-JSON format is written and read here and nowhere else.
+ellipsoid fits inside the clamp-free sector, then take the deadzone weight
+that a Schur complement gives for a chosen decay margin.  Every certificate
+is verified a posteriori by independent symmetric eigensolves.  The
+certificate file's JSON format is written and read here and nowhere else.
 """
 
 import math
@@ -56,7 +56,6 @@ class Certificate:
 class CertificateCheck(NamedTuple):
     lambda_max_m1: float
     lambda_min_m2: float
-    schur_min: float
     ok: bool
 
 
@@ -349,9 +348,14 @@ def build_certificate(ms, gain, level):
     """Constructive certificate for the saturated closed loop.
 
     Solves (A+BK)^T P0 + P0 (A+BK) = -I, scales P = c P0 until the ellipsoid
-    sits inside the clamp-free sector, sets C = 0, and doubles the diagonal
-    deadzone weight until the block matrix goes negative definite; the decay
-    margin alpha is its negated largest eigenvalue.
+    sits inside the clamp-free sector, and sets C = 0.  With the Lyapunov
+    block T = (A+BK)^T P + P (A+BK), G = P B and a = -lambda_max(T) /
+    (1 + _MARGIN), a Schur complement (Boyd, El Ghaoui, Feron & Balakrishnan,
+    SIAM 1994, sec. 2.1) gives lambda_max(M1) = -a for the deadzone weight
+    D = delta I with 2 delta = a + lambda_max(G^T (-(T + a I))^-1 G).  The
+    decay margin alpha is M1's negated largest eigenvalue.  Raises
+    CertificateFailure when T is not negative definite: then no weight
+    makes M1 negative definite.
     """
     A, B, K = ms.A, ms.B, gain.K
     d = A.shape[0]
@@ -362,8 +366,9 @@ def build_certificate(ms, gain, level):
     if not gain.hurwitz:
         raise ValueError("gain must make the closed loop Hurwitz")
 
+    acl = A + B @ K
     try:
-        p0, residual = solve_lyapunov((A + B @ K).T, -np.eye(d))
+        p0, residual = solve_lyapunov(acl.T, -np.eye(d))
     except ValueError as exc:  # np.linalg.LinAlgError included
         raise CertificateFailure(f"Lyapunov solve (solve_lyapunov) failed: {exc}") from exc
     p0 = 0.5 * (p0 + p0.T)
@@ -381,34 +386,19 @@ def build_certificate(ms, gain, level):
         scale = max(1.0, (1.0 + _MARGIN) * k_sq / (ell**2 * p0_min))
     P = scale * p0
 
-    pb = P @ B
-    gamma = scale  # the scaled Lyapunov block is exactly -scale * I
-    d0 = (1.0 + _MARGIN) * float(np.max(np.linalg.eigvalsh(pb @ pb.T))) / (
-        2.0 * scale * gamma
-    )
-    d_val = max(d0, 1e-9)
-    C = np.zeros((m, d))
-    alpha = None
-    lowest = math.inf  # the smallest lambda_max(M1) reached
-    for _ in range(200):
-        D = d_val * np.eye(m)
-        lam_max = float(np.max(np.linalg.eigvalsh(_m1(A, B, K, P, D, C))))
-        lowest = min(lowest, lam_max)
-        if lam_max < 0.0:
-            if alpha is not None and lam_max > -alpha * 1.05:
-                break  # no further improvement worth another doubling
-            alpha = -lam_max
-            d_val *= 2.0
-            continue
-        d_val *= 2.0
-    if alpha is None:
+    lyap = acl.T @ P + P @ acl
+    lyap_max = float(np.max(np.linalg.eigvalsh(lyap)))
+    if not lyap_max < 0.0:
         raise CertificateFailure(
-            f"deadzone weight search exhausted its iterations: last weight tried "
-            f"{d_val / 2.0:.3e}, smallest lambda_max(M1) reached {lowest:.3e} (needs < 0)"
+            f"the Lyapunov block (A+BK)^T P + P (A+BK) has lambda_max = {lyap_max:.3e} "
+            f"(needs < 0): no deadzone weight can make M1 negative definite"
         )
-    d_val /= 2.0  # the accepted weight
-
-    D = d_val * np.eye(m)
+    target = -lyap_max / (1.0 + _MARGIN)
+    pb = P @ B
+    schur = pb.T @ np.linalg.solve(-(lyap + target * np.eye(d)), pb)
+    D = 0.5 * (target + float(np.max(np.linalg.eigvalsh(schur)))) * np.eye(m)
+    C = np.zeros((m, d))
+    alpha = -float(np.max(np.linalg.eigvalsh(_m1(A, B, K, P, D, C))))
     beta = np.linalg.eigvalsh(P)
     cert = Certificate(
         P=P,
@@ -429,7 +419,7 @@ def build_certificate(ms, gain, level):
 
 
 def check_certificate(cert, ms, gain):
-    """Independent eigensolve of both block matrices plus the Schur cross-check.
+    """Independent eigensolves of both block matrices.
 
     Raises ValueError, naming the values, unless P is symmetric positive
     definite and D is diagonal with positive entries (NaN fails both).
@@ -453,15 +443,10 @@ def check_certificate(cert, ms, gain):
     lam_max = float(np.max(np.linalg.eigvalsh(_m1(ms.A, ms.B, gain.K, P, D, C))))
     if math.isinf(ell):
         lam_min = math.inf
-        schur_min = math.inf
     else:
         lam_min = float(np.min(np.linalg.eigvalsh(_m2(P, gain.K, C, ell))))
-        schur = P - (gain.K - C).T @ (gain.K - C) / ell**2
-        schur_min = float(np.min(np.linalg.eigvalsh(schur)))
     ok = lam_max < 0.0 and (math.isinf(ell) or lam_min >= -1e-9)
-    return CertificateCheck(
-        lambda_max_m1=lam_max, lambda_min_m2=lam_min, schur_min=schur_min, ok=ok
-    )
+    return CertificateCheck(lambda_max_m1=lam_max, lambda_min_m2=lam_min, ok=ok)
 
 
 def sample_ellipsoid(cert, rng, count, surface=False):

@@ -420,6 +420,30 @@ class TestSynthCommand:
         assert max(cert_doc["closed_loop_spectrum_real"]) < 0.0
         assert cert_doc["alpha"] > 0.0
 
+    @pytest.mark.parametrize("window", [(0.1, 1.3), (1.2, 1.9)], ids=["wide", "right"])
+    def test_lyapunov_block_at_rounding_exits_3(self, tmp_path, capsys, window):
+        # Neumann lam = 110, L = 2: the scaled P fails the Lyapunov inequality to
+        # working precision, so no deadzone weight exists; the message says so
+        doc = base_config(
+            bc="neumann_ch",
+            **{"lambda": 110.0},
+            length=2.0,
+            actuators=[{"kind": "indicator", "a": window[0], "b": window[1]}],
+            poles=None,
+            J=12,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip()
+        match = re.fullmatch(
+            r"numerical failure: the Lyapunov block \(A\+BK\)\^T P \+ P \(A\+BK\) has "
+            r"lambda_max = (\S+) \(needs < 0\): no deadzone weight can make M1 negative definite",
+            err,
+        )
+        assert match, err
+        assert float(match.group(1)) >= 0.0
+        assert not (tmp_path / "exp_certificate.json").exists()
+
     def test_non_definite_lyapunov_names_margin(self, tmp_path, capsys, monkeypatch):
         # a solve that returns -P0: the message carries lambda_min(-P0) and the residual
         from satstab import synthesis
@@ -1196,6 +1220,46 @@ class TestVerifyCommand:
         assert status == "FAIL"
         assert shrunk == pytest.approx(2.0 * valid, rel=1e-3)
         assert any(line.startswith("FAIL synthesis.certificate (") for line in lines)
+
+    def test_shrunk_p_is_refused_by_simulate(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert_path = tmp_path / "exp_certificate.json"
+        doc = json.loads(cert_path.read_text())
+        doc["P"] = (np.array(doc["P"]) / 4.0).tolist()
+        cert_path.write_text(json.dumps(doc))
+        cfg = load_config(path)
+        ms, _ = cfgmod.build_modal(cfg, cfgmod.build_eigen(cfg))
+        _, gain, cert, _ = cli.load_certificate(str(cert_path))
+        check = synthesis.check_certificate(cert, ms, gain)
+        assert not check.ok
+        capsys.readouterr()
+        argv = ["simulate", "-c", path, "--certificate", str(cert_path), "-o", str(tmp_path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == (
+            f"config error: certificate {cert_path} does not certify this system: "
+            f"lambda_max(M1) = {check.lambda_max_m1:.3e}, "
+            f"lambda_min(M2) = {check.lambda_min_m2:.3e}\n"
+        )
+        assert out == ""
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
+
+    def test_one_certificate_check_per_verify(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        calls = []
+        original = cli.check_certificate
+
+        def counting(cert, ms, gain):
+            calls.append(cert)
+            return original(cert, ms, gain)
+
+        monkeypatch.setattr(cli, "check_certificate", counting)
+        cert_path = str(tmp_path / "exp_certificate.json")
+        assert main(["verify", "-c", path, "--certificate", cert_path]) == 0
+        assert len(calls) == 1
 
     def stable(self, tmp_path):
         """A synthesized config with no unstable mode (lam = 0.5, L = 1) and its file."""

@@ -433,7 +433,40 @@ class TestCertificate:
         gain = design_gain(ms, poles=[-2.0])
         cert = build_certificate(ms, gain, SaturationLevel(0.7))
         check = check_certificate(cert, ms, gain)
-        assert (check.schur_min >= 0.0) == (check.lambda_min_m2 >= -1e-12)
+        # M2 >= 0 exactly when its Schur complement P - (K - C)^T (K - C) / ell^2 is
+        schur = cert.P - (gain.K - cert.C).T @ (gain.K - cert.C) / 0.7**2
+        schur_min = float(np.min(np.linalg.eigvalsh(schur)))
+        assert (schur_min >= 0.0) == (check.lambda_min_m2 >= -1e-12)
+
+    def test_closed_form_scalar_witness(self):
+        # K = -3 places sigma_1 = 1 at -2: P0 = 1/4, scaled by 1.1 * 9 / (1/4) to
+        # P = 9.9; T = -39.6, target 36, G = 9.9 and delta = (36 + 9.9^2 / 3.6) / 2
+        ms = scalar_system()
+        gain = design_gain(ms, poles=[-2.0])
+        cert = build_certificate(ms, gain, SaturationLevel(1.0))
+        assert cert.P[0, 0] == pytest.approx(9.9, rel=1e-12)
+        assert cert.D[0, 0] == pytest.approx(31.6125, rel=1e-12)
+        assert cert.alpha == pytest.approx(36.0, rel=1e-12)
+        assert not cert.C.any()
+
+    def test_closed_form_two_input_head(self):
+        es = eigen_closed_form(OperatorParams(20.0, math.pi), HINGED, 12)
+        shapes = [Indicator(0.0, 1.0), Indicator(1.5, 3.0)]
+        n = unstable_count(es).n
+        ms = assemble_internal(es, actuator_coefficients(es, shapes), n)
+        gain = design_gain(ms)
+        cert = build_certificate(ms, gain, SaturationLevel(1.0))
+        acl = ms.A + ms.B @ gain.K
+        lyap = acl.T @ cert.P + cert.P @ acl
+        target = -float(np.max(np.linalg.eigvalsh(lyap))) / 1.1
+        pb = cert.P @ ms.B
+        schur = pb.T @ np.linalg.inv(-(lyap + target * np.eye(ms.dim))) @ pb
+        delta = 0.5 * (target + float(np.max(np.linalg.eigvalsh(schur))))
+        assert ms.m == 2
+        np.testing.assert_allclose(cert.D, delta * np.eye(2), rtol=1e-9, atol=0.0)
+        m1 = np.block([[lyap, pb], [pb.T, -2.0 * cert.D]])
+        assert float(np.max(np.linalg.eigvalsh(m1))) == pytest.approx(-target, rel=1e-9)
+        assert cert.alpha == pytest.approx(target, rel=1e-9)
 
 
 class TestEllipsoid:
