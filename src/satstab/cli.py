@@ -488,8 +488,8 @@ def cmd_verify(cfg, certificate_path=None):
         report.check("certificate.absent", not held,
                      "no mode is unstable, yet the file holds " + ", ".join(held) if held else "")
     if cert is not None:
-        if check is None:  # a designed certificate; a file's was checked on loading
-            check = check_certificate(cert, ms, gain)
+        if check is None:  # a designed certificate carries the check that gated it
+            check = cert.check
         report.check("synthesis.certificate", check.ok,
                      f"M1 {check.lambda_max_m1:.2e}, M2 {check.lambda_min_m2:.2e}")
         boundary_pts = sample_ellipsoid(cert, rng, 2000, surface=True)

@@ -115,18 +115,29 @@ def _phi1(h):
     return out
 
 
-def _rowwise(rows, matrix):
-    """rows @ matrix as one vector-matrix product per row (or for one vector).
+def _rowwise(rows, matrix, out=None):
+    """rows @ matrix as one vector-matrix product per row of a 2-D `rows` (or for one vector).
 
     A single matrix-matrix product would round each row differently
     depending on the batch around it; this way a trajectory gets the same
     bits whether it runs alone or in a batch.  With an inner dimension of at
     most one each entry is a single product (or none), and the plain matrix
-    product gives the same bits, signed zeros included, at less cost.
+    product gives the same bits, signed zeros included, at less cost.  One
+    row with a longer inner dimension takes `dot`, which gives the stacked
+    product's bits at a fraction of its call cost and writes straight into
+    `out` (at inner dimension one it would flip the sign of some zeros).
+    Other products are copied into `out` when it is given.
     """
     if matrix.shape[0] <= 1:
-        return rows @ matrix
-    return np.matmul(rows[..., None, :], matrix)[..., 0, :]
+        product = rows @ matrix
+    elif rows.ndim == 1 or len(rows) == 1:
+        return rows.dot(matrix, out=out)
+    else:
+        product = np.matmul(rows[..., None, :], matrix)[..., 0, :]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def quad_form(x, form):
@@ -145,10 +156,12 @@ class StepPlan:
     gram_d2 (plus 1 for the integrator).
 
     A step of a few rows costs its numpy calls, not its arithmetic:
-    `stepper(rows)` lays the constants out as (rows, dim) arrays once per
-    batch, the clamp works in place, and `step` is that function for one
-    call.  Each row still gets the bits it gets alone: the command and the
-    drive are `_rowwise` products and every other operation is elementwise.
+    `stepper(rows)` lays the constants and the clamp bounds out as (rows,
+    dim) and (rows, m) arrays once per batch (the clamp makes new arrays:
+    numpy fills a one-element `out` at twice the cost of a new array), and
+    `step` is that function for one call.  Each row still gets the bits it
+    gets alone: the command and the drive are `_rowwise` products and every
+    other operation is elementwise.
     The operations and their order are those of the formula in `step`, so
     the step rounds as it does written out with broadcast constants.
     """
@@ -166,32 +179,36 @@ class StepPlan:
         return _rowwise(states[:, : self.head], self.gain_t)
 
     def stepper(self, rows):
-        """The step function for batches of `rows` rows: (states, forcing=None) -> states."""
+        """The step function for batches of `rows` rows: (states, forcing, out) -> states.
+
+        `forcing` and `out` default to None; with `out`, an array of the
+        states' shape, the new states are written into it and it is returned.
+        """
         growth, hold, coupling = (
             None if v is None else np.tile(v, (rows, 1))
             for v in (self.growth, self.hold, self.coupling)
         )
         head, gain_t, input_t, ell = self.head, self.gain_t, self.input_t, self.level.ell
+        clamp = (rows, gain_t.shape[1])
+        floor, ceiling = np.full(clamp, -ell), np.full(clamp, ell)
 
-        def step(states, forcing=None):
-            u = _rowwise(states[:, :head], gain_t)
-            np.maximum(u, -ell, out=u)
-            np.minimum(u, ell, out=u)
+        def step(states, forcing=None, out=None):
+            u = np.minimum(np.maximum(_rowwise(states[:, :head], gain_t), floor), ceiling)
             drive = _rowwise(u, input_t)
             if coupling is not None:
                 drive += coupling * states[:, :1]
             if forcing is not None:
                 drive += forcing
             drive *= hold
-            new = growth * states
+            new = growth * states if out is None else np.multiply(growth, states, out=out)
             new += drive
             return new
 
         return step
 
-    def step(self, states, forcing=None):
+    def step(self, states, forcing=None, out=None):
         """y <- g y + h (a y_0 + sat(y_head K^T) B^T + forcing), row by row."""
-        return self.stepper(len(states))(states, forcing)
+        return self.stepper(len(states))(states, forcing, out)
 
 
 def step_plan(ms, gain, level, dt):
@@ -222,26 +239,35 @@ def step_linear_closed_loop(state, ms, gain, level, dt):
     return step_plan(ms, gain, level, dt).step(np.asarray(state, dtype=float)[None])[0]
 
 
-def nonlinear_forcing(es, state, delta, nu):
+def nonlinear_forcing(es, state, delta, nu, out=None):
     """Modal projection of the negated nonlinearity, for one state or a row batch.
 
     The convective part projects -delta * y y_x directly; the dispersive part
     uses <d_xx(y^3), e_j> = <y^3, e_j''>, valid for every supported BC family.
-    One product gives y (and y_x if delta is on) on the grid, one more
-    projects the switched-on terms against their rows of the forcing table.
-    A switched-off term is never formed, so its overflow cannot turn into NaN.
+    One product gives y (and y_x if delta is on) on the grid; the
+    switched-on terms are written side by side into one buffer, [delta y y_x
+    | nu y^3] (a coefficient of 1.0 is exact, so it is not multiplied), and
+    one more product projects it against their rows of the forcing table,
+    into `out` when given.  A switched-off term is never formed, so its
+    overflow cannot turn into NaN; with both off the forcing is zero.
     """
     nodes = es.quadrature.nodes.size
     fields = _rowwise(state, es.field_table if delta else es.field_table[:, :nodes])
     y = fields[..., :nodes]
-    if delta and nu:
-        products = np.concatenate([delta * (y * fields[..., nodes:]), nu * (y * y * y)], axis=-1)
-        return _rowwise(products, es.forcing_table)
+    lo, hi = (0 if delta else nodes), (2 * nodes if nu else nodes)  # forcing table rows used
+    products = np.empty(y.shape[:-1] + (hi - lo,))
     if delta:
-        return _rowwise(delta * (y * fields[..., nodes:]), es.forcing_table[:nodes])
+        convective = products[..., :nodes]
+        np.multiply(y, fields[..., nodes:], out=convective)
+        if delta != 1.0:
+            convective *= delta
     if nu:
-        return _rowwise(nu * (y * y * y), es.forcing_table[nodes:])
-    return np.zeros_like(state)
+        cubic = products[..., -nodes:]
+        np.multiply(y, y, out=cubic)
+        cubic *= y
+        if nu != 1.0:
+            cubic *= nu
+    return _rowwise(products, es.forcing_table[lo:hi], out)
 
 
 def step_nonlinear_closed_loop(state, ms, gain, level, config, dt):
@@ -438,7 +464,7 @@ def _blocks(config, es, plan, rows):
     it is not stepped again.  The samples a row holds past its
     crossing are to be discarded; they may overflow.
     """
-    nonlinear = config.nonlinear
+    nonlinear, delta, nu = config.nonlinear, config.delta, config.nu
     limit = config.blowup_threshold**2
     samples = _sample_count(config)
     live = np.arange(rows.shape[0])
@@ -450,15 +476,22 @@ def _blocks(config, es, plan, rows):
         first = max(start, 1)
         block = np.empty((live.size, end - start, y.shape[1]))
         forcing = np.empty((live.size, end - first, y.shape[1])) if nonlinear else None
+        # one row steps into the block's slots; several rows' slots are strided,
+        # so they step into contiguous arrays that are copied in
+        single = live.size == 1
         if start == 0:
             block[:, 0] = y
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(first, end):
                 f = None
                 if nonlinear:
-                    f = forcing[:, k - first] = nonlinear_forcing(es, y, config.delta, config.nu)
-                y = step(y, f)
-                block[:, k - start] = y
+                    slot = forcing[:, k - first] if single else None
+                    f = nonlinear_forcing(es, y, delta, nu, slot)
+                    if not single:
+                        forcing[:, k - first] = f
+                y = step(y, f, block[:, k - start] if single else None)
+                if not single:
+                    block[:, k - start] = y
             over = quad_form(block, plan.norm_form) > limit
         done = over.any(axis=1)
         ends = {}

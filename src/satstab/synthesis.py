@@ -9,7 +9,7 @@ certificate file's JSON format is written and read here and nowhere else.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +42,8 @@ class Certificate:
     P shapes the invariant ellipsoid {z : z^T P z <= 1}, D weights the
     deadzone sector, C is the auxiliary sector gain, alpha the certified
     decay margin; beta_min/beta_max are the extreme eigenvalues of P.
+    `check` is the `check_certificate` result that gated it when
+    `build_certificate` made it; the certificate file does not hold it.
     """
 
     P: np.ndarray
@@ -51,6 +53,7 @@ class Certificate:
     beta_min: float
     beta_max: float
     ell: float
+    check: "CertificateCheck | None" = None
 
 
 class CertificateCheck(NamedTuple):
@@ -355,7 +358,8 @@ def build_certificate(ms, gain, level):
     D = delta I with 2 delta = a + lambda_max(G^T (-(T + a I))^-1 G).  The
     decay margin alpha is M1's negated largest eigenvalue.  Raises
     CertificateFailure when T is not negative definite: then no weight
-    makes M1 negative definite.
+    makes M1 negative definite, or when `check_certificate` rejects the
+    result; the certificate returned carries that check.
     """
     A, B, K = ms.A, ms.B, gain.K
     d = A.shape[0]
@@ -415,7 +419,7 @@ def build_certificate(ms, gain, level):
             f"a-posteriori check failed: lambda_max(M1) = {check.lambda_max_m1:.3e}, "
             f"lambda_min(M2) = {check.lambda_min_m2:.3e}"
         )
-    return cert
+    return replace(cert, check=check)
 
 
 def check_certificate(cert, ms, gain):
@@ -534,8 +538,13 @@ def _read(field, value):
     return math.inf if value == "inf" else float(value)
 
 
+def _stored(cls):
+    """The fields of `cls` the certificate file holds: all but `Certificate.check`."""
+    return [f for f in fields(cls) if f.name != "check"]
+
+
 def _read_record(cls, values):
-    return cls(**{f.name: _read(f, values[f.name]) for f in fields(cls)})
+    return cls(**{f.name: _read(f, values[f.name]) for f in _stored(cls)})
 
 
 def certificate_head(mode, n, m, J, eta, ell):
@@ -547,8 +556,8 @@ def certificate_document(head, gain, report, cert, consts):
     """The certificate file's JSON document.
 
     The `certificate_head`, the gain, the controllability diagnostics, each
-    `Certificate` field the head does not hold (null without a certificate),
-    and the `H2Constants` (null without them).
+    stored `Certificate` field the head does not hold (null without a
+    certificate), and the `H2Constants` (null without them).
     """
     doc = dict(head)
     doc["K"] = gain.K.tolist()
@@ -559,7 +568,7 @@ def certificate_document(head, gain, report, cert, consts):
         stabilizable=report.stabilizable, vandermonde=report.vandermonde_value,
         pbh_failures_real=[f.real for f in report.pbh_failures],
     )
-    for f in fields(Certificate):
+    for f in _stored(Certificate):
         if f.name not in head:
             doc[f.name] = None if cert is None else _write(getattr(cert, f.name))
     doc["constants"] = None if consts is None else {
@@ -574,7 +583,7 @@ def certificate_fields_held(doc):
     The block is each `Certificate` field outside the head (which holds ell)
     and `constants`; a file without a certificate holds none of them.
     """
-    names = [f.name for f in fields(Certificate) if f.name != "ell"] + ["constants"]
+    names = [f.name for f in _stored(Certificate) if f.name != "ell"] + ["constants"]
     return [name for name in names if doc.get(name) is not None]
 
 

@@ -1261,6 +1261,27 @@ class TestVerifyCommand:
         assert main(["verify", "-c", path, "--certificate", cert_path]) == 0
         assert len(calls) == 1
 
+    def test_one_certificate_check_per_designed_verify(self, tmp_path, capsys, monkeypatch):
+        # without a file, verify reports the check that gated build_certificate
+        path = write_config(tmp_path, base_config(J=8))
+        checks = []
+        original = synthesis.check_certificate
+
+        def counting(cert, ms, gain):
+            checks.append(original(cert, ms, gain))
+            return checks[-1]
+
+        for module in (synthesis, cli):  # every module attribute bound to it
+            monkeypatch.setattr(module, "check_certificate", counting)
+        assert main(["verify", "-c", path]) == 0
+        assert len(checks) == 1
+        (check,) = checks
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            f"PASS synthesis.certificate (M1 {check.lambda_max_m1:.2e}, "
+            f"M2 {check.lambda_min_m2:.2e})"
+        ) in lines
+
     def stable(self, tmp_path):
         """A synthesized config with no unstable mode (lam = 0.5, L = 1) and its file."""
         doc = base_config(**{"lambda": 0.5}, length=1.0, J=6, poles=None, T=1.0)

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,11 @@ from pathlib import Path
 import pytest
 
 import satstab
+from satstab import simulate
+from satstab.modal import ModeCombination, actuator_coefficients, assemble_internal
+from satstab.saturation import SaturationLevel
+from satstab.spectral import BoundaryCondition, OperatorParams, eigen_closed_form
+from satstab.synthesis import build_certificate, design_gain, select_h2_constants
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(satstab.__file__)))
@@ -74,3 +80,24 @@ def test_readme_library_example_runs():
     )
     assert out.stdout.split()[0] == "horizon"
     assert float(out.stdout.split()[1]) > 0.0  # the fitted l2 decay rate
+
+
+def test_tracer_counts_every_forcing_call():
+    # the stepping loop calls `nonlinear_forcing` through its module
+    # attribute, so the tracer's wrapper sees one call per step plus the
+    # monitors' call for the last sample: N + 1 for a run of N steps
+    es = eigen_closed_form(OperatorParams(2.0, math.pi), BoundaryCondition.HINGED, 8)
+    ms = assemble_internal(es, actuator_coefficients(es, [ModeCombination([1.0])]), 1)
+    level = SaturationLevel(1.0)
+    gain = design_gain(ms, poles=[-4.0])
+    cert = build_certificate(ms, gain, level)
+    consts = select_h2_constants(cert, ms, gain, es)
+    config = simulate.SimConfig(J=8, dt=1e-3, T=0.2, delta=1.0, nu=1.0, initial=("smooth", 0.01))
+    tracer = bench_spans().Tracer()
+    with tracer.installed():
+        traj = simulate.run(config, ms, gain, cert, consts, level=level)
+    steps = traj.times.size - 1
+    assert traj.exit_reason == simulate.EXIT_HORIZON and steps == 200
+    metrics = tracer.layer_metrics(1)
+    assert metrics["simulate.run.calls"] == 1
+    assert metrics["simulate.nonlinear_forcing.calls"] == steps + 1

@@ -241,6 +241,32 @@ class TestBoundaryStepper:
         assert np.all(traj.l2 <= w_l2 + u_abs * d_norm + 1e-12)
 
 
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-200, -1e-200]
+
+
+def special_draw(rng, shape):
+    """Normal draws over 620 decades, a fifth of them replaced by SPECIALS."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    mask = rng.random(shape) < 0.2
+    x[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return x
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.fixture(scope="module")
+def walls(hinged_system):
+    """(eigen system, state scale) for the hinged, Neumann and clamped families."""
+    return (
+        (hinged_system.es, 0.3),
+        (eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8), 0.3),
+        (eigen_clamped(OperatorParams(45.0, 1.0), 8), 0.1),
+    )
+
+
 def two_input_hinged():
     # lam = 6: sigma = 5 and 8 on the two unstable modes, two windows
     es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
@@ -304,6 +330,15 @@ class TestStepper:
     @pytest.mark.parametrize("ell", [1.0, math.inf])
     @pytest.mark.parametrize("forced", [False, True])
     def test_step_matches_python_floats(self, loop, ell, forced):
+        self.check_against_python_floats(loop, ell, forced, into=False)
+
+    @pytest.mark.parametrize("ell", [1.0, math.inf])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_step_into_out_matches_python_floats(self, loop, ell, forced):
+        self.check_against_python_floats(loop, ell, forced, into=True)
+
+    @staticmethod
+    def check_against_python_floats(loop, ell, forced, into):
         ms, gain = loop
         rng = np.random.default_rng(11)
         dt = 1e-2
@@ -318,15 +353,64 @@ class TestStepper:
         command = np.abs(rows[:, : gain.K.shape[1]] @ gain.K.T)
         if gain.K.shape[1] and ell == 1.0:  # both clamped and free rows
             assert np.any(command > ell) and np.any(command < ell)
-        got = plan.step(rows, forcing)
+        # with `out`, the batch lands in an array of its own and each row in
+        # a strided slot of a block, as `_blocks` steps a single row
+        out = np.empty_like(rows) if into else None
+        got = plan.step(rows, forcing, out)
+        assert (got is out) == into
         eps = np.finfo(float).eps
         for i, row in enumerate(rows):
             f = np.zeros(dim) if forcing is None else forcing[i]
             want, scale = oracle_step(ms, gain.K, ell, dt, row, f)
             assert np.all(np.abs(got[i] - want) <= 32 * eps * scale), i
             # alone or in a batch, a row gets the same bits
-            alone = plan.step(rows[i : i + 1], None if forcing is None else forcing[i : i + 1])
+            slot = np.full((1, 3, dim), np.nan)[:, 1] if into else None
+            alone = plan.step(
+                rows[i : i + 1], None if forcing is None else forcing[i : i + 1], slot
+            )
+            assert (alone is slot) == into
             np.testing.assert_array_equal(alone[0], got[i])
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_step_into_a_slot_is_the_plain_step(self, loop, forced):
+        ms, gain = loop
+        plan = step_plan(ms, gain, SaturationLevel(1.0), 1e-2)
+        dim = len(plan.growth)
+        rows = special_draw(np.random.default_rng(dim), (40, dim))
+        forcing = special_draw(np.random.default_rng(dim + 1), (40, dim)) if forced else None
+        block = np.full((1, 40, dim), np.nan)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for i in range(40):
+                f = None if forcing is None else forcing[i : i + 1]
+                slot = block[:, i]
+                assert plan.step(rows[i : i + 1], f, out=slot) is slot
+                assert_same_bits(block[0, i], plan.step(rows[i : i + 1], f)[0])
+
+    @pytest.mark.parametrize(
+        "delta, nu", [(1.0, 1.0), (0.5, 1.0), (1.0, 0.25), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
+    )
+    def test_forcing_into_a_slot_is_the_batched_row(self, walls, delta, nu):
+        # the non-unit coefficients keep their multiply; a unit one skips it
+        for es, scale in walls:
+            rows = np.random.default_rng(es.count).normal(size=(5, es.count)) * scale
+            rows[0] = -0.0  # signed zeros through both products
+            rows[1] *= 1e120  # the cube overflows, as past a blow-up
+            with np.errstate(over="ignore", invalid="ignore"):
+                batched = nonlinear_forcing(es, rows, delta, nu)
+                forcing = np.full((1, 4, es.count), np.nan)
+                for i, row in enumerate(rows):
+                    slot = forcing[:, 2]
+                    assert nonlinear_forcing(es, rows[i : i + 1], delta, nu, slot) is slot
+                    assert_same_bits(forcing[0, 2], batched[i])
+                    assert_same_bits(nonlinear_forcing(es, row, delta, nu), batched[i])
+            if not (delta or nu):
+                assert_same_bits(batched, np.zeros_like(rows))
+            # each coefficient scales its own term
+            convective = nonlinear_forcing(es, rows[2:], 1.0, 0.0)
+            dispersive = nonlinear_forcing(es, rows[2:], 0.0, 1.0)
+            np.testing.assert_allclose(
+                batched[2:], delta * convective + nu * dispersive, rtol=1e-13, atol=1e-13
+            )
 
     @pytest.mark.parametrize("rows", [1, 17, 64, 1000])
     @pytest.mark.parametrize("inner", [0, 1])
@@ -334,20 +418,31 @@ class TestStepper:
         # the plain product `_rowwise` takes for inner dimension <= 1 must give
         # the stacked product's bits, signed zeros of underflowed products too
         rng = np.random.default_rng(rows)
-        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-200, -1e-200]
-
-        def draw(shape):
-            x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
-            mask = rng.random(shape) < 0.2
-            x[mask] = rng.choice(specials, size=int(mask.sum()))
-            return x
-
-        states, matrix = draw((rows, 3)), draw((inner, 33))
+        states, matrix = special_draw(rng, (rows, 3)), special_draw(rng, (inner, 33))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             got = simulate._rowwise(states[:, :inner], matrix)
             want = np.matmul(states[:, None, :inner], matrix)[:, 0, :]
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["2-D", "1-D"])
+    @pytest.mark.parametrize("inner", [0, 1, 2, 3, 24, 98])
+    def test_one_row_rowwise_is_the_stacked_product(self, inner, vector):
+        # one row takes `dot`, which must give the stacked product's bits, in
+        # a new array and in `out`; with an inner dimension of one it does
+        # not (the sign of some zeros differs), so `_rowwise` keeps `@` there
+        rng = np.random.default_rng(inner)
+        for _ in range(200):
+            state, matrix = special_draw(rng, (1, inner)), special_draw(rng, (inner, 33))
+            rows = state[0] if vector else state
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                want = np.matmul(state[:, None, :], matrix)[:, 0, :]
+                got = simulate._rowwise(rows, matrix)
+                slot = np.full((1, 3, 33), np.nan)[:, 1]
+                into = simulate._rowwise(rows, matrix, slot[0] if vector else slot)
+            assert got.shape == rows.shape[:-1] + (33,)
+            assert_same_bits(np.atleast_2d(got), want)
+            assert np.shares_memory(into, slot)
+            assert_same_bits(slot, want)
 
     def test_two_input_rows_end_in_different_blocks(self):
         ms = two_input_hinged()
