@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -215,13 +215,13 @@ def _system_head(cfg, ms, split):
     return certificate_head(ms.mode, ms.n, ms.m, cfg.J, split.eta, cfg.ell)
 
 
-def _design(cfg, es, ms):
+def _design(cfg, ms):
     """Gain, certificate and energy constants; no certificate when no mode is unstable."""
     gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None)
     if ms.dim == 0:
         return gain, None, None
     cert = build_certificate(ms, gain, cfg.level())
-    return gain, cert, select_h2_constants(cert, ms, gain, es)
+    return gain, cert, select_h2_constants(cert, ms, gain)
 
 
 def _synth_report_text(head, gain, cert, consts):
@@ -248,7 +248,7 @@ def _synth_report_text(head, gain, cert, consts):
 def cmd_synth(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    gain, cert, consts = _design(cfg, es, ms)
+    gain, cert, consts = _design(cfg, ms)
     head = _system_head(cfg, ms, split)
     path = _out_path(cfg, out_dir, "certificate.json")
     _write_json(path, certificate_document(head, gain, gain.report, cert, consts))
@@ -353,14 +353,13 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     if basin:
         if not isinstance(cfg.initial[0], str):
             raise ConfigError("basin estimation needs a preset initial state")
-        preset, amplitude = cfg.initial
+        amplitude = cfg.initial[1]
         if amplitude == 0.0:
             raise ConfigError("basin estimation needs a nonzero initial.amplitude")
         # searched first: a config it rejects exits before anything is written;
         # its first pass steps the configured run (the low end) and keeps it
         *edge, traj = estimate_basin(
-            lambda a: replace(sim, initial=(preset, a)), ms, gain, low=amplitude,
-            high=amplitude * 256.0, level=cfg.level(), monitors=(cert, consts),
+            sim, ms, gain, amplitude * 256.0, level=cfg.level(), monitors=(cert, consts)
         )
     else:
         traj = run(sim, ms, gain, cert, consts, level=cfg.level())
@@ -368,7 +367,6 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
     csv_path = _out_path(cfg, out_dir, "trajectory.csv")
     _write_csv(csv_path, *_trajectory_rows(cfg, ms, traj))
 
-    t_start = cfg.T / 4.0
     channels = ["l2", "h2"] + (["u_plus_w"] if ms.mode == "boundary" else [])
     summary = {
         "exit_reason": traj.exit_reason,
@@ -380,7 +378,7 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
             "l2": float(traj.l2[-1]),
             "h2": float(traj.h2[-1]),
         },
-        "rates": {name: _fit_or_none(traj, name, t_start) for name in channels},
+        "rates": {name: _fit_or_none(traj, name, sim.fit_start) for name in channels},
         "nl_ratio_max": None if math.isnan(traj.nl_ratio_max) else traj.nl_ratio_max,
     }
     if basin:
@@ -479,7 +477,7 @@ def cmd_verify(cfg, certificate_path=None):
 
     if certificate_path is None and ms.dim > 0:
         try:
-            gain, cert, consts = _design(cfg, es, ms)
+            gain, cert, consts = _design(cfg, ms)
         except SatStabError as exc:
             report.check("synthesis.certificate", False, str(exc))
     elif ms.dim == 0 and certificate_path is not None:
@@ -502,7 +500,7 @@ def cmd_verify(cfg, certificate_path=None):
         report.check("synthesis.sector_condition", worst <= 1e-12, f"worst {worst:.2e}")
 
     if cert is not None and ms.mode == "internal":
-        sim = SimConfig(J=cfg.J, dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0))
+        sim = SimConfig(dt=min(cfg.dt, 1e-3), T=min(cfg.T, 2.0))
         starts = np.zeros((10, cfg.J))
         starts[:, : ms.n] = sample_ellipsoid(cert, rng, 10)
         trajs = run_batch(sim, ms, gain, starts, cert, consts, level=cfg.level())
@@ -526,7 +524,7 @@ def cmd_verify(cfg, certificate_path=None):
 
         y0 = np.zeros(cfg.J)
         y0[0] = 0.5 / math.sqrt(cert.P[0, 0]) if ms.n else 0.01
-        eq_sim = SimConfig(J=cfg.J, dt=1e-3, T=0.5, initial=tuple(y0.tolist()))
+        eq_sim = SimConfig(dt=1e-3, T=0.5, initial=tuple(y0.tolist()))
         t_inf = run(eq_sim, ms, gain)
         t_fin = run(eq_sim, ms, gain, level=SaturationLevel(1e9))
         difference = float(np.max(np.abs(t_inf.states - t_fin.states)))

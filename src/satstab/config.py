@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .modal import Indicator, Lifting, ModeCombination, assemble_boundary, assemble_internal
-from .modal import actuator_coefficients, actuator_norms_sq
+from .modal import Indicator, ModeCombination, assemble_boundary, assemble_internal
 from .saturation import SaturationLevel
-from .simulate import SimConfig
+from .simulate import _PRESETS, SimConfig
 from .spectral import (
     BoundaryCondition,
     OperatorParams,
@@ -74,7 +73,6 @@ class ExperimentConfig:
 
     def sim_config(self):
         return SimConfig(
-            J=self.J,
             dt=self.dt,
             T=self.T,
             delta=self.delta,
@@ -153,7 +151,10 @@ def _parse_initial(entry):
             raise ConfigError(f"unknown initial keys {sorted(extra)}")
         if "amplitude" not in entry:
             raise ConfigError("initial.preset needs an amplitude")
-        return (str(entry["preset"]), _finite(entry["amplitude"], "initial.amplitude"))
+        preset = str(entry["preset"])
+        if preset not in _PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; use one of {_PRESETS}")
+        return (preset, _finite(entry["amplitude"], "initial.amplitude"))
     raise ConfigError("initial must carry either 'modal' or 'preset'")
 
 
@@ -312,9 +313,5 @@ def build_modal(cfg, es):
     """Modal system plus the unstable split for this configuration."""
     split = unstable_count(es)
     if cfg.boundary_mode:
-        ms = assemble_boundary(es, Lifting(cfg.length), split.n)
-    else:
-        coeffs = actuator_coefficients(es, list(cfg.actuators))
-        norms = actuator_norms_sq(es, list(cfg.actuators))
-        ms = assemble_internal(es, coeffs, split.n, shape_norms_sq=norms)
-    return ms, split
+        return assemble_boundary(es, split.n), split
+    return assemble_internal(es, cfg.actuators, split.n), split

@@ -195,13 +195,9 @@ def actuator_norms_sq(es, shapes):
     return np.array(out)
 
 
-def assemble_internal(es, coeffs, n, shape_norms_sq=None):
-    """Head/tail split of the internally actuated modal dynamics."""
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape[0] != es.count:
-        raise ValueError("coefficient table must have one row per retained mode")
-    if shape_norms_sq is None:
-        shape_norms_sq = np.sum(coeffs**2, axis=0)
+def assemble_internal(es, shapes, n):
+    """Head/tail split of the modal dynamics under `shapes`, with their full L2 norms."""
+    coeffs = actuator_coefficients(es, shapes)
     return ModalSystem(
         es=es,
         n=n,
@@ -209,12 +205,12 @@ def assemble_internal(es, coeffs, n, shape_norms_sq=None):
         B=coeffs[:n].copy(),
         b_tail=coeffs[n:].copy(),
         mode="internal",
-        shape_norms_sq=np.asarray(shape_norms_sq, dtype=float),
+        shape_norms_sq=actuator_norms_sq(es, shapes),
     )
 
 
-def assemble_boundary(es, lifting, n):
-    """Integrator-augmented system for wall-slope actuation.
+def assemble_boundary(es, n):
+    """Integrator-augmented system for wall-slope actuation through `Lifting(L)`.
 
     State z = (u, w_1..w_n): the first equation integrates the saturated
     input, the modal rows see sigma_j w_j + a_j u + b_j sat(h).  Requires the
@@ -230,6 +226,7 @@ def assemble_boundary(es, lifting, n):
             "the critical set {k^2 + l^2 : k < l, same parity}; the boundary pair is not "
             "stabilizable"
         )
+    lifting = Lifting(L)
     x = es.quadrature.nodes
     w = es.quadrature.weights
     a_vals = lifting.a(x, es.params.lam)

@@ -11,7 +11,7 @@ field derivative beyond second order is ever formed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +35,9 @@ class SimConfig:
 
     `initial` is either an array of modal coefficients or a (preset,
     amplitude) pair; delta and nu switch the convective and dispersive
-    nonlinear terms.
+    nonlinear terms.  The eigen system sets the number of coefficients.
     """
 
-    J: int
     dt: float
     T: float
     delta: float = 0.0
@@ -50,9 +49,12 @@ class SimConfig:
     def nonlinear(self):
         return self.delta != 0.0 or self.nu != 0.0
 
+    @property
+    def fit_start(self):
+        """Default start of a decay-rate fit window: a quarter of the horizon."""
+        return self.T / 4.0
+
     def __post_init__(self):
-        if self.J < 1:
-            raise ValueError("retained mode count must be >= 1")
         if not self.dt > 0.0:
             raise ValueError("time step must be positive")
         if self.T < 0.0:
@@ -317,24 +319,24 @@ def _bump_coefficients(es):
 
 
 def resolve_initial(config, es):
-    """Modal coefficients for the configured initial state."""
-    entry = config.initial
+    """Modal coefficients for the configured initial state, one per mode of `es`."""
+    entry, J = config.initial, es.count
     if isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str):
         preset, amplitude = entry
         if preset not in _PRESETS:
             raise ValueError(f"unknown preset {preset!r}; use one of {_PRESETS}")
-        y0 = np.zeros(config.J)
+        y0 = np.zeros(J)
         if preset == "first_mode":
             y0[0] = amplitude
         elif preset == "smooth":
-            y0[:] = amplitude * 0.5 ** np.arange(config.J)
+            y0[:] = amplitude * 0.5 ** np.arange(J)
         else:  # bump
             coeffs = _bump_coefficients(es)
-            y0 = amplitude * coeffs[: config.J] / math.sqrt(float(np.sum(coeffs**2)))
+            y0 = amplitude * coeffs / math.sqrt(float(np.sum(coeffs**2)))
         return y0
     y0 = np.asarray(entry, dtype=float)
-    if y0.shape != (config.J,):
-        raise ValueError(f"initial data must have {config.J} coefficients")
+    if y0.shape != (J,):
+        raise ValueError(f"initial data must have {J} coefficients")
     return y0.copy()
 
 
@@ -426,16 +428,12 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
 
 def _initial_rows(config, ms, initials):
     """Validated (batch, dim) start rows; boundary rows get the integrator at rest."""
-    if config.J != ms.es.count:
-        raise ValueError(
-            f"config retains {config.J} modes but the eigen system holds {ms.es.count}"
-        )
     boundary = ms.mode == "boundary"
     if boundary and config.nonlinear:
         raise ValueError("boundary runs support the linear dynamics only")
     rows = np.atleast_2d(np.asarray(initials, dtype=float))
-    if rows.shape[1] != config.J:
-        raise ValueError(f"initial data must have {config.J} coefficients")
+    if rows.shape[1] != ms.es.count:
+        raise ValueError(f"initial data must have {ms.es.count} coefficients")
     if boundary:
         rows = np.hstack([np.zeros((rows.shape[0], 1)), rows])
     return rows
@@ -671,28 +669,27 @@ def _dyadic_points(low, high, depth):
     return _dyadic_points(low, mid, depth - 1) + [mid] + _dyadic_points(mid, high, depth - 1)
 
 
-def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, level=None,
-                   monitors=None):
+def estimate_basin(config, ms, gain, high, iters=12, t_start=None, level=None, monitors=None):
     """Search the initial amplitude between decay and failure by k-section.
 
-    `make_config` maps an amplitude to a SimConfig that differs only in its
-    initial state; an amplitude counts as decaying when the run reaches the
-    horizon and the fitted H2-norm rate is positive (t_start defaults to
-    T / 4).  Runs are streamed, keeping only their H2 norms on the fit
-    window.  The first batched pass runs `low`, `high` and the 15 dyadic
-    points of the first four bisection levels of the bracket, 17 amplitudes;
-    each further pass runs the 15 points of the next four levels, so the
-    `iters` levels take ceil(iters / 4) passes and the result equals serial
-    bisection's.  Returns (estimate, bracketed); when `high` still decays no
-    edge lies in the bracket, and the estimate is `high` with bracketed False.
-    With `monitors`, a (certificate, constants) pair, the first pass also
-    stores the `low` run in full, so the configured run is stepped once: its
-    monitored Trajectory, the one `run(make_config(low), ...)` gives, comes
-    third.  Raises ValueError, before running anything, when the fit window
-    holds fewer than two samples.
+    `config` holds a preset initial state: its amplitude `low` and `high`
+    bracket the search, and each run differs from `config` only in the
+    amplitude.  An amplitude decays when its run reaches the horizon with a
+    positive fitted H2-norm rate from t_start (default `config.fit_start`);
+    runs keep only their H2 norms on that window.  Each batched pass settles
+    four bisection levels (the first also runs `low` and `high`: 17 rows,
+    then 15), so `iters` levels take ceil(iters / 4) passes and the result
+    equals serial bisection's.  Returns (estimate, bracketed); when `high`
+    still decays the estimate is `high` and bracketed False.  With
+    `monitors`, a (certificate, constants) pair, the first pass also keeps
+    the `low` run in full, `run(config, ...)`'s Trajectory, as a third
+    value.  Raises ValueError before any run when the initial state is no
+    preset or the fit window holds fewer than two samples.
     """
-    config = make_config(low)
-    start = t_start if t_start is not None else config.T / 4.0
+    if not isinstance(config.initial[0], str):
+        raise ValueError("basin estimation needs a preset initial state")
+    preset, low = config.initial
+    start = t_start if t_start is not None else config.fit_start
     times, first = _fit_window(config, start)
     if times.size - first < 2:
         raise ValueError(
@@ -703,7 +700,8 @@ def estimate_basin(make_config, ms, gain, low, high, iters=12, t_start=None, lev
     cert, constants = (None, None) if monitors is None else monitors
 
     def stepped(amplitudes, keep=0):
-        initials = [resolve_initial(make_config(a), ms.es) for a in amplitudes]
+        configs = [replace(config, initial=(preset, a)) for a in amplitudes]
+        initials = [resolve_initial(c, ms.es) for c in configs]
         return _stepping_pass(config, ms, gain, initials, level, keep, start, cert, constants)
 
     depth = min(_LEVELS_PER_PASS, iters)

@@ -466,7 +466,7 @@ def sample_ellipsoid(cert, rng, count, surface=False):
     return u @ half_inv
 
 
-def select_h2_constants(cert, ms, gain, es):
+def select_h2_constants(cert, ms, gain):
     """Weighting and sandwich constants for the energy functional.
 
     The weighting exceeds every lower bound required by the tail comparison,
@@ -474,7 +474,7 @@ def select_h2_constants(cert, ms, gain, es):
     with a multiplicative margin; the remaining constants follow in closed
     form and all invariants are re-checked before returning.
     """
-    n = ms.n
+    es, n = ms.es, ms.n
     if es.count <= n:
         raise GapTooSmall("no tail mode retained beyond the unstable block")
     sigma_tail = float(es.values[n])

@@ -13,10 +13,7 @@ from scipy.optimize import brentq
 from satstab.errors import CriticalLength
 from satstab.modal import (
     Indicator,
-    Lifting,
     ModeCombination,
-    actuator_coefficients,
-    actuator_norms_sq,
     assemble_boundary,
     assemble_internal,
 )
@@ -61,9 +58,7 @@ def announce(number, name):
 def build_loop(lam, length, bc, shape, n_modes, poles, ell):
     es = eigen_closed_form(OperatorParams(lam, length), bc, n_modes)
     split = unstable_count(es)
-    coeffs = actuator_coefficients(es, [shape])
-    norms = actuator_norms_sq(es, [shape])
-    ms = assemble_internal(es, coeffs, split.n, shape_norms_sq=norms)
+    ms = assemble_internal(es, [shape], split.n)
     gain = design_gain(ms, poles=poles)
     level = SaturationLevel(ell) if not math.isinf(ell) else UNSATURATED
     cert = build_certificate(ms, gain, level)
@@ -199,8 +194,7 @@ def test_criterion_04_certificate_sweep():
 
     # documented scalar witnesses: P = 9, D = 2, C = 0, ell = 1, K = -3
     es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
-    coeffs = actuator_coefficients(es, [ModeCombination([1.0])])
-    ms = assemble_internal(es, coeffs, 1, shape_norms_sq=[1.0])
+    ms = assemble_internal(es, [ModeCombination([1.0])], 1)
     gain = Gain(K=np.array([[-3.0]]), closed_loop_spectrum=np.array([-2.0]))
     cert = Certificate(
         P=np.array([[9.0]]), D=np.array([[2.0]]), C=np.array([[0.0]]),
@@ -272,7 +266,7 @@ def test_criterion_06_v1_dissipation_and_invariance():
     slack = 4.0 * dt * float(np.linalg.norm(cert.P, 2)) * scale**2
     initials = np.zeros((len(starts), 16))
     initials[:, : ms.n] = starts
-    config = SimConfig(J=16, dt=dt, T=2.0)
+    config = SimConfig(dt=dt, T=2.0)
     for traj in run_batch(config, ms, gain, initials, cert, level=level):
         assert not traj.left_region
         assert np.all(traj.v1 <= 1.0 + 1e-9)
@@ -287,11 +281,11 @@ def decay_run():
     es, split, ms, gain, cert, level = build_loop(
         2.0, math.pi, HINGED, Indicator(0.0, math.pi), 32, [-4.0], 1.0
     )
-    consts = select_h2_constants(cert, ms, gain, es)
+    consts = select_h2_constants(cert, ms, gain)
     y0 = np.zeros(32)
     y0[0] = 0.9 / math.sqrt(cert.P[0, 0])
     y0[1:7] = 0.01 * 0.5 ** np.arange(6)
-    config = SimConfig(J=32, dt=5e-4, T=4.0, initial=tuple(y0.tolist()))
+    config = SimConfig(dt=5e-4, T=4.0, initial=tuple(y0.tolist()))
     traj = run(config, ms, gain, cert, consts, level=level)
     return es, split, ms, gain, cert, consts, traj
 
@@ -324,14 +318,13 @@ def test_criterion_09_nonlinear_stabilization():
         es = eigen_closed_form(OperatorParams(2.0, math.pi), bc, 24)
         split = unstable_count(es)
         shape = Indicator(0.0, 2.0)
-        coeffs = actuator_coefficients(es, [shape])
-        ms = assemble_internal(es, coeffs, split.n, shape_norms_sq=actuator_norms_sq(es, [shape]))
+        ms = assemble_internal(es, [shape], split.n)
         gain = design_gain(ms)
         level = SaturationLevel(1.0)
         cert = build_certificate(ms, gain, level)
-        consts = select_h2_constants(cert, ms, gain, es)
+        consts = select_h2_constants(cert, ms, gain)
         config = SimConfig(
-            J=24, dt=5e-4, T=3.0, delta=delta, nu=nu, initial=("smooth", 1e-2)
+            dt=5e-4, T=3.0, delta=delta, nu=nu, initial=("smooth", 1e-2)
         )
         traj = run(config, ms, gain, cert, consts, level=level)
         assert traj.exit_reason == EXIT_HORIZON
@@ -353,11 +346,10 @@ def test_criterion_09_nonlinear_stabilization():
 
 def test_criterion_10_saturated_divergence():
     es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
-    coeffs = actuator_coefficients(es, [ModeCombination([1.0])])
-    ms = assemble_internal(es, coeffs, 1, shape_norms_sq=[1.0])
+    ms = assemble_internal(es, [ModeCombination([1.0])], 1)
     gain = Gain(K=np.array([[-3.0]]), closed_loop_spectrum=np.array([-2.0]))
     config = SimConfig(
-        J=8, dt=1e-3, T=30.0, initial=(2.0,) + (0.0,) * 7, blowup_threshold=1e6
+        dt=1e-3, T=30.0, initial=(2.0,) + (0.0,) * 7, blowup_threshold=1e6
     )
     traj = run(config, ms, gain, level=SaturationLevel(1.0))
     assert traj.exit_reason == EXIT_BLOWUP
@@ -369,21 +361,20 @@ def test_criterion_11_boundary_loop():
     es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
     split = unstable_count(es)
     assert split.n >= 1
-    lifting = Lifting(1.0)
-    ms = assemble_boundary(es, lifting, split.n)
+    ms = assemble_boundary(es, split.n)
     gain = design_gain(ms, poles=[-2.0 * (i + 1.0) for i in range(ms.dim)])
-    config = SimConfig(J=8, dt=5e-4, T=3.0, initial=("smooth", 0.02))
+    config = SimConfig(dt=5e-4, T=3.0, initial=("smooth", 0.02))
     traj = run(config, ms, gain, level=SaturationLevel(20.0))
     assert traj.exit_reason == EXIT_HORIZON
     fit = fit_decay_rate(traj, "u_plus_w", t_start=0.75)
     assert fit.rate > 0.0
-    d_norm = math.sqrt(lifting.d_norm_sq())
+    d_norm = math.sqrt(ms.lifting.d_norm_sq())
     bound = traj.channel("w_l2") + traj.channel("u") * d_norm
     assert np.all(traj.l2 <= bound + 1e-12)
 
     with pytest.raises(CriticalLength):
         es_bad = eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 6)
-        assemble_boundary(es_bad, Lifting(1.0), unstable_count(es_bad).n)
+        assemble_boundary(es_bad, unstable_count(es_bad).n)
     announce(11, "boundary loop decays with reconstruction bound")
 
 
@@ -406,7 +397,7 @@ def test_criterion_13_unsaturated_equivalence():
     )
     y0 = np.zeros(12)
     y0[0] = 0.02
-    config = SimConfig(J=12, dt=1e-3, T=2.0, initial=tuple(y0.tolist()))
+    config = SimConfig(dt=1e-3, T=2.0, initial=tuple(y0.tolist()))
     unsat = run(config, ms, gain)
     finite = run(config, ms, gain, level=SaturationLevel(0.5))
     assert not finite.sat_active.any()

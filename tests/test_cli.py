@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satstab
-from satstab import cli, synthesis
+from satstab import cli, modal, simulate, synthesis
 from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
@@ -993,7 +993,7 @@ CSV_EDGES = [
 class TestCsvBlock:
     """The block formatter writes each cell as repr(float(x)) (ints as ints)."""
 
-    @settings(max_examples=250, deadline=None, database=None)
+    @settings(max_examples=250, deadline=None, database=None, print_blob=True)
     @given(csv_tables())
     def test_matches_repr(self, drawn):
         table, int_columns = drawn
@@ -1055,6 +1055,76 @@ class TestCsvOracles:
 
 
 BOUNDARY = {"bc": "clamped", "lambda": 45.0, "length": 1.0, "actuators": [], "poles": None}
+CLAMPED_WINDOW = {
+    "bc": "clamped", "lambda": 45.0, "length": 1.0, "ell": 20.0, "poles": None, "J": 10,
+    "dt": 5e-4, "T": 1.0, "actuators": [{"kind": "indicator", "a": 0.1, "b": 0.6}],
+}
+
+
+def spy(monkeypatch, module, name):
+    """The list of argument tuples `module.name` is called with while the test runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestPresets:
+    def test_unknown_preset_rejected_by_every_command(self, tmp_path, capsys):
+        doc = base_config(**CLAMPED_WINDOW, initial={"preset": "wavelet", "amplitude": 0.05})
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        cert = str(tmp_path / "certificate.json")
+        for argv in (
+            ["synth", "-c", path, "-o", str(out)],
+            ["simulate", "-c", path, "--certificate", cert, "-o", str(out)],
+            ["verify", "-c", path, "-o", str(out)],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "config error: unknown preset 'wavelet'; "
+                "use one of ('first_mode', 'smooth', 'bump')\n"
+            )
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    @pytest.mark.parametrize("preset", ["smooth", "bump"])
+    def test_clamped_window_pipeline(self, tmp_path, capsys, monkeypatch, preset):
+        # a clamped window takes the quadrature coefficients; the bump its own projection
+        quadrature = spy(monkeypatch, modal, "_indicator_quadrature")
+        bump = spy(monkeypatch, simulate, "_bump_coefficients")
+        doc = base_config(**CLAMPED_WINDOW, initial={"preset": preset, "amplitude": 0.02})
+        path = write_config(tmp_path, doc)
+        cert = str(tmp_path / "exp_certificate.json")
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "-c", path, "--certificate", cert]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert quadrature and bool(bump) == (preset == "bump")
+        summary = json.loads((tmp_path / "exp_summary.json").read_text())
+        assert summary["exit_reason"] == "horizon"
+
+    def test_bump_on_odd_modes_stops_at_the_mode_count(self, tmp_path, capsys):
+        # lam = 100, L = 1: the first clamped mode is odd about L/2, and at J = 1 it is
+        # the only one.  A mode outranks a lower frequency only while its sigma is
+        # positive, so that mode is unstable and no tail is retained: each command
+        # exits 3 on the mode count before the bump is projected.
+        doc = base_config(**dict(CLAMPED_WINDOW, J=1, **{"lambda": 100.0}),
+                          initial={"preset": "bump", "amplitude": 0.1})
+        path = write_config(tmp_path, doc)
+        cert = str(tmp_path / "exp_certificate.json")
+        for argv in (
+            ["synth", "-c", path, "-o", str(tmp_path)],
+            ["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)],
+        ):
+            assert main(argv) == 3
+            assert "all 1 computed eigenvalues are non-negative" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 class TestVerifyCommand:

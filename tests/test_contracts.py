@@ -14,7 +14,7 @@ import pytest
 
 import satstab
 from satstab import simulate
-from satstab.modal import ModeCombination, actuator_coefficients, assemble_internal
+from satstab.modal import ModeCombination, assemble_internal
 from satstab.saturation import SaturationLevel
 from satstab.spectral import BoundaryCondition, OperatorParams, eigen_closed_form
 from satstab.synthesis import build_certificate, design_gain, select_h2_constants
@@ -87,12 +87,12 @@ def test_tracer_counts_every_forcing_call():
     # attribute, so the tracer's wrapper sees one call per step plus the
     # monitors' call for the last sample: N + 1 for a run of N steps
     es = eigen_closed_form(OperatorParams(2.0, math.pi), BoundaryCondition.HINGED, 8)
-    ms = assemble_internal(es, actuator_coefficients(es, [ModeCombination([1.0])]), 1)
+    ms = assemble_internal(es, [ModeCombination([1.0])], 1)
     level = SaturationLevel(1.0)
     gain = design_gain(ms, poles=[-4.0])
     cert = build_certificate(ms, gain, level)
-    consts = select_h2_constants(cert, ms, gain, es)
-    config = simulate.SimConfig(J=8, dt=1e-3, T=0.2, delta=1.0, nu=1.0, initial=("smooth", 0.01))
+    consts = select_h2_constants(cert, ms, gain)
+    config = simulate.SimConfig(dt=1e-3, T=0.2, delta=1.0, nu=1.0, initial=("smooth", 0.01))
     tracer = bench_spans().Tracer()
     with tracer.installed():
         traj = simulate.run(config, ms, gain, cert, consts, level=level)

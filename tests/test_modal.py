@@ -82,8 +82,7 @@ class TestCoefficients:
 
 class TestAssembleInternal:
     def test_scalar_example(self, es_pi):
-        coeffs = actuator_coefficients(es_pi, [Indicator(0.0, math.pi)])
-        ms = assemble_internal(es_pi, coeffs, 1)
+        ms = assemble_internal(es_pi, [Indicator(0.0, math.pi)], 1)
         np.testing.assert_allclose(ms.A, [[1.0]])
         assert ms.B[0, 0] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi))
         assert ms.b_tail.shape == (11, 1)
@@ -91,16 +90,24 @@ class TestAssembleInternal:
     def test_no_unstable_modes(self):
         es = eigen_closed_form(OperatorParams(0.5, 1.0), HINGED, 4)
         assert unstable_count(es).n == 0
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 0.5)])
-        ms = assemble_internal(es, coeffs, 0)
+        ms = assemble_internal(es, [Indicator(0.0, 0.5)], 0)
         assert ms.A.shape == (0, 0)
         assert ms.B.shape == (0, 1)
 
     def test_two_unstable(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 3.0)])
-        ms = assemble_internal(es, coeffs, 2)
+        ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
         np.testing.assert_allclose(np.diag(ms.A), [1.0, 7.0 / 16.0], rtol=1e-13)
+
+    def test_shape_norms_are_full_l2_norms(self):
+        # not the retained modes' share of ||b||^2, which is smaller
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
+        shapes = [Indicator(0.3, 2.8), ModeCombination([1.0, 2.0])]
+        ms = assemble_internal(es, shapes, 1)
+        assert ms.shape_norms_sq.tolist() == [2.5, 5.0]
+        table = np.vstack([ms.B, ms.b_tail])
+        np.testing.assert_array_equal(table, actuator_coefficients(es, shapes))
+        assert np.sum(table[:, 0] ** 2) < 2.5 - 0.09
 
 
 class TestBoundary:
@@ -123,17 +130,17 @@ class TestBoundary:
     def test_critical_length_rejected(self):
         es = eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 4)
         with pytest.raises(CriticalLength):
-            assemble_boundary(es, Lifting(1.0), unstable_count(es).n)
+            assemble_boundary(es, unstable_count(es).n)
         # the critical set scales with 1 / L^2
         es = eigen_clamped(OperatorParams(10 * math.pi**2 / 4, 2.0), 4)
         with pytest.raises(CriticalLength):
-            assemble_boundary(es, Lifting(2.0), unstable_count(es).n)
+            assemble_boundary(es, unstable_count(es).n)
 
     def test_structure(self):
         es = eigen_clamped(OperatorParams(45.0, 1.0), 6)
         n = unstable_count(es).n
         assert n >= 1
-        ms = assemble_boundary(es, Lifting(1.0), n)
+        ms = assemble_boundary(es, n)
         assert ms.dim == n + 1
         assert ms.B[0, 0] == 1.0
         np.testing.assert_allclose(ms.A[0], 0.0)
@@ -145,8 +152,8 @@ class TestBoundary:
     @pytest.mark.parametrize("lam, length", [(45.0, 1.0), (20.0, 2.0)])
     def test_lift_coefficients_project_d(self, lam, length):
         es = eigen_clamped(OperatorParams(lam, length), 10)
+        ms = assemble_boundary(es, unstable_count(es).n)
         lift = Lifting(length)
-        ms = assemble_boundary(es, lift, unstable_count(es).n)
         x, w = es.quadrature.nodes, es.quadrature.weights
         expected = np.array([math.fsum(w * es.basis[j] * lift.d(x)) for j in range(es.count)])
         assert np.max(np.abs(expected)) > 1e-3
@@ -154,16 +161,16 @@ class TestBoundary:
 
     def test_field_coefficients(self, es_pi):
         es = eigen_clamped(OperatorParams(45.0, 1.0), 6)
-        ms = assemble_boundary(es, Lifting(1.0), unstable_count(es).n)
+        ms = assemble_boundary(es, unstable_count(es).n)
         rng = np.random.default_rng(5)
         states = rng.standard_normal((4, 7))
         d = ms.lift_coefficients
         for row, field in zip(states, ms.field_coefficients(states)):
             np.testing.assert_array_equal(field, row[1:] + row[0] * d)
-        internal = assemble_internal(es_pi, actuator_coefficients(es_pi, [Indicator(0.0, 1.0)]), 1)
+        internal = assemble_internal(es_pi, [Indicator(0.0, 1.0)], 1)
         assert internal.lift_coefficients is None
         np.testing.assert_array_equal(internal.field_coefficients(states), states)
 
     def test_requires_clamped(self, es_pi):
         with pytest.raises(ValueError):
-            assemble_boundary(es_pi, Lifting(math.pi), 1)
+            assemble_boundary(es_pi, 1)

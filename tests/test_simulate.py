@@ -59,8 +59,7 @@ NEUMANN = BoundaryCondition.NEUMANN_CH
 @pytest.fixture(scope="module")
 def hinged_system():
     es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12)
-    coeffs = actuator_coefficients(es, [ModeCombination([1.0])])
-    ms = assemble_internal(es, coeffs, 1, shape_norms_sq=[1.0])
+    ms = assemble_internal(es, [ModeCombination([1.0])], 1)
     return ms
 
 
@@ -73,7 +72,7 @@ class TestLinearStepper:
     def test_pure_decay_exact(self, hinged_system):
         es = hinged_system.es
         gain = Gain(K=np.array([[0.0]]), closed_loop_spectrum=np.array([1.0]))
-        zero_b = assemble_internal(es, np.zeros((12, 1)), 1, shape_norms_sq=[0.0])
+        zero_b = assemble_internal(es, [ModeCombination([0.0])], 1)
         state = np.zeros(12)
         state[1] = 1.0  # sigma_2 = -8
         out = step_linear_closed_loop(state, zero_b, gain, UNSATURATED, 0.1)
@@ -83,8 +82,7 @@ class TestLinearStepper:
         # sigma = 0 mode: y+ = y + c dt
         es = eigen_closed_form(OperatorParams((math.pi / 2.0) ** 2, 2.0), HINGED, 3)
         assert abs(es.values[0]) < 1e-13
-        coeffs = actuator_coefficients(es, [ModeCombination([1.0])])
-        ms = assemble_internal(es, coeffs, 1)
+        ms = assemble_internal(es, [ModeCombination([1.0])], 1)
         gain = Gain(K=np.array([[2.0]]), closed_loop_spectrum=np.array([-1.0]))
         state = np.zeros(3)
         state[0] = 0.5
@@ -140,7 +138,7 @@ class TestNonlinearTerm:
             assert f @ state <= 1e-12
 
     def test_nonlinearity_off_matches_linear(self, hinged_system, scalar_gain):
-        config = SimConfig(J=12, dt=1e-3, T=0.0, delta=0.0, nu=0.0)
+        config = SimConfig(dt=1e-3, T=0.0, delta=0.0, nu=0.0)
         state = 0.05 * np.ones(12)
         a = step_linear_closed_loop(state, hinged_system, scalar_gain, UNSATURATED, 1e-3)
         b = step_nonlinear_closed_loop(
@@ -196,7 +194,7 @@ class TestNonlinearTerm:
 def boundary_ms():
     es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
     n = unstable_count(es).n
-    return assemble_boundary(es, Lifting(1.0), n)
+    return assemble_boundary(es, n)
 
 
 class TestBoundaryStepper:
@@ -211,7 +209,7 @@ class TestBoundaryStepper:
         assert out[1] == pytest.approx(0.3 * math.exp(ms.es.values[0] * 0.01), rel=1e-12)
 
     def test_initial_integrator_at_rest(self, boundary_ms):
-        config = SimConfig(J=8, dt=1e-3, T=0.0, initial=("first_mode", 0.2))
+        config = SimConfig(dt=1e-3, T=0.0, initial=("first_mode", 0.2))
         gain = design_gain(boundary_ms, poles=[-1.0 * (i + 1) for i in range(boundary_ms.n + 1)])
         traj = run(config, boundary_ms, gain)
         assert traj.states[0, 0] == 0.0
@@ -232,7 +230,7 @@ class TestBoundaryStepper:
 
     def test_reconstruction_bound(self, boundary_ms):
         ms = boundary_ms
-        config = SimConfig(J=8, dt=5e-4, T=2.0, initial=("smooth", 0.1))
+        config = SimConfig(dt=5e-4, T=2.0, initial=("smooth", 0.1))
         gain = design_gain(ms, poles=[-(i + 1.0) for i in range(ms.n + 1)])
         traj = run(config, ms, gain, level=SaturationLevel(5.0))
         d_norm = math.sqrt(ms.lifting.d_norm_sq())
@@ -270,8 +268,7 @@ def walls(hinged_system):
 def two_input_hinged():
     # lam = 6: sigma = 5 and 8 on the two unstable modes, two windows
     es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
-    coeffs = actuator_coefficients(es, [Indicator(0.3, 1.2), Indicator(1.5, 2.8)])
-    return assemble_internal(es, coeffs, 2)
+    return assemble_internal(es, [Indicator(0.3, 1.2), Indicator(1.5, 2.8)], 2)
 
 
 def oracle_step(ms, K, ell, dt, y, f):
@@ -314,7 +311,7 @@ class TestStepper:
     def loop(self, request, boundary_ms):
         if request.param == "internal_m1":
             es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
-            ms = assemble_internal(es, actuator_coefficients(es, [Indicator(0.3, 2.8)]), 2)
+            ms = assemble_internal(es, [Indicator(0.3, 2.8)], 2)
         elif request.param == "internal_m2":
             ms = two_input_hinged()
         elif request.param == "boundary":
@@ -322,7 +319,7 @@ class TestStepper:
         else:  # lam = 0.5, L = 1: no unstable mode, so K has no columns
             es = eigen_closed_form(OperatorParams(0.5, 1.0), HINGED, 6)
             assert unstable_count(es).n == 0
-            ms = assemble_internal(es, actuator_coefficients(es, [Indicator(0.0, 0.5)]), 0)
+            ms = assemble_internal(es, [Indicator(0.0, 0.5)], 0)
         head = ms.n + (ms.mode == "boundary")
         K = np.random.default_rng(7).normal(size=(ms.B.shape[1], head))
         return ms, Gain(K=K, closed_loop_spectrum=np.full(head, -1.0))
@@ -454,7 +451,7 @@ class TestStepper:
         # the smaller it starts the later it crosses the threshold
         starts = np.zeros((4, 10))
         starts[:, :3] = np.array([[1.0], [0.05], [2e-3], [0.0]]) * [1.0, 0.5, -0.2]
-        config = SimConfig(J=10, dt=1e-2, T=2.5, blowup_threshold=30.0)
+        config = SimConfig(dt=1e-2, T=2.5, blowup_threshold=30.0)
         batch = run_batch(config, ms, gain, starts, level=level)
         assert [t.exit_reason for t in batch] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
         assert len({(t.times.size - 1) // 64 for t in batch[:3]}) == 3
@@ -474,7 +471,7 @@ class TestRun:
         y0 = np.zeros(12)
         y0[0] = 0.9 / math.sqrt(cert.P[0, 0])
         y0[1] = 0.02
-        config = SimConfig(J=12, dt=1e-3, T=3.0, initial=tuple(y0.tolist()))
+        config = SimConfig(dt=1e-3, T=3.0, initial=tuple(y0.tolist()))
         traj = run(config, ms, gain, cert, level=SaturationLevel(1.0))
         assert traj.exit_reason == EXIT_HORIZON
         assert traj.l2[-1] < traj.l2[0]
@@ -482,14 +479,14 @@ class TestRun:
 
     def test_saturated_escape_blows_up(self, hinged_system, scalar_gain):
         config = SimConfig(
-            J=12, dt=1e-3, T=25.0, initial=(2.0,) + (0.0,) * 11, blowup_threshold=1e5
+            dt=1e-3, T=25.0, initial=(2.0,) + (0.0,) * 11, blowup_threshold=1e5
         )
         traj = run(config, hinged_system, scalar_gain, level=SaturationLevel(1.0))
         assert traj.exit_reason == EXIT_BLOWUP
         assert traj.times[-1] < 25.0
 
     def test_zero_horizon_single_sample(self, hinged_system, scalar_gain):
-        config = SimConfig(J=12, dt=1e-3, T=0.0, initial=("first_mode", 0.1))
+        config = SimConfig(dt=1e-3, T=0.0, initial=("first_mode", 0.1))
         traj = run(config, hinged_system, scalar_gain)
         assert traj.times.shape == (1,)
         assert traj.l2[0] == pytest.approx(0.1)
@@ -500,7 +497,7 @@ class TestRun:
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         # run with a much tighter clamp than certified: growth escapes the set
         edge = 0.98 / math.sqrt(cert.P[0, 0])
-        config = SimConfig(J=12, dt=1e-3, T=10.0, initial=(edge,) + (0.0,) * 11)
+        config = SimConfig(dt=1e-3, T=10.0, initial=(edge,) + (0.0,) * 11)
         traj = run(config, ms, gain, cert, level=SaturationLevel(1e-4))
         # leaving the region is flagged afterwards; it does not end the run
         assert traj.left_region
@@ -512,7 +509,7 @@ class TestRun:
         gain = design_gain(ms, poles=[-4.0])
         y0 = np.zeros(12)
         y0[0] = 0.05
-        config = SimConfig(J=12, dt=1e-3, T=1.0, initial=tuple(y0.tolist()))
+        config = SimConfig(dt=1e-3, T=1.0, initial=tuple(y0.tolist()))
         a = run(config, ms, gain)
         b = run(config, ms, gain, level=SaturationLevel(10.0))
         assert not b.sat_active.any()
@@ -521,7 +518,7 @@ class TestRun:
     def test_parseval_against_quadrature(self, hinged_system):
         ms = hinged_system
         gain = design_gain(ms, poles=[-4.0])
-        config = SimConfig(J=12, dt=1e-2, T=0.5, initial=("smooth", 0.2))
+        config = SimConfig(dt=1e-2, T=0.5, initial=("smooth", 0.2))
         traj = run(config, ms, gain)
         es = ms.es
         for k in (0, traj.times.size // 2, traj.times.size - 1):
@@ -533,10 +530,10 @@ class TestRun:
     def test_energy_identity_uncontrolled(self):
         # d/dt (l2^2/2) = lam*h1^2 - h2^2 for the free linear flow
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 4)
-        ms = assemble_internal(es, np.zeros((4, 1)), 1, shape_norms_sq=[0.0])
+        ms = assemble_internal(es, [ModeCombination([0.0])], 1)
         gain = Gain(K=np.zeros((1, 1)), closed_loop_spectrum=np.array([-1.0]))
         dt = 2e-5
-        config = SimConfig(J=4, dt=dt, T=0.004, initial=("smooth", 0.3))
+        config = SimConfig(dt=dt, T=0.004, initial=("smooth", 0.3))
         traj = run(config, ms, gain)
         half_sq = 0.5 * traj.l2**2
         ddt = (half_sq[2:] - half_sq[:-2]) / (2 * dt)
@@ -550,7 +547,7 @@ class TestRun:
         gain = design_gain(ms_full, poles=[-4.0])
         y0 = np.zeros(12)
         y0[0] = 0.2
-        config = SimConfig(J=12, dt=1e-3, T=1.0, initial=tuple(y0.tolist()))
+        config = SimConfig(dt=1e-3, T=1.0, initial=tuple(y0.tolist()))
         traj = run(config, ms_full, gain)
 
         state = np.array([0.2])
@@ -572,10 +569,9 @@ class TestRun:
         y0_24 = np.concatenate([y0_12, np.zeros(12)])
         out = {}
         for es, y0 in ((es12, y0_12), (es24, y0_24)):
-            coeffs = actuator_coefficients(es, shapes)
-            ms = assemble_internal(es, coeffs, 1)
+            ms = assemble_internal(es, shapes, 1)
             gain = design_gain(ms, poles=[-4.0])
-            config = SimConfig(J=es.count, dt=1e-3, T=2.0, initial=tuple(y0.tolist()))
+            config = SimConfig(dt=1e-3, T=2.0, initial=tuple(y0.tolist()))
             out[es.count] = run(config, ms, gain).l2[-1]
         tail_energy = math.sqrt(float(np.sum(y0_12[1:] ** 2)))
         assert abs(out[24] - out[12]) < tail_energy * math.exp(-eta * 2.0) + 1e-9
@@ -606,7 +602,7 @@ class TestBatch:
         starts[0, 0] = 0.5  # decays
         starts[1, 0] = 2.0  # saturated escape to blow-up
         starts[2, :4] = (0.9, 0.1, -0.05, 0.02)  # decays, with tail content
-        config = SimConfig(J=12, dt=1e-3, T=15.0, blowup_threshold=1e5)
+        config = SimConfig(dt=1e-3, T=15.0, blowup_threshold=1e5)
         batch = run_batch(config, hinged_system, scalar_gain, starts, level=level)
         serial = self.serial(config, hinged_system, scalar_gain, starts, level=level)
         assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_HORIZON]
@@ -621,11 +617,11 @@ class TestBatch:
         level = SaturationLevel(1.0)
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, level)
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         starts = np.zeros((2, 12))
         starts[0, :3] = (0.5 / math.sqrt(cert.P[0, 0]), 0.05, -0.02)  # decays
         starts[1, 0] = 40.0  # far outside the basin: blows up
-        config = SimConfig(J=12, dt=1e-3, T=3.0, delta=1.0, nu=0.5, blowup_threshold=1e5)
+        config = SimConfig(dt=1e-3, T=3.0, delta=1.0, nu=0.5, blowup_threshold=1e5)
         batch = run_batch(config, ms, gain, starts, cert, consts, level=level)
         serial = self.serial(config, ms, gain, starts, cert=cert, constants=consts, level=level)
         assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP]
@@ -644,7 +640,7 @@ class TestBatch:
         starts[0] = 0.01 * 0.5 ** np.arange(8)
         starts[1, 0] = 0.2  # saturates and escapes
         starts[2, :3] = (0.02, -0.1, 0.05)
-        config = SimConfig(J=8, dt=5e-4, T=1.0)
+        config = SimConfig(dt=5e-4, T=1.0)
         batch = run_batch(config, ms, gain, starts, level=level)
         serial = self.serial(config, ms, gain, starts, level=level)
         assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_HORIZON]
@@ -665,8 +661,7 @@ class TestBatch:
             low, high = (mid, high) if decays(mid) else (low, mid)
         assert low <= 1.0 <= high
         edge, bracketed = estimate_basin(
-            scalar_edge_config, hinged_system, scalar_gain,
-            low=0.2, high=2.0, iters=iters, level=level,
+            scalar_edge_config(0.2), hinged_system, scalar_gain, 2.0, iters=iters, level=level
         )
         assert bracketed
         assert edge == 0.5 * (low + high)
@@ -749,7 +744,7 @@ class TestBlockExits:
         level = SaturationLevel(1.0)
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, level)
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         form = np.eye(12) + ms.es.gram_d1 + ms.es.gram_d2
         return ms, gain, cert, consts, level, form
 
@@ -771,7 +766,7 @@ class TestBlockExits:
     def test_linear_crossing_kept(self, loop, p):
         ms, gain, cert, consts, level, form = loop
         start = self.escaping(3.0)
-        free = SimConfig(J=12, dt=1e-2, T=2.0, blowup_threshold=1e150)
+        free = SimConfig(dt=1e-2, T=2.0, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, start[None], level=level)[0]
         config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
         kwargs = dict(cert=cert, constants=consts, level=level)
@@ -783,7 +778,7 @@ class TestBlockExits:
     def test_nonlinear_crossing_dropped(self, loop, p):
         ms, gain, cert, consts, level, form = loop
         start = self.escaping(3.0)
-        free = SimConfig(J=12, dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
+        free = SimConfig(dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, start[None], level=level)[0]
         config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
         kwargs = dict(cert=cert, constants=consts, level=level)
@@ -797,7 +792,7 @@ class TestBlockExits:
         starts = np.zeros((2, 12))
         starts[0, :2] = (0.1, 0.01)
         starts[1, 0] = 40.0
-        config = SimConfig(J=12, dt=1e-3, T=0.3, delta=1.0, nu=0.5, blowup_threshold=1e5)
+        config = SimConfig(dt=1e-3, T=0.3, delta=1.0, nu=0.5, blowup_threshold=1e5)
         kwargs = dict(cert=cert, constants=consts, level=level)
         trajs = self.check(config, ms, gain, starts, **kwargs)
         assert [t.exit_reason for t in trajs] == [EXIT_HORIZON, EXIT_BLOWUP]
@@ -810,7 +805,7 @@ class TestBlockExits:
         starts[1] = self.escaping(3.0)
         starts[2, 0] = 40.0
         config = SimConfig(
-            J=12, dt=1e-3, T=(samples - 1) * 1e-3, delta=1.0, nu=0.5, blowup_threshold=1e5
+            dt=1e-3, T=(samples - 1) * 1e-3, delta=1.0, nu=0.5, blowup_threshold=1e5
         )
         kwargs = dict(cert=cert, constants=consts, level=level)
         trajs = self.check(config, ms, gain, starts, **kwargs)
@@ -823,7 +818,7 @@ class TestBlockExits:
         # about t = ln(16.3 / (a - 1)), samples 71, 210 and 279
         starts = np.array([self.escaping(a) for a in (9.0, 3.0, 2.0, 0.5)])
         starts[3, 1:] = 0.0
-        config = SimConfig(J=12, dt=1e-2, T=3.0, blowup_threshold=30.0)
+        config = SimConfig(dt=1e-2, T=3.0, blowup_threshold=30.0)
         kwargs = dict(cert=cert, constants=consts, level=level)
         trajs = self.check(config, ms, gain, starts, **kwargs)
         assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
@@ -835,14 +830,13 @@ class TestBlockExits:
         # hinged, lam = 6: sigma = 5 and 8 on the two unstable modes, which
         # carry the blow-up weights 3 and 21; zero gain lets both grow freely
         es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 6)
-        coeffs = actuator_coefficients(es, [ModeCombination([1.0, 1.0])])
-        ms = assemble_internal(es, coeffs, 2)
+        ms = assemble_internal(es, [ModeCombination([1.0, 1.0])], 2)
         gain = Gain(K=np.zeros((1, 2)), closed_loop_spectrum=np.array([-1.0, -2.0]))
         form = np.eye(6) + es.gram_d1 + es.gram_d2
         starts = np.zeros((2, 6))
         starts[0, 0] = 1e-3  # leaves the region, then blows up
         starts[1, 1] = 1.0  # blows up
-        free = SimConfig(J=6, dt=2e-3, T=0.5, blowup_threshold=1e150)
+        free = SimConfig(dt=2e-3, T=0.5, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, starts)
         return ms, gain, form, starts, free, probe
 
@@ -898,7 +892,7 @@ class TestBlockExits:
         starts[0] = 0.01 * 0.5 ** np.arange(8)
         starts[1, 0] = 0.2  # saturates and escapes
         starts[2, 0] = 0.5
-        config = SimConfig(J=8, dt=5e-4, T=1.0)
+        config = SimConfig(dt=5e-4, T=1.0)
         trajs = self.check(config, ms, gain, starts, level=SaturationLevel(5.0))
         assert [t.exit_reason for t in trajs] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_BLOWUP]
         assert trajs[1].times.size != trajs[2].times.size
@@ -912,7 +906,7 @@ class TestDiscardedOverflow:
         start = np.zeros((1, 12))
         start[0, 0] = 2.0
         dt = 20.0  # e^20 growth per step: crosses at sample 1, inf by sample ~35
-        config = SimConfig(J=12, dt=dt, T=63 * dt)
+        config = SimConfig(dt=dt, T=63 * dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (traj,) = run_batch(config, hinged_system, scalar_gain, start, level=level)
@@ -938,7 +932,7 @@ class TestDiscardedOverflow:
         gain = design_gain(ms, poles=[-4.0])
         start = np.zeros((1, 12))
         start[0, 0] = 1e60
-        config = SimConfig(J=12, dt=1e-3, T=0.1, delta=1.0, blowup_threshold=1e150)
+        config = SimConfig(dt=1e-3, T=0.1, delta=1.0, blowup_threshold=1e150)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (traj,) = run_batch(config, ms, gain, start)
@@ -951,10 +945,10 @@ class TestDiscardedOverflow:
         level = SaturationLevel(1.0)
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, level)
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         start = np.zeros((1, 12))
         start[0, 0] = 40.0
-        config = SimConfig(J=12, dt=1e-3, T=0.1, delta=1.0, nu=1.0, blowup_threshold=1e5)
+        config = SimConfig(dt=1e-3, T=0.1, delta=1.0, nu=1.0, blowup_threshold=1e5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (traj,) = run_batch(config, ms, gain, start, cert, consts, level)
@@ -986,14 +980,14 @@ class TestMonitors:
         ms = hinged_system
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         assert v2_and_sandwich_lower(np.zeros(12), cert, consts, ms.es) == (0.0, 0.0)
 
     def test_v2_single_stable_mode(self, hinged_system):
         ms = hinged_system
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         state = np.zeros(12)
         state[1] = 1.0  # sigma = -8, z = 0
         v2, _ = v2_and_sandwich_lower(state, cert, consts, ms.es)
@@ -1004,7 +998,7 @@ class TestMonitors:
         es = ms.es
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
-        consts = select_h2_constants(cert, ms, gain, es)
+        consts = select_h2_constants(cert, ms, gain)
         rng = np.random.default_rng(31)
         for _ in range(1000):
             state = rng.normal(size=12) * rng.uniform(0.01, 2.0)
@@ -1021,7 +1015,7 @@ class TestMonitors:
         y0 = np.zeros(12)
         y0[0] = 0.9 / math.sqrt(cert.P[0, 0])
         y0[1:6] = 0.02
-        config = SimConfig(J=12, dt=2e-4, T=2.0, initial=tuple(y0.tolist()))
+        config = SimConfig(dt=2e-4, T=2.0, initial=tuple(y0.tolist()))
         traj = run(config, ms, gain, cert, level=SaturationLevel(1.0))
         fit = fit_decay_rate(traj, "l2", t_start=0.5)
         zfit = np.sqrt(np.sum(traj.states[:, : ms.n] ** 2, axis=1))
@@ -1045,9 +1039,9 @@ class TestMonitors:
         # l2 of a boundary run is the physical field w + u d, integrated on the grid
         es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
         lift = Lifting(1.0)
-        ms = assemble_boundary(es, lift, unstable_count(es).n)
+        ms = assemble_boundary(es, unstable_count(es).n)
         gain = design_gain(ms, poles=[-2.0, -4.0])
-        config = SimConfig(J=8, dt=5e-4, T=0.5, initial=("smooth", 0.02))
+        config = SimConfig(dt=5e-4, T=0.5, initial=("smooth", 0.02))
         traj = run(config, ms, gain, level=SaturationLevel(20.0))
         x = es.quadrature.nodes
         for k in range(0, traj.times.size, 50):
@@ -1066,10 +1060,10 @@ def fit_decay_rate_from(times, values):
 class TestFitDecay:
     def test_pure_mode_rate(self):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 4)
-        ms = assemble_internal(es, np.zeros((4, 1)), 1, shape_norms_sq=[0.0])
+        ms = assemble_internal(es, [ModeCombination([0.0])], 1)
         gain = Gain(K=np.zeros((1, 1)), closed_loop_spectrum=np.array([-1.0]))
         y0 = (0.0, 1.0, 0.0, 0.0)  # sigma = -8
-        config = SimConfig(J=4, dt=1e-3, T=1.0, initial=y0)
+        config = SimConfig(dt=1e-3, T=1.0, initial=y0)
         traj = run(config, ms, gain)
         fit = fit_decay_rate(traj, "l2")
         assert fit.rate == pytest.approx(8.0, rel=1e-9)
@@ -1078,7 +1072,7 @@ class TestFitDecay:
     def test_scalar_loop_rate_window(self, hinged_system):
         # discrete hold shifts the rate to exactly 2 + 3 dt for this loop
         gain = design_gain(hinged_system, poles=[-2.0])
-        config = SimConfig(J=12, dt=1e-4, T=2.0, initial=("first_mode", 0.1))
+        config = SimConfig(dt=1e-4, T=2.0, initial=("first_mode", 0.1))
         traj = run(config, hinged_system, gain)
         fit = fit_decay_rate(traj, "l2", t_start=0.2)
         assert 1.9 <= fit.rate <= 2.0 + 5.0 * config.dt
@@ -1102,7 +1096,7 @@ class TestFitDecay:
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_nonpositive_rejected(self, hinged_system, scalar_gain):
-        config = SimConfig(J=12, dt=1e-3, T=0.1, initial=(0.0,) * 12)
+        config = SimConfig(dt=1e-3, T=0.1, initial=(0.0,) * 12)
         traj = run(config, hinged_system, scalar_gain)
         with pytest.raises(NonPositiveChannel):
             fit_decay_rate(traj, "l2")
@@ -1120,30 +1114,20 @@ def decayed(traj, t_start):
 
 def scalar_edge_config(amplitude):
     # z' = z + sat(-3 z) with ell = 1 has its basin edge exactly at z = 1
-    return SimConfig(J=12, dt=1e-3, T=4.0, initial=("first_mode", amplitude))
+    return SimConfig(dt=1e-3, T=4.0, initial=("first_mode", amplitude))
 
 
 class TestEstimateBasin:
     def test_scalar_saturated_edge(self, hinged_system, scalar_gain):
         edge, bracketed = estimate_basin(
-            scalar_edge_config,
-            hinged_system,
-            scalar_gain,
-            low=0.2,
-            high=2.0,
-            level=SaturationLevel(1.0),
+            scalar_edge_config(0.2), hinged_system, scalar_gain, 2.0, level=SaturationLevel(1.0)
         )
         assert bracketed
         assert edge == pytest.approx(1.0, abs=0.05)
 
     def test_edge_outside_bracket_reported(self, hinged_system, scalar_gain):
         edge, bracketed = estimate_basin(
-            scalar_edge_config,
-            hinged_system,
-            scalar_gain,
-            low=0.2,
-            high=0.5,
-            level=SaturationLevel(1.0),
+            scalar_edge_config(0.2), hinged_system, scalar_gain, 0.5, level=SaturationLevel(1.0)
         )
         assert bracketed is False
         assert edge == 0.5
@@ -1151,13 +1135,14 @@ class TestEstimateBasin:
     def test_no_bracket_rejected(self, hinged_system, scalar_gain):
         with pytest.raises(ValueError):
             estimate_basin(
-                scalar_edge_config,
-                hinged_system,
-                scalar_gain,
-                low=1.5,
-                high=2.0,
+                scalar_edge_config(1.5), hinged_system, scalar_gain, 2.0,
                 level=SaturationLevel(1.0),
             )
+
+    def test_modal_initial_state_rejected(self, hinged_system, scalar_gain):
+        config = SimConfig(dt=1e-3, T=4.0, initial=(0.2,) + (0.0,) * 11)
+        with pytest.raises(ValueError, match="needs a preset initial state"):
+            estimate_basin(config, hinged_system, scalar_gain, 2.0, level=SaturationLevel(1.0))
 
 
 class TestDecayVerdicts:
@@ -1167,12 +1152,12 @@ class TestDecayVerdicts:
     def system(self, request, hinged_system, scalar_gain, boundary_ms):
         if request.param == "boundary":
             gain = design_gain(boundary_ms, poles=[-(i + 1.0) for i in range(boundary_ms.n + 1)])
-            config = SimConfig(J=8, dt=5e-4, T=3.0, blowup_threshold=1e100)
+            config = SimConfig(dt=5e-4, T=3.0, blowup_threshold=1e100)
             return config, boundary_ms, gain, SaturationLevel(5.0), [1e-3, 0.03, 1e95]
         if request.param == "linear":
-            config = SimConfig(J=12, dt=1e-3, T=4.0, blowup_threshold=1e3)
+            config = SimConfig(dt=1e-3, T=4.0, blowup_threshold=1e3)
             return config, hinged_system, scalar_gain, SaturationLevel(1.0), [0.2, 1.0, 1.2, 100.0]
-        config = SimConfig(J=12, dt=1e-3, T=4.0, delta=1.0, nu=0.5, blowup_threshold=1e3)
+        config = SimConfig(dt=1e-3, T=4.0, delta=1.0, nu=0.5, blowup_threshold=1e3)
         return config, hinged_system, scalar_gain, SaturationLevel(0.3), [0.05, 0.5, 1.0, 20.0]
 
     @pytest.mark.parametrize("system", ["linear", "boundary", "nonlinear"], indirect=True)
@@ -1209,18 +1194,16 @@ class TestDecayVerdicts:
     def test_first_pass_keeps_the_low_run(self, system, bracketed):
         config, ms, gain, level, amplitudes = system
         cert = build_certificate(ms, gain, level)
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         low = amplitudes[0]
         high = amplitudes[-1] if bracketed else 2.0 * low  # blows up, or still decays
-
-        def make_config(amplitude):
-            return replace(config, initial=("first_mode", amplitude))
+        configured = replace(config, initial=("first_mode", low))
 
         _, found, kept = estimate_basin(
-            make_config, ms, gain, low, high, level=level, monitors=(cert, consts)
+            configured, ms, gain, high, level=level, monitors=(cert, consts)
         )
         assert found is bracketed
-        assert_identical([kept], [run(make_config(low), ms, gain, cert, consts, level=level)])
+        assert_identical([kept], [run(configured, ms, gain, cert, consts, level=level)])
 
     @staticmethod
     def counted_passes(monkeypatch):
@@ -1237,11 +1220,11 @@ class TestDecayVerdicts:
     def test_pass_count(self, hinged_system, scalar_gain, monkeypatch):
         rows = self.counted_passes(monkeypatch)
         level = SaturationLevel(1.0)
-        estimate_basin(scalar_edge_config, hinged_system, scalar_gain, 0.2, 2.0, level=level)
+        estimate_basin(scalar_edge_config(0.2), hinged_system, scalar_gain, 2.0, level=level)
         assert rows == [17, 15, 15]  # the ends and four levels, then four levels per pass
         rows.clear()
         _, bracketed = estimate_basin(
-            scalar_edge_config, hinged_system, scalar_gain, 0.2, 0.5, level=level
+            scalar_edge_config(0.2), hinged_system, scalar_gain, 0.5, level=level
         )
         assert not bracketed
         assert rows == [17]
@@ -1254,25 +1237,21 @@ class TestDecayVerdicts:
         rows = self.counted_passes(monkeypatch)
         with pytest.raises(ValueError, match=f"fit window start t = {t_start}"):
             estimate_basin(
-                scalar_edge_config, hinged_system, scalar_gain, 0.2, 2.0, t_start=t_start,
+                scalar_edge_config(0.2), hinged_system, scalar_gain, 2.0, t_start=t_start,
                 level=SaturationLevel(1.0),
             )
         assert rows == []
 
     def test_search_holds_no_state_array(self, scalar_gain):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 32)
-        ms = assemble_internal(
-            es, actuator_coefficients(es, [ModeCombination([1.0])]), 1, shape_norms_sq=[1.0]
-        )
-
-        def make_config(amplitude):
-            return SimConfig(J=32, dt=5e-4, T=4.0, initial=("first_mode", amplitude))
+        ms = assemble_internal(es, [ModeCombination([1.0])], 1)
+        config = SimConfig(dt=5e-4, T=4.0, initial=("first_mode", 0.2))
 
         one_row = (int(round(4.0 / 5e-4)) + 1) * 32 * 8  # bytes of one row's states
         tracemalloc.start()
         try:
             edge, bracketed = estimate_basin(
-                make_config, ms, scalar_gain, 0.2, 2.0, iters=3, level=SaturationLevel(1.0)
+                config, ms, scalar_gain, 2.0, iters=3, level=SaturationLevel(1.0)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1283,13 +1262,13 @@ class TestDecayVerdicts:
 
 class TestResolveInitial:
     def test_modal_passthrough(self, hinged_system):
-        config = SimConfig(J=12, dt=1e-3, T=1.0, initial=tuple(float(i) for i in range(12)))
+        config = SimConfig(dt=1e-3, T=1.0, initial=tuple(float(i) for i in range(12)))
         y0 = resolve_initial(config, hinged_system.es)
         assert y0[3] == 3.0
 
     def test_presets(self, hinged_system):
         for preset in ("first_mode", "smooth", "bump"):
-            config = SimConfig(J=12, dt=1e-3, T=1.0, initial=(preset, 0.05))
+            config = SimConfig(dt=1e-3, T=1.0, initial=(preset, 0.05))
             y0 = resolve_initial(config, hinged_system.es)
             assert y0.shape == (12,)
             assert np.all(np.isfinite(y0))
@@ -1307,7 +1286,7 @@ class TestResolveInitial:
             fine = composite_gauss_legendre(L, 400, 16)
             bump = np.exp(-(((fine.nodes - L / 2) / (L / 10)) ** 2))
             coeffs = np.array([fine.weights @ (mode(fine.nodes) * bump) for mode in es.modes])
-            config = SimConfig(J=es.count, dt=1e-3, T=1.0, initial=("bump", 1.0))
+            config = SimConfig(dt=1e-3, T=1.0, initial=("bump", 1.0))
             y0 = resolve_initial(config, es)
             np.testing.assert_allclose(y0, coeffs / np.linalg.norm(coeffs), rtol=0.0, atol=1e-14)
 
@@ -1315,17 +1294,17 @@ class TestResolveInitial:
     def test_bump_without_support_rejected(self, lam):
         # the first clamped mode is odd about L/2 here: the bump projects to rounding noise
         es = eigen_clamped(OperatorParams(lam, 1.0), 1)
-        config = SimConfig(J=1, dt=1e-3, T=1.0, initial=("bump", 0.1))
+        config = SimConfig(dt=1e-3, T=1.0, initial=("bump", 0.1))
         with pytest.raises(ValueError, match="even about L/2 and the retained modes are odd"):
             resolve_initial(config, es)
 
     def test_unknown_preset(self, hinged_system):
-        config = SimConfig(J=12, dt=1e-3, T=1.0, initial=("wavelet", 0.05))
+        config = SimConfig(dt=1e-3, T=1.0, initial=("wavelet", 0.05))
         with pytest.raises(ValueError):
             resolve_initial(config, hinged_system.es)
 
     def test_wrong_length(self, hinged_system):
-        config = SimConfig(J=12, dt=1e-3, T=1.0, initial=(1.0, 2.0))
+        config = SimConfig(dt=1e-3, T=1.0, initial=(1.0, 2.0))
         with pytest.raises(ValueError):
             resolve_initial(config, hinged_system.es)
 
@@ -1334,8 +1313,11 @@ class TestSimConfig:
     @pytest.mark.parametrize("threshold", [1e300, math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_blowup_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="blow-up threshold"):
-            SimConfig(J=4, dt=1e-3, T=1.0, blowup_threshold=threshold)
+            SimConfig(dt=1e-3, T=1.0, blowup_threshold=threshold)
+
+    def test_fit_start_is_a_quarter_of_the_horizon(self):
+        assert SimConfig(dt=1e-3, T=3.0).fit_start == 0.75
 
     def test_blowup_threshold_with_finite_square_accepted(self):
-        config = SimConfig(J=4, dt=1e-3, T=1.0, blowup_threshold=1e150)
+        config = SimConfig(dt=1e-3, T=1.0, blowup_threshold=1e150)
         assert math.isfinite(config.blowup_threshold**2)

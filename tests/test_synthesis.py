@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from satstab.errors import GapTooSmall, NotStabilizable
 from satstab.modal import (
     Indicator,
-    Lifting,
     ModeCombination,
-    actuator_coefficients,
-    actuator_norms_sq,
     assemble_boundary,
     assemble_internal,
 )
@@ -53,8 +50,7 @@ HINGED = BoundaryCondition.HINGED
 def scalar_system(b_coeff=1.0):
     """lam=2, L=pi: one unstable mode with sigma_1 = 1 and a unit actuator."""
     es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
-    coeffs = actuator_coefficients(es, [ModeCombination([b_coeff])])
-    return assemble_internal(es, coeffs, 1, shape_norms_sq=[b_coeff**2])
+    return assemble_internal(es, [ModeCombination([b_coeff])], 1)
 
 
 def manual_gain(K):
@@ -103,8 +99,7 @@ class TestDiagnose:
 class TestDesignGain:
     def test_scalar_pole_placement(self):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, math.pi)])
-        ms = assemble_internal(es, coeffs, 1)
+        ms = assemble_internal(es, [Indicator(0.0, math.pi)], 1)
         gain = design_gain(ms, poles=[-2.0])
         expected = -1.5 * math.sqrt(math.pi / 2.0)
         assert gain.K[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -112,16 +107,14 @@ class TestDesignGain:
 
     def test_empty_system(self):
         es = eigen_closed_form(OperatorParams(0.5, 1.0), HINGED, 4)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 0.5)])
-        ms = assemble_internal(es, coeffs, 0)
+        ms = assemble_internal(es, [Indicator(0.0, 0.5)], 0)
         gain = design_gain(ms)
         assert gain.K.shape == (1, 0)
         assert gain.hurwitz
 
     def test_two_pole_placement(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 3.0)])
-        ms = assemble_internal(es, coeffs, 2)
+        ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
         gain = design_gain(ms, poles=[-1.0, -2.0])
         got = np.sort(gain.closed_loop_spectrum.real)
         np.testing.assert_allclose(got, [-2.0, -1.0], atol=1e-10)
@@ -132,10 +125,10 @@ class TestDesignGain:
         # one pole-placement path: for m = 1 it is Ackermann's formula on (A, B), bit for bit
         if head == "internal":
             es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
-            ms = assemble_internal(es, actuator_coefficients(es, [Indicator(0.0, 3.0)]), 2)
+            ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
         else:
             es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
-            ms = assemble_boundary(es, Lifting(1.0), unstable_count(es).n)
+            ms = assemble_boundary(es, unstable_count(es).n)
         d = ms.dim
         step = 1.5 if explicit else unstable_count(es).eta
         poles = [-step * (i + 1) for i in range(d)]
@@ -205,8 +198,7 @@ class TestDesignGain:
         # lam = 12, L = pi: sigma = 32, 27, 11 unstable, two indicators
         es = eigen_closed_form(OperatorParams(12.0, math.pi), HINGED, 12)
         shapes = [Indicator(0.2, 1.1), Indicator(1.6, 2.7)]
-        coeffs = actuator_coefficients(es, shapes)
-        ms = assemble_internal(es, coeffs, 3, shape_norms_sq=actuator_norms_sq(es, shapes))
+        ms = assemble_internal(es, shapes, 3)
         assert ms.B.shape == (3, 2)
         for poles in ([-1.0, -2.0, -3.0], [-5.0, -6.0, -40.0]):
             gain = design_gain(ms, poles=poles)
@@ -267,7 +259,7 @@ def random_pairs(draw):
 class TestMatrixEquations:
     """The numpy solves against scipy's, kept here as the oracle."""
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
     @given(hurwitz_heads())
     def test_lyapunov_matches_scipy(self, a):
         from scipy.linalg import solve_continuous_lyapunov
@@ -309,7 +301,7 @@ class TestMatrixEquations:
         assert riccati_residual(a, b, x) <= 1e-14
         np.testing.assert_allclose(x, oracle, rtol=1e-12, atol=1e-12 * np.linalg.norm(oracle))
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
     @given(random_pairs())
     def test_riccati_matches_scipy_on_drawn_pairs(self, pair):
         from scipy.linalg import solve_continuous_are
@@ -415,8 +407,7 @@ class TestCertificate:
 
     def test_lyapunov_quadratic_form_negative(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 3.0)])
-        ms = assemble_internal(es, coeffs, 2)
+        ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
         gain = design_gain(ms, poles=[-1.0, -2.0])
         cert = build_certificate(ms, gain, SaturationLevel(2.0))
         acl = ms.A + ms.B @ gain.K
@@ -453,7 +444,7 @@ class TestCertificate:
         es = eigen_closed_form(OperatorParams(20.0, math.pi), HINGED, 12)
         shapes = [Indicator(0.0, 1.0), Indicator(1.5, 3.0)]
         n = unstable_count(es).n
-        ms = assemble_internal(es, actuator_coefficients(es, shapes), n)
+        ms = assemble_internal(es, shapes, n)
         gain = design_gain(ms)
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         acl = ms.A + ms.B @ gain.K
@@ -487,8 +478,7 @@ class TestEllipsoid:
 
     def test_sector_inclusion_sampling(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 3.0)])
-        ms = assemble_internal(es, coeffs, 2)
+        ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
         gain = design_gain(ms, poles=[-1.0, -2.0])
         level = SaturationLevel(0.8)
         cert = build_certificate(ms, gain, level)
@@ -504,7 +494,7 @@ class TestH2Constants:
         ms = scalar_system()
         gain = design_gain(ms, poles=[-2.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         sigma_tail = ms.es.values[1]
         gain_energy = np.linalg.norm(gain.K, 2) ** 2 * np.sum(ms.shape_norms_sq)
         assert consts.M >= -1.0 / sigma_tail
@@ -519,23 +509,33 @@ class TestH2Constants:
 
     def test_two_mode_selection(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 16)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 3.0)])
-        ms = assemble_internal(
-            es, coeffs, 2, shape_norms_sq=[3.0]
-        )
+        ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
         gain = design_gain(ms, poles=[-0.5, -1.0])
         cert = build_certificate(ms, gain, SaturationLevel(2.0))
-        consts = select_h2_constants(cert, ms, gain, es)
+        consts = select_h2_constants(cert, ms, gain)
         assert consts.M > 0 and consts.a > 0
 
     def test_wrong_split_raises(self):
         es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
-        coeffs = actuator_coefficients(es, [Indicator(0.0, 3.0)])
-        ms = assemble_internal(es, coeffs, 1)  # sigma_2 = 7/16 >= 0 left in the tail
+        # sigma_2 = 7/16 >= 0 left in the tail
+        ms = assemble_internal(es, [Indicator(0.0, 3.0)], 1)
         gain = design_gain(ms, poles=[-1.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         with pytest.raises(GapTooSmall):
-            select_h2_constants(cert, ms, gain, es)
+            select_h2_constants(cert, ms, gain)
+
+    def test_sector_budget_uses_the_full_actuator_norm(self):
+        # hinged lam = 2, L = pi, J = 8: the retained modes' Bessel sum 2.4070
+        # understates ||b||^2 = 2.5, and M proved against it comes out smaller
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
+        ms = assemble_internal(es, [Indicator(0.3, 2.8)], 1)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, SaturationLevel(1.0))
+        bessel = np.sum(np.vstack([ms.B, ms.b_tail]) ** 2, axis=0)
+        assert bessel[0] == pytest.approx(2.4070, abs=1e-4)
+        assert select_h2_constants(cert, ms, gain).M == pytest.approx(1.5584, abs=1e-4)
+        understated = replace(ms, shape_norms_sq=bessel)
+        assert select_h2_constants(cert, understated, gain).M == pytest.approx(1.5072, abs=1e-4)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -577,7 +577,7 @@ def bits(value):
 class TestCertificateFile:
     """certificate_document -> JSON text -> read_certificate gives back the same bits."""
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
     @given(synth_records())
     def test_round_trip_is_bit_exact(self, records):
         head, gain, cert, consts = records
@@ -595,7 +595,7 @@ class TestCertificateFile:
         ms = scalar_system()
         gain = design_gain(ms, poles=[-2.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
         report = diagnose_pair(ms.A, ms.B)
         top = [
@@ -630,7 +630,7 @@ class TestCertificateFile:
         ms = scalar_system()
         gain = design_gain(ms, poles=[-2.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
-        consts = select_h2_constants(cert, ms, gain, ms.es)
+        consts = select_h2_constants(cert, ms, gain)
         head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
         doc = certificate_document(head, gain, diagnose_pair(ms.A, ms.B), cert, consts)
         read_certificate(doc)
