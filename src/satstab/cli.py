@@ -510,7 +510,8 @@ def cmd_verify(cfg, certificate_path=None):
         gaps = []  # ((slack - alpha) |z|^2 - dv1/dt) / |z|^2 per step with z != 0
         for traj in trajs:
             dv = np.diff(traj.v1) / sim.dt
-            z_sq = np.sum(traj.states[:-1, : ms.n] ** 2, axis=1)
+            z = traj.states[:-1, : ms.n]
+            z_sq = np.vecdot(z, z)
             bound = -cert.alpha * z_sq + slack * z_sq
             if not np.all(dv <= bound + 1e-12):
                 dissipation_ok = False

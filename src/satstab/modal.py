@@ -182,7 +182,7 @@ def actuator_coefficients(es, shapes):
     return np.column_stack(cols) if cols else np.zeros((es.count, 0))
 
 
-def actuator_norms_sq(es, shapes):
+def actuator_norms_sq(shapes):
     """Squared L2 norms of the actuator shape functions."""
     out = []
     for shape in shapes:
@@ -205,7 +205,7 @@ def assemble_internal(es, shapes, n):
         B=coeffs[:n].copy(),
         b_tail=coeffs[n:].copy(),
         mode="internal",
-        shape_norms_sq=actuator_norms_sq(es, shapes),
+        shape_norms_sq=actuator_norms_sq(shapes),
     )
 
 

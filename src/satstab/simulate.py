@@ -96,7 +96,8 @@ class Trajectory:
         if name == "u":
             return np.abs(self.states[:, 0])
         if name == "w_l2":
-            return np.sqrt(np.sum(self.states[:, 1:] ** 2, axis=1))
+            modal = self.states[:, 1:]
+            return np.sqrt(np.vecdot(modal, modal))
         if name == "u_plus_w":
             return self.channel("u") + self.channel("w_l2")
         raise ValueError(f"unknown channel {name!r}")
@@ -143,8 +144,23 @@ def _rowwise(rows, matrix, out=None):
 
 
 def quad_form(x, form):
-    """x^T G x for each row of x (or for one vector), as one matrix product."""
-    return ((x @ form) * x).sum(axis=-1)
+    """x^T G x for each row of x (or for one vector), as one contraction per row.
+
+    A 1-D `form` holds the weights of a diagonal G; a matrix form takes one
+    vector-matrix product per row first.  Each row is reduced by its own
+    `np.vecdot`, so it gets the same bits alone, in any batch and as a
+    misaligned copy, which neither BLAS's `(x * x) @ w` nor a flat `x @ G`
+    gives.
+    """
+    if form.ndim == 1:
+        return np.vecdot(x * x, form)
+    return np.vecdot(np.matmul(x[..., None, :], form)[..., 0, :], x)
+
+
+def _as_form(matrix):
+    """A quadratic form's matrix, or its diagonal when every other entry is exactly zero."""
+    diagonal = np.diag(matrix)
+    return diagonal.copy() if np.array_equal(matrix, np.diag(diagonal)) else matrix
 
 
 @dataclass(frozen=True)
@@ -155,7 +171,10 @@ class StepPlan:
     integrator as column 0, folded into the same arrays as a mode with
     sigma = 0 and input 1; `coupling` is its column a (None for internal
     actuation).  `norm_form` is the blow-up quadratic form I + gram_d1 +
-    gram_d2 (plus 1 for the integrator).
+    gram_d2 (plus 1 for the integrator), and `gram_d1` and `gram_d2` are the
+    H1 and H2 forms of the modes; each is the weight vector of its diagonal
+    when the matrix is exactly diagonal (hinged and Neumann modes), else the
+    matrix, as `quad_form` takes them.
 
     A step of a few rows costs its numpy calls, not its arithmetic:
     `stepper(rows)` lays the constants and the clamp bounds out as (rows,
@@ -174,6 +193,8 @@ class StepPlan:
     input_t: np.ndarray  # full input matrix transposed, (m, dim)
     coupling: np.ndarray | None
     norm_form: np.ndarray
+    gram_d1: np.ndarray
+    gram_d2: np.ndarray
     head: int
     level: SaturationLevel
 
@@ -230,7 +251,9 @@ def step_plan(ms, gain, level, dt):
         gain_t=gain.K.T,
         input_t=np.vstack([ms.B, ms.b_tail]).T,
         coupling=coupling,
-        norm_form=form,
+        norm_form=_as_form(form),
+        gram_d1=_as_form(es.gram_d1),
+        gram_d2=_as_form(es.gram_d2),
         head=ms.dim,
         level=level,
     )
@@ -272,9 +295,9 @@ def nonlinear_forcing(es, state, delta, nu, out=None):
     return _rowwise(products, es.forcing_table[lo:hi], out)
 
 
-def step_nonlinear_closed_loop(state, ms, gain, level, config, dt):
-    """Exponential-Euler step with frozen control plus nonlinear forcing."""
-    plan = step_plan(ms, gain, level, dt)
+def step_nonlinear_closed_loop(state, ms, gain, level, config):
+    """Exponential-Euler step of `config.dt` with frozen control plus nonlinear forcing."""
+    plan = step_plan(ms, gain, level, config.dt)
     y = np.asarray(state, dtype=float)[None]
     new = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
     if quad_form(new, plan.norm_form)[0] > config.blowup_threshold**2:
@@ -342,7 +365,7 @@ def resolve_initial(config, es):
 
 def _v2(v1, modal, constants, sigma):
     """Frequency-weighted energy 0.5 M v1 + sum_j (-sigma_j) y_j^2."""
-    return 0.5 * constants.M * v1 + (modal * modal) @ -sigma
+    return 0.5 * constants.M * v1 + quad_form(modal, -sigma)
 
 
 def run(config, ms, gain, cert=None, constants=None, level=None):
@@ -371,8 +394,9 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     rows (all by default) are stored block by block and monitored afterwards,
     as `run_batch` describes.  With `t_start`, every row is also reduced to
     its H2 norms on the samples at t >= t_start, which must hold at least
-    two, and judged: it decays when it reaches the horizon and the fitted
-    rate is positive, or when the channel is not positive on the window.
+    two, and judged by one batched `_fit_decay` of their logarithms: it
+    decays when it reaches the horizon and either the fitted rate is
+    positive or the channel is not positive and finite on the window.
     Returns (the kept rows' Trajectories, the verdicts or None).
     """
     rows = _initial_rows(config, ms, initials)
@@ -388,34 +412,36 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
 
     for start, live, block, forcing, ends in _blocks(config, ms.es, plan, rows):
-        end = start + block.shape[1]
+        end = start + block.shape[0]
         held = int(np.searchsorted(live, keep))  # live rows ascend, so the kept ones lead
         if held:
-            states[live[:held], start:end] = block[:held]
+            states[live[:held], start:end] = block[:, :held].swapaxes(0, 1)
             if peaks is not None:
                 peaks[live[:held], max(start, 1) - 1 : end - 1] = np.max(
-                    np.abs(forcing[:held]), axis=2
-                )
+                    np.abs(forcing[:, :held]), axis=2
+                ).T
         lo = max(start, first)
         if lo < end:
             # rows that ended in this block may hold overflowed samples
             with np.errstate(over="ignore", invalid="ignore"):
-                window[live, lo - first : end - first] = _h2(block[:, lo - start :, cut:], ms.es)
+                h2 = _h2(block[lo - start :, :, cut:], plan.gram_d2)
+            window[live, lo - first : end - first] = h2.T
         for row, (count, reason) in ends.items():
             filled[row], exits[row] = count, reason
+    del block, forcing  # free before the fit's and the monitors' temporaries
 
     verdicts = None
     if t_start is not None:
-        verdicts = []
-        for i in range(batch):
-            try:
-                verdicts.append(
-                    exits[i] == EXIT_HORIZON
-                    and _fit_decay(times[first:], window[i], "h2").rate > 0.0
-                )
-            except NonPositiveChannel:
-                verdicts.append(True)  # channel hit the floor: decayed outright
-    del window, block, forcing  # free before the monitors' temporaries
+        # a row that ended early holds overflowed or unwritten samples: its fit is unused
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logs = np.log(window, out=window)
+            positive = np.isfinite(logs).all(axis=1)
+            rates = _fit_decay(times[first:], logs)[0]
+        verdicts = [
+            exit_reason == EXIT_HORIZON and bool(not ok or rate > 0.0)
+            for exit_reason, ok, rate in zip(exits, positive, rates)
+        ]
+    del window
     kept = [
         _monitored(
             plan, ms, config, times[: filled[i]], states[i, : filled[i]], exits[i],
@@ -452,15 +478,17 @@ def _fit_window(config, t_start):
 def _blocks(config, es, plan, rows):
     """Step `rows` to the horizon and yield them one block of samples at a time.
 
-    Yields (start, live, block, forcing, ends): `block` holds samples start,
-    start + 1, ... of the rows indexed by `live`; `forcing` (None for linear
-    runs) holds the forcing of each step the block took, the first one out
-    of sample max(start, 1) - 1.  After each block the blow-up norm is
-    checked (a nonlinear sample over the threshold is dropped unless it is
-    the initial one, a linear sample is kept).  A row ends at its first
-    crossing: `ends` maps it to its stored sample count and exit reason, and
-    it is not stepped again.  The samples a row holds past its
-    crossing are to be discarded; they may overflow.
+    Yields (start, live, block, forcing, ends): `block` is time-major, its
+    slot k - start holding sample k of the rows indexed by `live`, so each
+    step of any number of rows writes straight into its contiguous slot;
+    `forcing` (None for linear runs) holds the forcing of each step the
+    block took in the same layout, the first one out of sample max(start,
+    1) - 1.  After each block the blow-up norm is checked (a nonlinear
+    sample over the threshold is dropped unless it is the initial one, a
+    linear sample is kept).  A row ends at its first crossing: `ends` maps
+    it to its stored sample count and exit reason, and it is not stepped
+    again.  The samples a row holds past its crossing are to be discarded;
+    they may overflow.
     """
     nonlinear, delta, nu = config.nonlinear, config.delta, config.nu
     limit = config.blowup_threshold**2
@@ -472,29 +500,19 @@ def _blocks(config, es, plan, rows):
     while start < samples and live.size:
         end = min(start + _BLOCK, samples)
         first = max(start, 1)
-        block = np.empty((live.size, end - start, y.shape[1]))
-        forcing = np.empty((live.size, end - first, y.shape[1])) if nonlinear else None
-        # one row steps into the block's slots; several rows' slots are strided,
-        # so they step into contiguous arrays that are copied in
-        single = live.size == 1
+        block = np.empty((end - start, live.size, y.shape[1]))
+        forcing = np.empty((end - first, live.size, y.shape[1])) if nonlinear else None
         if start == 0:
-            block[:, 0] = y
+            block[0] = y
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(first, end):
-                f = None
-                if nonlinear:
-                    slot = forcing[:, k - first] if single else None
-                    f = nonlinear_forcing(es, y, delta, nu, slot)
-                    if not single:
-                        forcing[:, k - first] = f
-                y = step(y, f, block[:, k - start] if single else None)
-                if not single:
-                    block[:, k - start] = y
+                f = nonlinear_forcing(es, y, delta, nu, forcing[k - first]) if nonlinear else None
+                y = step(y, f, block[k - start])
             over = quad_form(block, plan.norm_form) > limit
-        done = over.any(axis=1)
+        done = over.any(axis=0)
         ends = {}
         for i in np.flatnonzero(done):
-            k = start + int(np.argmax(over[i]))  # the row's first crossing
+            k = start + int(np.argmax(over[:, i]))  # the row's first crossing
             # a nonlinear crossing step is not stored
             ends[int(live[i])] = (k if nonlinear and k else k + 1, EXIT_BLOWUP)
         yield start, live, block, forcing, ends
@@ -510,10 +528,10 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
     boundary = ms.mode == "boundary"
     control = plan.command(states)
     modal = states[:, 1:] if boundary else states
-    w_sq = np.sum(modal * modal, axis=1)
+    w_sq = np.vecdot(modal, modal)
     if boundary:
         u = states[:, 0]
-        inner_wd = modal @ ms.lift_coefficients  # <w, d>
+        inner_wd = np.vecdot(modal, ms.lift_coefficients)  # <w, d>
         l2 = np.sqrt(np.maximum(0.0, w_sq + 2.0 * u * inner_wd + u**2 * ms.lifting.d_norm_sq()))
     else:
         l2 = np.sqrt(w_sq)
@@ -521,7 +539,7 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
     v2 = np.full(times.size, np.nan)
     nl_ratio_max = float("nan")
     if cert is not None:
-        v1 = quad_form(states[:, : plan.head], cert.P)
+        v1 = quad_form(states[:, : plan.head], _as_form(cert.P))
         if constants is not None:
             v2 = _v2(v1, modal, constants, es.values)
             if peaks is not None:  # the stepper never forces the last sample
@@ -536,8 +554,8 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
         control=control,
         sat_active=np.abs(control) > plan.level.ell,
         l2=l2,
-        h1=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d1))),
-        h2=_h2(modal, es),
+        h1=np.sqrt(np.maximum(0.0, quad_form(modal, plan.gram_d1))),
+        h2=_h2(modal, plan.gram_d2),
         v1=v1,
         v2=v2,
         exit_reason=exit_reason,
@@ -547,9 +565,9 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
     )
 
 
-def _h2(modal, es):
+def _h2(modal, gram_d2):
     """H2 seminorm sqrt(y^T gram_d2 y) of each row of modal coefficients."""
-    return np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d2)))
+    return np.sqrt(np.maximum(0.0, quad_form(modal, gram_d2)))
 
 
 class DecayFit(NamedTuple):
@@ -561,22 +579,44 @@ class DecayFit(NamedTuple):
 def fit_decay_rate(traj, channel, t_start=0.0):
     """Least-squares exponential fit of a monitor channel from t_start on."""
     mask = traj.times >= t_start
-    return _fit_decay(traj.times[mask], traj.channel(channel)[mask], channel)
-
-
-def _fit_decay(t, v, channel):
-    """Least-squares fit of log v = log prefactor - rate t over the samples given."""
+    t = traj.times[mask]
     if t.size < 2:
         raise NonPositiveChannel("fit window holds fewer than two samples")
-    if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(traj.channel(channel)[mask])
+    if not np.isfinite(logs).all():
         raise NonPositiveChannel(f"channel {channel!r} is not positive on the window")
-    logs = np.log(v)
-    slope, intercept = np.polyfit(t, logs, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(rate=-float(slope), prefactor=float(np.exp(intercept)), r_squared=r2)
+    rate, prefactor, r_squared = _fit_decay(t, logs)
+    return DecayFit(rate=float(rate), prefactor=float(prefactor), r_squared=float(r_squared))
+
+
+def _fit_decay(t, logs):
+    """Least-squares line log v = log prefactor - rate t along the last axis of `logs`.
+
+    `logs` holds log v at the two or more samples `t`, one series per row,
+    and is worked on in place: shifted by its first sample (so a constant
+    series centres to exact zeros), centred, and left holding the
+    residuals.  Every sum is one `np.vecdot` per row, so a row gets the same
+    bits alone or in any batch.  Returns arrays (rate, prefactor,
+    r_squared) of the rows' shape; a constant series has rate 0 and
+    r_squared 1.
+    """
+    ones = np.ones(t.size)
+    t_mean = np.vecdot(t, ones) / t.size
+    t_centred = t - t_mean
+    t_ss = np.vecdot(t_centred, t_centred)
+    shift = logs[..., :1].copy()
+    logs -= shift
+    offset = np.vecdot(logs, ones) / t.size
+    logs -= offset[..., None]
+    slope = np.vecdot(logs, t_centred) / t_ss
+    ss_tot = np.vecdot(logs, logs)
+    logs -= slope[..., None] * t_centred
+    ss_res = np.vecdot(logs, logs)
+    with np.errstate(invalid="ignore"):  # 0 / 0 for a constant series
+        r_squared = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+    intercept = shift[..., 0] + offset - slope * t_mean
+    return -slope, np.exp(intercept), r_squared
 
 
 @dataclass(frozen=True)

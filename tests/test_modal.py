@@ -75,7 +75,7 @@ class TestCoefficients:
     def test_bessel_inequality(self, es_pi):
         shapes = [Indicator(0.3, 1.1), ModeCombination([1.0, 2.0])]
         coeffs = actuator_coefficients(es_pi, shapes)
-        norms = actuator_norms_sq(es_pi, shapes)
+        norms = actuator_norms_sq(shapes)
         partial = np.sum(coeffs**2, axis=0)
         assert np.all(partial <= norms + 1e-12)
 

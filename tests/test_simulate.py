@@ -141,9 +141,7 @@ class TestNonlinearTerm:
         config = SimConfig(dt=1e-3, T=0.0, delta=0.0, nu=0.0)
         state = 0.05 * np.ones(12)
         a = step_linear_closed_loop(state, hinged_system, scalar_gain, UNSATURATED, 1e-3)
-        b = step_nonlinear_closed_loop(
-            state, hinged_system, scalar_gain, UNSATURATED, config, 1e-3
-        )
+        b = step_nonlinear_closed_loop(state, hinged_system, scalar_gain, UNSATURATED, config)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_forcing_matches_fine_projection(self, hinged_system):
@@ -1052,6 +1050,89 @@ class TestMonitors:
             assert traj.l2[k] == pytest.approx(expected, rel=1e-12)
 
 
+FORM_DIMS = (1, 2, 8, 9, 17, 33, 65)
+
+
+def drawn_forms(dim):
+    """A positive definite matrix form and a positive weight vector, both of size `dim`."""
+    rng = np.random.default_rng(dim)
+    half = rng.normal(size=(dim, dim))
+    return half @ half.T + np.eye(dim), rng.random(dim) + 0.5
+
+
+def misaligned(row):
+    """A copy of a 1-D `row` one element past the start of its buffer."""
+    copy = np.empty(row.size + 1)[1:]
+    copy[:] = row
+    return copy
+
+
+class TestQuadForm:
+    """`quad_form` is one contraction per row: batch-invariant and exact to rounding."""
+
+    @pytest.mark.parametrize("kind", ["matrix", "vector"])
+    @pytest.mark.parametrize("dim", FORM_DIMS)
+    def test_row_gets_its_bits_alone_and_in_any_batch(self, dim, kind):
+        matrix, weights = drawn_forms(dim)
+        form = matrix if kind == "matrix" else weights
+        rng = np.random.default_rng(100 + dim)
+        x = rng.normal(size=(1088, dim)) * 10.0 ** rng.integers(-3, 4, size=(1088, 1))
+        full = quad_form(x, form)
+        for batch in (1, 15, 17, 1088):
+            assert_same_bits(quad_form(x[:batch], form), full[:batch])
+        for i in (0, 14, 16, 1087):
+            assert_same_bits(quad_form(x[i], form), full[i])
+            assert_same_bits(quad_form(x[i : i + 1], form), full[i : i + 1])
+            assert_same_bits(quad_form(misaligned(x[i]), form), full[i])
+        # a time-major block of 64 samples of 17 rows, and its transposed view
+        block = x.reshape(64, 17, dim)
+        assert_same_bits(quad_form(block, form), full.reshape(64, 17))
+        assert_same_bits(quad_form(block.swapaxes(0, 1), form), full.reshape(64, 17).T)
+
+    @pytest.mark.parametrize("dim", FORM_DIMS)
+    def test_matches_fsum_oracle(self, dim):
+        matrix, weights = drawn_forms(dim)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(200 + dim)
+        for form in (matrix, weights):
+            dense = form if form.ndim == 2 else np.diag(form)
+            x = rng.normal(size=(20, dim))
+            for row, got in zip(x, quad_form(x, form)):
+                terms = (row[:, None] * dense * row[None, :]).ravel().tolist()
+                exact = math.fsum(terms)
+                scale = math.fsum(abs(t) for t in terms)
+                assert abs(got - exact) <= 4 * eps * scale
+
+    @pytest.mark.parametrize("dim", FORM_DIMS)
+    def test_vector_form_is_its_diagonal_matrix(self, dim):
+        _, weights = drawn_forms(dim)
+        x = np.random.default_rng(300 + dim).normal(size=(50, dim))
+        np.testing.assert_allclose(
+            quad_form(x, weights), quad_form(x, np.diag(weights)), rtol=4 * np.finfo(float).eps
+        )
+
+    @pytest.mark.parametrize(
+        "es, diagonal",
+        [
+            (eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12), True),
+            (eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8), True),
+            (eigen_clamped(OperatorParams(45.0, 1.0), 8), False),
+        ],
+        ids=["hinged", "neumann", "clamped"],
+    )
+    def test_plan_holds_diagonal_forms_as_weights(self, es, diagonal):
+        ms = assemble_internal(es, [Indicator(0.1, 0.9)], 1)
+        gain = Gain(K=np.zeros((1, 1)), closed_loop_spectrum=np.array([-1.0]))
+        plan = step_plan(ms, gain, UNSATURATED, 1e-3)
+        matrices = (np.eye(es.count) + es.gram_d1 + es.gram_d2, es.gram_d1, es.gram_d2)
+        for form, matrix in zip((plan.norm_form, plan.gram_d1, plan.gram_d2), matrices):
+            if diagonal:
+                assert form.shape == (es.count,)
+                assert np.array_equal(np.diag(form), matrix)
+            else:
+                assert np.array_equal(form, matrix)
+
+
 def fit_decay_rate_from(times, values):
     slope, _ = np.polyfit(times, np.log(np.maximum(values, 1e-300)), 1)
     return -float(slope)
@@ -1094,6 +1175,58 @@ class TestFitDecay:
         )
         fit = fit_decay_rate(traj, "l2")
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
+
+    def test_closed_form_matches_polyfit_on_drawn_windows(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(2, 500))
+            t = rng.uniform(0.0, 3.0) + rng.uniform(1e-4, 1e-2) * np.arange(n)
+            rate = rng.uniform(-5.0, 5.0)
+            noise = 0.1 * abs(rate) * (t[-1] - t[0]) * rng.normal(size=n)
+            logs = rng.normal() - rate * t + noise
+            slope, intercept = np.polyfit(t, logs, 1)
+            residual = logs - (slope * t + intercept)
+            centred = logs - logs.mean()
+            r_squared = 1.0 - np.sum(residual**2) / np.sum(centred**2)
+            got = simulate._fit_decay(t, logs.copy())
+            np.testing.assert_allclose(got, (-slope, np.exp(intercept), r_squared), rtol=1e-12)
+
+    def test_closed_form_pure_exponential_and_constant(self):
+        t = 0.25 + 1e-3 * np.arange(3001)
+        rate, prefactor, r_squared = simulate._fit_decay(t, np.log(2.5 * np.exp(-3.0 * t)))
+        assert rate == pytest.approx(3.0, rel=1e-12)
+        assert prefactor == pytest.approx(2.5, rel=1e-12)
+        assert r_squared == pytest.approx(1.0, abs=1e-15)
+        for level in (0.3, -7.1, math.log(1e-300)):
+            rate, prefactor, r_squared = simulate._fit_decay(t, np.full(t.size, level))
+            assert rate == 0.0
+            assert prefactor == math.exp(level)
+            assert r_squared == 1.0
+
+    def test_closed_form_row_gets_its_bits_alone_and_in_any_batch(self):
+        rng = np.random.default_rng(43)
+        t = 1.0 + 5e-4 * np.arange(200)
+        logs = rng.normal() - rng.uniform(-3.0, 3.0, size=(1088, 1)) * t
+        logs += 0.01 * rng.normal(size=logs.shape)
+        fitted = logs.copy()
+        full = simulate._fit_decay(t, fitted)
+        for batch in (1, 15, 17, 1088):
+            rows = logs[:batch].copy()
+            for got, want in zip(simulate._fit_decay(t, rows), full):
+                assert_same_bits(got, want[:batch])
+            assert_same_bits(rows, fitted[:batch])  # the residuals left in place
+        for i in (0, 14, 16, 1087):
+            for row in (logs[i].copy(), misaligned(logs[i])):
+                for got, want in zip(simulate._fit_decay(t, row), full):
+                    assert_same_bits(got, want[i])
+        # rows with overflowed or unwritten samples leave the others' bits alone
+        spoiled = logs[:17].copy()
+        spoiled[3, 50], spoiled[5, :], spoiled[8, 0] = np.inf, np.nan, -np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = simulate._fit_decay(t, spoiled)
+        clean = np.setdiff1d(np.arange(17), [3, 5, 8])
+        for g, want in zip(got, full):
+            assert_same_bits(g[clean], want[clean])
 
     def test_nonpositive_rejected(self, hinged_system, scalar_gain):
         config = SimConfig(dt=1e-3, T=0.1, initial=(0.0,) * 12)
@@ -1166,9 +1299,9 @@ class TestDecayVerdicts:
         fitted = []
         fit = simulate._fit_decay
 
-        def recording(t, v, channel):
-            fitted.append(v.copy())
-            return fit(t, v, channel)
+        def recording(t, logs):
+            fitted.append(logs.copy())
+            return fit(t, logs)
 
         monkeypatch.setattr(simulate, "_fit_decay", recording)
         t_start = config.T / 4.0
@@ -1183,11 +1316,28 @@ class TestDecayVerdicts:
         fitted.clear()
         _, verdicts = _stepping_pass(config, ms, gain, initials, level, keep=0, t_start=t_start)
         assert verdicts == expected
-        # the streamed window holds the very H2 norms a stored run fits
-        horizon = [t for t in runs if t.exit_reason == EXIT_HORIZON]
-        assert len(fitted) == len(horizon)
-        for v, traj in zip(fitted, horizon):
-            np.testing.assert_array_equal(v, traj.h2[traj.times >= t_start])
+        # one batched fit, whose horizon rows hold the logs of the very H2
+        # norms a stored run fits
+        (logs,) = fitted
+        assert logs.shape == (len(runs), np.count_nonzero(runs[0].times >= t_start))
+        for row, traj in zip(logs, runs):
+            if traj.exit_reason == EXIT_HORIZON:
+                with np.errstate(divide="ignore"):
+                    window = np.log(traj.h2[traj.times >= t_start])
+                assert_same_bits(row, window)
+
+    def test_window_without_positive_norms_decays_outright(self, hinged_system, scalar_gain):
+        # a run at rest has H2 norm 0: no rate can be fitted, and it counts as decayed
+        config = SimConfig(dt=1e-3, T=1.0)
+        rest = replace(config, initial=(0.0,) * 12)
+        with pytest.raises(NonPositiveChannel):
+            fit_decay_rate(run(rest, hinged_system, scalar_gain), "h2", 0.25)
+        initials = [np.zeros(12), resolve_initial(scalar_edge_config(0.2), hinged_system.es)]
+        _, verdicts = _stepping_pass(
+            config, hinged_system, scalar_gain, initials, SaturationLevel(1.0), keep=0,
+            t_start=0.25,
+        )
+        assert verdicts == [True, True]
 
     @pytest.mark.parametrize("bracketed", [True, False])
     @pytest.mark.parametrize("system", ["linear", "boundary", "nonlinear"], indirect=True)
