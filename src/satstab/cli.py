@@ -524,7 +524,7 @@ def cmd_verify(cfg, certificate_path=None):
                      f"allowance/alpha {slack / cert.alpha:.2e}")
 
         y0 = np.zeros(cfg.J)
-        y0[0] = 0.5 / math.sqrt(cert.P[0, 0]) if ms.n else 0.01
+        y0[0] = 0.5 / math.sqrt(cert.P[0, 0])
         eq_sim = SimConfig(dt=1e-3, T=0.5, initial=tuple(y0.tolist()))
         t_inf = run(eq_sim, ms, gain)
         t_fin = run(eq_sim, ms, gain, level=SaturationLevel(1e9))

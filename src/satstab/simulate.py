@@ -127,20 +127,16 @@ def _rowwise(rows, matrix, out=None):
     most one each entry is a single product (or none), and the plain matrix
     product gives the same bits, signed zeros included, at less cost.  One
     row with a longer inner dimension takes `dot`, which gives the stacked
-    product's bits at a fraction of its call cost and writes straight into
-    `out` (at inner dimension one it would flip the sign of some zeros).
-    Other products are copied into `out` when it is given.
+    product's bits at a fraction of its call cost (at inner dimension one it
+    would flip the sign of some zeros).  Every branch writes its product
+    straight into `out` when it is given, a strided slot included.
     """
     if matrix.shape[0] <= 1:
-        product = rows @ matrix
-    elif rows.ndim == 1 or len(rows) == 1:
+        return np.matmul(rows, matrix, out=out)
+    if rows.ndim == 1 or len(rows) == 1:
         return rows.dot(matrix, out=out)
-    else:
-        product = np.matmul(rows[..., None, :], matrix)[..., 0, :]
-    if out is None:
-        return product
-    out[...] = product
-    return out
+    slots = None if out is None else out[..., None, :]
+    return np.matmul(rows[..., None, :], matrix, out=slots)[..., 0, :]
 
 
 def quad_form(x, form):
@@ -178,10 +174,10 @@ class StepPlan:
 
     A step of a few rows costs its numpy calls, not its arithmetic:
     `stepper(rows)` lays the constants and the clamp bounds out as (rows,
-    dim) and (rows, m) arrays once per batch (the clamp makes new arrays:
-    numpy fills a one-element `out` at twice the cost of a new array), and
-    `step` is that function for one call.  Each row still gets the bits it
-    gets alone: the command and the drive are `_rowwise` products and every
+    dim) and (rows, m) arrays once per stepping pass (the clamp makes new
+    arrays: numpy fills a one-element `out` at twice the cost of a new
+    array), and `step` is that function for one call.  Each row still gets
+    the bits it gets alone: the command and the drive are `_rowwise` products and every
     other operation is elementwise.
     The operations and their order are those of the formula in `step`, so
     the step rounds as it does written out with broadcast constants.
@@ -299,8 +295,10 @@ def step_nonlinear_closed_loop(state, ms, gain, level, config):
     """Exponential-Euler step of `config.dt` with frozen control plus nonlinear forcing."""
     plan = step_plan(ms, gain, level, config.dt)
     y = np.asarray(state, dtype=float)[None]
-    new = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
-    if quad_form(new, plan.norm_form)[0] > config.blowup_threshold**2:
+    with np.errstate(over="ignore", invalid="ignore"):  # as `_stepping_pass` steps
+        new = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
+        crossed = _crossed(plan, new, config.blowup_threshold)[0]
+    if crossed:
         raise BlowUp(f"H2 norm exceeded {config.blowup_threshold:g}")
     return new[0]
 
@@ -390,45 +388,61 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
                    cert=None, constants=None):
     """Step the rows of `initials` once; store the first `keep`, judge all from `t_start`.
 
-    `_blocks` steps the rows and applies the blow-up rule.  The first `keep`
-    rows (all by default) are stored block by block and monitored afterwards,
-    as `run_batch` describes.  With `t_start`, every row is also reduced to
-    its H2 norms on the samples at t >= t_start, which must hold at least
-    two, and judged by one batched `_fit_decay` of their logarithms: it
-    decays when it reaches the horizon and either the fitted rate is
-    positive or the channel is not positive and finite on the window.
-    Returns (the kept rows' Trajectories, the verdicts or None).
+    One stepper steps every row, a time-major block of `_BLOCK` samples at a
+    time (slot k - start holds sample k of every row, and a nonlinear run's
+    forcing out of it), until each row has ended or the horizon is reached.
+    A row ends at its first `_crossed` sample, which a nonlinear run drops
+    unless it is the initial one; the samples it takes after that are
+    discarded and may overflow.  The first `keep` rows (all by default) are
+    stored and monitored afterwards, as `run_batch` describes.  With
+    `t_start`, every row is also reduced to its H2 norms on the samples at
+    t >= t_start, which must hold at least two, and judged by one batched
+    `_fit_decay` of their logarithms: it decays when it reaches the horizon
+    and either the fitted rate is positive or the channel is not positive
+    and finite on the window.  Returns (the kept rows' Trajectories, the
+    verdicts or None).
     """
     rows = _initial_rows(config, ms, initials)
     plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
     batch, dim = rows.shape
     keep = batch if keep is None else keep
     times, first = _fit_window(config, math.inf if t_start is None else t_start)
-    states = np.empty((keep, times.size, dim))
-    peaks = np.empty((keep, times.size)) if config.nonlinear else None  # max|N(y_k)| per step
-    filled = np.full(batch, times.size)
-    exits = [EXIT_HORIZON] * batch
-    window = np.empty((batch, times.size - first))
+    samples = times.size
+    states = np.empty((keep, samples, dim))
+    peaks = np.empty((keep, samples)) if config.nonlinear else None  # max|N(y_k)| per step
+    filled = np.full(batch, samples)  # stored samples per row
+    ended = np.zeros(batch, dtype=bool)
+    window = np.empty((batch, samples - first))
     cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
-
-    for start, live, block, forcing, ends in _blocks(config, ms.es, plan, rows):
-        end = start + block.shape[0]
-        held = int(np.searchsorted(live, keep))  # live rows ascend, so the kept ones lead
-        if held:
-            states[live[:held], start:end] = block[:, :held].swapaxes(0, 1)
-            if peaks is not None:
-                peaks[live[:held], max(start, 1) - 1 : end - 1] = np.max(
-                    np.abs(forcing[:, :held]), axis=2
-                ).T
-        lo = max(start, first)
-        if lo < end:
-            # rows that ended in this block may hold overflowed samples
-            with np.errstate(over="ignore", invalid="ignore"):
+    es, nonlinear, delta, nu = ms.es, config.nonlinear, config.delta, config.nu
+    step = plan.stepper(batch)
+    y, f, start = rows, None, 0
+    while start < samples and not ended.all():
+        end = min(start + _BLOCK, samples)
+        stepped = max(start, 1)  # the first sample this block steps to
+        block = np.empty((end - start, batch, dim))
+        forcing = np.empty((end - stepped, batch, dim)) if nonlinear else None
+        if start == 0:
+            block[0] = y
+        with np.errstate(over="ignore", invalid="ignore"):  # ended rows may overflow
+            for k in range(stepped, end):
+                f = nonlinear_forcing(es, y, delta, nu, forcing[k - stepped]) if nonlinear else None
+                y = step(y, f, block[k - start])
+            crossed = _crossed(plan, block, config.blowup_threshold) & ~ended
+            lo = max(start, first)
+            if lo < end:
                 h2 = _h2(block[lo - start :, :, cut:], plan.gram_d2)
-            window[live, lo - first : end - first] = h2.T
-        for row, (count, reason) in ends.items():
-            filled[row], exits[row] = count, reason
-    del block, forcing  # free before the fit's and the monitors' temporaries
+                window[:, lo - first : end - first] = h2.T
+        states[:, start:end] = block[:, :keep].swapaxes(0, 1)
+        if peaks is not None:
+            peaks[:, stepped - 1 : end - 1] = np.max(np.abs(forcing[:, :keep]), axis=2).T
+        for i in np.flatnonzero(crossed.any(axis=0)):
+            k = start + int(np.argmax(crossed[:, i]))  # the row's first crossing
+            filled[i] = k if nonlinear and k else k + 1  # a nonlinear crossing is not stored
+            ended[i] = True
+        start = end
+    del block, forcing, y, f  # free before the fit's and the monitors' temporaries
+    exits = [EXIT_BLOWUP if e else EXIT_HORIZON for e in ended]
 
     verdicts = None
     if t_start is not None:
@@ -438,8 +452,7 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
             positive = np.isfinite(logs).all(axis=1)
             rates = _fit_decay(times[first:], logs)[0]
         verdicts = [
-            exit_reason == EXIT_HORIZON and bool(not ok or rate > 0.0)
-            for exit_reason, ok, rate in zip(exits, positive, rates)
+            not e and bool(not ok or rate > 0.0) for e, ok, rate in zip(ended, positive, rates)
         ]
     del window
     kept = [
@@ -465,61 +478,15 @@ def _initial_rows(config, ms, initials):
     return rows
 
 
-def _sample_count(config):
-    return int(round(config.T / config.dt)) + 1
-
-
 def _fit_window(config, t_start):
     """A run's sample times and the index of the first one at t >= t_start."""
-    times = np.arange(_sample_count(config)) * config.dt
+    times = np.arange(int(round(config.T / config.dt)) + 1) * config.dt
     return times, int(np.searchsorted(times, t_start))
 
 
-def _blocks(config, es, plan, rows):
-    """Step `rows` to the horizon and yield them one block of samples at a time.
-
-    Yields (start, live, block, forcing, ends): `block` is time-major, its
-    slot k - start holding sample k of the rows indexed by `live`, so each
-    step of any number of rows writes straight into its contiguous slot;
-    `forcing` (None for linear runs) holds the forcing of each step the
-    block took in the same layout, the first one out of sample max(start,
-    1) - 1.  After each block the blow-up norm is checked (a nonlinear
-    sample over the threshold is dropped unless it is the initial one, a
-    linear sample is kept).  A row ends at its first crossing: `ends` maps
-    it to its stored sample count and exit reason, and it is not stepped
-    again.  The samples a row holds past its crossing are to be discarded;
-    they may overflow.
-    """
-    nonlinear, delta, nu = config.nonlinear, config.delta, config.nu
-    limit = config.blowup_threshold**2
-    samples = _sample_count(config)
-    live = np.arange(rows.shape[0])
-    y = rows
-    step = plan.stepper(live.size)
-    start = 0
-    while start < samples and live.size:
-        end = min(start + _BLOCK, samples)
-        first = max(start, 1)
-        block = np.empty((end - start, live.size, y.shape[1]))
-        forcing = np.empty((end - first, live.size, y.shape[1])) if nonlinear else None
-        if start == 0:
-            block[0] = y
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(first, end):
-                f = nonlinear_forcing(es, y, delta, nu, forcing[k - first]) if nonlinear else None
-                y = step(y, f, block[k - start])
-            over = quad_form(block, plan.norm_form) > limit
-        done = over.any(axis=0)
-        ends = {}
-        for i in np.flatnonzero(done):
-            k = start + int(np.argmax(over[:, i]))  # the row's first crossing
-            # a nonlinear crossing step is not stored
-            ends[int(live[i])] = (k if nonlinear and k else k + 1, EXIT_BLOWUP)
-        yield start, live, block, forcing, ends
-        if ends:
-            live, y = live[~done], y[~done]
-            step = plan.stepper(live.size)
-        start = end
+def _crossed(plan, states, threshold):
+    """The blow-up rule per state: its norm is over `threshold` or is not finite."""
+    return ~(quad_form(states, plan.norm_form) <= threshold**2)
 
 
 def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, peaks):

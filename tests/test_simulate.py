@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from satstab import simulate
-from satstab.errors import NonPositiveChannel
+from satstab.errors import BlowUp, NonPositiveChannel
 from satstab.modal import (
     Indicator,
     Lifting,
@@ -263,6 +263,20 @@ def walls(hinged_system):
     )
 
 
+def check_rowwise_into_slots(rows, matrix, want):
+    """`_rowwise` of several rows written into slots of a time-major block gives `want`'s bits.
+
+    One slot is a sample of the block with a padded row stride, the other also
+    takes every other column.
+    """
+    block = np.full((3, len(rows), 2 * matrix.shape[1]), np.nan)
+    for slot in (block[1, :, : matrix.shape[1]], block[2, :, ::2]):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            into = simulate._rowwise(rows, matrix, slot)
+        assert np.shares_memory(into, slot)
+        assert_same_bits(slot, want)
+
+
 def two_input_hinged():
     # lam = 6: sigma = 5 and 8 on the two unstable modes, two windows
     es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
@@ -349,7 +363,7 @@ class TestStepper:
         if gain.K.shape[1] and ell == 1.0:  # both clamped and free rows
             assert np.any(command > ell) and np.any(command < ell)
         # with `out`, the batch lands in an array of its own and each row in
-        # a strided slot of a block, as `_blocks` steps a single row
+        # a strided slot of a block, as a stepping pass steps a single row
         out = np.empty_like(rows) if into else None
         got = plan.step(rows, forcing, out)
         assert (got is out) == into
@@ -418,14 +432,20 @@ class TestStepper:
             got = simulate._rowwise(states[:, :inner], matrix)
             want = np.matmul(states[:, None, :inner], matrix)[:, 0, :]
         assert_same_bits(got, want)
+        check_rowwise_into_slots(states[:, :inner], matrix, want)
 
     @pytest.mark.parametrize("vector", [False, True], ids=["2-D", "1-D"])
-    @pytest.mark.parametrize("inner", [0, 1, 2, 3, 24, 98])
+    @pytest.mark.parametrize("inner", [0, 1, 2, 3, 24, 33, 98])
     def test_one_row_rowwise_is_the_stacked_product(self, inner, vector):
         # one row takes `dot`, which must give the stacked product's bits, in
         # a new array and in `out`; with an inner dimension of one it does
         # not (the sign of some zeros differs), so `_rowwise` keeps `@` there
         rng = np.random.default_rng(inner)
+        if not vector:  # several rows beside it take the stacked product, into `out` too
+            states, matrix = special_draw(rng, (17, inner)), special_draw(rng, (inner, 33))
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                want = np.matmul(states[:, None, :], matrix)[:, 0, :]
+            check_rowwise_into_slots(states, matrix, want)
         for _ in range(200):
             state, matrix = special_draw(rng, (1, inner)), special_draw(rng, (inner, 33))
             rows = state[0] if vector else state
@@ -683,22 +703,23 @@ def per_step_reference(config, ms, gain, initials, cert=None, constants=None, le
     for row in initials:
         y = row[None]
         stored, peaks, reason = [], [], EXIT_HORIZON
-        for k in range(samples):
-            over = quad_form(y, plan.norm_form)[0] > limit
-            if nonlinear and k and over:
-                reason = EXIT_BLOWUP
-                break
-            stored.append(y[0])
-            if over:
-                reason = EXIT_BLOWUP
-                break
-            if k == samples - 1:
-                break
-            forcing = None
-            if nonlinear:
-                forcing = nonlinear_forcing(ms.es, y, config.delta, config.nu)
-                peaks.append(np.max(np.abs(forcing)))
-            y = plan.step(y, forcing)
+        with np.errstate(over="ignore", invalid="ignore"):  # the crossing step may overflow
+            for k in range(samples):
+                over = not quad_form(y, plan.norm_form)[0] <= limit  # a NaN norm is over too
+                if nonlinear and k and over:
+                    reason = EXIT_BLOWUP
+                    break
+                stored.append(y[0])
+                if over:
+                    reason = EXIT_BLOWUP
+                    break
+                if k == samples - 1:
+                    break
+                forcing = None
+                if nonlinear:
+                    forcing = nonlinear_forcing(ms.es, y, config.delta, config.nu)
+                    peaks.append(np.max(np.abs(forcing)))
+                y = plan.step(y, forcing)
         n = len(stored)
         peak = None
         if nonlinear:
@@ -822,6 +843,49 @@ class TestBlockExits:
         assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
         blocks = {(t.times.size - 1) // 64 for t in trajs[:3]}
         assert len(blocks) == 3
+
+    def test_nonlinear_pass_stops_after_the_crossing_block(self, loop, monkeypatch):
+        ms, gain, _, _, level, form = loop
+        start = self.escaping(3.0)
+        free = SimConfig(dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
+        probe = run_batch(free, ms, gain, start[None], level=level)[0]
+        config = replace(free, blowup_threshold=crossing_threshold(probe, form, 100))
+        calls = []
+        forcing = simulate.nonlinear_forcing
+
+        def counting(*args):
+            calls.append(None)
+            return forcing(*args)
+
+        monkeypatch.setattr(simulate, "nonlinear_forcing", counting)
+        (traj,) = run_batch(config, ms, gain, start[None], level=level)
+        assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 100)
+        # the steps to samples 1..127 of the first two blocks, none to the horizon at 200
+        assert len(calls) == 127
+
+    def test_linear_pass_stops_after_the_last_row_ends(self, loop, monkeypatch):
+        ms, gain, cert, consts, level, _ = loop
+        # crossings of threshold 30 in the blocks of samples 0..63, 64..127 and 128..191
+        starts = np.array([self.escaping(a) for a in (15.0, 9.0, 4.0)])
+        config = SimConfig(dt=1e-2, T=3.0, blowup_threshold=30.0)
+        steps = []
+        stepper = simulate.StepPlan.stepper
+
+        def counting(plan, rows):
+            step = stepper(plan, rows)
+
+            def counted(*args):
+                steps.append(len(args[0]))
+                return step(*args)
+
+            return counted
+
+        monkeypatch.setattr(simulate.StepPlan, "stepper", counting)
+        trajs = run_batch(config, ms, gain, starts, cert, consts, level)
+        assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3
+        assert [(t.times.size - 1) // 64 for t in trajs] == [0, 1, 2]
+        # every row is stepped until the last one ends; no fourth block of the 301 samples
+        assert steps == [3] * 191
 
     @pytest.fixture(scope="class")
     def two_modes(self):
@@ -961,6 +1025,62 @@ class TestDiscardedOverflow:
             for _ in range(63 - traj.times.size):
                 y = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
         assert not np.all(np.isfinite(y))
+
+
+class TestNonFiniteNorm:
+    """A blow-up norm that is not finite ends a run as a blow-up, as a large one does.
+
+    From 1e103 the cube of the dispersive term overflows in the first step,
+    and the state turns to NaN; its norm compares False against any limit.
+    """
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
+        ms = assemble_internal(es, [ModeCombination([1.0])], 1)
+        config = SimConfig(
+            dt=1e-3, T=0.1, nu=1.0, blowup_threshold=1e150, initial=("first_mode", 1e103)
+        )
+        return ms, design_gain(ms, poles=[-4.0]), config
+
+    def test_run_ends_as_blowup(self, loop):
+        ms, gain, config = loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(config, ms, gain)
+        assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 1)
+        assert np.all(np.isfinite(traj.states))
+
+    def test_basin_search_brackets_below_it(self, loop):
+        ms, gain, config = loop
+        low = replace(config, initial=("first_mode", 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edge, bracketed = estimate_basin(low, ms, gain, 1e103)
+        assert bracketed
+        assert edge < 1e103
+
+    def test_single_step_raises_blowup(self, loop):
+        ms, gain, config = loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp):
+                step_nonlinear_closed_loop(
+                    resolve_initial(config, ms.es), ms, gain, UNSATURATED, config
+                )
+
+    def test_batch_row_beside_it_keeps_its_bits(self, loop):
+        ms, gain, config = loop
+        starts = np.zeros((2, 8))
+        starts[0, 0] = 1e103
+        starts[1, :2] = (0.1, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_batch(config, ms, gain, starts)
+            alone = run_batch(config, ms, gain, starts[1:])
+        assert [t.exit_reason for t in batch] == [EXIT_BLOWUP, EXIT_HORIZON]
+        assert_identical(batch[1:], alone)
+        assert_identical(batch, per_step_reference(config, ms, gain, starts))
 
 
 def v2_and_sandwich_lower(state, cert, consts, es):
@@ -1357,14 +1477,16 @@ class TestDecayVerdicts:
 
     @staticmethod
     def counted_passes(monkeypatch):
+        # every stepping pass validates its start rows once, before it steps
         rows = []
-        blocks = simulate._blocks
+        initial_rows = simulate._initial_rows
 
-        def counting(config, es, plan, initial_rows):
-            rows.append(initial_rows.shape[0])
-            return blocks(config, es, plan, initial_rows)
+        def counting(config, ms, initials):
+            validated = initial_rows(config, ms, initials)
+            rows.append(validated.shape[0])
+            return validated
 
-        monkeypatch.setattr(simulate, "_blocks", counting)
+        monkeypatch.setattr(simulate, "_initial_rows", counting)
         return rows
 
     def test_pass_count(self, hinged_system, scalar_gain, monkeypatch):
