@@ -354,8 +354,6 @@ def cmd_simulate(cfg, certificate_path, out_dir=None, basin=False):
         if not isinstance(cfg.initial[0], str):
             raise ConfigError("basin estimation needs a preset initial state")
         amplitude = cfg.initial[1]
-        if amplitude == 0.0:
-            raise ConfigError("basin estimation needs a nonzero initial.amplitude")
         # searched first: a config it rejects exits before anything is written;
         # its first pass steps the configured run (the low end) and keeps it
         *edge, traj = estimate_basin(
@@ -618,9 +616,7 @@ def main(argv=None):
             return cmd_synth(cfg, args.out)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.certificate, args.out, basin=args.basin)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.certificate)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_verify(cfg, args.certificate)  # the parser admits no other command
     except SatStabError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -187,24 +187,13 @@ def parse_config(doc):
 
     lam = _require_number(doc, "lambda", minimum=0.0, strict=True)
     length = _require_number(doc, "length", minimum=0.0, strict=True)
-    delta = _require_number(doc, "delta") if "delta" in doc else 0.0
-    nu = _require_number(doc, "nu") if "nu" in doc else 0.0
-    if delta < 0 or nu < 0:
-        raise ConfigError("delta and nu must be >= 0")
-
-    ell_raw = doc.get("ell", "inf")
-    if ell_raw == "inf":
-        ell = math.inf
-    else:
-        if (
-            isinstance(ell_raw, bool)
-            or not isinstance(ell_raw, (int, float))
-            or not math.isfinite(ell_raw)
-        ):
-            raise ConfigError(f"ell must be a positive number or 'inf', got {ell_raw!r}")
-        ell = float(ell_raw)
-        if not ell > 0:
-            raise ConfigError(f"ell must be > 0, got {ell}")
+    delta = _require_number(doc, "delta", minimum=0.0) if "delta" in doc else 0.0
+    nu = _require_number(doc, "nu", minimum=0.0) if "nu" in doc else 0.0
+    ell = (
+        math.inf
+        if doc.get("ell", "inf") == "inf"
+        else _require_number(doc, "ell", minimum=0.0, strict=True)
+    )
 
     if not isinstance(doc["actuators"], list):
         raise ConfigError("actuators must be a list (empty selects boundary actuation)")

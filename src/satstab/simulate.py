@@ -471,6 +471,8 @@ def _initial_rows(config, ms, initials):
     if boundary and config.nonlinear:
         raise ValueError("boundary runs support the linear dynamics only")
     rows = np.atleast_2d(np.asarray(initials, dtype=float))
+    if len(rows) == 0:
+        raise ValueError("the batch of initial data is empty: it needs at least one row")
     if rows.shape[1] != ms.es.count:
         raise ValueError(f"initial data must have {ms.es.count} coefficients")
     if boundary:
@@ -593,48 +595,14 @@ class GronwallBound:
     w: np.ndarray
 
 
-def _simpson_pieces(y, dx):
-    """Integral over the first interval of each consecutive point triple.
-
-    Integrates the parabola through the three points (eqn 8 of Cartwright,
-    "Simpson's rule cumulative integration with MS Excel and irregularly
-    spaced data", J. Math. Sci. Math. Educ. 12, 2017).
-    """
-    x21, x32 = dx[:-1], dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    return x21 / 6 * (
-        (3 - x21_x31) * y[:-2]
-        + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-        - x21x21_x31x32 * y[2:]
-    )
-
-
-def _cumulative_simpson(y, x):
-    """Cumulative Simpson integral of y over a strictly increasing grid x, from 0.
-
-    Each interval takes the parabola through it and its right neighbour
-    (even intervals, run forward) or its left neighbour (odd intervals and
-    the last one, run backward), as scipy.integrate.cumulative_simpson does.
-    """
-    dx = np.diff(x)
-    forward = _simpson_pieces(y, dx)
-    backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
-    pieces = np.empty(dx.size)
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    return np.concatenate([[0.0], np.cumsum(pieces)])
-
-
 def gronwall_bound(v0, b, k, p, t_grid):
-    """Comparison bound for v' <= b(t) v + k(t) v^p on a time grid.
+    """Comparison bound for v' <= b v + k v^p, with constant b and k, on a time grid.
 
-    With q = 1 - p the bound is exp(int b) * w^(1/q), where w(t) = v0^q +
-    q * int_0^t k(s) exp(-q int_0^s b) ds; cumulative Simpson quadrature is
-    used for both integrals.  Raises `BoundExpired` at the first grid point
-    where w loses positivity, carrying the partial result.
+    The comparison equation v' = b v + k v^p, v(t[0]) = v0, is solved in
+    closed form: with q = 1 - p, v^q solves a linear equation, so at tau =
+    t - t[0] the bound is exp(b tau) * w^(1/q), where w = v0^q + q k tau
+    phi1(-q b tau).  Raises `BoundExpired` at the first grid point where
+    w <= 0, carrying the bound on the grid points before it.
     """
     if p < 0.0 or p == 1.0:
         raise ValueError("exponent must be >= 0 and != 1")
@@ -645,26 +613,21 @@ def gronwall_bound(v0, b, k, p, t_grid):
         raise ValueError("time grid must hold at least three points")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("time grid must strictly increase")
-    b_vals = np.array([float(b(s)) for s in t]) if callable(b) else np.full(t.size, float(b))
-    k_vals = np.array([float(k(s)) for s in t]) if callable(k) else np.full(t.size, float(k))
+    b, k = float(b), float(k)
 
     q = 1.0 - p
-    int_b = _cumulative_simpson(b_vals, t)
-    integrand = k_vals * np.exp(-q * int_b)
-    w = v0**q + q * _cumulative_simpson(integrand, t)
-    if np.any(w <= 0.0):
-        first = int(np.argmax(w <= 0.0))
-        partial = GronwallBound(
-            times=t[:first],
-            values=np.exp(int_b[:first]) * w[:first] ** (1.0 / q),
-            w=w.copy(),
-        )
+    tau = t - t[0]
+    w = v0**q + q * k * tau * _phi1(-q * b * tau)
+    lost = w <= 0.0
+    first = int(np.argmax(lost)) if lost.any() else t.size
+    # only where w > 0: a negative w to a fractional power is NaN and warns
+    values = np.exp(b * tau[:first]) * w[:first] ** (1.0 / q)
+    if first < t.size:
         raise BoundExpired(
             f"comparison function lost positivity at t = {t[first]:.6g}",
             time=float(t[first]),
-            partial=partial,
+            partial=GronwallBound(times=t[:first], values=values, w=w.copy()),
         )
-    values = np.exp(int_b) * w ** (1.0 / q)
     return GronwallBound(times=t.copy(), values=values, w=w)
 
 
@@ -691,11 +654,14 @@ def estimate_basin(config, ms, gain, high, iters=12, t_start=None, level=None, m
     `monitors`, a (certificate, constants) pair, the first pass also keeps
     the `low` run in full, `run(config, ...)`'s Trajectory, as a third
     value.  Raises ValueError before any run when the initial state is no
-    preset or the fit window holds fewer than two samples.
+    preset, its amplitude is zero or the fit window holds fewer than two
+    samples.
     """
     if not isinstance(config.initial[0], str):
         raise ValueError("basin estimation needs a preset initial state")
     preset, low = config.initial
+    if low == 0.0:
+        raise ValueError("basin estimation needs a nonzero initial.amplitude")
     start = t_start if t_start is not None else config.fit_start
     times, first = _fit_window(config, start)
     if times.size - first < 2:

@@ -356,7 +356,8 @@ def build_certificate(ms, gain, level):
     (1 + _MARGIN), a Schur complement (Boyd, El Ghaoui, Feron & Balakrishnan,
     SIAM 1994, sec. 2.1) gives lambda_max(M1) = -a for the deadzone weight
     D = delta I with 2 delta = a + lambda_max(G^T (-(T + a I))^-1 G).  The
-    decay margin alpha is M1's negated largest eigenvalue.  Raises
+    decay margin alpha is M1's negated largest eigenvalue, taken from the
+    `check_certificate` run that gates the result.  Raises
     CertificateFailure when T is not negative definite: then no weight
     makes M1 negative definite, or when `check_certificate` rejects the
     result; the certificate returned carries that check.
@@ -402,13 +403,12 @@ def build_certificate(ms, gain, level):
     schur = pb.T @ np.linalg.solve(-(lyap + target * np.eye(d)), pb)
     D = 0.5 * (target + float(np.max(np.linalg.eigvalsh(schur)))) * np.eye(m)
     C = np.zeros((m, d))
-    alpha = -float(np.max(np.linalg.eigvalsh(_m1(A, B, K, P, D, C))))
     beta = np.linalg.eigvalsh(P)
     cert = Certificate(
         P=P,
         D=D,
         C=C,
-        alpha=alpha,
+        alpha=math.nan,  # set from the check below
         beta_min=float(beta[0]),
         beta_max=float(beta[-1]),
         ell=ell,
@@ -419,7 +419,7 @@ def build_certificate(ms, gain, level):
             f"a-posteriori check failed: lambda_max(M1) = {check.lambda_max_m1:.3e}, "
             f"lambda_min(M2) = {check.lambda_min_m2:.3e}"
         )
-    return replace(cert, check=check)
+    return replace(cert, alpha=-check.lambda_max_m1, check=check)
 
 
 def check_certificate(cert, ms, gain):

@@ -1387,7 +1387,7 @@ class TestGronwallCommand:
         lines = (tmp_path / "gronwall.csv").read_text().strip().splitlines()
         assert lines[0].strip() == "t,bound,w"
         last = lines[-1].split(",")
-        assert float(last[1]) == pytest.approx(1.0 / (1.0 + math.exp(10.0)), rel=1e-6)
+        assert float(last[1]) == pytest.approx(1.0 / (1.0 + math.exp(10.0)), rel=1e-13)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_non_increasing_grid_exits_2(self, tmp_path, capsys, horizon):

@@ -630,6 +630,10 @@ class TestBatch:
         assert quad_form(batch[1].states[-1], plan_form) > 1e10
         assert quad_form(batch[1].states[-2], plan_form) <= 1e10
 
+    def test_empty_batch_rejected(self, hinged_system, scalar_gain):
+        with pytest.raises(ValueError, match="batch of initial data is empty"):
+            run_batch(SimConfig(dt=1e-3, T=0.1), hinged_system, scalar_gain, np.zeros((0, 12)))
+
     def test_nonlinear_batch_matches_serial(self, hinged_system):
         ms = hinged_system
         level = SaturationLevel(1.0)
@@ -1500,6 +1504,15 @@ class TestDecayVerdicts:
         )
         assert not bracketed
         assert rows == [17]
+
+    def test_zero_amplitude_rejected_before_any_run(self, hinged_system, scalar_gain, monkeypatch):
+        rows = self.counted_passes(monkeypatch)
+        with pytest.raises(ValueError, match="needs a nonzero initial.amplitude"):
+            estimate_basin(
+                scalar_edge_config(0.0), hinged_system, scalar_gain, 2.0, t_start=5.0,
+                level=SaturationLevel(1.0),
+            )
+        assert rows == []
 
     @pytest.mark.parametrize("t_start", [3.9995, 4.0, 5.0])
     def test_short_fit_window_rejected_before_any_run(
