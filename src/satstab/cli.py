@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, NonPositiveChannel, SatStabError
+from .errors import ConfigError, Infeasible, NonPositiveChannel, SatStabError
 from .saturation import SaturationLevel, sector_holds
 from .simulate import (
     SimConfig,
@@ -155,11 +155,8 @@ def _orthonormality_error(es):
 def cmd_spectrum(cfg, out_dir=None):
     es = cfgmod.build_eigen(cfg)
     split = unstable_count(es)
-    bc_residuals = [es.bc_residual(j) for j in range(es.count)]
-    table = np.column_stack([
-        np.arange(1, es.count + 1), es.values, bc_residuals,
-        [es.norm_error(j) for j in range(es.count)],
-    ])
+    bc_residuals = es.bc_residual()
+    table = np.column_stack([np.arange(1, es.count + 1), es.values, bc_residuals, es.norm_error()])
     csv_path = _out_path(cfg, out_dir, "spectrum.csv")
     _write_csv(csv_path, ["index", "sigma", "bc_residual", "norm_error"], _csv_blocks(table, [0]))
     summary = {
@@ -170,8 +167,8 @@ def cmd_spectrum(cfg, out_dir=None):
         "n": split.n,
         "eta": split.eta,
         "solver": es.solver,
-        "worst_eigen_residual": max(eigen_residual(es, j) for j in range(es.count)),
-        "worst_bc_residual": max(bc_residuals),
+        "worst_eigen_residual": float(eigen_residual(es).max()),
+        "worst_bc_residual": float(bc_residuals.max()),
         "worst_orthonormality_error": _orthonormality_error(es),
     }
     _write_json(_out_path(cfg, out_dir, "spectrum.json"), summary)
@@ -449,13 +446,13 @@ def cmd_verify(cfg, certificate_path=None):
 
     es = cfgmod.build_eigen(cfg)
     ms, split = cfgmod.build_modal(cfg, es)
-    gain = cert = consts = check = None
+    gain = cert = consts = check = design_error = None
     if certificate_path is not None:
         doc, gain, cert, consts, check = _matching_certificate(certificate_path, cfg, ms, split)
     ortho = _orthonormality_error(es)
     report.check("spectral.orthonormality", ortho <= 1e-10, f"worst {ortho:.2e}")
-    residuals = [eigen_residual(es, j) for j in range(es.count)]
-    report.check("spectral.eigen_residual", max(residuals) <= 1e-6, f"worst {max(residuals):.2e}")
+    residual = float(eigen_residual(es).max())
+    report.check("spectral.eigen_residual", residual <= 1e-6, f"worst {residual:.2e}")
     rise = float(np.max(np.diff(es.values), initial=-math.inf))
     report.check("spectral.values_sorted", rise <= 1e-12, f"largest increase {rise:.2e}")
 
@@ -477,6 +474,7 @@ def cmd_verify(cfg, certificate_path=None):
         try:
             gain, cert, consts = _design(cfg, ms)
         except SatStabError as exc:
+            design_error = exc
             report.check("synthesis.certificate", False, str(exc))
     elif ms.dim == 0 and certificate_path is not None:
         # nothing to certify: the file must hold no certificate block
@@ -543,6 +541,8 @@ def cmd_verify(cfg, certificate_path=None):
 
     if report.failures:
         print(f"{len(report.failures)} invariant(s) failed")
+        if isinstance(design_error, Infeasible) and len(report.failures) == 1:
+            return design_error.exit_code  # the design alone failed: no such design exists
         return SatStabError.exit_code
     print("all invariants passed")
     return EXIT_OK

@@ -150,7 +150,7 @@ def _indicator_quadrature(es, shape):
     panels = max(4, int(math.ceil(1.5 * k_max * width_fraction)) + 2)
     rule = composite_gauss_legendre(shape.b - shape.a, panels)
     x = rule.nodes + shape.a
-    return np.array([rule.weights @ mode(x) for mode in es.modes])
+    return np.array([rule.weights @ row for row in es.modes(x)])
 
 
 def actuator_coefficients(es, shapes):

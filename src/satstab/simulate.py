@@ -328,7 +328,7 @@ def _bump_coefficients(es):
     q_sq = 0.5 * (lam + math.sqrt(max(0.0, lam * lam - 4.0 * float(es.values.min()))))
     rule = quadrature_for_modes(L, int(math.ceil(math.sqrt(q_sq) * L / math.pi)))
     g = np.exp(-(((rule.nodes - L / 2) / (L / 10)) ** 2))
-    coeffs = np.array([rule.weights @ (mode(rule.nodes) * g) for mode in es.modes])
+    coeffs = np.array([rule.weights @ row for row in es.modes(rule.nodes) * g])
     norm = math.sqrt(float(np.sum(coeffs**2)))
     if not norm > _BUMP_RTOL * math.sqrt(float(rule.weights @ (g * g))):
         raise ValueError(
@@ -601,8 +601,12 @@ def gronwall_bound(v0, b, k, p, t_grid):
     The comparison equation v' = b v + k v^p, v(t[0]) = v0, is solved in
     closed form: with q = 1 - p, v^q solves a linear equation, so at tau =
     t - t[0] the bound is exp(b tau) * w^(1/q), where w = v0^q + q k tau
-    phi1(-q b tau).  Raises `BoundExpired` at the first grid point where
-    w <= 0, carrying the bound on the grid points before it.
+    phi1(-q b tau).  Where q b < 0, w overflows over a long horizon while
+    exp(b tau) underflows, so there the bound is evaluated as u^(1/q) with
+    u = exp(q b tau) w = exp(q b tau) v0^q + q k tau phi1(q b tau), which
+    stays finite; where q b >= 0 it is u that would overflow.  Raises
+    `BoundExpired` at the first grid point where w <= 0 (u has the sign of
+    w), carrying the bound on the grid points before it.
     """
     if p < 0.0 or p == 1.0:
         raise ValueError("exponent must be >= 0 and != 1")
@@ -617,11 +621,16 @@ def gronwall_bound(v0, b, k, p, t_grid):
 
     q = 1.0 - p
     tau = t - t[0]
-    w = v0**q + q * k * tau * _phi1(-q * b * tau)
+    with np.errstate(over="ignore"):  # w = inf past q b tau = -709 still signs the bound
+        w = v0**q + q * k * tau * _phi1(-q * b * tau)
     lost = w <= 0.0
     first = int(np.argmax(lost)) if lost.any() else t.size
-    # only where w > 0: a negative w to a fractional power is NaN and warns
-    values = np.exp(b * tau[:first]) * w[:first] ** (1.0 / q)
+    # only where w > 0: a negative w or u to a fractional power is NaN and warns
+    if q * b < 0.0:
+        head = q * b * tau[:first]
+        values = (np.exp(head) * v0**q + q * k * tau[:first] * _phi1(head)) ** (1.0 / q)
+    else:
+        values = np.exp(b * tau[:first]) * w[:first] ** (1.0 / q)
     if first < t.size:
         raise BoundExpired(
             f"comparison function lost positivity at t = {t[first]:.6g}",

@@ -13,12 +13,16 @@ trig frequency q, and its roots (bracketed on a grid, polished by Illinois
 false position) give closed-form eigenfunctions, cos/sin(q t) plus a
 cosh/sinh or cos/sin partner.
 
-Eigenfunctions are stored in two forms at once: a per-mode analytic record
-with derivatives 0-4, and cached samples (value, first and second
-derivative) on a shared quadrature grid on which the cubic products of the
-nonlinear forcing integrate exactly or essentially so.  Hinged modes use the
-midpoint rule with 2 k_max + 1 nodes, exact for those products; Neumann and
-clamped modes use composite Gauss-Legendre.
+Each eigen system holds its modes two ways.  One family object keeps the
+constants of every mode as arrays (amplitudes and frequencies for the hinged
+and Neumann sines and cosines; parity, q, partner kind, partner frequency and
+coefficients for the clamped modes), and `es.modes(x, deriv)` evaluates every
+mode's derivative of order 0-4 at the points x as one (count, len(x)) table.
+The tables of value, first and second derivative are also cached on a shared
+quadrature grid, on which the cubic products of the nonlinear forcing
+integrate exactly or essentially so.  Hinged modes use the midpoint rule with
+2 k_max + 1 nodes, exact for those products; Neumann and clamped modes use
+composite Gauss-Legendre.
 """
 
 import functools
@@ -107,25 +111,33 @@ def midpoint_rule(length, count):
 
 
 # ---------------------------------------------------------------------------
-# Mode representations
+# Mode families
 
 
 @dataclass(frozen=True)
-class TrigMode:
-    """Closed-form mode: amplitude * trig(frequency * x)."""
+class TrigFamily:
+    """Closed-form modes amplitude * trig(frequency * x), one array entry per mode.
 
-    kind: str  # "sin" | "cos" | "const"
-    amplitude: float
-    frequency: float
+    `kind` ("sin" | "cos") is shared by the family; a zero frequency marks
+    the constant mode (Neumann k = 0), whose derivatives vanish.
+    """
+
+    kind: str
+    amplitude: np.ndarray
+    frequency: np.ndarray
 
     def __call__(self, x, deriv=0):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "const":
-            return np.full_like(x, self.amplitude) if deriv == 0 else np.zeros_like(x)
-        shift = deriv * math.pi / 2.0
-        scale = self.amplitude * self.frequency**deriv
-        phase = self.frequency * x + shift
-        return scale * (np.sin(phase) if self.kind == "sin" else np.cos(phase))
+        """The deriv-th derivative of every mode at the points x, as a (count, len(x)) table."""
+        scale = [a * f**deriv for a, f in zip(self.amplitude.tolist(), self.frequency.tolist())]
+        phase = self.frequency[:, None] * np.asarray(x, dtype=float) + deriv * math.pi / 2.0
+        table = np.array(scale)[:, None] * (np.sin(phase) if self.kind == "sin" else np.cos(phase))
+        if deriv:
+            table[self.frequency == 0.0] = 0.0
+        return table
+
+    def tables(self, x, derivs):
+        """Per order in `derivs`, every mode's derivative at the points x, (count, len(x))."""
+        return [self(x, d) for d in derivs]
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +153,14 @@ class UnstableSplit(NamedTuple):
 class EigenSystem:
     """Ordered eigenpairs of the spatial operator for one BC family.
 
-    `values` is nonincreasing; `modes[j]` evaluates the j-th eigenfunction;
-    `basis`, `basis_d1`, `basis_d2` cache mode samples on the quadrature
-    grid; `gram_d1`/`gram_d2` are the first/second-derivative Gram matrices
-    used for the H1/H2 norms.  The read-only nonlinear forcing tables are
-    derived from these: `field_table` = [basis | basis_d1], (count, 2 nodes),
-    turns coefficients into y and y_x in one product, and `forcing_table` =
+    `values` is nonincreasing; `modes` is the family of eigenfunctions
+    (`TrigFamily` or `ClampedFamily`), and `modes(x, deriv)` evaluates all
+    of them at once, one row per mode; `basis`, `basis_d1`, `basis_d2` cache
+    those rows on the quadrature grid; `gram_d1`/`gram_d2` are the
+    first/second-derivative Gram matrices used for the H1/H2 norms.  The
+    read-only nonlinear forcing tables are derived from these:
+    `field_table` = [basis | basis_d1], (count, 2 nodes), turns
+    coefficients into y and y_x in one product, and `forcing_table` =
     [-w basis^T ; w basis_d2^T], (2 nodes, count), projects [y y_x, y^3]
     back onto the modes; both are built on first use.  Immutable after
     construction.
@@ -157,7 +171,7 @@ class EigenSystem:
     count: int
     values: np.ndarray
     mode_index: np.ndarray
-    modes: tuple
+    modes: "TrigFamily | ClampedFamily"
     quadrature: Quadrature
     basis: np.ndarray
     basis_d1: np.ndarray
@@ -184,22 +198,19 @@ class EigenSystem:
         table = (self.basis, self.basis_d1, self.basis_d2)[deriv]
         return np.asarray(coeffs) @ table
 
-    def bc_residual(self, j):
-        """Worst violation of this BC family by the stored j-th mode."""
-        L = self.params.length
+    def bc_residual(self):
+        """Worst violation of this BC family by each stored mode, one value per mode."""
         derivs = {
             BoundaryCondition.CLAMPED: (0, 1),
             BoundaryCondition.HINGED: (0, 2),
             BoundaryCondition.NEUMANN_CH: (1, 3),
         }[self.bc]
-        worst = 0.0
-        for d in derivs:
-            for x in (0.0, L):
-                worst = max(worst, abs(float(self.modes[j](x, deriv=d))))
-        return worst
+        walls = np.array([0.0, self.params.length])
+        return np.max(np.abs(np.hstack(self.modes.tables(walls, derivs))), axis=1)
 
-    def norm_error(self, j):
-        return abs(self.quadrature.integrate(self.basis[j] ** 2) - 1.0)
+    def norm_error(self):
+        """|<e_j, e_j> - 1| on the quadrature grid, one value per mode."""
+        return np.abs(np.array([self.quadrature.integrate(row) for row in self.basis**2]) - 1.0)
 
 
 def _gram(basis_a, basis_b, weights):
@@ -241,18 +252,12 @@ def eigen_closed_form(params, bc, count):
         # y y_x e_j is a sine polynomial, which no equispaced rule integrates exactly
         quad = quadrature_for_modes(L, max(k_max, count))
 
-    modes = []
-    for k in ks:
-        if k == 0:
-            modes.append(TrigMode("const", 1.0 / math.sqrt(L), 0.0))
-        else:
-            kind = "sin" if bc == BoundaryCondition.HINGED else "cos"
-            modes.append(TrigMode(kind, math.sqrt(2.0 / L), k * math.pi / L))
-    modes = tuple(modes)
-
-    basis = np.array([m(quad.nodes) for m in modes])
-    basis_d1 = np.array([m(quad.nodes, 1) for m in modes])
-    basis_d2 = np.array([m(quad.nodes, 2) for m in modes])
+    modes = TrigFamily(
+        "sin" if bc == BoundaryCondition.HINGED else "cos",
+        amplitude=np.where(ks == 0, 1.0 / math.sqrt(L), math.sqrt(2.0 / L)),
+        frequency=ks * math.pi / L,
+    )
+    basis, basis_d1, basis_d2 = modes.tables(quad.nodes, (0, 1, 2))
 
     # Both families diagonalize the derivative Gram matrices.
     freq2 = (ks * math.pi / L) ** 2
@@ -286,58 +291,73 @@ def eigen_closed_form(params, bc, count):
 # B sinh(p t) (or sin(r t)), so each parity has one 2x2 wall determinant.
 
 
-def _hyperbolic(p, s, half, odd):
-    """cosh(p s) / cosh(p half) (odd=0) or sinh(p s) / cosh(p half) (odd=1), s >= 0.
-
-    Written with non-positive exponents only, so it cannot overflow however
-    large p * half grows (the direct quotient overflows past 710).
-    """
-    scale = np.exp(p * (s - half)) / (1.0 + math.exp(-2.0 * p * half))
-    if odd:
-        return scale * -np.expm1(-2.0 * p * s)
-    return scale * (1.0 + np.exp(-2.0 * p * s))
-
-
 @dataclass(frozen=True)
-class ClampedMode:
-    """Clamped mode a * T(q t) + b * P(t) in the centred coordinate t = x - L/2.
+class ClampedFamily:
+    """Clamped modes a * T(q t) + b * P(t) in the centred coordinate t = x - L/2.
 
-    Even modes (odd=0) take T = cos and P = cosh(w t) / cosh(w L/2),
-    cos(w t) or 1; odd modes (odd=1) take T = sin and P = sinh(w t) /
-    cosh(w L/2), sin(w t) or t, for `partner` "hyperbolic", "trig" or
-    "poly" (q^2 = lam).  Derivatives 0-4 are analytic, and are evaluated at
-    |t| with the parity sign applied, so both walls see identical rounding.
+    Every field but `half` holds one entry per mode.  Even modes (odd 0)
+    take T = cos and P = cosh(w t) / cosh(w L/2), cos(w t) or 1; odd modes
+    (odd 1) take T = sin and P = sinh(w t) / cosh(w L/2), sin(w t) or t,
+    for `partner` "hyperbolic", "trig" or "poly" (q^2 = lam).  Derivatives
+    0-4 are analytic, and are evaluated at |t| with the parity sign
+    applied, so both walls see identical rounding.
     """
 
-    odd: int
-    q: float
-    partner: str  # "hyperbolic" | "trig" | "poly"
-    w: float
+    odd: np.ndarray
+    q: np.ndarray
+    partner: np.ndarray
+    w: np.ndarray
     half: float
-    a: float = 1.0
-    b: float = 1.0
+    a: np.ndarray
+    b: np.ndarray
 
-    def parts(self, x, deriv=0):
-        """The deriv-th derivatives of T(q t) and P(t), unscaled."""
+    def parts(self, x, derivs):
+        """Per order in `derivs`, the unscaled (count, len(x)) tables of T(q t) and P(t)."""
         t = np.asarray(x, dtype=float) - self.half
         s = np.abs(t)
-        parity = (deriv + self.odd) % 2
-        shift = (deriv - self.odd) * math.pi / 2.0
-        trig = self.q**deriv * np.cos(self.q * s + shift)
-        if self.partner == "trig":
-            partner = self.w**deriv * np.cos(self.w * s + shift)
-        elif self.partner == "hyperbolic":
-            partner = self.w**deriv * _hyperbolic(self.w, s, self.half, parity)
-        else:
-            partner = s if deriv < self.odd else np.full_like(s, float(deriv == self.odd))
-        if parity:
-            sign = np.sign(t)
-            return trig * sign, partner * sign
-        return trig, partner
+        sign = np.sign(t)
+        hyperbolic = self.partner == "hyperbolic"
+        trig = self.partner == "trig"
+        poly = self.partner == "poly"
+        # cosh(p s) / cosh(p half) and sinh(p s) / cosh(p half), written with
+        # non-positive exponents only, so they cannot overflow however large
+        # p * half grows (the direct quotient overflows past 710)
+        p = self.w[hyperbolic]
+        denominator = [1.0 + math.exp(-2.0 * pj * self.half) for pj in p.tolist()]
+        scale = np.exp(p[:, None] * (s - self.half)) / np.array(denominator)[:, None]
+        decay = (-2.0 * p)[:, None] * s
+        cosh, sinh = scale * (1.0 + np.exp(decay)), scale * -np.expm1(decay)
+        q_s = self.q[:, None] * s
+        w_s = self.w[trig, None] * s
+        tables = []
+        for d in derivs:
+            # rows whose T and P are odd in t take sign(t), and sinh for P
+            odd_in_t = self.odd != d % 2
+            shift = ((d - self.odd) * math.pi / 2.0)[:, None]
+            q_d = np.array([qj**d for qj in self.q.tolist()])[:, None]
+            w_d = np.array([wj**d for wj in self.w.tolist()])[:, None]
+            trig_part = q_d * np.cos(q_s + shift)
+            partner = np.empty_like(trig_part)
+            partner[hyperbolic] = w_d[hyperbolic] * np.where(odd_in_t[hyperbolic, None], sinh, cosh)
+            partner[trig] = w_d[trig] * np.cos(w_s + shift[trig])
+            if poly.any():
+                odd = self.odd[poly, None]
+                partner[poly] = np.where(d < odd, s, d == odd)
+            np.multiply(trig_part, sign, out=trig_part, where=odd_in_t[:, None])
+            np.multiply(partner, sign, out=partner, where=odd_in_t[:, None])
+            tables.append((trig_part, partner))
+        return tables
+
+    def tables(self, x, derivs):
+        """Per order in `derivs`, every mode's derivative at the points x, (count, len(x))."""
+        return [
+            self.a[:, None] * trig + self.b[:, None] * partner
+            for trig, partner in self.parts(x, derivs)
+        ]
 
     def __call__(self, x, deriv=0):
-        trig, partner = self.parts(x, deriv)
-        return self.a * trig + self.b * partner
+        """The deriv-th derivative of every mode at the points x, as a (count, len(x)) table."""
+        return self.tables(x, (deriv,))[0]
 
 
 def _secular(q, lam, half, odd):
@@ -453,18 +473,34 @@ def _clamped_roots(params, count):
     return sorted(roots)[:count]
 
 
-def _mode_at_root(params, q, odd):
-    """Unnormalized mode at a secular root.
+def _clamped_family(params, q, odd, x):
+    """Unnormalized modes at the secular roots q, of parities odd, and their parts at x.
 
-    The coefficients are the null vector of the wall row (value or slope at
-    x = L) with the larger norm: at a double eigenvalue one row vanishes.
+    Each mode's coefficients are the null vector of its wall row (value or
+    slope at x = L) with the larger norm: at a double eigenvalue one row
+    vanishes.  The wall and the points x are evaluated in one call, which
+    also returns the unscaled tables of T and P of orders 0-2 at x.
     """
+    q = np.asarray(q, dtype=float)
     s2 = q * q - params.lam
-    partner = "hyperbolic" if s2 > 0.0 else "trig" if s2 < 0.0 else "poly"
-    unit = ClampedMode(odd, q, partner, math.sqrt(abs(s2)), 0.5 * params.length)
-    rows = [tuple(map(float, unit.parts(params.length, d))) for d in (0, 1)]
-    t_wall, p_wall = max(rows, key=lambda row: math.hypot(*row))
-    return replace(unit, a=p_wall, b=-t_wall)
+    ones = np.ones(q.size)
+    unit = ClampedFamily(
+        odd=np.asarray(odd),
+        q=q,
+        partner=np.where(s2 > 0.0, "hyperbolic", np.where(s2 < 0.0, "trig", "poly")),
+        w=np.sqrt(np.abs(s2)),
+        half=0.5 * params.length,
+        a=ones,
+        b=ones,
+    )
+    parts = unit.parts(np.concatenate([[params.length], x]), (0, 1, 2))
+    value_rows, slope_rows = (
+        np.column_stack([trig[:, 0], partner[:, 0]]).tolist() for trig, partner in parts[:2]
+    )
+    walls = [max(rows, key=lambda row: math.hypot(*row)) for rows in zip(value_rows, slope_rows)]
+    t_wall, p_wall = np.array(walls).T
+    family = replace(unit, a=p_wall, b=-t_wall)
+    return family, [(trig[:, 1:], partner[:, 1:]) for trig, partner in parts]
 
 
 def eigen_clamped(params, count):
@@ -479,20 +515,23 @@ def eigen_clamped(params, count):
     L = params.length
     roots = _clamped_roots(params, count)
     q = np.array([root[0] for root in roots])
+    odd = np.array([root[1] for root in roots])
     sigma = q * q * (params.lam - q * q)
-    order = np.lexsort(([root[1] for root in roots], -sigma))
-    raw = [_mode_at_root(params, *roots[j]) for j in order]
+    order = np.lexsort((odd, -sigma))
     values = sigma[order]
 
     quad = quadrature_for_modes(L, int(math.ceil(q.max() * L / math.pi)))
-    basis = np.array([m(quad.nodes) for m in raw])
-    scale = np.array(
-        [math.copysign(1.0, float(m(0.0, 2))) for m in raw]
-    ) / np.sqrt(basis**2 @ quad.weights)
-    modes = tuple(replace(m, a=m.a * s, b=m.b * s) for m, s in zip(raw, scale))
+    # one evaluation: x = 0, for the sign of y''(0), then the nodes
+    x = np.concatenate([[0.0], quad.nodes])
+    raw, parts = _clamped_family(params, q[order], odd[order], x)
+    (t0, p0), (t1, p1), (t2, p2) = parts
+    sign = np.copysign(1.0, raw.a * t2[:, 0] + raw.b * p2[:, 0])
+    basis = raw.a[:, None] * t0[:, 1:] + raw.b[:, None] * p0[:, 1:]
+    scale = sign / np.sqrt(basis**2 @ quad.weights)
+    modes = replace(raw, a=raw.a * scale, b=raw.b * scale)
     basis *= scale[:, None]
-    basis_d1 = np.array([m(quad.nodes, 1) for m in modes])
-    basis_d2 = np.array([m(quad.nodes, 2) for m in modes])
+    basis_d1 = modes.a[:, None] * t1[:, 1:] + modes.b[:, None] * p1[:, 1:]
+    basis_d2 = modes.a[:, None] * t2[:, 1:] + modes.b[:, None] * p2[:, 1:]
 
     gram_d1 = _gram(basis_d1, basis_d1, quad.weights)
     # <e_i'', e_j''> = lam <e_i', e_j'> - sigma_j delta_ij for eigenfunctions
@@ -536,16 +575,17 @@ def unstable_count(es):
     return UnstableSplit(n=n, eta=eta)
 
 
-def eigen_residual(es, j):
-    """Relative ODE residual of the j-th stored eigenpair, for every family.
+def eigen_residual(es):
+    """Relative ODE residual of every stored eigenpair, one value per mode, for every family.
 
-    The quadrature norm of -y'''' - lam y'' - sigma y over max(1, |sigma|),
-    with y'''' from the stored mode and y, y'' from the cached tables.
+    Per mode, the quadrature norm of -y'''' - lam y'' - sigma y over
+    max(1, |sigma|), with y'''' from the mode family and y, y'' from the
+    cached tables.
     """
-    y4 = es.modes[j](es.quadrature.nodes, 4)
-    r = -y4 - es.params.lam * es.basis_d2[j] - es.values[j] * es.basis[j]
-    norm = math.sqrt(max(0.0, es.quadrature.integrate(r**2)))
-    return norm / max(1.0, abs(float(es.values[j])))
+    y4 = es.modes(es.quadrature.nodes, 4)
+    r = -y4 - es.params.lam * es.basis_d2 - es.values[:, None] * es.basis
+    squares = np.array([es.quadrature.integrate(row) for row in r**2])
+    return np.sqrt(np.maximum(0.0, squares)) / np.maximum(1.0, np.abs(es.values))
 
 
 def critical_set_member(lam, length, tol=1e-8):

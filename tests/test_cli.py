@@ -1022,8 +1022,9 @@ class TestCsvOracles:
         path = write_config(tmp_path, base_config(J=10, **doc))
         assert main(["spectrum", "-c", path, "-o", str(tmp_path)]) == 0
         es = cfgmod.build_eigen(load_config(path))
+        bc_residual, norm_error = es.bc_residual(), es.norm_error()
         rows = [["index", "sigma", "bc_residual", "norm_error"]] + [
-            [str(j + 1), es.values[j], es.bc_residual(j), es.norm_error(j)]
+            [str(j + 1), es.values[j], bc_residual[j], norm_error[j]]
             for j in range(es.count)
         ]
         assert (tmp_path / "exp_spectrum.csv").read_bytes() == oracle_lines(rows)
@@ -1163,6 +1164,23 @@ class TestVerifyCommand:
             match = re.fullmatch(rf"PASS {re.escape(name)} \({pattern}\)", line)
             assert match, line
             assert holds(*map(float, match.groups())), line
+
+    def test_infeasible_design_exits_4(self, tmp_path, capsys):
+        # the window (0.3, 2.8) is nearly symmetric on (0, pi): both unstable
+        # modes fail the rank test, so no design exists and synth exits 4 too
+        doc = base_config(
+            **{"lambda": 5.0},
+            actuators=[{"kind": "indicator", "a": 0.3, "b": 2.8}],
+            poles=None,
+            J=12,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+        capsys.readouterr()
+        assert main(["verify", "-c", path]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL synthesis.certificate (unstable eigenvalues fail the rank test" in out
+        assert "1 invariant(s) failed" in out
 
     def test_seed_change_still_passes(self, tmp_path):
         path = write_config(tmp_path, base_config(J=8, seed=999))
@@ -1388,6 +1406,16 @@ class TestGronwallCommand:
         assert lines[0].strip() == "t,bound,w"
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0 / (1.0 + math.exp(10.0)), rel=1e-13)
+
+    def test_long_horizon_bound_is_finite(self, tmp_path):
+        # w overflows past t = 709 here; the bound tends to 1
+        doc = {"v0": 2.0, "p": 0.0, "b": -1.0, "k": 1.0, "T": 800.0, "samples": 2001}
+        path = tmp_path / "gron.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gronwall", "-c", str(path), "-o", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "gronwall.json").read_text())
+        assert math.isfinite(summary["final_bound"])
+        assert summary["final_bound"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_non_increasing_grid_exits_2(self, tmp_path, capsys, horizon):

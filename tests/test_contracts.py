@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import os
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import satstab
-from satstab import simulate
+from satstab import cli, simulate
 from satstab.modal import ModeCombination, assemble_internal
 from satstab.saturation import SaturationLevel
 from satstab.spectral import BoundaryCondition, OperatorParams, eigen_closed_form
@@ -101,3 +102,23 @@ def test_tracer_counts_every_forcing_call():
     metrics = tracer.layer_metrics(1)
     assert metrics["simulate.run.calls"] == 1
     assert metrics["simulate.nonlinear_forcing.calls"] == steps + 1
+
+
+def test_tracer_counts_one_residual_call_per_eigen_system(tmp_path):
+    # `eigen_residual` covers every mode of a system in one call, so
+    # `spectral.eigen_residual.calls` counts eigen systems, not modes
+    doc = {
+        "bc": "clamped", "lambda": 45.0, "length": 1.0, "delta": 0.0, "nu": 0.0, "ell": 1.0,
+        "actuators": [], "poles": None, "J": 10, "dt": 0.001, "T": 1.0,
+        "initial": {"preset": "first_mode", "amplitude": 0.05}, "seed": 1,
+        "output": {"directory": str(tmp_path), "prefix": "exp"},
+    }
+    path = tmp_path / "clamped.json"
+    path.write_text(json.dumps(doc))
+    tracer = bench_spans().Tracer()
+    with tracer.installed():
+        assert cli.main(["spectrum", "-c", str(path)]) == 0
+    metrics = tracer.layer_metrics(1)
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["spectral.eigen_clamped.calls"] == 1
+    assert metrics["spectral.eigen_residual.calls"] == 1

@@ -46,6 +46,25 @@ def test_power_zero_linear_inhomogeneous():
     np.testing.assert_allclose(out.values, 1.0 + np.exp(-t), rtol=1e-14)
 
 
+def test_long_horizon_where_w_overflows():
+    # p = 0, v0 = 2: v = 1 + e^{-t}.  Past q b tau = -709, phi1(-q b tau)
+    # overflows so w = inf while e^{b tau} underflows to 0
+    t = np.linspace(0.0, 800.0, 2001)
+    out = gronwall_bound(2.0, -1.0, 1.0, 0.0, t)
+    assert np.all(np.isfinite(out.values))
+    assert abs(out.values[-1] - 1.0) <= 1e-12
+
+
+def test_long_horizon_where_the_bound_underflows():
+    # q b > 0 (p = 2, b = -1): exp(q b tau) would overflow past tau = 709, so
+    # this side keeps exp(b tau) w^(1/q); the bound 1/(1 + e^t) runs into
+    # the subnormals and then to 0 without a warning
+    t = np.linspace(0.0, 800.0, 2001)
+    out = gronwall_bound(0.5, -1.0, 1.0, 2.0, t)
+    np.testing.assert_allclose(out.values[:1700], 1.0 / (1.0 + np.exp(t[:1700])), rtol=1e-13)
+    assert 0.0 < out.values[1770] < 1e-307 and out.values[-1] == 0.0
+
+
 def test_expiry_detected():
     # v' <= v + v^2, v0 = 2: w = 1.5 - e^t crosses zero at ln(1.5)
     t = np.linspace(0.0, 2.0, 4001)

@@ -159,7 +159,7 @@ class TestNonlinearTerm:
             panels = 4 * max(8, math.ceil(1.5 * es.count))
             fine = composite_gauss_legendre(es.params.length, panels, 16)
             x, w = fine.nodes, fine.weights
-            values = [[mode(x, d) for d in range(3)] for mode in es.modes]
+            values = list(zip(*(es.modes(x, d) for d in range(3))))
             for delta, nu in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
                 for _ in range(20):
                     state = rng.normal(size=es.count) * scale
@@ -1570,7 +1570,7 @@ class TestResolveInitial:
             L = es.params.length
             fine = composite_gauss_legendre(L, 400, 16)
             bump = np.exp(-(((fine.nodes - L / 2) / (L / 10)) ** 2))
-            coeffs = np.array([fine.weights @ (mode(fine.nodes) * bump) for mode in es.modes])
+            coeffs = np.array([fine.weights @ row for row in es.modes(fine.nodes) * bump])
             config = SimConfig(dt=1e-3, T=1.0, initial=("bump", 1.0))
             y0 = resolve_initial(config, es)
             np.testing.assert_allclose(y0, coeffs / np.linalg.norm(coeffs), rtol=0.0, atol=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from satstab import spectral
 from satstab.errors import AllModesUnstable, ConvergenceFailure
 from satstab.spectral import (
     BoundaryCondition,
-    ClampedMode,
+    ClampedFamily,
     OperatorParams,
     composite_gauss_legendre,
     critical_set_member,
@@ -41,7 +42,10 @@ class TestClosedForm:
         np.testing.assert_allclose(es.values, [1.0, 0.0, -8.0], atol=1e-14)
         j = int(np.where(es.mode_index == 0)[0][0])
         x = np.linspace(0, math.pi, 7)
-        np.testing.assert_allclose(es.modes[j](x), 1 / math.sqrt(math.pi), rtol=1e-14)
+        np.testing.assert_allclose(es.modes(x)[j], 1 / math.sqrt(math.pi), rtol=1e-14)
+        for d in range(1, 5):  # +0.0, not -0.0, in every derivative table
+            row = es.modes(x, d)[j]
+            assert not np.any(row) and not np.any(np.signbit(row))
 
     def test_sorting_not_wavenumber_order(self):
         # lam=10, L=2*pi peaks at k=4
@@ -57,15 +61,19 @@ class TestClosedForm:
 
     def test_residuals(self):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12)
+        residuals = eigen_residual(es)
+        assert residuals.shape == (12,)
         for j in range(12):
-            assert eigen_residual(es, j) < 1e-6
+            assert residuals[j] < 1e-6
 
     def test_bc_residual_and_norm_error(self):
         for bc in (HINGED, NEUMANN):
             es = eigen_closed_form(OperatorParams(0.5, 1.0), bc, 6)
+            bc_residual, norm_error = es.bc_residual(), es.norm_error()
+            assert bc_residual.shape == norm_error.shape == (6,)
             for j in range(6):
-                assert es.bc_residual(j) < 1e-10
-                assert es.norm_error(j) < 1e-12
+                assert bc_residual[j] < 1e-10
+                assert norm_error[j] < 1e-12
 
     def test_monotone_tail(self):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 32)
@@ -75,7 +83,7 @@ class TestClosedForm:
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
         fine = composite_gauss_legendre(math.pi, 64, 20)
         coarse_g = (es.basis * es.quadrature.weights) @ es.basis.T
-        bf = np.array([m(fine.nodes) for m in es.modes])
+        bf = es.modes(fine.nodes)
         fine_g = (bf * fine.weights) @ bf.T
         assert np.max(np.abs(fine_g - coarse_g)) < 1e-12
 
@@ -182,15 +190,16 @@ class TestClampedSolver:
         t = es.quadrature.nodes - 0.5
         even = np.cos(3 * math.pi * t) + 3 * np.cos(math.pi * t)
         even /= math.sqrt(es.quadrature.integrate(even**2))
-        j = [mode.odd for mode in es.modes[:2]].index(0)
+        j = es.modes.odd[:2].tolist().index(0)
         np.testing.assert_allclose(es.basis[j], even, atol=1e-12)
 
     def test_orthonormality_and_bc(self):
         es = eigen_clamped(OperatorParams(2.0, math.pi), 4)
         assert orthonormality_error(es) < 1e-12
+        bc_residual, residuals = es.bc_residual(), eigen_residual(es)
         for j in range(4):
-            assert es.bc_residual(j) < 1e-10
-            assert eigen_residual(es, j) < 1e-10
+            assert bc_residual[j] < 1e-10
+            assert residuals[j] < 1e-10
 
     @pytest.mark.parametrize("count", [8, 16, 32, 64])
     @pytest.mark.parametrize("lam", GRID_LAMS)
@@ -199,9 +208,10 @@ class TestClampedSolver:
         es = eigen_clamped(OperatorParams(lam, length), count)
         assert np.all(np.diff(es.values) <= 0.0)
         assert orthonormality_error(es) <= 1e-12
+        residuals, bc_residual = eigen_residual(es), es.bc_residual()
         for j in range(count):
-            assert eigen_residual(es, j) <= 1e-10
-            assert es.bc_residual(j) <= 1e-10
+            assert residuals[j] <= 1e-10
+            assert bc_residual[j] <= 1e-10
 
     @pytest.mark.parametrize(
         "lam, length",
@@ -238,7 +248,7 @@ class TestClampedSolver:
         # every mode is signed so that y''(0) > 0; this fixes "smooth" states
         for lam, length in ((0.0, 1.0), (45.0, 1.0), (10 * math.pi**2, 1.0), (100.0, math.pi)):
             es = eigen_clamped(OperatorParams(lam, length), 16)
-            assert all(float(mode(0.0, 2)) > 0.0 for mode in es.modes)
+            assert np.all(es.modes(np.zeros(1), 2) > 0.0)
 
     def test_high_root_does_not_overflow(self):
         # p L / 2 > 710: cosh(p t) itself overflows, the stored form must not
@@ -246,21 +256,161 @@ class TestClampedSolver:
         q = brentq(
             spectral._secular, 1421.0 * math.pi, 1422.0 * math.pi, args=(lam, half, 0), xtol=1e-300
         )
-        mode = spectral._mode_at_root(OperatorParams(lam, length), q, 0)
-        assert isinstance(mode, ClampedMode) and mode.partner == "hyperbolic"
-        assert mode.w * half > 710.0
+        family, _ = spectral._clamped_family(OperatorParams(lam, length), [q], [0], ())
+        assert isinstance(family, ClampedFamily) and family.partner[0] == "hyperbolic"
+        assert family.w[0] * half > 710.0
         rule = quadrature_for_modes(length, int(q * length / math.pi) + 1)
-        values = mode(rule.nodes)
+        values = family(rule.nodes)[0]
         assert np.all(np.isfinite(values))
         norm = math.sqrt(rule.integrate(values**2))
         for d in (0, 1):
             for x in (0.0, length):
-                assert abs(float(mode(x, d))) / norm <= 1e-10
+                assert abs(float(family(np.array([x]), d)[0, 0])) / norm <= 1e-10
 
     def test_too_few_roots_raise_convergence_failure(self, monkeypatch):
         monkeypatch.setattr(spectral, "_secular", lambda q, lam, half, odd: 1.0)
         with pytest.raises(ConvergenceFailure, match="bracketed 0 of 8"):
             eigen_clamped(OperatorParams(2.0, 1.0), 8)
+
+
+# Derivatives 0-3 of cos and sin; order d uses entry d % 4.
+COS_DERIVS = (math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u), math.sin)
+SIN_DERIVS = (math.sin, math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u))
+
+
+def log_cosh(z):
+    z = abs(z)
+    return z + math.log1p(math.exp(-2.0 * z)) - math.log(2.0)
+
+
+def hyperbolic_ratio(odd, w, t, half):
+    """sinh(w t) / cosh(w half) (odd) or cosh(w t) / cosh(w half).
+
+    Through logs where cosh overflows.
+    """
+    if w * half < 700.0:
+        return (math.sinh if odd else math.cosh)(w * t) / math.cosh(w * half)
+    if not odd:
+        return math.exp(log_cosh(w * t) - log_cosh(w * half))
+    z = abs(w * t)
+    if z == 0.0:
+        return 0.0
+    log_sinh = z + math.log(-math.expm1(-2.0 * z)) - math.log(2.0)
+    return math.copysign(math.exp(log_sinh - log_cosh(w * half)), t)
+
+
+def clamped_oracle(family, j, x, d):
+    """The d-th derivative of clamped mode j at the float x, from its closed form in math."""
+    odd, q, w = int(family.odd[j]), float(family.q[j]), float(family.w[j])
+    a, b, t = float(family.a[j]), float(family.b[j]), x - family.half
+    trig = q**d * (SIN_DERIVS if odd else COS_DERIVS)[d % 4](q * t)
+    kind = str(family.partner[j])
+    if kind == "trig":
+        partner = w**d * (SIN_DERIVS if odd else COS_DERIVS)[d % 4](w * t)
+    elif kind == "hyperbolic":
+        partner = w**d * hyperbolic_ratio((odd + d) % 2, w, t, family.half)
+    else:  # 1 (even) or t (odd)
+        partner = ([t, 1.0] if odd else [1.0])[d] if d <= odd else 0.0
+    return a * trig + b * partner
+
+
+def trig_oracle(family, j, x, d):
+    """The d-th derivative of hinged/Neumann mode j at the float x, from its closed form in math."""
+    amplitude, f = float(family.amplitude[j]), float(family.frequency[j])
+    if f == 0.0:
+        return amplitude if d == 0 else 0.0
+    derivs = SIN_DERIVS if family.kind == "sin" else COS_DERIVS
+    return amplitude * f**d * derivs[d % 4](f * x)
+
+
+def alone(family, j):
+    """The one-mode family holding mode j of `family`."""
+    return dataclasses.replace(
+        family,
+        **{
+            field.name: getattr(family, field.name)[j : j + 1]
+            for field in dataclasses.fields(family)
+            if isinstance(getattr(family, field.name), np.ndarray)
+        },
+    )
+
+
+def high_root_q(lam=45.0, half=0.5):
+    # an even root with p L / 2 > 710, where cosh(p t) itself overflows
+    return brentq(
+        spectral._secular, 1421.0 * math.pi, 1422.0 * math.pi, args=(lam, half, 0), xtol=1e-300
+    )
+
+
+FAMILIES = {
+    "clamped-45": lambda: eigen_clamped(OperatorParams(45.0, 1.0), 12).modes,
+    "clamped-double": lambda: eigen_clamped(OperatorParams(10 * math.pi**2, 1.0), 6).modes,
+    "clamped-100": lambda: eigen_clamped(OperatorParams(100.0, 2.0), 32).modes,
+    "clamped-high-root": lambda: spectral._clamped_family(
+        OperatorParams(45.0, 1.0), [high_root_q()], [0], ()
+    )[0],
+    # q^2 = lam exactly: the partner is 1 (even) or t (odd)
+    "clamped-poly": lambda: spectral._clamped_family(
+        OperatorParams(4.0, 1.0), [2.0, 2.0], [0, 1], ()
+    )[0],
+    "hinged": lambda: eigen_closed_form(OperatorParams(10.0, 2 * math.pi), HINGED, 12).modes,
+    "neumann": lambda: eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 8).modes,
+}
+
+
+class TestModeFamilies:
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_every_row_matches_closed_form(self, name):
+        # oracle: each mode's closed form evaluated point by point in Python
+        # floats, at the walls, the centre and a dense Gauss-Legendre grid
+        family = FAMILIES[name]()
+        clamped = isinstance(family, ClampedFamily)
+        length = 2.0 * family.half if clamped else {"hinged": 2 * math.pi, "neumann": math.pi}[name]
+        oracle = clamped_oracle if clamped else trig_oracle
+        x = np.concatenate([[0.0, 0.5 * length, length], quadrature_for_modes(length, 64).nodes])
+        for d in range(5):
+            table = family(x, d)
+            assert table.shape == (family.q.size if clamped else family.frequency.size, x.size)
+            for j, row in enumerate(table):
+                ref = np.array([oracle(family, j, xi, d) for xi in x.tolist()])
+                assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref)), (j, d)
+
+    def test_families_cover_every_case(self):
+        partners = set()
+        parities = set()
+        for name in ("clamped-45", "clamped-high-root", "clamped-poly"):
+            family = FAMILIES[name]()
+            partners.update(family.partner.tolist())
+            parities.update(family.odd.tolist())
+        assert partners == {"hyperbolic", "trig", "poly"} and parities == {0, 1}
+        high = FAMILIES["clamped-high-root"]()
+        assert high.w[0] * high.half > 710.0
+        neumann = FAMILIES["neumann"]()
+        assert neumann.kind == "cos" and 0.0 in neumann.frequency.tolist()
+        assert FAMILIES["hinged"]().kind == "sin"
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_row_has_the_bits_of_the_mode_alone(self, name):
+        family = FAMILIES[name]()
+        length = 2.0 * family.half if isinstance(family, ClampedFamily) else math.pi
+        x = np.concatenate([[0.0, length], composite_gauss_legendre(length, 8).nodes])
+        for d in range(5):
+            table = family(x, d)
+            for j, row in enumerate(table):
+                assert row.tobytes() == alone(family, j)(x, d)[0].tobytes(), (j, d)
+
+    @pytest.mark.parametrize("es", [
+        eigen_clamped(OperatorParams(45.0, 1.0), 8),
+        eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8),
+        eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 8),
+    ], ids=["clamped", "hinged", "neumann"])
+    def test_cached_tables_are_family_rows(self, es):
+        nodes = es.quadrature.nodes
+        np.testing.assert_allclose(es.modes(nodes), es.basis, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(es.modes(nodes, 1), es.basis_d1)
+        np.testing.assert_array_equal(es.modes(nodes, 2), es.basis_d2)
+        # one point given as a float is one column
+        np.testing.assert_array_equal(es.modes(nodes[3], 1), es.basis_d1[:, 3:4])
 
 
 class TestPolish:
