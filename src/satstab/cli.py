@@ -248,7 +248,7 @@ def cmd_synth(cfg, out_dir=None):
     gain, cert, consts = _design(cfg, ms)
     head = _system_head(cfg, ms, split)
     path = _out_path(cfg, out_dir, "certificate.json")
-    _write_json(path, certificate_document(head, gain, gain.report, cert, consts))
+    _write_json(path, certificate_document(head, gain, cert, consts))
     with open(_out_path(cfg, out_dir, "synth_report.txt"), "w") as handle:
         handle.write(_synth_report_text(head, gain, cert, consts))
     print(f"wrote {path}")

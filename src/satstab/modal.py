@@ -11,12 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalLength
-from .spectral import (
-    BoundaryCondition,
-    EigenSystem,
-    composite_gauss_legendre,
-    critical_set_member,
-)
+from .spectral import BoundaryCondition, EigenSystem, critical_set_member
 
 
 @dataclass(frozen=True)
@@ -126,38 +121,12 @@ class ModalSystem:
         return states[:, 1:] + states[:, :1] * d
 
 
-def _indicator_closed_form(es, shape):
-    """Analytic window integrals of the closed-form trig modes."""
-    L = es.params.length
-    out = np.empty(es.count)
-    for row in range(es.count):
-        k = int(es.mode_index[row])
-        if k == 0:
-            out[row] = (shape.b - shape.a) / math.sqrt(L)
-            continue
-        f = k * math.pi / L
-        amp = math.sqrt(2.0 / L)
-        if es.bc == BoundaryCondition.HINGED:
-            out[row] = amp / f * (math.cos(f * shape.a) - math.cos(f * shape.b))
-        else:
-            out[row] = amp / f * (math.sin(f * shape.b) - math.sin(f * shape.a))
-    return out
-
-
-def _indicator_quadrature(es, shape):
-    k_max = int(np.max(es.mode_index)) if len(es.mode_index) else 1
-    width_fraction = (shape.b - shape.a) / es.params.length
-    panels = max(4, int(math.ceil(1.5 * k_max * width_fraction)) + 2)
-    rule = composite_gauss_legendre(shape.b - shape.a, panels)
-    x = rule.nodes + shape.a
-    return np.array([rule.weights @ row for row in es.modes(x)])
-
-
 def actuator_coefficients(es, shapes):
     """Coefficient table <b_k, e_j> over the retained modes, one column per channel.
 
-    Hinged/Neumann indicator windows use the analytic integrals; everything
-    else goes through quadrature.
+    An indicator window's column is every mode's integral over the window,
+    `es.modes.integral(a, b)`, in closed form for each wall family; a mode
+    combination's column is its coefficients, padded with zeros.
     """
     cols = []
     for shape in shapes:
@@ -166,10 +135,7 @@ def actuator_coefficients(es, shapes):
                 raise ValueError(
                     f"indicator window ends at {shape.b} beyond length {es.params.length}"
                 )
-            if es.bc in (BoundaryCondition.HINGED, BoundaryCondition.NEUMANN_CH):
-                cols.append(_indicator_closed_form(es, shape))
-            else:
-                cols.append(_indicator_quadrature(es, shape))
+            cols.append(es.modes.integral(shape.a, shape.b))
         elif isinstance(shape, ModeCombination):
             c = np.zeros(es.count)
             coeffs = np.asarray(shape.coefficients)

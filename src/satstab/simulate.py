@@ -123,20 +123,20 @@ def _rowwise(rows, matrix, out=None):
 
     A single matrix-matrix product would round each row differently
     depending on the batch around it; this way a trajectory gets the same
-    bits whether it runs alone or in a batch.  With an inner dimension of at
-    most one each entry is a single product (or none), and the plain matrix
-    product gives the same bits, signed zeros included, at less cost.  One
-    row with a longer inner dimension takes `dot`, which gives the stacked
-    product's bits at a fraction of its call cost (at inner dimension one it
-    would flip the sign of some zeros).  Every branch writes its product
-    straight into `out` when it is given, a strided slot included.
+    bits whether it runs alone or in a batch: several rows take `np.vecmat`.
+    With an inner dimension of at most one each entry is a single product
+    (or none), and the plain matrix product gives the same bits, signed
+    zeros included, at less cost.  One row with a longer inner dimension
+    takes `dot`, which gives `vecmat`'s bits at less call cost (at inner
+    dimension one it would flip the sign of some zeros).  Every branch
+    writes its product straight into `out` when it is given, a strided slot
+    included.
     """
     if matrix.shape[0] <= 1:
         return np.matmul(rows, matrix, out=out)
     if rows.ndim == 1 or len(rows) == 1:
         return rows.dot(matrix, out=out)
-    slots = None if out is None else out[..., None, :]
-    return np.matmul(rows[..., None, :], matrix, out=slots)[..., 0, :]
+    return np.vecmat(rows, matrix, out=out)
 
 
 def quad_form(x, form):
@@ -150,7 +150,7 @@ def quad_form(x, form):
     """
     if form.ndim == 1:
         return np.vecdot(x * x, form)
-    return np.vecdot(np.matmul(x[..., None, :], form)[..., 0, :], x)
+    return np.vecdot(np.vecmat(x, form), x)
 
 
 def _as_form(matrix):
@@ -318,15 +318,13 @@ def _bump_coefficients(es):
 
     The bump is no trig polynomial, so it is projected on a Gauss-Legendre
     rule of its own rather than on the eigen system's grid, which may be
-    exact only for products of modes.  Every family has sigma = q^2 (lam -
-    q^2) with trig frequency q, so q^2 <= (lam + sqrt(lam^2 - 4 sigma)) / 2
-    bounds the frequencies the rule must resolve.  Raises ValueError when
-    the coefficients' norm is below `_BUMP_RTOL` times the bump's L2 norm:
-    their direction would be rounding noise.
+    exact only for products of modes.  The rule resolves the largest trig
+    frequency of the mode family.  Raises ValueError when the coefficients'
+    norm is below `_BUMP_RTOL` times the bump's L2 norm: their direction
+    would be rounding noise.
     """
-    L, lam = es.params.length, es.params.lam
-    q_sq = 0.5 * (lam + math.sqrt(max(0.0, lam * lam - 4.0 * float(es.values.min()))))
-    rule = quadrature_for_modes(L, int(math.ceil(math.sqrt(q_sq) * L / math.pi)))
+    L = es.params.length
+    rule = quadrature_for_modes(L, int(math.ceil(float(es.modes.frequency.max()) * L / math.pi)))
     g = np.exp(-(((rule.nodes - L / 2) / (L / 10)) ** 2))
     coeffs = np.array([rule.weights @ row for row in es.modes(rule.nodes) * g])
     norm = math.sqrt(float(np.sum(coeffs**2)))

@@ -15,9 +15,12 @@ cosh/sinh or cos/sin partner.
 
 Each eigen system holds its modes two ways.  One family object keeps the
 constants of every mode as arrays (amplitudes and frequencies for the hinged
-and Neumann sines and cosines; parity, q, partner kind, partner frequency and
-coefficients for the clamped modes), and `es.modes(x, deriv)` evaluates every
-mode's derivative of order 0-4 at the points x as one (count, len(x)) table.
+and Neumann sines and cosines; parity, trig frequency q, partner kind,
+partner frequency and coefficients for the clamped modes).  `es.modes(x,
+deriv)` evaluates every mode's derivative of order 0-4 at the points x as one
+(count, len(x)) table; the clamped family also takes order -1, the
+antiderivative.  `es.modes.integral(a, b)` gives every mode's integral over
+(a, b) in closed form, one entry per mode.
 The tables of value, first and second derivative are also cached on a shared
 quadrature grid, on which the cubic products of the nonlinear forcing
 integrate exactly or essentially so.  Hinged modes use the midpoint rule with
@@ -138,6 +141,17 @@ class TrigFamily:
     def tables(self, x, derivs):
         """Per order in `derivs`, every mode's derivative at the points x, (count, len(x))."""
         return [self(x, d) for d in derivs]
+
+    def integral(self, a, b):
+        """Every mode's integral over (a, b), one entry per mode."""
+        constant = self.frequency == 0.0
+        f = np.where(constant, 1.0, self.frequency)
+        if self.kind == "sin":
+            out = self.amplitude / f * (np.cos(f * a) - np.cos(f * b))
+        else:
+            out = self.amplitude / f * (np.sin(f * b) - np.sin(f * a))
+        out[constant] = self.amplitude[constant] * (b - a)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +274,7 @@ def eigen_closed_form(params, bc, count):
     basis, basis_d1, basis_d2 = modes.tables(quad.nodes, (0, 1, 2))
 
     # Both families diagonalize the derivative Gram matrices.
-    freq2 = (ks * math.pi / L) ** 2
+    freq2 = modes.frequency**2
     gram_d1 = np.diag(freq2)
     gram_d2 = np.diag(freq2**2)
 
@@ -295,16 +309,17 @@ def eigen_closed_form(params, bc, count):
 class ClampedFamily:
     """Clamped modes a * T(q t) + b * P(t) in the centred coordinate t = x - L/2.
 
-    Every field but `half` holds one entry per mode.  Even modes (odd 0)
-    take T = cos and P = cosh(w t) / cosh(w L/2), cos(w t) or 1; odd modes
-    (odd 1) take T = sin and P = sinh(w t) / cosh(w L/2), sin(w t) or t,
-    for `partner` "hyperbolic", "trig" or "poly" (q^2 = lam).  Derivatives
-    0-4 are analytic, and are evaluated at |t| with the parity sign
-    applied, so both walls see identical rounding.
+    Every field but `half` holds one entry per mode; `frequency` is the trig
+    frequency q.  Even modes (odd 0) take T = cos and P = cosh(w t) /
+    cosh(w L/2), cos(w t) or 1; odd modes (odd 1) take T = sin and P =
+    sinh(w t) / cosh(w L/2), sin(w t) or t, for `partner` "hyperbolic",
+    "trig" or "poly" (q^2 = lam).  Derivatives of order -1 (the
+    antiderivative) to 4 are analytic, and are evaluated at |t| with the
+    parity sign applied, so both walls see identical rounding.
     """
 
     odd: np.ndarray
-    q: np.ndarray
+    frequency: np.ndarray
     partner: np.ndarray
     w: np.ndarray
     half: float
@@ -327,22 +342,25 @@ class ClampedFamily:
         scale = np.exp(p[:, None] * (s - self.half)) / np.array(denominator)[:, None]
         decay = (-2.0 * p)[:, None] * s
         cosh, sinh = scale * (1.0 + np.exp(decay)), scale * -np.expm1(decay)
-        q_s = self.q[:, None] * s
+        q_s = self.frequency[:, None] * s
         w_s = self.w[trig, None] * s
         tables = []
         for d in derivs:
             # rows whose T and P are odd in t take sign(t), and sinh for P
             odd_in_t = self.odd != d % 2
             shift = ((d - self.odd) * math.pi / 2.0)[:, None]
-            q_d = np.array([qj**d for qj in self.q.tolist()])[:, None]
-            w_d = np.array([wj**d for wj in self.w.tolist()])[:, None]
+            q_d = np.array([qj**d for qj in self.frequency.tolist()])[:, None]
+            # the poly rows (w = 0) take no power of w
+            w_d = np.array([wj**d if wj else 0.0 for wj in self.w.tolist()])[:, None]
             trig_part = q_d * np.cos(q_s + shift)
             partner = np.empty_like(trig_part)
             partner[hyperbolic] = w_d[hyperbolic] * np.where(odd_in_t[hyperbolic, None], sinh, cosh)
             partner[trig] = w_d[trig] * np.cos(w_s + shift[trig])
             if poly.any():
-                odd = self.odd[poly, None]
-                partner[poly] = np.where(d < odd, s, d == odd)
+                # P = t^odd: order d is t^(odd - d) for d <= odd, over odd + 1 at d = -1
+                power = self.odd[poly, None] - d
+                monomial = np.where(power >= 0, s ** np.maximum(power, 0), 0.0)
+                partner[poly] = monomial / power if d < 0 else monomial
             np.multiply(trig_part, sign, out=trig_part, where=odd_in_t[:, None])
             np.multiply(partner, sign, out=partner, where=odd_in_t[:, None])
             tables.append((trig_part, partner))
@@ -358,6 +376,11 @@ class ClampedFamily:
     def __call__(self, x, deriv=0):
         """The deriv-th derivative of every mode at the points x, as a (count, len(x)) table."""
         return self.tables(x, (deriv,))[0]
+
+    def integral(self, a, b):
+        """Every mode's integral over (a, b), one entry per mode: the antiderivative's increment."""
+        F = self(np.array([a, b]), -1)
+        return F[:, 1] - F[:, 0]
 
 
 def _secular(q, lam, half, odd):
@@ -486,7 +509,7 @@ def _clamped_family(params, q, odd, x):
     ones = np.ones(q.size)
     unit = ClampedFamily(
         odd=np.asarray(odd),
-        q=q,
+        frequency=q,
         partner=np.where(s2 > 0.0, "hyperbolic", np.where(s2 < 0.0, "trig", "poly")),
         w=np.sqrt(np.abs(s2)),
         half=0.5 * params.length,

@@ -100,8 +100,9 @@ def diagnose_pair(A, B):
 
     Reports the controllability-matrix rank, the single-input determinant
     product (prod of input coefficients times the Vandermonde of the
-    eigenvalues, valid for diagonal A), and the eigenvalue-wise rank test;
-    `stabilizable` requires every failing eigenvalue to be strictly stable.
+    eigenvalues, valid for diagonal A; None where it is not finite), and the
+    eigenvalue-wise rank test; `stabilizable` requires every failing
+    eigenvalue to be strictly stable.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -114,10 +115,14 @@ def diagnose_pair(A, B):
     vdm = None
     if B.shape[1] == 1 and np.allclose(A, np.diag(np.diag(A))):
         sigma = np.diag(A)
-        vdm = float(np.prod(B[:, 0]))
-        for i in range(n):
-            for k in range(i + 1, n):
-                vdm *= sigma[k] - sigma[i]
+        # a long head overflows the product (inf, or NaN from inf * 0): it is recorded as None
+        with np.errstate(over="ignore", invalid="ignore"):
+            vdm = float(np.prod(B[:, 0]))
+            for i in range(n):
+                for k in range(i + 1, n):
+                    vdm *= sigma[k] - sigma[i]
+        if not math.isfinite(vdm):
+            vdm = None
 
     eigs = np.linalg.eigvals(A)
     failures = []
@@ -552,13 +557,14 @@ def certificate_head(mode, n, m, J, eta, ell):
     return {"mode": mode, "n": n, "m": m, "J": J, "eta": eta, "ell": _write(ell)}
 
 
-def certificate_document(head, gain, report, cert, consts):
+def certificate_document(head, gain, cert, consts):
     """The certificate file's JSON document.
 
-    The `certificate_head`, the gain, the controllability diagnostics, each
-    stored `Certificate` field the head does not hold (null without a
-    certificate), and the `H2Constants` (null without them).
+    The `certificate_head`, the gain, its controllability diagnostics
+    (`gain.report`), each stored `Certificate` field the head does not hold
+    (null without a certificate), and the `H2Constants` (null without them).
     """
+    report = gain.report
     doc = dict(head)
     doc["K"] = gain.K.tolist()
     doc["closed_loop_spectrum_real"] = gain.closed_loop_spectrum.real.tolist()

@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satstab
-from satstab import cli, modal, simulate, synthesis
+from satstab import cli, simulate, synthesis
 from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
 from satstab.errors import SatStabError
 from satstab.modal import ModalSystem
 from satstab.simulate import Trajectory, gronwall_bound, run
+from satstab.spectral import ClampedFamily
 
 
 def all_subclasses(cls):
@@ -536,6 +537,22 @@ class TestSynthCommand:
         assert len(pairs) == 1
         doc = json.loads((tmp_path / "exp_certificate.json").read_text())
         assert doc["diagnostics"]["dim"] == len(pairs[0])  # the report still reaches the file
+
+    @pytest.mark.parametrize("lam", [301.0, 450.0])
+    def test_long_head_reports_one_line(self, tmp_path, capsys, lam):
+        # 17 and 21 unstable modes: the determinant product overflows (and at
+        # lam = 450 turns NaN) and is recorded as null, without a numpy warning
+        doc = base_config(
+            **{"lambda": lam},
+            actuators=[{"kind": "indicator", "a": 0.05, "b": 2.0}],
+            poles=None,
+            ell="inf",
+            J=40,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1, err
 
     def test_critical_length_exits_4(self, tmp_path):
         doc = base_config(
@@ -1095,8 +1112,8 @@ class TestPresets:
 
     @pytest.mark.parametrize("preset", ["smooth", "bump"])
     def test_clamped_window_pipeline(self, tmp_path, capsys, monkeypatch, preset):
-        # a clamped window takes the quadrature coefficients; the bump its own projection
-        quadrature = spy(monkeypatch, modal, "_indicator_quadrature")
+        # a clamped window takes the clamped family's integral; the bump its own projection
+        integral = spy(monkeypatch, ClampedFamily, "integral")
         bump = spy(monkeypatch, simulate, "_bump_coefficients")
         doc = base_config(**CLAMPED_WINDOW, initial={"preset": preset, "amplitude": 0.02})
         path = write_config(tmp_path, doc)
@@ -1106,7 +1123,7 @@ class TestPresets:
         capsys.readouterr()
         assert main(["verify", "-c", path, "--certificate", cert]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert quadrature and bool(bump) == (preset == "bump")
+        assert integral and bool(bump) == (preset == "bump")
         summary = json.loads((tmp_path / "exp_summary.json").read_text())
         assert summary["exit_reason"] == "horizon"
 

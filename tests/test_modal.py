@@ -16,6 +16,7 @@ from satstab.modal import (
 from satstab.spectral import (
     BoundaryCondition,
     OperatorParams,
+    composite_gauss_legendre,
     eigen_clamped,
     eigen_closed_form,
     unstable_count,
@@ -51,22 +52,22 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             actuator_coefficients(es_pi, [Indicator(0.0, 10.0)])
 
-    def test_closed_form_matches_quadrature(self, es_pi):
-        from satstab.modal import _indicator_quadrature
-
-        shape = Indicator(0.4, 2.2)
-        closed = actuator_coefficients(es_pi, [shape])[:10, 0]
-        quad = _indicator_quadrature(es_pi, shape)[:10]
-        np.testing.assert_allclose(closed, quad, atol=1e-10)
-
-    def test_neumann_closed_form_matches_quadrature(self):
-        from satstab.modal import _indicator_quadrature
-
-        es = eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 8)
-        shape = Indicator(0.1, 1.9)
-        closed = actuator_coefficients(es, [shape])[:, 0]
-        quad = _indicator_quadrature(es, shape)
-        np.testing.assert_allclose(closed, quad, atol=1e-10)
+    @pytest.mark.parametrize(
+        "es, window",
+        [
+            (eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12), (0.4, 2.2)),
+            (eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 8), (0.1, 1.9)),
+            (eigen_clamped(OperatorParams(45.0, 1.0), 24), (0.1, 0.6)),
+        ],
+        ids=["hinged", "neumann", "clamped"],
+    )
+    def test_indicator_column_matches_fine_quadrature(self, es, window):
+        # oracle: 400 panels of a 20-point Gauss-Legendre rule over the window
+        a, b = window
+        rule = composite_gauss_legendre(b - a, 400, 20)
+        fine = es.modes(rule.nodes + a) @ rule.weights
+        column = actuator_coefficients(es, [Indicator(a, b)])[:, 0]
+        np.testing.assert_allclose(column, fine, rtol=0.0, atol=1e-13)
 
     def test_mode_combination_passthrough(self, es_pi):
         b = actuator_coefficients(es_pi, [ModeCombination([0.0, 1.5, -0.5])])[:5]

@@ -301,7 +301,7 @@ def hyperbolic_ratio(odd, w, t, half):
 
 def clamped_oracle(family, j, x, d):
     """The d-th derivative of clamped mode j at the float x, from its closed form in math."""
-    odd, q, w = int(family.odd[j]), float(family.q[j]), float(family.w[j])
+    odd, q, w = int(family.odd[j]), float(family.frequency[j]), float(family.w[j])
     a, b, t = float(family.a[j]), float(family.b[j]), x - family.half
     trig = q**d * (SIN_DERIVS if odd else COS_DERIVS)[d % 4](q * t)
     kind = str(family.partner[j])
@@ -358,6 +358,18 @@ FAMILIES = {
 }
 
 
+LENGTHS = {"hinged": 2 * math.pi, "neumann": math.pi}
+
+# windows (a, b) on (0, L): at each wall, across the centre L/2, and 1e-3 wide
+WINDOWS = {
+    "left-wall": lambda L: (0.0, 0.3 * L),
+    "right-wall": lambda L: (0.65 * L, L),
+    "across-centre": lambda L: (0.4 * L, 0.7 * L),
+    "narrow": lambda L: (0.2 * L, 0.2 * L + 1e-3),
+    "whole": lambda L: (0.0, L),
+}
+
+
 class TestModeFamilies:
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_every_row_matches_closed_form(self, name):
@@ -365,12 +377,12 @@ class TestModeFamilies:
         # floats, at the walls, the centre and a dense Gauss-Legendre grid
         family = FAMILIES[name]()
         clamped = isinstance(family, ClampedFamily)
-        length = 2.0 * family.half if clamped else {"hinged": 2 * math.pi, "neumann": math.pi}[name]
+        length = 2.0 * family.half if clamped else LENGTHS[name]
         oracle = clamped_oracle if clamped else trig_oracle
         x = np.concatenate([[0.0, 0.5 * length, length], quadrature_for_modes(length, 64).nodes])
         for d in range(5):
             table = family(x, d)
-            assert table.shape == (family.q.size if clamped else family.frequency.size, x.size)
+            assert table.shape == (family.frequency.size, x.size)
             for j, row in enumerate(table):
                 ref = np.array([oracle(family, j, xi, d) for xi in x.tolist()])
                 assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref)), (j, d)
@@ -398,6 +410,28 @@ class TestModeFamilies:
             table = family(x, d)
             for j, row in enumerate(table):
                 assert row.tobytes() == alone(family, j)(x, d)[0].tobytes(), (j, d)
+
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_integral_matches_fine_quadrature(self, name, window):
+        # oracle: the family's own order-0 table integrated by a 20-point
+        # Gauss-Legendre rule on at least 400 panels, over a dozen per period;
+        # to 1e-13 of each mode's L2 norm, which is 1 but for the two families
+        # built from bare roots
+        family = FAMILIES[name]()
+        length = 2.0 * family.half if isinstance(family, ClampedFamily) else LENGTHS[name]
+
+        def fine_rule(a, b):
+            panels = max(400, math.ceil(2.0 * float(family.frequency.max()) * (b - a)))
+            rule = composite_gauss_legendre(b - a, panels, 20)
+            return rule.nodes + a, rule.weights
+
+        nodes, weights = fine_rule(0.0, length)
+        norms = np.sqrt(family(nodes) ** 2 @ weights)
+        a, b = WINDOWS[window](length)
+        nodes, weights = fine_rule(a, b)
+        error = np.abs(family.integral(a, b) - family(nodes) @ weights)
+        assert np.all(error <= 1e-13 * norms), error / norms
 
     @pytest.mark.parametrize("es", [
         eigen_clamped(OperatorParams(45.0, 1.0), 8),

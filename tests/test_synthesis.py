@@ -89,6 +89,18 @@ class TestDiagnose:
             det = np.linalg.det(kalman_matrix(np.diag(sigma), b[:, None]))
             assert det == pytest.approx(rep.vandermonde_value, rel=1e-8)
 
+    @pytest.mark.parametrize("lam", [301.0, 450.0])
+    def test_overflowing_vandermonde_product_is_none(self, lam):
+        # a hinged head of 17 or 21 unstable modes: the product overflows at
+        # lam = 301 and turns NaN (inf * 0) at lam = 450; the suite makes any
+        # numpy warning an error, so a leaked one fails here
+        es = eigen_closed_form(OperatorParams(lam, math.pi), HINGED, 40)
+        ms = assemble_internal(es, [Indicator(0.05, 2.0)], unstable_count(es).n)
+        assert ms.n >= 15
+        rep = diagnose_pair(ms.A, ms.B)
+        assert rep.vandermonde_value is None
+        assert rep.dim == ms.n
+
     def test_modal_system_entry_point(self):
         ms = scalar_system()
         rep = diagnose_pair(ms.A, ms.B)
@@ -582,7 +594,7 @@ class TestCertificateFile:
     def test_round_trip_is_bit_exact(self, records):
         head, gain, cert, consts = records
         report = ControllabilityReport(gain.K.shape[1], gain.K.shape[1], True, True, None, ())
-        text = json.dumps(certificate_document(head, gain, report, cert, consts))
+        text = json.dumps(certificate_document(head, replace(gain, report=report), cert, consts))
         back_gain, back_cert, back_consts = read_certificate(json.loads(text))
         assert bits(back_gain.K) == bits(gain.K)
         assert bits(back_gain.closed_loop_spectrum) == bits(gain.closed_loop_spectrum)
@@ -597,19 +609,18 @@ class TestCertificateFile:
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         consts = select_h2_constants(cert, ms, gain)
         head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
-        report = diagnose_pair(ms.A, ms.B)
         top = [
             "mode", "n", "m", "J", "eta", "ell", "K", "closed_loop_spectrum_real",
             "closed_loop_spectrum_imag", "diagnostics", "P", "D", "C", "alpha", "beta_min",
             "beta_max", "constants",
         ]
-        doc = certificate_document(head, gain, report, cert, consts)
+        doc = certificate_document(head, gain, cert, consts)
         assert list(doc) == top
         assert list(doc["diagnostics"]) == [
             "rank", "dim", "controllable", "stabilizable", "vandermonde", "pbh_failures_real",
         ]
         assert list(doc["constants"]) == ["M", "C1", "C2", "C3", "C4", "a"]
-        null = certificate_document(head, gain, report, None, None)
+        null = certificate_document(head, gain, None, None)
         assert list(null) == top
         assert {key: null[key] for key in top[:6]} == head
         assert [null[key] for key in top[10:]] == [None] * 7
@@ -632,7 +643,7 @@ class TestCertificateFile:
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         consts = select_h2_constants(cert, ms, gain)
         head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
-        doc = certificate_document(head, gain, diagnose_pair(ms.A, ms.B), cert, consts)
+        doc = certificate_document(head, gain, cert, consts)
         read_certificate(doc)
         doc[field] = value
         with pytest.raises(ValueError, match=re.escape(message)):
