@@ -7,16 +7,22 @@ system's quadrature grid and projected back onto the retained modes: hinged
 modes use the midpoint rule, which is exact for these cubic products, and
 Neumann and clamped modes use composite Gauss-Legendre.  The dispersive
 projection of the cubic term moves two derivatives onto the basis so no
-field derivative beyond second order is ever formed.
+field derivative beyond second order is ever formed.  Every stepping pass,
+internal, boundary or nonlinear, runs one step kernel that also computes
+the forcing; its buffers, their views and the product used for each matrix
+are fixed once per pass.
 """
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlowUp, BoundExpired, NonPositiveChannel
+from .errors import BlowUp, BoundExpired, ConfigError, NonPositiveChannel
 from .saturation import UNSATURATED, SaturationLevel
 from .spectral import quadrature_for_modes
 
@@ -118,25 +124,25 @@ def _phi1(h):
     return out
 
 
-def _rowwise(rows, matrix, out=None):
-    """rows @ matrix as one vector-matrix product per row of a 2-D `rows` (or for one vector).
+def _product(rows, matrix):
+    """The product of `rows` rows by `matrix`, one vector-matrix product per row, as a function.
 
-    A single matrix-matrix product would round each row differently
-    depending on the batch around it; this way a trajectory gets the same
-    bits whether it runs alone or in a batch: several rows take `np.vecmat`.
-    With an inner dimension of at most one each entry is a single product
-    (or none), and the plain matrix product gives the same bits, signed
-    zeros included, at less cost.  One row with a longer inner dimension
-    takes `dot`, which gives `vecmat`'s bits at less call cost (at inner
-    dimension one it would flip the sign of some zeros).  Every branch
-    writes its product straight into `out` when it is given, a strided slot
-    included.
+    It is called as (rows, matrix, out=None).  A single matrix-matrix
+    product would round each row differently depending on the batch around
+    it; one product per row gives a trajectory the same bits whether it runs
+    alone or in a batch: several rows take `np.vecmat`.  With an inner
+    dimension of at most one each entry is a single product (or none), and
+    the plain matrix product gives the same bits, signed zeros included, at
+    less cost.  One row with a longer inner dimension takes `ndarray.dot`,
+    which gives `vecmat`'s bits at less call cost (at inner dimension one it
+    would flip the sign of some zeros).  Each writes its product straight
+    into `out` when it is given, a slot of a larger block included (`dot`
+    needs a C-contiguous one).  The choice depends on the shapes only, so a
+    stepping pass makes it once per matrix.
     """
     if matrix.shape[0] <= 1:
-        return np.matmul(rows, matrix, out=out)
-    if rows.ndim == 1 or len(rows) == 1:
-        return rows.dot(matrix, out=out)
-    return np.vecmat(rows, matrix, out=out)
+        return np.matmul
+    return np.ndarray.dot if rows == 1 else np.vecmat
 
 
 def quad_form(x, form):
@@ -170,17 +176,23 @@ class StepPlan:
     gram_d2 (plus 1 for the integrator), and `gram_d1` and `gram_d2` are the
     H1 and H2 forms of the modes; each is the weight vector of its diagonal
     when the matrix is exactly diagonal (hinged and Neumann modes), else the
-    matrix, as `quad_form` takes them.
+    matrix, as `quad_form` takes them.  A nonzero `delta` or `nu` makes the
+    loop nonlinear: each step then adds the `nonlinear_forcing` of `es` at
+    its start state.
 
-    A step of a few rows costs its numpy calls, not its arithmetic:
-    `stepper(rows)` lays the constants and the clamp bounds out as (rows,
-    dim) and (rows, m) arrays once per stepping pass (the clamp makes new
-    arrays: numpy fills a one-element `out` at twice the cost of a new
-    array), and `step` is that function for one call.  Each row still gets
-    the bits it gets alone: the command and the drive are `_rowwise` products and every
-    other operation is elementwise.
-    The operations and their order are those of the formula in `step`, so
-    the step rounds as it does written out with broadcast constants.
+    A step of a few rows costs its numpy calls, not its arithmetic, so
+    `stepper(rows)` fixes once per stepping pass everything a step needs but
+    its states: the constants and the clamp bounds laid out as (rows, dim)
+    and (rows, m) arrays, the buffers of the command, the drive and the
+    forcing with their views, and the product `_product` picks for each
+    matrix; each step writes every product into one of those buffers or
+    into its caller's slot.  The clamp alone makes new arrays: numpy fills
+    a one-element `out` at about twice the cost of a new array.  `step` is
+    that kernel for one call.  Each row still gets the bits it gets alone:
+    every product is one vector-matrix product per row and every other
+    operation is elementwise.  The operations and their order are those of
+    the formula in `step`, so the step rounds as it does written out with
+    broadcast constants.
     """
 
     growth: np.ndarray  # exp(sigma dt)
@@ -193,15 +205,21 @@ class StepPlan:
     gram_d2: np.ndarray
     head: int
     level: SaturationLevel
+    es: object  # the eigen system, whose tables give the nonlinear forcing
+    delta: float = 0.0
+    nu: float = 0.0
 
     def command(self, states):
-        return _rowwise(states[:, : self.head], self.gain_t)
+        return _product(len(states), self.gain_t)(states[:, : self.head], self.gain_t)
 
     def stepper(self, rows):
-        """The step function for batches of `rows` rows: (states, forcing, out) -> states.
+        """The step kernel for batches of `rows` rows: (states, forcing, out) -> states.
 
         `forcing` and `out` default to None; with `out`, an array of the
-        states' shape, the new states are written into it and it is returned.
+        states' shape, the new states are written into it and it is
+        returned.  A linear loop adds `forcing` to the drive when it is
+        given.  A nonlinear loop writes the forcing of `states` into
+        `forcing` (into a new array when it is None) and adds that.
         """
         growth, hold, coupling = (
             None if v is None else np.tile(v, (rows, 1))
@@ -210,17 +228,25 @@ class StepPlan:
         head, gain_t, input_t, ell = self.head, self.gain_t, self.input_t, self.level.ell
         clamp = (rows, gain_t.shape[1])
         floor, ceiling = np.full(clamp, -ell), np.full(clamp, ell)
+        command, feed = _product(rows, gain_t), _product(rows, input_t)
+        command_slot, drive = np.empty(clamp), np.empty(growth.shape)
+        force = None
+        if self.delta or self.nu:
+            force = _forcing_kernel(self.es, rows, self.delta, self.nu)
 
         def step(states, forcing=None, out=None):
-            u = np.minimum(np.maximum(_rowwise(states[:, :head], gain_t), floor), ceiling)
-            drive = _rowwise(u, input_t)
+            if force is not None:
+                forcing = force(states, forcing)
+            u = command(states[:, :head], gain_t, out=command_slot)
+            u = np.minimum(np.maximum(u, floor), ceiling)
+            d = feed(u, input_t, out=drive)
             if coupling is not None:
-                drive += coupling * states[:, :1]
+                d += coupling * states[:, :1]
             if forcing is not None:
-                drive += forcing
-            drive *= hold
+                d += forcing
+            d *= hold
             new = growth * states if out is None else np.multiply(growth, states, out=out)
-            new += drive
+            new += d
             return new
 
         return step
@@ -230,8 +256,11 @@ class StepPlan:
         return self.stepper(len(states))(states, forcing, out)
 
 
-def step_plan(ms, gain, level, dt):
-    """Step constants for the closed loop of `ms` under `gain` and `level`."""
+def step_plan(ms, gain, level, dt, delta=0.0, nu=0.0):
+    """Step constants for the closed loop of `ms` under `gain` and `level`.
+
+    `delta` and `nu` switch the convective and dispersive nonlinear terms.
+    """
     es = ms.es
     sigma = es.values
     form = np.eye(es.count) + es.gram_d1 + es.gram_d2
@@ -252,12 +281,47 @@ def step_plan(ms, gain, level, dt):
         gram_d2=_as_form(es.gram_d2),
         head=ms.dim,
         level=level,
+        es=es,
+        delta=delta,
+        nu=nu,
     )
 
 
 def step_linear_closed_loop(state, ms, gain, level, dt):
     """One exponential-Euler step of the internally actuated linear loop."""
     return step_plan(ms, gain, level, dt).step(np.asarray(state, dtype=float)[None])[0]
+
+
+def _forcing_kernel(es, rows, delta, nu):
+    """`nonlinear_forcing` for batches of `rows` rows, as a function (states, out) -> forcing.
+
+    The field and product buffers and their views are allocated, and both
+    products picked, once; a call makes no array but the forcing when `out`
+    is None.
+    """
+    nodes = es.quadrature.nodes.size
+    field_table = es.field_table if delta else es.field_table[:, :nodes]
+    lo, hi = (0 if delta else nodes), (2 * nodes if nu else nodes)  # forcing table rows used
+    forcing_table = es.forcing_table[lo:hi]
+    fields, products = np.empty((rows, field_table.shape[1])), np.empty((rows, hi - lo))
+    y, y_x = fields[:, :nodes], fields[:, nodes:]
+    convective, cubic = products[:, :nodes], products[:, hi - lo - nodes :]
+    synthesize, project = _product(rows, field_table), _product(rows, forcing_table)
+
+    def force(states, out):
+        synthesize(states, field_table, out=fields)
+        if delta:
+            c = np.multiply(y, y_x, out=convective)
+            if delta != 1.0:
+                c *= delta
+        if nu:
+            c = np.multiply(y, y, out=cubic)
+            c *= y
+            if nu != 1.0:
+                c *= nu
+        return project(products, forcing_table, out=out)
+
+    return force
 
 
 def nonlinear_forcing(es, state, delta, nu, out=None):
@@ -270,33 +334,23 @@ def nonlinear_forcing(es, state, delta, nu, out=None):
     | nu y^3] (a coefficient of 1.0 is exact, so it is not multiplied), and
     one more product projects it against their rows of the forcing table,
     into `out` when given.  A switched-off term is never formed, so its
-    overflow cannot turn into NaN; with both off the forcing is zero.
+    overflow cannot turn into NaN; with both off the forcing is zero.  This
+    is one call of the kernel a nonlinear `StepPlan.stepper` builds once per
+    stepping pass, so a step gets the same bits either way.
     """
-    nodes = es.quadrature.nodes.size
-    fields = _rowwise(state, es.field_table if delta else es.field_table[:, :nodes])
-    y = fields[..., :nodes]
-    lo, hi = (0 if delta else nodes), (2 * nodes if nu else nodes)  # forcing table rows used
-    products = np.empty(y.shape[:-1] + (hi - lo,))
-    if delta:
-        convective = products[..., :nodes]
-        np.multiply(y, fields[..., nodes:], out=convective)
-        if delta != 1.0:
-            convective *= delta
-    if nu:
-        cubic = products[..., -nodes:]
-        np.multiply(y, y, out=cubic)
-        cubic *= y
-        if nu != 1.0:
-            cubic *= nu
-    return _rowwise(products, es.forcing_table[lo:hi], out)
+    state = np.asarray(state, dtype=float)
+    rows = state.reshape(-1, state.shape[-1])
+    out = np.empty(state.shape) if out is None else out
+    _forcing_kernel(es, len(rows), delta, nu)(rows, out.reshape(rows.shape))
+    return out
 
 
 def step_nonlinear_closed_loop(state, ms, gain, level, config):
     """Exponential-Euler step of `config.dt` with frozen control plus nonlinear forcing."""
-    plan = step_plan(ms, gain, level, config.dt)
+    plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
     y = np.asarray(state, dtype=float)[None]
     with np.errstate(over="ignore", invalid="ignore"):  # as `_stepping_pass` steps
-        new = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
+        new = plan.step(y)
         crossed = _crossed(plan, new, config.blowup_threshold)[0]
     if crossed:
         raise BlowUp(f"H2 norm exceeded {config.blowup_threshold:g}")
@@ -386,8 +440,9 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
                    cert=None, constants=None):
     """Step the rows of `initials` once; store the first `keep`, judge all from `t_start`.
 
-    One stepper steps every row, a time-major block of `_BLOCK` samples at a
-    time (slot k - start holds sample k of every row, and a nonlinear run's
+    One step kernel, `StepPlan.stepper`'s, steps every row (and forces it,
+    in a nonlinear run), a time-major block of `_BLOCK` samples at a time
+    (slot k - start holds sample k of every row, and a nonlinear run's
     forcing out of it), until each row has ended or the horizon is reached.
     A row ends at its first `_crossed` sample, which a nonlinear run drops
     unless it is the initial one; the samples it takes after that are
@@ -401,7 +456,8 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     verdicts or None).
     """
     rows = _initial_rows(config, ms, initials)
-    plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
+    level = UNSATURATED if level is None else level
+    plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
     batch, dim = rows.shape
     keep = batch if keep is None else keep
     times, first = _fit_window(config, math.inf if t_start is None else t_start)
@@ -412,9 +468,9 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     ended = np.zeros(batch, dtype=bool)
     window = np.empty((batch, samples - first))
     cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
-    es, nonlinear, delta, nu = ms.es, config.nonlinear, config.delta, config.nu
+    nonlinear = config.nonlinear
     step = plan.stepper(batch)
-    y, f, start = rows, None, 0
+    y, start = rows, 0
     while start < samples and not ended.all():
         end = min(start + _BLOCK, samples)
         stepped = max(start, 1)  # the first sample this block steps to
@@ -423,9 +479,8 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
         if start == 0:
             block[0] = y
         with np.errstate(over="ignore", invalid="ignore"):  # ended rows may overflow
-            for k in range(stepped, end):
-                f = nonlinear_forcing(es, y, delta, nu, forcing[k - stepped]) if nonlinear else None
-                y = step(y, f, block[k - start])
+            for out, f in zip(block[stepped - start :], forcing if nonlinear else repeat(None)):
+                y = step(y, f, out)
             crossed = _crossed(plan, block, config.blowup_threshold) & ~ended
             lo = max(start, first)
             if lo < end:
@@ -439,7 +494,7 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
             filled[i] = k if nonlinear and k else k + 1  # a nonlinear crossing is not stored
             ended[i] = True
         start = end
-    del block, forcing, y, f  # free before the fit's and the monitors' temporaries
+    del block, forcing, y  # free before the fit's and the monitors' temporaries
     exits = [EXIT_BLOWUP if e else EXIT_HORIZON for e in ended]
 
     verdicts = None
@@ -479,8 +534,22 @@ def _initial_rows(config, ms, initials):
 
 
 def _fit_window(config, t_start):
-    """A run's sample times and the index of the first one at t >= t_start."""
-    times = np.arange(int(round(config.T / config.dt)) + 1) * config.dt
+    """A run's sample times and the index of the first one at t >= t_start.
+
+    Raises ConfigError when T / dt asks for more samples than their times
+    can be allocated for.
+    """
+    steps = config.T / config.dt
+    nbytes = 8.0 * (steps + 1.0)  # of the sample times alone
+    times = None
+    if nbytes <= sys.maxsize:  # numpy's size limit, past which `arange` may return no samples
+        with contextlib.suppress(MemoryError):
+            times = np.arange(int(round(steps)) + 1) * config.dt
+    if times is None:
+        raise ConfigError(
+            f"T = {config.T:g} and dt = {config.dt:g} take {steps + 1.0:.6g} samples, "
+            f"whose times alone request {nbytes:.3g} bytes: more than can be allocated"
+        )
     return times, int(np.searchsorted(times, t_start))
 
 

@@ -184,7 +184,6 @@ class EigenSystem:
     bc: BoundaryCondition
     count: int
     values: np.ndarray
-    mode_index: np.ndarray
     modes: "TrigFamily | ClampedFamily"
     quadrature: Quadrature
     basis: np.ndarray
@@ -283,7 +282,6 @@ def eigen_closed_form(params, bc, count):
         bc=bc,
         count=count,
         values=sigma,
-        mode_index=ks,
         modes=modes,
         quadrature=quad,
         basis=basis,
@@ -566,7 +564,6 @@ def eigen_clamped(params, count):
         bc=BoundaryCondition.CLAMPED,
         count=count,
         values=values,
-        mode_index=np.arange(1, count + 1),
         modes=modes,
         quadrature=quad,
         basis=basis,

@@ -69,8 +69,12 @@ def test_criterion_01_hinged_spectrum_closed_form():
     for lam in (0.5, 2.0, 10.0):
         for length in (1.0, math.pi, 2 * math.pi):
             es = eigen_closed_form(OperatorParams(lam, length), HINGED, 64)
+            scaled = es.modes.frequency * length / math.pi
+            ks = np.round(scaled)
+            assert np.all(np.abs(scaled - ks) <= 1e-12)
+            assert sorted(ks) == list(range(1, 65))  # each wavenumber once, from the oracle's side
             for row in range(64):
-                k = int(es.mode_index[row])
+                k = int(ks[row])
                 mu = (k * math.pi / length) ** 2
                 expected = mu * (lam - mu)
                 assert es.values[row] == pytest.approx(

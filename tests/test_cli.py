@@ -683,6 +683,29 @@ class TestSimulateCommand:
         assert not (tmp_path / "exp_trajectory.csv").exists()
         assert not (tmp_path / "exp_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "horizon, dt, samples", [(1e300, 1e-300, "inf"), (1e9, 1e-6, "1e+15")], ids=["inf", "1e15"]
+    )
+    @pytest.mark.parametrize("basin", [False, True], ids=["run", "basin"])
+    def test_oversized_horizon_exits_2(self, tmp_path, capsys, horizon, dt, samples, basin):
+        # the trajectory_sweep benchmark config; T / dt overflows to inf, or its
+        # sample times alone would take 8e15 bytes, which fails to allocate at once
+        bench = os.path.join(os.path.dirname(__file__), "..", "bench", "configs")
+        with open(os.path.join(bench, "trajectory_sweep.json")) as f:
+            doc = json.load(f)
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = str(tmp_path / "trajectory_sweep_certificate.json")
+        path = write_config(tmp_path, dict(doc, T=horizon, dt=dt))
+        argv = ["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]
+        capsys.readouterr()
+        assert main(argv + (["--basin"] if basin else [])) == 2
+        err = capsys.readouterr().err
+        head = f"config error: T = {horizon:g} and dt = {dt:g} take {samples} samples"
+        assert err.startswith(head)
+        assert "bytes" in err and "Traceback" not in err
+        assert not (tmp_path / "trajectory_sweep_trajectory.csv").exists()
+
     def test_basin_fit_window_of_two_samples_brackets(self, tmp_path):
         assert self.sweep_basin(tmp_path, 0.0015) == 0
         summary = json.loads((tmp_path / "exp_summary.json").read_text())

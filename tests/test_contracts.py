@@ -83,10 +83,10 @@ def test_readme_library_example_runs():
     assert float(out.stdout.split()[1]) > 0.0  # the fitted l2 decay rate
 
 
-def test_tracer_counts_every_forcing_call():
-    # the stepping loop calls `nonlinear_forcing` through its module
-    # attribute, so the tracer's wrapper sees one call per step plus the
-    # monitors' call for the last sample: N + 1 for a run of N steps
+def test_tracer_sees_one_forcing_call_and_the_kernel_every_step(monkeypatch):
+    # a nonlinear run forces each step inside its step kernel, so the
+    # tracer's wrapper of `nonlinear_forcing` sees only the monitors' call
+    # for the last sample; the kernel takes one step per sample after the first
     es = eigen_closed_form(OperatorParams(2.0, math.pi), BoundaryCondition.HINGED, 8)
     ms = assemble_internal(es, [ModeCombination([1.0])], 1)
     level = SaturationLevel(1.0)
@@ -94,14 +94,27 @@ def test_tracer_counts_every_forcing_call():
     cert = build_certificate(ms, gain, level)
     consts = select_h2_constants(cert, ms, gain)
     config = simulate.SimConfig(dt=1e-3, T=0.2, delta=1.0, nu=1.0, initial=("smooth", 0.01))
+    steps = []
+    stepper = simulate.StepPlan.stepper
+
+    def counting(plan, rows):
+        step = stepper(plan, rows)
+
+        def counted(*args):
+            steps.append(len(args[0]))
+            return step(*args)
+
+        return counted
+
+    monkeypatch.setattr(simulate.StepPlan, "stepper", counting)
     tracer = bench_spans().Tracer()
     with tracer.installed():
         traj = simulate.run(config, ms, gain, cert, consts, level=level)
-    steps = traj.times.size - 1
-    assert traj.exit_reason == simulate.EXIT_HORIZON and steps == 200
+    assert traj.exit_reason == simulate.EXIT_HORIZON and traj.times.size == 201
+    assert steps == [1] * 200
     metrics = tracer.layer_metrics(1)
     assert metrics["simulate.run.calls"] == 1
-    assert metrics["simulate.nonlinear_forcing.calls"] == steps + 1
+    assert metrics["simulate.nonlinear_forcing.calls"] == 1
 
 
 def test_tracer_counts_one_residual_call_per_eigen_system(tmp_path):

@@ -40,8 +40,11 @@ class TestCoefficients:
         L = 2.0
         es = eigen_closed_form(OperatorParams(1.0, L), HINGED, 8)
         b = actuator_coefficients(es, [Indicator(L / 4, 3 * L / 4)])
+        scaled = es.modes.frequency * L / math.pi
+        ks = np.round(scaled)
+        assert np.all(np.abs(scaled - ks) <= 1e-12)
         for row in range(8):
-            if es.mode_index[row] % 2 == 0:
+            if ks[row] % 2 == 0:
                 assert abs(b[row, 0]) < 1e-12
 
     def test_degenerate_window_rejected(self):

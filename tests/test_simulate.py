@@ -263,8 +263,13 @@ def walls(hinged_system):
     )
 
 
+def rowwise(rows, matrix, out=None):
+    """rows @ matrix by the product `simulate._product` picks for them (one vector or rows)."""
+    return simulate._product(1 if rows.ndim == 1 else len(rows), matrix)(rows, matrix, out=out)
+
+
 def check_rowwise_into_slots(rows, matrix, want):
-    """`_rowwise` of several rows written into slots of a time-major block gives `want`'s bits.
+    """`rowwise` of several rows written into slots of a time-major block gives `want`'s bits.
 
     One slot is a sample of the block with a padded row stride, the other also
     takes every other column.
@@ -272,7 +277,7 @@ def check_rowwise_into_slots(rows, matrix, want):
     block = np.full((3, len(rows), 2 * matrix.shape[1]), np.nan)
     for slot in (block[1, :, : matrix.shape[1]], block[2, :, ::2]):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            into = simulate._rowwise(rows, matrix, slot)
+            into = rowwise(rows, matrix, slot)
         assert np.shares_memory(into, slot)
         assert_same_bits(slot, want)
 
@@ -424,12 +429,12 @@ class TestStepper:
     @pytest.mark.parametrize("rows", [1, 17, 64, 1000])
     @pytest.mark.parametrize("inner", [0, 1])
     def test_short_rowwise_is_the_stacked_product(self, rows, inner):
-        # the plain product `_rowwise` takes for inner dimension <= 1 must give
+        # the plain product `_product` picks for inner dimension <= 1 must give
         # the stacked product's bits, signed zeros of underflowed products too
         rng = np.random.default_rng(rows)
         states, matrix = special_draw(rng, (rows, 3)), special_draw(rng, (inner, 33))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            got = simulate._rowwise(states[:, :inner], matrix)
+            got = rowwise(states[:, :inner], matrix)
             want = np.matmul(states[:, None, :inner], matrix)[:, 0, :]
         assert_same_bits(got, want)
         check_rowwise_into_slots(states[:, :inner], matrix, want)
@@ -439,7 +444,7 @@ class TestStepper:
     def test_one_row_rowwise_is_the_stacked_product(self, inner, vector):
         # one row takes `dot`, which must give the stacked product's bits, in
         # a new array and in `out`; with an inner dimension of one it does
-        # not (the sign of some zeros differs), so `_rowwise` keeps `@` there
+        # not (the sign of some zeros differs), so `_product` keeps `@` there
         rng = np.random.default_rng(inner)
         if not vector:  # several rows beside it take the stacked product, into `out` too
             states, matrix = special_draw(rng, (17, inner)), special_draw(rng, (inner, 33))
@@ -451,9 +456,9 @@ class TestStepper:
             rows = state[0] if vector else state
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 want = np.matmul(state[:, None, :], matrix)[:, 0, :]
-                got = simulate._rowwise(rows, matrix)
+                got = rowwise(rows, matrix)
                 slot = np.full((1, 3, 33), np.nan)[:, 1]
-                into = simulate._rowwise(rows, matrix, slot[0] if vector else slot)
+                into = rowwise(rows, matrix, slot[0] if vector else slot)
             assert got.shape == rows.shape[:-1] + (33,)
             assert_same_bits(np.atleast_2d(got), want)
             assert np.shares_memory(into, slot)
@@ -479,6 +484,82 @@ class TestStepper:
             for y0 in starts
         ]
         assert_identical(batch, serial)
+
+
+def kernel_steps(plan, rows, steps):
+    """`steps` steps of one `plan.stepper` kernel as a stepping pass takes them.
+
+    Each step writes into the next slot of a time-major block, and a
+    nonlinear plan's forcing into a slot of its own.  Returns (block,
+    forcing); forcing is None for a linear plan.
+    """
+    step = plan.stepper(len(rows))
+    block = np.full((steps + 1,) + rows.shape, np.nan)
+    block[0] = rows
+    forcing = np.full((steps,) + rows.shape, np.nan) if plan.delta or plan.nu else None
+    for k in range(steps):
+        slot = block[k + 1]
+        assert step(block[k], None if forcing is None else forcing[k], slot) is slot
+    return block, forcing
+
+
+class TestStepKernel:
+    """A pass's step kernel, step by step, against one-shot steps, bit for bit."""
+
+    @staticmethod
+    def check(plan, rows, oracle):
+        """Kernel steps of `rows`, as a batch and one row at a time, against `oracle`.
+
+        `oracle(y)` gives (the next states, the forcing or None) of states y.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            block, forcing = kernel_steps(plan, rows, 12)
+            for k in range(12):
+                want, f = oracle(block[k])
+                assert_same_bits(block[k + 1], want)
+                if f is not None:
+                    assert_same_bits(forcing[k], f)
+            for i in range(len(rows)):  # alone or in a batch, a row gets the same bits
+                alone, alone_forcing = kernel_steps(plan, rows[i : i + 1], 12)
+                assert_same_bits(alone[:, 0], block[:, i])
+                if forcing is not None:
+                    assert_same_bits(alone_forcing[:, 0], forcing[:, i])
+        return block
+
+    @pytest.mark.parametrize("delta, nu", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)])
+    @pytest.mark.parametrize("inputs", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_nonlinear_kernel_is_forcing_then_step(self, walls, delta, nu, inputs, batch):
+        # the non-unit coefficients take the kernel's scaling multiplies; one
+        # input and one head mode take the plain product, two take `dot` or `vecmat`
+        for es, scale in walls:
+            L = es.params.length
+            windows = [Indicator(0.1 * L, 0.6 * L), Indicator(0.5 * L, 0.9 * L)][:inputs]
+            ms = assemble_internal(es, windows, inputs)
+            rng = np.random.default_rng(es.count + inputs)
+            gain = Gain(K=rng.normal(size=(inputs, inputs)), closed_loop_spectrum=-np.ones(inputs))
+            level = SaturationLevel(0.05)  # clamps some commands and not others
+            linear = step_plan(ms, gain, level, 1e-3)
+            plan = step_plan(ms, gain, level, 1e-3, delta, nu)
+            rows = rng.normal(size=(batch, es.count)) * scale
+
+            def oracle(y):
+                f = nonlinear_forcing(es, y, delta, nu)
+                return linear.step(y, f), f
+
+            block = self.check(plan, rows, oracle)
+            assert not np.array_equal(block[-1], kernel_steps(linear, rows, 12)[0][-1])
+
+    @pytest.mark.parametrize("loop", ["internal", "boundary"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_linear_kernel_is_the_one_shot_step(self, boundary_ms, loop, batch):
+        ms = two_input_hinged() if loop == "internal" else boundary_ms
+        head = ms.n + (ms.mode == "boundary")
+        rng = np.random.default_rng(head)
+        gain = Gain(K=rng.normal(size=(ms.B.shape[1], head)), closed_loop_spectrum=-np.ones(head))
+        plan = step_plan(ms, gain, SaturationLevel(0.05), 1e-3)
+        rows = rng.normal(size=(batch, len(plan.growth)))
+        self.check(plan, rows, lambda y: (plan.step(y), None))
 
 
 class TestRun:
@@ -749,6 +830,24 @@ def assert_identical(got, expected):
         )
 
 
+def counted_steps(monkeypatch):
+    """The row count of every step the kernels of `StepPlan.stepper` take, in order."""
+    steps = []
+    stepper = simulate.StepPlan.stepper
+
+    def counting(plan, rows):
+        step = stepper(plan, rows)
+
+        def counted(*args):
+            steps.append(len(args[0]))
+            return step(*args)
+
+        return counted
+
+    monkeypatch.setattr(simulate.StepPlan, "stepper", counting)
+    return steps
+
+
 def crossing_threshold(traj, form, p):
     """A blow-up threshold first exceeded at sample p of an increasing norm."""
     q = quad_form(traj.states, form)
@@ -854,37 +953,18 @@ class TestBlockExits:
         free = SimConfig(dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, start[None], level=level)[0]
         config = replace(free, blowup_threshold=crossing_threshold(probe, form, 100))
-        calls = []
-        forcing = simulate.nonlinear_forcing
-
-        def counting(*args):
-            calls.append(None)
-            return forcing(*args)
-
-        monkeypatch.setattr(simulate, "nonlinear_forcing", counting)
+        steps = counted_steps(monkeypatch)
         (traj,) = run_batch(config, ms, gain, start[None], level=level)
         assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 100)
         # the steps to samples 1..127 of the first two blocks, none to the horizon at 200
-        assert len(calls) == 127
+        assert steps == [1] * 127
 
     def test_linear_pass_stops_after_the_last_row_ends(self, loop, monkeypatch):
         ms, gain, cert, consts, level, _ = loop
         # crossings of threshold 30 in the blocks of samples 0..63, 64..127 and 128..191
         starts = np.array([self.escaping(a) for a in (15.0, 9.0, 4.0)])
         config = SimConfig(dt=1e-2, T=3.0, blowup_threshold=30.0)
-        steps = []
-        stepper = simulate.StepPlan.stepper
-
-        def counting(plan, rows):
-            step = stepper(plan, rows)
-
-            def counted(*args):
-                steps.append(len(args[0]))
-                return step(*args)
-
-            return counted
-
-        monkeypatch.setattr(simulate.StepPlan, "stepper", counting)
+        steps = counted_steps(monkeypatch)
         trajs = run_batch(config, ms, gain, starts, cert, consts, level)
         assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3
         assert [(t.times.size - 1) // 64 for t in trajs] == [0, 1, 2]

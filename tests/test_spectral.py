@@ -40,7 +40,10 @@ class TestClosedForm:
         es = eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 3)
         # sorted: sigma = (1, 0, -8); the zero belongs to the constant mode
         np.testing.assert_allclose(es.values, [1.0, 0.0, -8.0], atol=1e-14)
-        j = int(np.where(es.mode_index == 0)[0][0])
+        scaled = es.modes.frequency * es.params.length / math.pi  # the wavenumbers k
+        ks = np.round(scaled)
+        assert np.all(np.abs(scaled - ks) <= 1e-12)
+        j = int(np.where(ks == 0)[0][0])
         x = np.linspace(0, math.pi, 7)
         np.testing.assert_allclose(es.modes(x)[j], 1 / math.sqrt(math.pi), rtol=1e-14)
         for d in range(1, 5):  # +0.0, not -0.0, in every derivative table
@@ -50,7 +53,8 @@ class TestClosedForm:
     def test_sorting_not_wavenumber_order(self):
         # lam=10, L=2*pi peaks at k=4
         es = eigen_closed_form(OperatorParams(10.0, 2 * math.pi), HINGED, 8)
-        assert es.mode_index[0] == 4
+        scaled = es.modes.frequency[0] * es.params.length / math.pi  # the first mode's k
+        assert abs(scaled - 4) <= 1e-12
         assert np.all(np.diff(es.values) <= 1e-14)
 
     def test_orthonormality(self):
