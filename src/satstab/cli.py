@@ -26,6 +26,7 @@ from .simulate import (
     gronwall_bound,
     run,
     run_batch,
+    step_plan,
 )
 from .spectral import eigen_residual, unstable_count
 from .synthesis import (
@@ -221,7 +222,7 @@ def _design(cfg, ms):
     return gain, cert, select_h2_constants(cert, ms, gain)
 
 
-def _synth_report_text(head, gain, cert, consts):
+def _synth_report_text(cfg, ms, head, gain, cert, consts):
     report = gain.report
     lines = [
         f"mode: {head['mode']}  (n = {head['n']}, m = {head['m']}, J = {head['J']})",
@@ -232,6 +233,8 @@ def _synth_report_text(head, gain, cert, consts):
         lines.append("no unstable modes: zero gain, no certificate needed")
     else:
         lines.append(f"gain K = {gain.K.tolist()}")
+        rho = np.abs(np.linalg.eigvals(step_plan(ms, gain, cfg.level(), cfg.dt).head_map())).max()
+        lines.append(f"stepped head map: spectral radius {rho:.6g} at dt = {cfg.dt:g}")
         lines.append(
             f"certificate: alpha = {cert.alpha:.6g}, "
             f"beta range [{cert.beta_min:.6g}, {cert.beta_max:.6g}]"
@@ -250,7 +253,7 @@ def cmd_synth(cfg, out_dir=None):
     path = _out_path(cfg, out_dir, "certificate.json")
     _write_json(path, certificate_document(head, gain, cert, consts))
     with open(_out_path(cfg, out_dir, "synth_report.txt"), "w") as handle:
-        handle.write(_synth_report_text(head, gain, cert, consts))
+        handle.write(_synth_report_text(cfg, ms, head, gain, cert, consts))
     print(f"wrote {path}")
     return EXIT_OK
 

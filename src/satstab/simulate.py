@@ -8,16 +8,15 @@ modes use the midpoint rule, which is exact for these cubic products, and
 Neumann and clamped modes use composite Gauss-Legendre.  The dispersive
 projection of the cubic term moves two derivatives onto the basis so no
 field derivative beyond second order is ever formed.  Every stepping pass,
-internal, boundary or nonlinear, runs one step kernel that also computes
-the forcing; its buffers, their views and the product used for each matrix
-are fixed once per pass.
+internal, boundary or nonlinear, runs one step kernel of two products, a
+read and a drive (`StepPlan`); the monitors take the forcing peak from the
+stored states.
 """
 
 import contextlib
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +30,7 @@ EXIT_BLOWUP = "blowup"
 
 _PRESETS = ("first_mode", "smooth", "bump")
 _BLOCK = 64  # samples stepped between exit checks
+_CHUNK = 512  # stored samples per product when the monitors read them back
 _BUMP_RTOL = 1e-10  # bump projections below this fraction of its L2 norm are rounding noise
 _LEVELS_PER_PASS = 4  # bisection levels a basin-search pass settles: 15 amplitudes
 
@@ -167,123 +167,129 @@ def _as_form(matrix):
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Exponential-Euler constants of one closed loop at one time step.
+    """The exponential-Euler map of one closed loop at one time step, as two matrices.
 
-    States are rows of a (batch, dim) array.  A boundary loop carries its
-    integrator as column 0, folded into the same arrays as a mode with
-    sigma = 0 and input 1; `coupling` is its column a (None for internal
-    actuation).  `norm_form` is the blow-up quadratic form I + gram_d1 +
-    gram_d2 (plus 1 for the integrator), and `gram_d1` and `gram_d2` are the
-    H1 and H2 forms of the modes; each is the weight vector of its diagonal
-    when the matrix is exactly diagonal (hinged and Neumann modes), else the
-    matrix, as `quad_form` takes them.  A nonzero `delta` or `nu` makes the
-    loop nonlinear: each step then adds the `nonlinear_forcing` of `es` at
-    its start state.
+    States are rows of a (batch, dim) array; a boundary loop carries its
+    integrator as column 0, a mode with sigma = 0, input 1 and a coupling
+    column a frozen over the step.  A step is y <- growth y + w `drive`: one
+    product y `read`, with `read` = [K^T | e_0 | field table], gives the
+    command u = y_head K^T, a boundary loop's y_0 and a nonlinear loop's
+    grid values y and y_x, from which w = [y y_x | y^3 | sat(u) | y_0] is
+    formed elementwise; `drive` = hold [delta F_conv; nu F_cub; B^T; a^T],
+    with hold = dt phi1(sigma dt) on each column.  A switched-off term has
+    no rows or columns; `convective` and `cubic` count those of y y_x and
+    y^3.  `read` spans the head's rows, or the whole state when it reads
+    the field (K^T padded with zero rows).  `norm_form`, `gram_d1` and
+    `gram_d2` are the blow-up form I + G1 + G2 (plus 1 for the integrator)
+    and the H1 and H2 forms of the modes, as `quad_form` takes them.
 
-    A step of a few rows costs its numpy calls, not its arithmetic, so
-    `stepper(rows)` fixes once per stepping pass everything a step needs but
-    its states: the constants and the clamp bounds laid out as (rows, dim)
-    and (rows, m) arrays, the buffers of the command, the drive and the
-    forcing with their views, and the product `_product` picks for each
-    matrix; each step writes every product into one of those buffers or
-    into its caller's slot.  The clamp alone makes new arrays: numpy fills
-    a one-element `out` at about twice the cost of a new array.  `step` is
-    that kernel for one call.  Each row still gets the bits it gets alone:
-    every product is one vector-matrix product per row and every other
-    operation is elementwise.  The operations and their order are those of
-    the formula in `step`, so the step rounds as it does written out with
-    broadcast constants.
+    A step of a few rows costs its numpy calls, so `stepper(rows)` fixes
+    everything but the states once per pass: the growth and clamp bounds
+    laid out per row, one buffer [w | y | y_x] that the read fills and the
+    drive reads, and the product `_product` picks for each matrix.  Both
+    products are one vector-matrix product per row and the rest is
+    elementwise, so a row gets the same bits alone or in any batch.
     """
 
     growth: np.ndarray  # exp(sigma dt)
-    hold: np.ndarray  # dt * phi1(sigma dt)
-    gain_t: np.ndarray  # K^T, (head, m)
-    input_t: np.ndarray  # full input matrix transposed, (m, dim)
-    coupling: np.ndarray | None
+    read: np.ndarray  # R: (head or dim, m + boundary + field columns)
+    drive: np.ndarray  # Gamma: (columns of w, dim)
+    inputs: int
     norm_form: np.ndarray
     gram_d1: np.ndarray
     gram_d2: np.ndarray
     head: int
     level: SaturationLevel
-    es: object  # the eigen system, whose tables give the nonlinear forcing
-    delta: float = 0.0
-    nu: float = 0.0
+    convective: int = 0
+    cubic: int = 0
 
     def command(self, states):
-        return _product(len(states), self.gain_t)(states[:, : self.head], self.gain_t)
+        """y_head K^T of each row from the step's own read product: the bits the step clamps."""
+        rows, read = states[:, : len(self.read)], self.read
+        control = np.empty((len(states), self.inputs))
+        for lo in range(0, len(rows), _CHUNK):
+            chunk = rows[lo : lo + _CHUNK]
+            control[lo : lo + _CHUNK] = _product(len(chunk), read)(chunk, read)[:, : self.inputs]
+        return control
+
+    def head_map(self):
+        """A_d = Phi_h + Gamma_h^T K (+ the integrator coupling): the unclamped step of the head."""
+        head, products = self.head, self.convective + self.cubic
+        linear = len(self.drive) - products  # sat(u) and y_0
+        gamma = self.read[:head, :linear] @ self.drive[products:, :head]
+        return np.diag(self.growth[:head]) + gamma.T
 
     def stepper(self, rows):
-        """The step kernel for batches of `rows` rows: (states, forcing, out) -> states.
+        """The step kernel for batches of `rows` rows: (states, out=None) -> states.
 
-        `forcing` and `out` default to None; with `out`, an array of the
-        states' shape, the new states are written into it and it is
-        returned.  A linear loop adds `forcing` to the drive when it is
-        given.  A nonlinear loop writes the forcing of `states` into
-        `forcing` (into a new array when it is None) and adds that.
+        With `out`, an array of the states' shape, the new states are
+        written into it and it is returned.
         """
-        growth, hold, coupling = (
-            None if v is None else np.tile(v, (rows, 1))
-            for v in (self.growth, self.hold, self.coupling)
-        )
-        head, gain_t, input_t, ell = self.head, self.gain_t, self.input_t, self.level.ell
-        clamp = (rows, gain_t.shape[1])
-        floor, ceiling = np.full(clamp, -ell), np.full(clamp, ell)
-        command, feed = _product(rows, gain_t), _product(rows, input_t)
-        command_slot, drive = np.empty(clamp), np.empty(growth.shape)
-        force = None
-        if self.delta or self.nu:
-            force = _forcing_kernel(self.es, rows, self.delta, self.nu)
+        read, drive, convective = self.read, self.drive, self.convective
+        products, nodes, k = convective + self.cubic, convective or self.cubic, len(drive)
+        work = np.empty((rows, products + read.shape[1]))  # [y y_x | y^3 | u | y_0 | y | y_x]
+        w, r, u = work[:, :k], work[:, products:], work[:, products : products + self.inputs]
+        conv, cubic = work[:, :convective], work[:, convective:products]
+        y, y_x = work[:, k : k + nodes], work[:, k + nodes :]
+        floor, ceiling = np.full(u.shape, -self.level.ell), np.full(u.shape, self.level.ell)
+        growth, d = np.tile(self.growth, (rows, 1)), np.empty((rows, drive.shape[1]))
+        reading, driving = _product(rows, read), _product(rows, drive)
+        width, full = len(read), len(read) == len(self.growth)  # a view costs half a product
 
-        def step(states, forcing=None, out=None):
-            if force is not None:
-                forcing = force(states, forcing)
-            u = command(states[:, :head], gain_t, out=command_slot)
-            u = np.minimum(np.maximum(u, floor), ceiling)
-            d = feed(u, input_t, out=drive)
-            if coupling is not None:
-                d += coupling * states[:, :1]
-            if forcing is not None:
-                d += forcing
-            d *= hold
+        def step(states, out=None):
+            reading(states if full else states[:, :width], read, out=r)
+            if convective:
+                np.multiply(y, y_x, out=conv)
+            if products > convective:
+                c = np.multiply(y, y, out=cubic)
+                c *= y
+            np.minimum(np.maximum(u, floor), ceiling, out=u)
+            driving(w, drive, out=d)
             new = growth * states if out is None else np.multiply(growth, states, out=out)
             new += d
             return new
 
         return step
 
-    def step(self, states, forcing=None, out=None):
-        """y <- g y + h (a y_0 + sat(y_head K^T) B^T + forcing), row by row."""
-        return self.stepper(len(states))(states, forcing, out)
+    def step(self, states, out=None):
+        """y <- g y + h (a y_0 + sat(y_head K^T) B^T + N(y)), row by row."""
+        return self.stepper(len(states))(states, out)
 
 
 def step_plan(ms, gain, level, dt, delta=0.0, nu=0.0):
-    """Step constants for the closed loop of `ms` under `gain` and `level`.
+    """Step map of the closed loop of `ms` under `gain` and `level`.
 
     `delta` and `nu` switch the convective and dispersive nonlinear terms.
     """
     es = ms.es
     sigma = es.values
     form = np.eye(es.count) + es.gram_d1 + es.gram_d2
-    coupling = None
+    read, drive = gain.K.T, np.vstack([ms.B, ms.b_tail]).T
     if ms.mode == "boundary":
+        if delta or nu:
+            raise ValueError("boundary runs support the linear dynamics only")
         sigma = np.concatenate([[0.0], sigma])
         form = np.pad(form, ((1, 0), (1, 0)))
         form[0, 0] = 1.0
-        coupling = np.concatenate([ms.A[:, 0], ms.a_tail])
+        read = np.hstack([read, np.eye(len(read), 1)])
+        drive = np.vstack([drive, np.concatenate([ms.A[:, 0], ms.a_tail])])
+    nodes = es.quadrature.nodes.size if delta or nu else 0
+    if nodes:
+        field_table, forcing_table = _forcing_tables(es, delta, nu)
+        read = np.hstack([np.pad(read, ((0, len(sigma) - len(read)), (0, 0))), field_table])
+        drive = np.vstack([forcing_table, drive])
     return StepPlan(
         growth=np.exp(sigma * dt),
-        hold=dt * _phi1(sigma * dt),
-        gain_t=gain.K.T,
-        input_t=np.vstack([ms.B, ms.b_tail]).T,
-        coupling=coupling,
+        read=read,
+        drive=dt * _phi1(sigma * dt) * drive,
+        inputs=gain.K.shape[0],
         norm_form=_as_form(form),
         gram_d1=_as_form(es.gram_d1),
         gram_d2=_as_form(es.gram_d2),
         head=ms.dim,
         level=level,
-        es=es,
-        delta=delta,
-        nu=nu,
+        convective=nodes if delta else 0,
+        cubic=nodes if nu else 0,
     )
 
 
@@ -292,36 +298,16 @@ def step_linear_closed_loop(state, ms, gain, level, dt):
     return step_plan(ms, gain, level, dt).step(np.asarray(state, dtype=float)[None])[0]
 
 
-def _forcing_kernel(es, rows, delta, nu):
-    """`nonlinear_forcing` for batches of `rows` rows, as a function (states, out) -> forcing.
+def _forcing_tables(es, delta, nu):
+    """The field table, giving y (and y_x with delta on) on the grid, and the forcing table.
 
-    The field and product buffers and their views are allocated, and both
-    products picked, once; a call makes no array but the forcing when `out`
-    is None.
+    The forcing table's rows [delta F_conv; nu F_cub] project [y y_x | y^3]
+    onto the modes; a switched-off term has no rows or columns.
     """
     nodes = es.quadrature.nodes.size
     field_table = es.field_table if delta else es.field_table[:, :nodes]
-    lo, hi = (0 if delta else nodes), (2 * nodes if nu else nodes)  # forcing table rows used
-    forcing_table = es.forcing_table[lo:hi]
-    fields, products = np.empty((rows, field_table.shape[1])), np.empty((rows, hi - lo))
-    y, y_x = fields[:, :nodes], fields[:, nodes:]
-    convective, cubic = products[:, :nodes], products[:, hi - lo - nodes :]
-    synthesize, project = _product(rows, field_table), _product(rows, forcing_table)
-
-    def force(states, out):
-        synthesize(states, field_table, out=fields)
-        if delta:
-            c = np.multiply(y, y_x, out=convective)
-            if delta != 1.0:
-                c *= delta
-        if nu:
-            c = np.multiply(y, y, out=cubic)
-            c *= y
-            if nu != 1.0:
-                c *= nu
-        return project(products, forcing_table, out=out)
-
-    return force
+    scale = np.repeat([delta, nu], nodes)
+    return field_table, (scale[:, None] * es.forcing_table)[scale != 0.0]
 
 
 def nonlinear_forcing(es, state, delta, nu, out=None):
@@ -329,19 +315,29 @@ def nonlinear_forcing(es, state, delta, nu, out=None):
 
     The convective part projects -delta * y y_x directly; the dispersive part
     uses <d_xx(y^3), e_j> = <y^3, e_j''>, valid for every supported BC family.
-    One product gives y (and y_x if delta is on) on the grid; the
-    switched-on terms are written side by side into one buffer, [delta y y_x
-    | nu y^3] (a coefficient of 1.0 is exact, so it is not multiplied), and
-    one more product projects it against their rows of the forcing table,
-    into `out` when given.  A switched-off term is never formed, so its
-    overflow cannot turn into NaN; with both off the forcing is zero.  This
-    is one call of the kernel a nonlinear `StepPlan.stepper` builds once per
-    stepping pass, so a step gets the same bits either way.
+    One product gives y (and y_x if delta is on) on the grid, and one more
+    projects [y y_x | y^3] against `_forcing_tables`' rows, into `out` when
+    given.  A switched-off term is never formed, so its overflow cannot turn
+    into NaN; with both off the forcing is zero.  Rows go `_CHUNK` at a
+    time, one vector-matrix product per row, so a row gets the same bits
+    alone or in any batch.
     """
     state = np.asarray(state, dtype=float)
     rows = state.reshape(-1, state.shape[-1])
     out = np.empty(state.shape) if out is None else out
-    _forcing_kernel(es, len(rows), delta, nu)(rows, out.reshape(rows.shape))
+    forcing = out.reshape(rows.shape)
+    field_table, forcing_table = _forcing_tables(es, delta, nu)
+    nodes = es.quadrature.nodes.size
+    for lo in range(0, len(rows), _CHUNK):
+        chunk = rows[lo : lo + _CHUNK]
+        fields = _product(len(chunk), field_table)(chunk, field_table)
+        y, products = fields[:, :nodes], np.empty((len(chunk), len(forcing_table)))
+        if delta:
+            np.multiply(y, fields[:, nodes:], out=products[:, :nodes])
+        if nu:
+            cubic = np.multiply(y, y, out=products[:, -nodes:])
+            cubic *= y
+        _product(len(chunk), forcing_table)(products, forcing_table, out=forcing[lo : lo + _CHUNK])
     return out
 
 
@@ -440,10 +436,9 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
                    cert=None, constants=None):
     """Step the rows of `initials` once; store the first `keep`, judge all from `t_start`.
 
-    One step kernel, `StepPlan.stepper`'s, steps every row (and forces it,
-    in a nonlinear run), a time-major block of `_BLOCK` samples at a time
-    (slot k - start holds sample k of every row, and a nonlinear run's
-    forcing out of it), until each row has ended or the horizon is reached.
+    One step kernel, `StepPlan.stepper`'s, steps every row, a time-major
+    block of `_BLOCK` samples at a time (slot k - start holds sample k of
+    every row), until each row has ended or the horizon is reached.
     A row ends at its first `_crossed` sample, which a nonlinear run drops
     unless it is the initial one; the samples it takes after that are
     discarded and may overflow.  The first `keep` rows (all by default) are
@@ -455,7 +450,7 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     and finite on the window.  Returns (the kept rows' Trajectories, the
     verdicts or None).
     """
-    rows = _initial_rows(config, ms, initials)
+    rows = _initial_rows(ms, initials)
     level = UNSATURATED if level is None else level
     plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
     batch, dim = rows.shape
@@ -463,7 +458,6 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     times, first = _fit_window(config, math.inf if t_start is None else t_start)
     samples = times.size
     states = np.empty((keep, samples, dim))
-    peaks = np.empty((keep, samples)) if config.nonlinear else None  # max|N(y_k)| per step
     filled = np.full(batch, samples)  # stored samples per row
     ended = np.zeros(batch, dtype=bool)
     window = np.empty((batch, samples - first))
@@ -475,26 +469,23 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
         end = min(start + _BLOCK, samples)
         stepped = max(start, 1)  # the first sample this block steps to
         block = np.empty((end - start, batch, dim))
-        forcing = np.empty((end - stepped, batch, dim)) if nonlinear else None
         if start == 0:
             block[0] = y
         with np.errstate(over="ignore", invalid="ignore"):  # ended rows may overflow
-            for out, f in zip(block[stepped - start :], forcing if nonlinear else repeat(None)):
-                y = step(y, f, out)
+            for out in block[stepped - start :]:
+                y = step(y, out)
             crossed = _crossed(plan, block, config.blowup_threshold) & ~ended
             lo = max(start, first)
             if lo < end:
                 h2 = _h2(block[lo - start :, :, cut:], plan.gram_d2)
                 window[:, lo - first : end - first] = h2.T
         states[:, start:end] = block[:, :keep].swapaxes(0, 1)
-        if peaks is not None:
-            peaks[:, stepped - 1 : end - 1] = np.max(np.abs(forcing[:, :keep]), axis=2).T
         for i in np.flatnonzero(crossed.any(axis=0)):
             k = start + int(np.argmax(crossed[:, i]))  # the row's first crossing
             filled[i] = k if nonlinear and k else k + 1  # a nonlinear crossing is not stored
             ended[i] = True
         start = end
-    del block, forcing, y  # free before the fit's and the monitors' temporaries
+    del block, y  # free before the fit's and the monitors' temporaries
     exits = [EXIT_BLOWUP if e else EXIT_HORIZON for e in ended]
 
     verdicts = None
@@ -510,25 +501,21 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     del window
     kept = [
         _monitored(
-            plan, ms, config, times[: filled[i]], states[i, : filled[i]], exits[i],
-            cert, constants, None if peaks is None else peaks[i, : filled[i]],
+            plan, ms, config, times[: filled[i]], states[i, : filled[i]], exits[i], cert, constants
         )
         for i in range(keep)
     ]
     return kept, verdicts
 
 
-def _initial_rows(config, ms, initials):
+def _initial_rows(ms, initials):
     """Validated (batch, dim) start rows; boundary rows get the integrator at rest."""
-    boundary = ms.mode == "boundary"
-    if boundary and config.nonlinear:
-        raise ValueError("boundary runs support the linear dynamics only")
     rows = np.atleast_2d(np.asarray(initials, dtype=float))
     if len(rows) == 0:
         raise ValueError("the batch of initial data is empty: it needs at least one row")
     if rows.shape[1] != ms.es.count:
         raise ValueError(f"initial data must have {ms.es.count} coefficients")
-    if boundary:
+    if ms.mode == "boundary":
         rows = np.hstack([np.zeros((rows.shape[0], 1)), rows])
     return rows
 
@@ -558,8 +545,12 @@ def _crossed(plan, states, threshold):
     return ~(quad_form(states, plan.norm_form) <= threshold**2)
 
 
-def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, peaks):
-    """Trajectory with every monitor channel computed from the stored states."""
+def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
+    """Trajectory with every monitor channel computed from the stored states.
+
+    nl_ratio_max = max_k |N(y_k)|_inf / v2_k over the samples with v2 > 0
+    takes N from one `nonlinear_forcing` call, made only when v2 is.
+    """
     es = ms.es
     boundary = ms.mode == "boundary"
     control = plan.command(states)
@@ -578,12 +569,13 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants, pe
         v1 = quad_form(states[:, : plan.head], _as_form(cert.P))
         if constants is not None:
             v2 = _v2(v1, modal, constants, es.values)
-            if peaks is not None:  # the stepper never forces the last sample
-                last = nonlinear_forcing(es, modal[-1], config.delta, config.nu)
-                peaks[-1] = np.max(np.abs(last))
-                positive = v2 > 0.0
-                if positive.any():
-                    nl_ratio_max = float(np.fmax.reduce(peaks[positive] / v2[positive]))
+            positive = v2 > 0.0
+            if config.nonlinear and positive.any():
+                # a sample under the blow-up threshold can still overflow y^3
+                with np.errstate(over="ignore", invalid="ignore"):
+                    forcing = nonlinear_forcing(es, modal, config.delta, config.nu)
+                peaks = np.max(np.abs(forcing, out=forcing), axis=1)
+                nl_ratio_max = float(np.fmax.reduce(peaks[positive] / v2[positive]))
     return Trajectory(
         times=times,
         states=states,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,8 @@ from satstab.errors import SatStabError
 from satstab.modal import ModalSystem
 from satstab.simulate import Trajectory, gronwall_bound, run
 from satstab.spectral import ClampedFamily
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def all_subclasses(cls):
@@ -321,6 +324,30 @@ class TestSynthCommand:
         assert doc["alpha"] > 0
         assert doc["constants"]["M"] > 0
         assert (tmp_path / "exp_synth_report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "name, rho",
+        [
+            ("nonlinear_single", 0.998),
+            ("trajectory_sweep", 0.998),
+            ("clamped_spectral", 0.99892),
+            ("fast_poles", 2.85),  # gap-scaled poles at -1946.5 and -3892.9: |p| dt = 1.95
+        ],
+    )
+    def test_report_gives_the_stepped_head_map_radius(self, tmp_path, name, rho):
+        if name == "fast_poles":
+            doc = base_config(**{"lambda": 45.0}, length=1.0, J=12, dt=5e-4, poles=None)
+            doc["actuators"] = [{"kind": "indicator", "a": 0.05, "b": 0.65}]
+        else:
+            doc = json.loads((ROOT / "bench" / "configs" / f"{name}.json").read_text())
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        report = (tmp_path / f"{doc['output']['prefix']}_synth_report.txt").read_text()
+        lines = re.findall(r"^stepped head map: spectral radius (\S+) at dt = (\S+)$", report, re.M)
+        assert len(lines) == 1
+        assert float(lines[0][0]) == pytest.approx(rho, abs=5e-3 if rho > 1.0 else 5e-6)
+        assert (float(lines[0][0]) < 1.0) == (rho < 1.0)
+        assert float(lines[0][1]) == doc["dt"]
 
     def test_uncontrollable_exits_4(self, tmp_path):
         # antisymmetric window kills the second unstable mode at L = 2*pi

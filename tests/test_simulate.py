@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -213,6 +214,14 @@ class TestBoundaryStepper:
         assert traj.states[0, 0] == 0.0
         assert traj.states[0, 1] == 0.2
 
+    def test_nonlinear_plan_rejected(self, boundary_ms):
+        gain = Gain(K=np.zeros((1, boundary_ms.n + 1)), closed_loop_spectrum=np.array([-1.0]))
+        config = SimConfig(dt=1e-3, T=0.1, nu=1.0)
+        with pytest.raises(ValueError, match="linear dynamics only"):
+            step_nonlinear_closed_loop(np.zeros(9), boundary_ms, gain, UNSATURATED, config)
+        with pytest.raises(ValueError, match="linear dynamics only"):
+            run(config, boundary_ms, gain)
+
     def test_norm_form_is_block_diagonal(self, boundary_ms):
         # oracle: scipy's block_diag, the construction the plan replaced
         from scipy.linalg import block_diag
@@ -288,14 +297,17 @@ def two_input_hinged():
     return assemble_internal(es, [Indicator(0.3, 1.2), Indicator(1.5, 2.8)], 2)
 
 
-def oracle_step(ms, K, ell, dt, y, f):
+def oracle_step(ms, K, ell, dt, y, delta=0.0, nu=0.0):
     """One exponential-Euler step of one row in Python floats, and its error scale.
 
     y_j <- e^(sigma_j dt) y_j + dt phi1(sigma_j dt) (a_j y_0 + sum_i B_ji
-    sat((K y_head)_i) + f_j); a boundary loop's integrator is row 0 with
-    sigma = 0, a = 0 and input 1.  The scale bounds the sum of the terms'
-    magnitudes, the command's as if unclamped, so rounding stays under a few
-    eps times it.
+    sat((K y_head)_i) + N_j); a boundary loop's integrator is row 0 with
+    sigma = 0, a = 0 and input 1.  N_j = sum_n (delta y y_x F_conv + nu y^3
+    F_cub)[n, j], with y and y_x the field on the grid from the eigen
+    system's tables, is the forcing `nonlinear_forcing` gives.  The scale
+    bounds the sum of the terms' magnitudes, the command's as if unclamped
+    and each grid value's as the sum of its terms' magnitudes, so rounding
+    stays under a few eps times it.
     """
     B = np.vstack([ms.B, ms.b_tail])
     if ms.mode == "boundary":
@@ -307,24 +319,48 @@ def oracle_step(ms, K, ell, dt, y, f):
     terms = [[float(K[i, k]) * float(y[k]) for k in range(head)] for i in range(K.shape[0])]
     u = [min(max(math.fsum(t), -ell), ell) for t in terms]
     reach = [sum(abs(v) for v in t) for t in terms]
+    forcing = [([], [])] * len(y)  # per mode, the forcing's terms and their magnitudes
+    if delta or nu:
+        es = ms.es
+        nodes = es.quadrature.nodes.size
+        table, project = es.field_table, es.forcing_table
+        grid = [[float(table[k, c]) * float(y[k]) for k in range(len(y))] for c in range(2 * nodes)]
+        value, size = [math.fsum(t) for t in grid], [sum(abs(v) for v in t) for t in grid]
+        forcing = [
+            (
+                [delta * value[n] * value[nodes + n] * project[n, j] for n in range(nodes)]
+                + [nu * value[n] ** 3 * project[nodes + n, j] for n in range(nodes)],
+                [abs(delta * size[n] * size[nodes + n] * project[n, j]) for n in range(nodes)]
+                + [abs(nu * size[n] ** 3 * project[nodes + n, j]) for n in range(nodes)],
+            )
+            for j in range(len(y))
+        ]
     out, scale = [], []
     for j in range(len(y)):
         h = sigma[j] * dt
         growth = math.exp(h)
         hold = dt * (math.expm1(h) / h if h else 1.0)
-        parts = [a[j] * y[0], f[j]] + [float(B[j, i]) * u[i] for i in range(len(u))]
+        parts = [a[j] * y[0]] + forcing[j][0] + [float(B[j, i]) * u[i] for i in range(len(u))]
         out.append(growth * y[j] + hold * math.fsum(parts))
-        bound = abs(a[j] * y[0]) + abs(f[j]) + sum(abs(B[j, i]) * r for i, r in enumerate(reach))
+        bound = abs(a[j] * y[0]) + sum(forcing[j][1])
+        bound += sum(abs(B[j, i]) * r for i, r in enumerate(reach))
         scale.append(abs(growth * y[j]) + hold * bound)
     return np.array(out), np.array(scale)
+
+
+# a boundary loop has no nonlinear plan
+STEPPED = [
+    (loop, nonlinear)
+    for loop in ("internal_m1", "internal_m2", "boundary", "already_stable")
+    for nonlinear in (False, True)
+    if not (nonlinear and loop == "boundary")
+]
 
 
 class TestStepper:
     """`StepPlan.step` against a per-row Python-float evaluation of the step formula."""
 
-    @pytest.fixture(
-        scope="class", params=["internal_m1", "internal_m2", "boundary", "already_stable"]
-    )
+    @pytest.fixture(scope="class")
     def loop(self, request, boundary_ms):
         if request.param == "internal_m1":
             es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 10)
@@ -342,63 +378,59 @@ class TestStepper:
         return ms, Gain(K=K, closed_loop_spectrum=np.full(head, -1.0))
 
     @pytest.mark.parametrize("ell", [1.0, math.inf])
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_step_matches_python_floats(self, loop, ell, forced):
-        self.check_against_python_floats(loop, ell, forced, into=False)
+    @pytest.mark.parametrize("loop, nonlinear", STEPPED, indirect=["loop"])
+    def test_step_matches_python_floats(self, loop, nonlinear, ell):
+        self.check_against_python_floats(loop, ell, nonlinear, into=False)
 
     @pytest.mark.parametrize("ell", [1.0, math.inf])
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_step_into_out_matches_python_floats(self, loop, ell, forced):
-        self.check_against_python_floats(loop, ell, forced, into=True)
+    @pytest.mark.parametrize("loop, nonlinear", STEPPED, indirect=["loop"])
+    def test_step_into_out_matches_python_floats(self, loop, nonlinear, ell):
+        self.check_against_python_floats(loop, ell, nonlinear, into=True)
 
     @staticmethod
-    def check_against_python_floats(loop, ell, forced, into):
+    def check_against_python_floats(loop, ell, nonlinear, into):
         ms, gain = loop
         rng = np.random.default_rng(11)
         dt = 1e-2
-        plan = step_plan(ms, gain, SaturationLevel(ell), dt)
+        terms = (1.0, 0.5) if nonlinear else ()  # delta and nu of a nonlinear plan
+        plan = step_plan(ms, gain, SaturationLevel(ell), dt, *terms)
         dim = len(plan.growth)
-        cut = 1 if ms.mode == "boundary" else 0
         rows = rng.normal(size=(6, dim)) * np.array([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])[:, None]
-        forcing = None
-        if forced:  # the forcing of a nonlinear run, 0 on a boundary loop's integrator
-            forcing = np.zeros_like(rows)
-            forcing[:, cut:] = nonlinear_forcing(ms.es, rows[:, cut:], 1.0, 0.5)
         command = np.abs(rows[:, : gain.K.shape[1]] @ gain.K.T)
         if gain.K.shape[1] and ell == 1.0:  # both clamped and free rows
             assert np.any(command > ell) and np.any(command < ell)
         # with `out`, the batch lands in an array of its own and each row in
         # a strided slot of a block, as a stepping pass steps a single row
         out = np.empty_like(rows) if into else None
-        got = plan.step(rows, forcing, out)
+        got = plan.step(rows, out)
         assert (got is out) == into
         eps = np.finfo(float).eps
         for i, row in enumerate(rows):
-            f = np.zeros(dim) if forcing is None else forcing[i]
-            want, scale = oracle_step(ms, gain.K, ell, dt, row, f)
+            want, scale = oracle_step(ms, gain.K, ell, dt, row, *terms)
             assert np.all(np.abs(got[i] - want) <= 32 * eps * scale), i
             # alone or in a batch, a row gets the same bits
             slot = np.full((1, 3, dim), np.nan)[:, 1] if into else None
-            alone = plan.step(
-                rows[i : i + 1], None if forcing is None else forcing[i : i + 1], slot
-            )
+            alone = plan.step(rows[i : i + 1], slot)
             assert (alone is slot) == into
             np.testing.assert_array_equal(alone[0], got[i])
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_step_into_a_slot_is_the_plain_step(self, loop, forced):
+    @pytest.mark.parametrize("loop, nonlinear", STEPPED, indirect=["loop"])
+    def test_step_into_a_slot_is_the_plain_step(self, loop, nonlinear):
+        # special values through the kernel, alone, in a batch and into
+        # slots of a block, one of them taking every other column
         ms, gain = loop
-        plan = step_plan(ms, gain, SaturationLevel(1.0), 1e-2)
+        plan = step_plan(ms, gain, SaturationLevel(1.0), 1e-2, *((1.0, 0.5) if nonlinear else ()))
         dim = len(plan.growth)
         rows = special_draw(np.random.default_rng(dim), (40, dim))
-        forcing = special_draw(np.random.default_rng(dim + 1), (40, dim)) if forced else None
-        block = np.full((1, 40, dim), np.nan)
+        block = np.full((2, 40, 2 * dim), np.nan)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            batch = plan.step(rows)
             for i in range(40):
-                f = None if forcing is None else forcing[i : i + 1]
-                slot = block[:, i]
-                assert plan.step(rows[i : i + 1], f, out=slot) is slot
-                assert_same_bits(block[0, i], plan.step(rows[i : i + 1], f)[0])
+                alone = plan.step(rows[i : i + 1])
+                assert_same_bits(alone[0], batch[i])
+                for slot in (block[:1, i, :dim], block[1:, i, ::2]):
+                    assert plan.step(rows[i : i + 1], out=slot) is slot
+                    assert_same_bits(slot[0], batch[i])
 
     @pytest.mark.parametrize(
         "delta, nu", [(1.0, 1.0), (0.5, 1.0), (1.0, 0.25), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
@@ -489,49 +521,49 @@ class TestStepper:
 def kernel_steps(plan, rows, steps):
     """`steps` steps of one `plan.stepper` kernel as a stepping pass takes them.
 
-    Each step writes into the next slot of a time-major block, and a
-    nonlinear plan's forcing into a slot of its own.  Returns (block,
-    forcing); forcing is None for a linear plan.
+    Each step writes into the next slot of a time-major block, which is
+    returned.
     """
     step = plan.stepper(len(rows))
     block = np.full((steps + 1,) + rows.shape, np.nan)
     block[0] = rows
-    forcing = np.full((steps,) + rows.shape, np.nan) if plan.delta or plan.nu else None
     for k in range(steps):
         slot = block[k + 1]
-        assert step(block[k], None if forcing is None else forcing[k], slot) is slot
-    return block, forcing
+        assert step(block[k], slot) is slot
+    return block
+
+
+def forcing_reach(es, y, delta, nu):
+    """Per mode, the sum of the magnitudes of the terms of `nonlinear_forcing(es, y, delta, nu)`."""
+    nodes = es.quadrature.nodes.size
+    size = np.abs(y) @ np.abs(es.field_table)  # each grid value's terms, summed in magnitude
+    y, y_x = size[:, :nodes], size[:, nodes:]
+    table = np.abs(es.forcing_table)
+    return (abs(delta) * y * y_x) @ table[:nodes] + (abs(nu) * y**3) @ table[nodes:]
 
 
 class TestStepKernel:
     """A pass's step kernel, step by step, against one-shot steps, bit for bit."""
 
     @staticmethod
-    def check(plan, rows, oracle):
-        """Kernel steps of `rows`, as a batch and one row at a time, against `oracle`.
-
-        `oracle(y)` gives (the next states, the forcing or None) of states y.
-        """
+    def check(plan, rows):
+        """Kernel steps of `rows`, as a batch and one row at a time, against one-shot steps."""
         with np.errstate(over="ignore", invalid="ignore"):
-            block, forcing = kernel_steps(plan, rows, 12)
+            block = kernel_steps(plan, rows, 12)
             for k in range(12):
-                want, f = oracle(block[k])
-                assert_same_bits(block[k + 1], want)
-                if f is not None:
-                    assert_same_bits(forcing[k], f)
+                assert_same_bits(block[k + 1], plan.step(block[k]))
             for i in range(len(rows)):  # alone or in a batch, a row gets the same bits
-                alone, alone_forcing = kernel_steps(plan, rows[i : i + 1], 12)
-                assert_same_bits(alone[:, 0], block[:, i])
-                if forcing is not None:
-                    assert_same_bits(alone_forcing[:, 0], forcing[:, i])
+                assert_same_bits(kernel_steps(plan, rows[i : i + 1], 12)[:, 0], block[:, i])
         return block
 
     @pytest.mark.parametrize("delta, nu", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)])
     @pytest.mark.parametrize("inputs", [1, 2])
     @pytest.mark.parametrize("batch", [1, 5])
     def test_nonlinear_kernel_is_forcing_then_step(self, walls, delta, nu, inputs, batch):
-        # the non-unit coefficients take the kernel's scaling multiplies; one
-        # input and one head mode take the plain product, two take `dot` or `vecmat`
+        # the kernel is the one-shot nonlinear step, and that is the linear
+        # step plus the held forcing up to rounding; one input and one head
+        # mode take the plain product, two take `dot` or `vecmat`
+        dt, eps = 1e-3, np.finfo(float).eps
         for es, scale in walls:
             L = es.params.length
             windows = [Indicator(0.1 * L, 0.6 * L), Indicator(0.5 * L, 0.9 * L)][:inputs]
@@ -539,16 +571,21 @@ class TestStepKernel:
             rng = np.random.default_rng(es.count + inputs)
             gain = Gain(K=rng.normal(size=(inputs, inputs)), closed_loop_spectrum=-np.ones(inputs))
             level = SaturationLevel(0.05)  # clamps some commands and not others
-            linear = step_plan(ms, gain, level, 1e-3)
-            plan = step_plan(ms, gain, level, 1e-3, delta, nu)
+            linear = step_plan(ms, gain, level, dt)
+            plan = step_plan(ms, gain, level, dt, delta, nu)
             rows = rng.normal(size=(batch, es.count)) * scale
+            block = self.check(plan, rows)
+            hold = dt * simulate._phi1(es.values * dt)
+            for y, new in zip(block[:-1], block[1:]):
+                stepped = linear.step(y)
+                held = hold * nonlinear_forcing(es, y, delta, nu)
+                bound = np.abs(new) + np.abs(stepped) + hold * forcing_reach(es, y, delta, nu)
+                assert np.all(np.abs(new - stepped - held) <= 32 * eps * bound)
+            assert not np.array_equal(block[-1], kernel_steps(linear, rows, 12)[-1])
 
-            def oracle(y):
-                f = nonlinear_forcing(es, y, delta, nu)
-                return linear.step(y, f), f
-
-            block = self.check(plan, rows, oracle)
-            assert not np.array_equal(block[-1], kernel_steps(linear, rows, 12)[0][-1])
+    def test_kernel_takes_only_states_and_a_slot(self, hinged_system, scalar_gain):
+        plan = step_plan(hinged_system, scalar_gain, UNSATURATED, 1e-3, 1.0, 1.0)
+        assert list(inspect.signature(plan.stepper(1)).parameters) == ["states", "out"]
 
     @pytest.mark.parametrize("loop", ["internal", "boundary"])
     @pytest.mark.parametrize("batch", [1, 5])
@@ -558,8 +595,136 @@ class TestStepKernel:
         rng = np.random.default_rng(head)
         gain = Gain(K=rng.normal(size=(ms.B.shape[1], head)), closed_loop_spectrum=-np.ones(head))
         plan = step_plan(ms, gain, SaturationLevel(0.05), 1e-3)
-        rows = rng.normal(size=(batch, len(plan.growth)))
-        self.check(plan, rows, lambda y: (plan.step(y), None))
+        self.check(plan, rng.normal(size=(batch, len(plan.growth))))
+
+
+class TestHeadMap:
+    """`StepPlan.head_map` is the step of the head when no command is clamped."""
+
+    @pytest.mark.parametrize("loop", ["internal", "boundary", "nonlinear"])
+    def test_is_the_unclamped_step_of_the_head(self, boundary_ms, loop):
+        ms = boundary_ms if loop == "boundary" else two_input_hinged()
+        head = ms.dim
+        rng = np.random.default_rng(head)
+        gain = Gain(K=rng.normal(size=(ms.B.shape[1], head)), closed_loop_spectrum=-np.ones(head))
+        terms = (1.0, 0.5) if loop == "nonlinear" else ()
+        plan = step_plan(ms, gain, UNSATURATED, 1e-2, *terms)
+        rows = np.zeros((6, len(plan.growth)))
+        rows[:, :head] = rng.normal(size=(6, head))
+        head_map = plan.head_map()
+        assert head_map.shape == (head, head)
+        if loop == "nonlinear":  # the forcing is no part of the map
+            assert np.array_equal(head_map, step_plan(ms, gain, UNSATURATED, 1e-2).head_map())
+            return
+        stepped = plan.step(rows)
+        np.testing.assert_allclose(stepped[:, :head], rows[:, :head] @ head_map.T, rtol=1e-13)
+        # the head's step leaves a zero tail to the coupling and the input alone
+        assert np.any(stepped[:, head:] != 0.0)
+
+
+def recorded_commands(monkeypatch):
+    """The commands, before their clamp, of every step the kernels take, in order.
+
+    Each kernel's read product is wrapped to copy its command columns out
+    after it writes them.
+    """
+    commands = []
+    stepper, product = simulate.StepPlan.stepper, simulate._product
+
+    def recording(plan, rows):
+        def picked(rows, matrix):
+            chosen = product(rows, matrix)
+            if matrix is not plan.read:
+                return chosen
+
+            def read(states, matrix, out):
+                chosen(states, matrix, out=out)
+                commands.append(out[:, : plan.inputs].copy())
+
+            return read
+
+        monkeypatch.setattr(simulate, "_product", picked)
+        try:
+            return stepper(plan, rows)
+        finally:
+            monkeypatch.setattr(simulate, "_product", product)
+
+    monkeypatch.setattr(simulate.StepPlan, "stepper", recording)
+    return commands
+
+
+class TestControlColumn:
+    """`Trajectory.control` holds the command each step applied, before its clamp, bit for bit."""
+
+    @pytest.mark.parametrize("loop", ["internal", "boundary", "nonlinear"])
+    @pytest.mark.parametrize("head", [1, 2])
+    def test_control_is_the_stepped_command(self, monkeypatch, loop, head):
+        # at lam = 20 no mode is unstable: the head is the integrator alone, which
+        # starts at rest, so every command is zero
+        if loop == "boundary":
+            lam = 45.0 if head == 2 else 20.0
+            ms = assemble_boundary(eigen_clamped(OperatorParams(lam, 1.0), 8), head - 1)
+        elif head == 1:
+            ms = assemble_internal(eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12),
+                                   [Indicator(0.3, 2.8)], 1)
+        else:
+            ms = two_input_hinged()
+        assert ms.dim == head
+        rng = np.random.default_rng(head)
+        gain = Gain(K=rng.normal(size=(ms.B.shape[1], head)), closed_loop_spectrum=-np.ones(head))
+        starts = np.zeros((3, ms.es.count))
+        starts[0] = rng.normal(size=ms.es.count) * 0.05
+        starts[2] = -0.0  # a zero start, of both signs
+        terms = {"delta": 1.0, "nu": 0.5} if loop == "nonlinear" else {}
+        config = SimConfig(dt=1e-3, T=0.15, **terms)
+        commands = recorded_commands(monkeypatch)
+        batch = run_batch(config, ms, gain, starts, level=SaturationLevel(0.01))
+        assert len(commands) == 150
+        clamped = np.any(np.abs(np.array(commands)) > 0.01)
+        assert clamped != (loop == "boundary" and head == 1)
+        for i, traj in enumerate(batch):
+            assert traj.times.size == 151
+            assert_same_bits(traj.control[:-1], np.array(commands)[:, i])
+        assert not (batch[1].control.any() or batch[2].control.any())
+
+
+class TestForcingPeak:
+    """nl_ratio_max comes from `nonlinear_forcing` of the stored states."""
+
+    @pytest.mark.parametrize("loop", ["closed", "open"])
+    def test_ratio_is_the_peak_of_each_sample(self, hinged_system, loop):
+        # open, the unstable mode grows and with it the cubic forcing over
+        # v2, so the largest ratio is the last sample's
+        ms = hinged_system
+        level = SaturationLevel(1.0)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain)
+        config = SimConfig(dt=1e-3, T=0.3, delta=1.0, nu=0.5, initial=("smooth", 0.2))
+        if loop == "open":
+            gain = Gain(K=np.zeros((1, 1)), closed_loop_spectrum=np.array([1.0]))
+            config = replace(config, delta=0.0, nu=1.0, initial=("first_mode", 0.05))
+        traj = run(config, ms, gain, cert, consts, level)
+        ratios = [
+            np.max(np.abs(nonlinear_forcing(ms.es, y, config.delta, config.nu))) / v2
+            for y, v2 in zip(traj.states, traj.v2)
+            if v2 > 0.0
+        ]
+        assert len(ratios) == 301
+        assert traj.nl_ratio_max == max(ratios)
+        assert (ratios[-1] == max(ratios)) == (loop == "open")
+        linear = run(replace(config, delta=0.0, nu=0.0), ms, gain, cert, consts, level)
+        assert math.isnan(linear.nl_ratio_max)
+
+    def test_long_call_is_its_rows_one_at_a_time(self, walls):
+        # 6001 rows span several chunks and end in a partial one
+        delta, nu = 0.3, 0.7
+        for es, scale in walls:
+            rows = np.random.default_rng(es.count).normal(size=(6001, es.count)) * scale
+            rows[7] = -0.0
+            batched = nonlinear_forcing(es, rows, delta, nu)
+            for row, forcing in zip(rows, batched):
+                assert_same_bits(nonlinear_forcing(es, row, delta, nu), forcing)
 
 
 class TestRun:
@@ -781,13 +946,14 @@ def per_step_reference(config, ms, gain, initials, cert=None, constants=None, le
     initials = np.atleast_2d(np.asarray(initials, dtype=float))
     if ms.mode == "boundary":
         initials = np.hstack([np.zeros((initials.shape[0], 1)), initials])
-    plan = step_plan(ms, gain, UNSATURATED if level is None else level, config.dt)
+    level = UNSATURATED if level is None else level
+    plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
     limit = config.blowup_threshold**2
     samples = int(round(config.T / config.dt)) + 1
     out = []
     for row in initials:
         y = row[None]
-        stored, peaks, reason = [], [], EXIT_HORIZON
+        stored, reason = [], EXIT_HORIZON
         with np.errstate(over="ignore", invalid="ignore"):  # the crossing step may overflow
             for k in range(samples):
                 over = not quad_form(y, plan.norm_form)[0] <= limit  # a NaN norm is over too
@@ -800,20 +966,9 @@ def per_step_reference(config, ms, gain, initials, cert=None, constants=None, le
                     break
                 if k == samples - 1:
                     break
-                forcing = None
-                if nonlinear:
-                    forcing = nonlinear_forcing(ms.es, y, config.delta, config.nu)
-                    peaks.append(np.max(np.abs(forcing)))
-                y = plan.step(y, forcing)
-        n = len(stored)
-        peak = None
-        if nonlinear:
-            peak = np.full(n, np.nan)  # the last entry is filled by the monitors
-            peak[: min(n, len(peaks))] = peaks[:n]
-        times = np.arange(n) * config.dt
-        out.append(
-            _monitored(plan, ms, config, times, np.array(stored), reason, cert, constants, peak)
-        )
+                y = plan.step(y)
+        times = np.arange(len(stored)) * config.dt
+        out.append(_monitored(plan, ms, config, times, np.array(stored), reason, cert, constants))
     return out
 
 
@@ -1103,11 +1258,11 @@ class TestDiscardedOverflow:
         for name in ("states", "control", "l2", "h1", "h2", "v1", "v2"):
             assert np.all(np.isfinite(getattr(traj, name)))
         assert math.isfinite(traj.nl_ratio_max)
-        plan = step_plan(ms, gain, level, config.dt)
+        plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
         y = traj.states[-1:]
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(63 - traj.times.size):
-                y = plan.step(y, nonlinear_forcing(ms.es, y, config.delta, config.nu))
+                y = plan.step(y)
         assert not np.all(np.isfinite(y))
 
 
@@ -1565,8 +1720,8 @@ class TestDecayVerdicts:
         rows = []
         initial_rows = simulate._initial_rows
 
-        def counting(config, ms, initials):
-            validated = initial_rows(config, ms, initials)
+        def counting(ms, initials):
+            validated = initial_rows(ms, initials)
             rows.append(validated.shape[0])
             return validated
 
