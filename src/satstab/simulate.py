@@ -63,10 +63,10 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("time step must be positive")
-        if self.T < 0.0:
-            raise ValueError("horizon must be nonnegative")
-        if self.delta < 0.0 or self.nu < 0.0:
-            raise ValueError("nonlinearity switches must be >= 0")
+        if not self.T >= 0.0:
+            raise ValueError(f"horizon must be nonnegative, got {self.T}")
+        if not (0.0 <= self.delta < math.inf and 0.0 <= self.nu < math.inf):
+            raise ValueError("nonlinearity switches must be finite and >= 0")
         threshold = self.blowup_threshold
         # run_batch compares squared norms with threshold**2; NaN would never trip
         if not (0.0 < threshold < math.inf and threshold * threshold < math.inf):
@@ -179,9 +179,10 @@ class StepPlan:
     with hold = dt phi1(sigma dt) on each column.  A switched-off term has
     no rows or columns; `convective` and `cubic` count those of y y_x and
     y^3.  `read` spans the head's rows, or the whole state when it reads
-    the field (K^T padded with zero rows).  `norm_form`, `gram_d1` and
-    `gram_d2` are the blow-up form I + G1 + G2 (plus 1 for the integrator)
-    and the H1 and H2 forms of the modes, as `quad_form` takes them.
+    the field (K^T padded with zero rows); the two hold the plan's only
+    copy of the grid.  `norm_form` is the blow-up form I + G1 + G2 (plus 1
+    for the integrator) as `quad_form` takes it, built from the eigen
+    system's Gram forms, which the H1 and H2 norms read directly.
 
     A step of a few rows costs its numpy calls, so `stepper(rows)` fixes
     everything but the states once per pass: the growth and clamp bounds
@@ -196,8 +197,6 @@ class StepPlan:
     drive: np.ndarray  # Gamma: (columns of w, dim)
     inputs: int
     norm_form: np.ndarray
-    gram_d1: np.ndarray
-    gram_d2: np.ndarray
     head: int
     level: SaturationLevel
     convective: int = 0
@@ -263,29 +262,31 @@ def step_plan(ms, gain, level, dt, delta=0.0, nu=0.0):
     """
     es = ms.es
     sigma = es.values
-    form = np.eye(es.count) + es.gram_d1 + es.gram_d2
+    g1, g2 = es.gram_d1, es.gram_d2
+    if g1.ndim > g2.ndim:  # gram_d2 alone is diagonal, as at lam = 0
+        g2 = np.diag(g2)
+    form = (np.ones if g1.ndim == 1 else np.eye)(es.count) + g1 + g2
     read, drive = gain.K.T, np.vstack([ms.B, ms.b_tail]).T
     if ms.mode == "boundary":
         if delta or nu:
             raise ValueError("boundary runs support the linear dynamics only")
         sigma = np.concatenate([[0.0], sigma])
-        form = np.pad(form, ((1, 0), (1, 0)))
-        form[0, 0] = 1.0
+        form = np.pad(form, [(1, 0)] * form.ndim)
+        form[(0,) * form.ndim] = 1.0
         read = np.hstack([read, np.eye(len(read), 1)])
         drive = np.vstack([drive, np.concatenate([ms.A[:, 0], ms.a_tail])])
     nodes = es.quadrature.nodes.size if delta or nu else 0
     if nodes:
-        field_table, forcing_table = _forcing_tables(es, delta, nu)
-        read = np.hstack([np.pad(read, ((0, len(sigma) - len(read)), (0, 0))), field_table])
-        drive = np.vstack([forcing_table, drive])
+        fields, forcing = _forcing_tables(es, delta, nu)
+        read = np.hstack([np.pad(read, ((0, len(sigma) - len(read)), (0, 0))), *fields])
+        drive = np.vstack([*forcing, drive])
+    drive *= dt * _phi1(sigma * dt)  # in place: no third copy of the grid
     return StepPlan(
         growth=np.exp(sigma * dt),
         read=read,
-        drive=dt * _phi1(sigma * dt) * drive,
+        drive=drive,
         inputs=gain.K.shape[0],
-        norm_form=_as_form(form),
-        gram_d1=_as_form(es.gram_d1),
-        gram_d2=_as_form(es.gram_d2),
+        norm_form=form,
         head=ms.dim,
         level=level,
         convective=nodes if delta else 0,
@@ -299,15 +300,22 @@ def step_linear_closed_loop(state, ms, gain, level, dt):
 
 
 def _forcing_tables(es, delta, nu):
-    """The field table, giving y (and y_x with delta on) on the grid, and the forcing table.
+    """The one home of the forcing's tables: the field table's and the forcing rows' blocks.
 
-    The forcing table's rows [delta F_conv; nu F_cub] project [y y_x | y^3]
-    onto the modes; a switched-off term has no rows or columns.
+    The field table [basis | basis_d1] gives y (and y_x, with delta on) on
+    the grid; its blocks are the eigen system's tables themselves.  The
+    rows [delta (-w basis)^T; nu (w basis_d2)^T], w the quadrature weights,
+    project [y y_x | y^3] onto the modes.  A switched-off term has no rows
+    or columns.  Each caller stacks the blocks once, and nothing is kept.
     """
-    nodes = es.quadrature.nodes.size
-    field_table = es.field_table if delta else es.field_table[:, :nodes]
-    scale = np.repeat([delta, nu], nodes)
-    return field_table, (scale[:, None] * es.forcing_table)[scale != 0.0]
+    w = es.quadrature.weights[:, None]
+    fields = [es.basis, es.basis_d1] if delta else [es.basis]
+    forcing = []  # row-major like every matrix the products take: BLAS rounds F order differently
+    if delta:
+        forcing.append(delta * np.multiply(-w, es.basis.T, order="C"))
+    if nu:
+        forcing.append(nu * np.multiply(w, es.basis_d2.T, order="C"))
+    return fields, forcing
 
 
 def nonlinear_forcing(es, state, delta, nu, out=None):
@@ -326,7 +334,9 @@ def nonlinear_forcing(es, state, delta, nu, out=None):
     rows = state.reshape(-1, state.shape[-1])
     out = np.empty(state.shape) if out is None else out
     forcing = out.reshape(rows.shape)
-    field_table, forcing_table = _forcing_tables(es, delta, nu)
+    field_blocks, forcing_rows = _forcing_tables(es, delta, nu)
+    field_table = np.hstack(field_blocks)
+    forcing_table = np.vstack(forcing_rows) if forcing_rows else np.empty((0, es.count))
     nodes = es.quadrature.nodes.size
     for lo in range(0, len(rows), _CHUNK):
         chunk = rows[lo : lo + _CHUNK]
@@ -376,7 +386,7 @@ def _bump_coefficients(es):
     L = es.params.length
     rule = quadrature_for_modes(L, int(math.ceil(float(es.modes.frequency.max()) * L / math.pi)))
     g = np.exp(-(((rule.nodes - L / 2) / (L / 10)) ** 2))
-    coeffs = np.array([rule.weights @ row for row in es.modes(rule.nodes) * g])
+    coeffs = np.vecdot(es.modes(rule.nodes) * g, rule.weights)
     norm = math.sqrt(float(np.sum(coeffs**2)))
     if not norm > _BUMP_RTOL * math.sqrt(float(rule.weights @ (g * g))):
         raise ValueError(
@@ -477,7 +487,7 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
             crossed = _crossed(plan, block, config.blowup_threshold) & ~ended
             lo = max(start, first)
             if lo < end:
-                h2 = _h2(block[lo - start :, :, cut:], plan.gram_d2)
+                h2 = _h2(block[lo - start :, :, cut:], ms.es.gram_d2)
                 window[:, lo - first : end - first] = h2.T
         states[:, start:end] = block[:, :keep].swapaxes(0, 1)
         for i in np.flatnonzero(crossed.any(axis=0)):
@@ -582,8 +592,8 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
         control=control,
         sat_active=np.abs(control) > plan.level.ell,
         l2=l2,
-        h1=np.sqrt(np.maximum(0.0, quad_form(modal, plan.gram_d1))),
-        h2=_h2(modal, plan.gram_d2),
+        h1=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d1))),
+        h2=_h2(modal, es.gram_d2),
         v1=v1,
         v2=v2,
         exit_reason=exit_reason,
@@ -667,8 +677,8 @@ def gronwall_bound(v0, b, k, p, t_grid):
     `BoundExpired` at the first grid point where w <= 0 (u has the sign of
     w), carrying the bound on the grid points before it.
     """
-    if p < 0.0 or p == 1.0:
-        raise ValueError("exponent must be >= 0 and != 1")
+    if not (0.0 <= p < math.inf and p != 1.0):
+        raise ValueError(f"exponent must be finite, >= 0 and != 1, got {p}")
     if not v0 > 0.0:
         raise ValueError("initial value must be positive")
     t = np.asarray(t_grid, dtype=float)
@@ -677,6 +687,8 @@ def gronwall_bound(v0, b, k, p, t_grid):
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("time grid must strictly increase")
     b, k = float(b), float(k)
+    if not (math.isfinite(b) and math.isfinite(k)):
+        raise ValueError(f"coefficients must be finite, got b = {b}, k = {k}")
 
     q = 1.0 - p
     tau = t - t[0]

@@ -21,11 +21,12 @@ deriv)` evaluates every mode's derivative of order 0-4 at the points x as one
 (count, len(x)) table; the clamped family also takes order -1, the
 antiderivative.  `es.modes.integral(a, b)` gives every mode's integral over
 (a, b) in closed form, one entry per mode.
-The tables of value, first and second derivative are also cached on a shared
+The tables of value, first and second derivative are also stored on a shared
 quadrature grid, on which the cubic products of the nonlinear forcing
 integrate exactly or essentially so.  Hinged modes use the midpoint rule with
 2 k_max + 1 nodes, exact for those products; Neumann and clamped modes use
-composite Gauss-Legendre.
+composite Gauss-Legendre.  The eigen system holds no table derived from
+these: the forcing's field and projection tables belong to `simulate`.
 """
 
 import functools
@@ -169,15 +170,11 @@ class EigenSystem:
 
     `values` is nonincreasing; `modes` is the family of eigenfunctions
     (`TrigFamily` or `ClampedFamily`), and `modes(x, deriv)` evaluates all
-    of them at once, one row per mode; `basis`, `basis_d1`, `basis_d2` cache
-    those rows on the quadrature grid; `gram_d1`/`gram_d2` are the
-    first/second-derivative Gram matrices used for the H1/H2 norms.  The
-    read-only nonlinear forcing tables are derived from these:
-    `field_table` = [basis | basis_d1], (count, 2 nodes), turns
-    coefficients into y and y_x in one product, and `forcing_table` =
-    [-w basis^T ; w basis_d2^T], (2 nodes, count), projects [y y_x, y^3]
-    back onto the modes; both are built on first use.  Immutable after
-    construction.
+    of them at once, one row per mode; `basis`, `basis_d1`, `basis_d2` hold
+    those rows on the quadrature grid, the only copy of the modes on it.
+    `gram_d1`/`gram_d2`, the H1/H2 Grams, are held once as `quad_form`
+    takes them: a diagonal Gram (every hinged and Neumann one) as its
+    weight vector, else the matrix.  Immutable, and nothing is cached on it.
     """
 
     params: OperatorParams
@@ -192,19 +189,6 @@ class EigenSystem:
     gram_d1: np.ndarray
     gram_d2: np.ndarray
     solver: str
-
-    @functools.cached_property
-    def field_table(self):
-        table = np.hstack([self.basis, self.basis_d1])
-        table.flags.writeable = False
-        return table
-
-    @functools.cached_property
-    def forcing_table(self):
-        w = self.quadrature.weights
-        table = np.hstack([-w * self.basis, w * self.basis_d2]).T.copy()
-        table.flags.writeable = False
-        return table
 
     def synthesize(self, coeffs, deriv=0):
         """Field values on the quadrature grid from modal coefficients."""
@@ -223,7 +207,7 @@ class EigenSystem:
 
     def norm_error(self):
         """|<e_j, e_j> - 1| on the quadrature grid, one value per mode."""
-        return np.abs(np.array([self.quadrature.integrate(row) for row in self.basis**2]) - 1.0)
+        return np.abs(np.vecdot(self.basis**2, self.quadrature.weights) - 1.0)
 
 
 def _gram(basis_a, basis_b, weights):
@@ -272,10 +256,8 @@ def eigen_closed_form(params, bc, count):
     )
     basis, basis_d1, basis_d2 = modes.tables(quad.nodes, (0, 1, 2))
 
-    # Both families diagonalize the derivative Gram matrices.
+    # Both families diagonalize the derivative Gram matrices: their weights are freq^2, freq^4.
     freq2 = modes.frequency**2
-    gram_d1 = np.diag(freq2)
-    gram_d2 = np.diag(freq2**2)
 
     return EigenSystem(
         params=params,
@@ -287,8 +269,8 @@ def eigen_closed_form(params, bc, count):
         basis=basis,
         basis_d1=basis_d1,
         basis_d2=basis_d2,
-        gram_d1=gram_d1,
-        gram_d2=gram_d2,
+        gram_d1=freq2,
+        gram_d2=freq2**2,
         solver="closed-form",
     )
 
@@ -558,6 +540,11 @@ def eigen_clamped(params, count):
     # <e_i'', e_j''> = lam <e_i', e_j'> - sigma_j delta_ij for eigenfunctions
     # satisfying the clamped walls (integrate by parts twice).
     gram_d2 = params.lam * gram_d1 - np.diag(values)
+    # a Gram that is exactly diagonal (one mode's, or gram_d2 at lam = 0) is held as its weights
+    gram_d1, gram_d2 = (
+        np.diag(g).copy() if np.array_equal(g, np.diag(np.diag(g))) else g
+        for g in (gram_d1, gram_d2)
+    )
 
     return EigenSystem(
         params=params,
@@ -600,11 +587,11 @@ def eigen_residual(es):
 
     Per mode, the quadrature norm of -y'''' - lam y'' - sigma y over
     max(1, |sigma|), with y'''' from the mode family and y, y'' from the
-    cached tables.
+    stored tables.
     """
     y4 = es.modes(es.quadrature.nodes, 4)
     r = -y4 - es.params.lam * es.basis_d2 - es.values[:, None] * es.basis
-    squares = np.array([es.quadrature.integrate(row) for row in r**2])
+    squares = np.vecdot(r**2, es.quadrature.weights)
     return np.sqrt(np.maximum(0.0, squares)) / np.maximum(1.0, np.abs(es.values))
 
 

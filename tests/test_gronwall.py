@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,25 @@ def test_validation():
         gronwall_bound(1.0, -1.0, 1.0, -0.5, t)
     with pytest.raises(ValueError):
         gronwall_bound(1.0, -1.0, 1.0, 2.0, t[:2])
+
+
+@pytest.mark.parametrize(
+    "b, k, p",
+    [
+        (math.nan, 1.0, 2.0),
+        (-1.0, math.nan, 2.0),
+        (-1.0, 1.0, math.nan),
+        (-1.0, math.inf, 2.0),
+        (math.inf, 1.0, 2.0),
+        (-1.0, 1.0, math.inf),
+    ],
+)
+def test_non_finite_coefficients_rejected(b, k, p):
+    t = np.linspace(0.0, 1.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic can warn
+        with pytest.raises(ValueError, match="must be finite"):
+            gronwall_bound(0.5, b, k, p, t)
 
 
 @pytest.mark.parametrize(

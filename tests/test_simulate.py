@@ -43,6 +43,7 @@ from satstab.spectral import (
     eigen_clamped,
     composite_gauss_legendre,
     eigen_closed_form,
+    quadrature_for_modes,
     unstable_count,
 )
 from satstab.synthesis import (
@@ -297,14 +298,26 @@ def two_input_hinged():
     return assemble_internal(es, [Indicator(0.3, 1.2), Indicator(1.5, 2.8)], 2)
 
 
+def grid_tables(es):
+    """The forcing's tables from the modes themselves, independent of `simulate`.
+
+    The field table [e | e'] takes coefficients to y and y_x at the
+    quadrature nodes x; the projection [-w e; w e'']^T, with the quadrature
+    weights w, takes [y y_x | y^3] to <-y y_x, e_j> and <y^3, e_j''>.
+    """
+    x, w = es.quadrature.nodes, es.quadrature.weights
+    value, slope, curve = (es.modes(x, d) for d in (0, 1, 2))
+    return np.hstack([value, slope]), np.hstack([-w * value, w * curve]).T
+
+
 def oracle_step(ms, K, ell, dt, y, delta=0.0, nu=0.0):
     """One exponential-Euler step of one row in Python floats, and its error scale.
 
     y_j <- e^(sigma_j dt) y_j + dt phi1(sigma_j dt) (a_j y_0 + sum_i B_ji
     sat((K y_head)_i) + N_j); a boundary loop's integrator is row 0 with
     sigma = 0, a = 0 and input 1.  N_j = sum_n (delta y y_x F_conv + nu y^3
-    F_cub)[n, j], with y and y_x the field on the grid from the eigen
-    system's tables, is the forcing `nonlinear_forcing` gives.  The scale
+    F_cub)[n, j], with y and y_x the field on the grid, is the forcing
+    `nonlinear_forcing` gives; the tables come from `grid_tables`.  The scale
     bounds the sum of the terms' magnitudes, the command's as if unclamped
     and each grid value's as the sum of its terms' magnitudes, so rounding
     stays under a few eps times it.
@@ -323,7 +336,7 @@ def oracle_step(ms, K, ell, dt, y, delta=0.0, nu=0.0):
     if delta or nu:
         es = ms.es
         nodes = es.quadrature.nodes.size
-        table, project = es.field_table, es.forcing_table
+        table, project = grid_tables(es)
         grid = [[float(table[k, c]) * float(y[k]) for k in range(len(y))] for c in range(2 * nodes)]
         value, size = [math.fsum(t) for t in grid], [sum(abs(v) for v in t) for t in grid]
         forcing = [
@@ -536,9 +549,10 @@ def kernel_steps(plan, rows, steps):
 def forcing_reach(es, y, delta, nu):
     """Per mode, the sum of the magnitudes of the terms of `nonlinear_forcing(es, y, delta, nu)`."""
     nodes = es.quadrature.nodes.size
-    size = np.abs(y) @ np.abs(es.field_table)  # each grid value's terms, summed in magnitude
+    field_table, forcing_table = grid_tables(es)
+    size = np.abs(y) @ np.abs(field_table)  # each grid value's terms, summed in magnitude
     y, y_x = size[:, :nodes], size[:, nodes:]
-    table = np.abs(es.forcing_table)
+    table = np.abs(forcing_table)
     return (abs(delta) * y * y_x) @ table[:nodes] + (abs(nu) * y**3) @ table[nodes:]
 
 
@@ -872,7 +886,7 @@ class TestBatch:
         assert [t.exit_reason for t in batch] == [EXIT_HORIZON, EXIT_BLOWUP, EXIT_HORIZON]
         self.assert_same(batch, serial, ("l2", "h1", "h2"))
         # a linear sample over the threshold is stored, then the run ends
-        plan_form = np.eye(12) + hinged_system.es.gram_d1 + hinged_system.es.gram_d2
+        plan_form = 1.0 + hinged_system.es.gram_d1 + hinged_system.es.gram_d2
         assert quad_form(batch[1].states[-1], plan_form) > 1e10
         assert quad_form(batch[1].states[-2], plan_form) <= 1e10
 
@@ -897,7 +911,7 @@ class TestBatch:
         for b, s in zip(batch, serial):
             assert b.nl_ratio_max == s.nl_ratio_max
         # a nonlinear step over the threshold is dropped, not stored
-        plan_form = np.eye(12) + ms.es.gram_d1 + ms.es.gram_d2
+        plan_form = 1.0 + ms.es.gram_d1 + ms.es.gram_d2
         assert quad_form(batch[1].states[-1], plan_form) <= 1e10
 
     def test_boundary_batch_matches_serial(self, boundary_ms):
@@ -1022,7 +1036,7 @@ class TestBlockExits:
         gain = design_gain(ms, poles=[-4.0])
         cert = build_certificate(ms, gain, level)
         consts = select_h2_constants(cert, ms, gain)
-        form = np.eye(12) + ms.es.gram_d1 + ms.es.gram_d2
+        form = 1.0 + ms.es.gram_d1 + ms.es.gram_d2
         return ms, gain, cert, consts, level, form
 
     @staticmethod
@@ -1133,7 +1147,7 @@ class TestBlockExits:
         es = eigen_closed_form(OperatorParams(6.0, math.pi), HINGED, 6)
         ms = assemble_internal(es, [ModeCombination([1.0, 1.0])], 2)
         gain = Gain(K=np.zeros((1, 2)), closed_loop_spectrum=np.array([-1.0, -2.0]))
-        form = np.eye(6) + es.gram_d1 + es.gram_d2
+        form = 1.0 + es.gram_d1 + es.gram_d2
         starts = np.zeros((2, 6))
         starts[0, 0] = 1e-3  # leaves the region, then blows up
         starts[1, 1] = 1.0  # blows up
@@ -1361,7 +1375,7 @@ class TestMonitors:
             state = rng.normal(size=12) * rng.uniform(0.01, 2.0)
             v2, lower = v2_and_sandwich_lower(state, cert, consts, es)
             assert v2 >= lower * (1.0 - 1e-12) - 1e-12
-            h2_full = quad_form(state, np.eye(12) + es.gram_d1 + es.gram_d2)
+            h2_full = quad_form(state, 1.0 + es.gram_d1 + es.gram_d2)
             assert v2 <= consts.C4 * h2_full * (1.0 + 1e-12)
 
     def test_tail_duhamel_bound(self, hinged_system):
@@ -1473,23 +1487,59 @@ class TestQuadForm:
     @pytest.mark.parametrize(
         "es, diagonal",
         [
-            (eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12), True),
-            (eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8), True),
-            (eigen_clamped(OperatorParams(45.0, 1.0), 8), False),
+            (eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12), (True, True)),
+            (eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8), (True, True)),
+            (eigen_clamped(OperatorParams(10.0, 1.0), 1), (True, True)),
+            (eigen_clamped(OperatorParams(0.0, 1.0), 6), (False, True)),
+            (eigen_clamped(OperatorParams(45.0, 1.0), 8), (False, False)),
         ],
-        ids=["hinged", "neumann", "clamped"],
+        ids=["hinged", "neumann", "clamped_one_mode", "clamped_lam0", "clamped"],
     )
     def test_plan_holds_diagonal_forms_as_weights(self, es, diagonal):
-        ms = assemble_internal(es, [Indicator(0.1, 0.9)], 1)
-        gain = Gain(K=np.zeros((1, 1)), closed_loop_spectrum=np.array([-1.0]))
+        # oracle: each Gram by quadrature of the stored derivative tables
+        w = es.quadrature.weights
+        dense = []
+        pairs = zip((es.gram_d1, es.gram_d2), (es.basis_d1, es.basis_d2), diagonal)
+        for form, table, weights in pairs:
+            assert form.ndim == (1 if weights else 2)
+            dense.append(np.diag(form) if weights else form)
+            quadrature = (table * w) @ table.T
+            assert np.max(np.abs(dense[-1] - quadrature)) <= 1e-10 * np.max(np.abs(quadrature))
+        n = unstable_count(es).n
+        ms = assemble_internal(es, [Indicator(0.1, 0.9)], n)
+        gain = Gain(K=np.zeros((1, n)), closed_loop_spectrum=-np.ones(n))
         plan = step_plan(ms, gain, UNSATURATED, 1e-3)
-        matrices = (np.eye(es.count) + es.gram_d1 + es.gram_d2, es.gram_d1, es.gram_d2)
-        for form, matrix in zip((plan.norm_form, plan.gram_d1, plan.gram_d2), matrices):
-            if diagonal:
-                assert form.shape == (es.count,)
-                assert np.array_equal(np.diag(form), matrix)
-            else:
-                assert np.array_equal(form, matrix)
+        # the blow-up form as the dense sum, held as weights when that is diagonal
+        form = np.eye(es.count) + dense[0] + dense[1]
+        assert np.array_equal(plan.norm_form, np.diag(form) if all(diagonal) else form)
+        assert plan.norm_form.ndim == (1 if all(diagonal) else 2)
+
+    def test_plans_cache_nothing_on_the_eigen_system(self):
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 12)
+        ms = assemble_internal(es, [ModeCombination([1.0])], 1)
+        gain = Gain(K=np.array([[-3.0]]), closed_loop_spectrum=np.array([-2.0]))
+        before = dict(vars(es))
+        step_plan(ms, gain, UNSATURATED, 1e-3, 1.0, 1.0)
+        run(SimConfig(dt=1e-3, T=0.01, delta=1.0, nu=1.0), ms, gain)
+        nonlinear_forcing(es, np.full(12, 0.1), 1.0, 1.0)
+        after = vars(es)
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
+
+    def test_plan_build_holds_the_grid_twice_at_most(self):
+        # tracemalloc counts the plan's allocations above the eigen system,
+        # which hold read and drive, one copy each of the grid tables
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 256)
+        assert es.gram_d1.ndim == es.gram_d2.ndim == 1
+        ms = assemble_internal(es, [Indicator(0.0, 0.6 * math.pi)], 1)
+        gain = Gain(K=np.array([[-3.0]]), closed_loop_spectrum=np.array([-2.0]))
+        tracemalloc.start()
+        try:
+            plan = step_plan(ms, gain, SaturationLevel(1.0), 5e-4, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (plan.read.nbytes + plan.drive.nbytes)
 
 
 def fit_decay_rate_from(times, values):
@@ -1810,6 +1860,20 @@ class TestResolveInitial:
             y0 = resolve_initial(config, es)
             np.testing.assert_allclose(y0, coeffs / np.linalg.norm(coeffs), rtol=0.0, atol=1e-14)
 
+    def test_bump_coefficients_are_the_row_loop(self):
+        # reference: one `weights @ row` per mode, which one `np.vecdot` replaced
+        for es in (
+            eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 24),
+            eigen_closed_form(OperatorParams(1.0, 2.0), NEUMANN, 8),
+            eigen_clamped(OperatorParams(45.0, 1.0), 8),
+        ):
+            L = es.params.length
+            top = int(math.ceil(float(es.modes.frequency.max()) * L / math.pi))
+            rule = quadrature_for_modes(L, top)
+            g = np.exp(-(((rule.nodes - L / 2) / (L / 10)) ** 2))
+            loop = np.array([rule.weights @ row for row in es.modes(rule.nodes) * g])
+            assert_same_bits(simulate._bump_coefficients(es), loop)
+
     @pytest.mark.parametrize("lam", [100.0, 150.0])
     def test_bump_without_support_rejected(self, lam):
         # the first clamped mode is odd about L/2 here: the bump projects to rounding noise
@@ -1837,6 +1901,19 @@ class TestSimConfig:
 
     def test_fit_start_is_a_quarter_of_the_horizon(self):
         assert SimConfig(dt=1e-3, T=3.0).fit_start == 0.75
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("T", math.nan, "horizon"),
+            ("delta", math.nan, "nonlinearity switches"),
+            ("nu", math.nan, "nonlinearity switches"),
+            ("delta", math.inf, "nonlinearity switches"),
+        ],
+    )
+    def test_nan_settings_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SimConfig(**{"dt": 1e-3, "T": 1.0, field: value})
 
     def test_blowup_threshold_with_finite_square_accepted(self):
         config = SimConfig(dt=1e-3, T=1.0, blowup_threshold=1e150)

@@ -79,6 +79,27 @@ class TestClosedForm:
                 assert bc_residual[j] < 1e-10
                 assert norm_error[j] < 1e-12
 
+    @pytest.mark.parametrize(
+        "es",
+        [
+            eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 24),
+            eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 300),
+            eigen_closed_form(OperatorParams(7.0, 2.0 * math.pi), NEUMANN, 14),
+            eigen_clamped(OperatorParams(45.0, 1.0), 8),
+            eigen_clamped(OperatorParams(100.0, 1.5), 16),
+        ],
+        ids=["hinged24", "hinged300", "neumann", "clamped8", "clamped16"],
+    )
+    def test_per_mode_sums_are_the_row_loop(self, es):
+        # reference: one `Quadrature.integrate` per row, which one `np.vecdot` replaced
+        rows = [es.quadrature.integrate(row) for row in es.basis**2]
+        np.testing.assert_array_equal(es.norm_error(), np.abs(np.array(rows) - 1.0))
+        y4 = es.modes(es.quadrature.nodes, 4)
+        r = -y4 - es.params.lam * es.basis_d2 - es.values[:, None] * es.basis
+        squares = np.array([es.quadrature.integrate(row) for row in r**2])
+        loop = np.sqrt(np.maximum(0.0, squares)) / np.maximum(1.0, np.abs(es.values))
+        np.testing.assert_array_equal(eigen_residual(es), loop)
+
     def test_monotone_tail(self):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 32)
         assert es.values[31] / es.values[15] >= 8.0
