@@ -44,13 +44,16 @@ from .synthesis import (
 EXIT_OK = 0
 
 
-# Rows per `_csv_block` call on a long table.  Against 64 rows, 1024 cut the
-# benchmark's wall_s from 0.204 to 0.193 s on nonlinear_single and from 0.203
-# to 0.190 s on clamped_spectral (medians of 4 and 5 runs, 2-vCPU x86 host),
-# with byte-identical files; median peak RSS moved by -0.7 and +0.09 MB.
+# Rows per `_csv_block` call on a long table.  Benchmark medians of 3
+# alternated runs at 512 / 1024 / 2048 / 4096 rows (2-vCPU x86 host, 6 s runs):
+# wall_s 0.0898 / 0.0900 / 0.0933 / 0.1018 s on nonlinear_single, 0.318 /
+# 0.320 / 0.323 / 0.332 s on trajectory_sweep, 0.120 / 0.121 / 0.125 / 0.125 s
+# on clamped_spectral; peak RSS on nonlinear_single 51.5 / 50.2 / 50.2 / 56.1 MB.
+# 512 rows saves under 1% and costs 1.3 MB there, so 1024 stays.
 _CSV_CHUNK = 1024
-_NONFINITE = np.frombuffer(b"nan_inf_-inf", np.uint8).reshape(3, 4)
-_TINY_EXPONENT = np.frombuffer(b"e-05", np.uint8)
+_NONFINITE = np.frombuffer(b"nan\0inf\0-inf", np.uint8).reshape(3, 4)
+# the one-byte markers `_csv_block` writes, and what each expands to
+_SPELLED = ((b"\1", b"-0"), (b"\2", b"e+"), (b"\3", b"e-05,"), (b"\4", b"e-05\r"))
 
 
 def _csv_block(table, int_columns=()):
@@ -58,12 +61,22 @@ def _csv_block(table, int_columns=()):
 
     The columns in `int_columns` hold integers below 1e16 (flags, indices)
     and are written as ints: "1", not "1.0".  orjson writes the shortest
-    round-trip digits, the digits repr writes; one vectorized pass over its
-    bytes then rewrites the three ways its syntax differs from repr's:
+    round-trip digits, the digits repr writes; its syntax differs from repr's
+    in three ways, mended by one-byte writes into a copy of its bytes:
       - exponents get a sign and two digits: 1e16 -> 1e+16, 1e-7 -> 1e-07;
       - 1e-5 <= |x| < 1e-4, written 0.0000123, takes scientific form: 1.23e-05;
       - null becomes nan, inf or -inf, read off the table.
-    The row brackets become line ends.
+    The row brackets become line ends.  A byte to drop (a bracket, an int's
+    ".0", a band cell's "0.000", the 4th byte of nan/inf) becomes 0x00; a
+    byte that must grow becomes a marker of `_SPELLED`: the "-" of a one-digit
+    exponent (0x01 -> "-0"), the "e" of a positive one (0x02 -> "e+"), the
+    end of a band cell (0x03 -> "e-05,", 0x04 -> "e-05" and CR).  Only the
+    closing bytes.replace calls change the length; orjson writes no byte
+    below 0x20, so none of its bytes is taken for a marker.
+    Which cells have an exponent, and its digit count, come from the values:
+    a double above fl(10^k) rounds only decimals above 10^k, and fl(10^k)
+    prints as 1e{k}, so comparing against fl(10^k) is exact; floor(log10|x|)
+    is not (it reads 16 for 9999999999999998.0).
     """
     import orjson  # imported here: `import satstab.cli` stays numpy-only
 
@@ -78,45 +91,33 @@ def _csv_block(table, int_columns=()):
     opens = np.r_[0, seps[:-1, width]] + 1  # each row's "["
     text[ends[:, -1]] = ord("\r")
     text[seps[:, width]] = ord("\n")
-    # ints lose their ".0"; byte `put[i]` goes in before byte `at[i]`
-    drop = [[0], opens, (ends[:, list(int_columns), None] - [1, 2]).ravel()]
-    at, put = [], []
+    text[0] = text[opens] = 0
+    text[ends[:, list(int_columns), None] - [1, 2]] = 0  # ints lose their ".0"
 
     bad = ~np.isfinite(table)  # orjson's "null", in row-major order
     if bad.any():
         value = table[bad]
         kind = np.where(np.isnan(value), 0, np.where(value > 0, 1, 2))
-        first = ends[bad] - 4
-        text[first[:, None] + np.arange(4)] = _NONFINITE[kind]
-        drop.append(first[kind < 2] + 3)
+        text[ends[bad][:, None] - np.arange(4, 0, -1)] = _NONFINITE[kind]
 
     magnitude = np.abs(table)
+    text[ends[(magnitude >= 1e-9) & (magnitude < 1e-5)] - 2] = 1  # the "-" of "e-7"
+    big = (magnitude >= 1e16) & (magnitude < np.inf)  # the "e" of "e16" or "e100"
+    text[ends[big] - 3 - (magnitude[big] >= 1e100)] = 2
     r, c = np.nonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
     if r.size:
-        lead = np.where(c > 0, ends[r, c - 1], opens[r]) + 1 + np.signbit(table[r, c])
         end = ends[r, c]
-        point = lead + 7  # after the first significant digit, if more follow
-        point = point[point < end]
-        drop.append((lead[:, None] + np.arange(6)).ravel())  # "0.0000"
-        at += [point, np.repeat(end, 4)]
-        put += [np.full(point.size, ord("."), np.uint8), np.tile(_TINY_EXPONENT, end.size)]
+        lead = np.where(c > 0, ends[r, c - 1], opens[r]) + 1 + np.signbit(table[r, c])
+        text[lead + 5] = text[lead + 6]  # the first significant digit
+        text[lead + 6] = np.where(lead + 7 < end, ord("."), 0)
+        text[lead[:, None] + np.arange(5)] = 0  # "0.000" before the moved digit
+        text[end] = np.where(c < width - 1, 3, 4)
 
-    exp = np.flatnonzero(text == ord("e"))
-    if exp.size:
-        positive = text[exp + 1] != ord("-")
-        digit = exp + 2 - positive
-        digit = digit[text[digit + 1] < ord("0")]  # a lone digit: "," or "\r" follows
-        at += [exp[positive] + 1, digit]  # "+" goes in before "0"
-        put += [
-            np.full(positive.sum(), ord("+"), np.uint8), np.full(digit.size, ord("0"), np.uint8)
-        ]
-
-    drop = np.sort(np.concatenate(drop))
-    text = np.delete(text, drop)
-    if at:
-        at = np.concatenate(at)
-        text = np.insert(text, at - np.searchsorted(drop, at), np.concatenate(put))
-    return text.tobytes()
+    # a replace whose marker is absent is one memchr pass and copies nothing
+    text = text.tobytes().replace(b"\0", b"")
+    for marker, spelled in _SPELLED:
+        text = text.replace(marker, spelled)
+    return text
 
 
 def _csv_blocks(table, int_columns=()):

@@ -957,13 +957,20 @@ class TestTrajectoryCsv:
         _, gain, cert, consts = cli.load_certificate(str(tmp_path / f"{prefix}_certificate.json"))
         return cfg, ms, run(cfg.sim_config(), ms, gain, cert, consts, level=cfg.level())
 
-    @pytest.mark.parametrize("boundary", [False, True])
-    def test_cli_output_matches_per_cell_oracle(self, tmp_path, boundary):
+    # ids False and True are the internal and the boundary-actuated linear runs;
+    # "nonlinear" is the nonlinear_single benchmark config: 71% of its cells have an exponent
+    @pytest.mark.parametrize(
+        "kind", ["internal", "boundary", "nonlinear"], ids=["False", "True", "nonlinear"]
+    )
+    def test_cli_output_matches_per_cell_oracle(self, tmp_path, kind):
         doc = base_config(J=6, T=2.4, dt=0.002)  # 1201 rows: a full chunk and a partial one
-        if boundary:
+        if kind == "boundary":
             doc.update(bc="clamped", length=1.0, actuators=[], poles=[-2.0, -4.0], ell=20.0)
             doc["lambda"] = 45.0
             doc["initial"] = {"preset": "smooth", "amplitude": 0.02}
+        if kind == "nonlinear":
+            doc = json.loads((ROOT / "bench" / "configs" / "nonlinear_single.json").read_text())
+            doc.update(T=0.6, output={"directory": ".", "prefix": "exp"})  # 1201 rows
         path = write_config(tmp_path, doc)
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
         cert = str(tmp_path / "exp_certificate.json")
@@ -1051,10 +1058,19 @@ def csv_tables(draw):
     return table, int_columns
 
 
-CSV_EDGES = [
+EDGE_ROW = [
     1e-5, np.nextafter(1e-4, 0.0), 1e-4, 10.00001, 1234567890123456.0, 1e16, 1e22,
     5e-324, -0.0, np.nan, -np.inf,
 ]
+# fl(10^k) and both its neighbours at each decade where a spelling changes
+# (orjson's or repr's notation, the exponent's digit count), then 1e23, whose
+# double lies below 10^23, and the two smallest subnormals
+DECADE_ROW = [
+    np.nextafter(float(f"1e{k}"), to)
+    for k in (-10, -9, -6, -5, -4, 15, 16, 22, 99, 100, 308)
+    for to in (0.0, float(f"1e{k}"), np.inf)
+] + [1e23, 5e-324, 1e-323]
+CSV_EDGES = EDGE_ROW + DECADE_ROW
 
 
 class TestCsvBlock:
@@ -1073,10 +1089,41 @@ class TestCsvBlock:
         assert cli._csv_block(row[:, None]) == table_oracle(row[:, None])
 
     def test_edge_bytes(self):
-        assert cli._csv_block(np.array([CSV_EDGES + [np.inf]])) == (
+        assert cli._csv_block(np.array([EDGE_ROW + [np.inf]])) == (
             b"1e-05,9.999999999999999e-05,0.0001,10.00001,1234567890123456.0,1e+16,1e+22,"
             b"5e-324,-0.0,nan,-inf,inf\r\n"
         )
+
+    def test_decade_bytes(self):
+        assert cli._csv_block(np.array([DECADE_ROW])) == (
+            b"9.999999999999999e-11,1e-10,1.0000000000000002e-10,"
+            b"9.999999999999999e-10,1e-09,1.0000000000000003e-09,"
+            b"9.999999999999997e-07,1e-06,1.0000000000000002e-06,"
+            b"9.999999999999999e-06,1e-05,1.0000000000000003e-05,"
+            b"9.999999999999999e-05,0.0001,0.00010000000000000002,"
+            b"999999999999999.9,1000000000000000.0,1000000000000000.1,"
+            b"9999999999999998.0,1e+16,1.0000000000000002e+16,"
+            b"9.999999999999998e+21,1e+22,1.0000000000000002e+22,"
+            b"9.999999999999998e+98,1e+99,1.0000000000000001e+99,"
+            b"9.999999999999998e+99,1e+100,1.0000000000000002e+100,"
+            b"9.999999999999998e+307,1e+308,1.0000000000000002e+308,"
+            b"1e+23,5e-324,1e-323\r\n"
+        )
+
+    def test_orjson_spelling(self):
+        # the spelling `_csv_block` rewrites: a change in orjson's float format
+        # fails here first, with its cause in view
+        import orjson
+
+        values = np.array([1e-5, 1.5e-5, 9.99e-6, 1e-9, 1e-10, 1e15, 1e16, 1e100, -0.0, np.nan])
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        assert text == (
+            b"[0.00001,0.000015,9.99e-6,1e-9,1e-10,1000000000000000.0,1e16,1e100,-0.0,null]"
+        )
+        # the writer's drop byte and markers lie below 0x20
+        table = np.array([CSV_EDGES, np.negative(CSV_EDGES)])
+        for text in (text, orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)):
+            assert min(text) >= 0x20
 
 
 class TestCsvOracles:
