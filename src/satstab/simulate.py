@@ -4,13 +4,14 @@ The stepper is exponential Euler with zero-order hold: the diagonal linear
 part advances exactly, control and nonlinear forcing are frozen over each
 step.  Nonlinear terms are synthesized pseudospectrally on the eigen
 system's quadrature grid and projected back onto the retained modes: hinged
-modes use the midpoint rule, which is exact for these cubic products, and
-Neumann and clamped modes use composite Gauss-Legendre.  The dispersive
-projection of the cubic term moves two derivatives onto the basis so no
-field derivative beyond second order is ever formed.  Every stepping pass,
-internal, boundary or nonlinear, runs one step kernel of two products, a
-read and a drive (`StepPlan`); the monitors take the forcing peak from the
-stored states.
+modes use the midpoint rule, which is exact for these products, and
+Neumann and clamped modes use composite Gauss-Legendre.  Both projections
+move every derivative onto the basis, y y_x = (y^2)_x / 2 by parts with its
+wall term and (y^3)_xx twice, so the step forms no field derivative at all:
+only y on the grid, and at the walls where a mode does not vanish there.
+Every stepping pass, internal, boundary or nonlinear, runs one step kernel
+of two products, a read and a drive (`StepPlan`); the monitors take the
+forcing peak from the stored states.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import BlowUp, BoundExpired, ConfigError, NonPositiveChannel
 from .saturation import UNSATURATED, SaturationLevel
-from .spectral import quadrature_for_modes
+from .spectral import BoundaryCondition, quadrature_for_modes
 
 EXIT_HORIZON = "horizon"
 EXIT_BLOWUP = "blowup"
@@ -174,20 +175,22 @@ class StepPlan:
     column a frozen over the step.  A step is y <- growth y + w `drive`: one
     product y `read`, with `read` = [K^T | e_0 | field table], gives the
     command u = y_head K^T, a boundary loop's y_0 and a nonlinear loop's
-    grid values y and y_x, from which w = [y y_x | y^3 | sat(u) | y_0] is
-    formed elementwise; `drive` = hold [delta F_conv; nu F_cub; B^T; a^T],
-    with hold = dt phi1(sigma dt) on each column.  A switched-off term has
-    no rows or columns; `convective` and `cubic` count those of y y_x and
-    y^3.  `read` spans the head's rows, or the whole state when it reads
-    the field (K^T padded with zero rows); the two hold the plan's only
-    copy of the grid.  `norm_form` is the blow-up form I + G1 + G2 (plus 1
-    for the integrator) as `quad_form` takes it, built from the eigen
-    system's Gram forms, which the H1 and H2 norms read directly.
+    field values y (on the grid, then at any wall where a mode does not
+    vanish), from which w = [y^2 | y^3 | sat(u) | y_0] is formed
+    elementwise, y^2 on every field value and y^3 = y^2 y on the grid;
+    `drive` = hold [delta F_conv; nu F_cub; B^T; a^T], with hold = dt
+    phi1(sigma dt) on each column.  A switched-off term has no rows or
+    columns; `convective` and `cubic` count those of y^2 and y^3.  `read`
+    spans the head's rows, or the whole state when it reads the field (K^T
+    padded with zero rows); the two hold the plan's only copy of the grid.
+    `norm_form` is the blow-up form I + G1 + G2 (plus 1 for the integrator)
+    as `quad_form` takes it, built from the eigen system's Gram forms,
+    which the H1 and H2 norms read directly.
 
     A step of a few rows costs its numpy calls, so `stepper(rows)` fixes
     everything but the states once per pass: the growth and clamp bounds
-    laid out per row, one buffer [w | y | y_x] that the read fills and the
-    drive reads, and the product `_product` picks for each matrix.  Both
+    laid out per row, one buffer [w | y] that the read fills and the drive
+    reads, and the product `_product` picks for each matrix.  Both
     products are one vector-matrix product per row and the rest is
     elementwise, so a row gets the same bits alone or in any batch.
     """
@@ -224,12 +227,13 @@ class StepPlan:
         With `out`, an array of the states' shape, the new states are
         written into it and it is returned.
         """
-        read, drive, convective = self.read, self.drive, self.convective
-        products, nodes, k = convective + self.cubic, convective or self.cubic, len(drive)
-        work = np.empty((rows, products + read.shape[1]))  # [y y_x | y^3 | u | y_0 | y | y_x]
+        read, drive, convective, cubic = self.read, self.drive, self.convective, self.cubic
+        products, k = convective + cubic, len(drive)
+        work = np.empty((rows, products + read.shape[1]))  # [y^2 | y^3 | u | y_0 | y]
         w, r, u = work[:, :k], work[:, products:], work[:, products : products + self.inputs]
-        conv, cubic = work[:, :convective], work[:, convective:products]
-        y, y_x = work[:, k : k + nodes], work[:, k + nodes :]
+        squares, cubes = work[:, :convective], work[:, convective:products]
+        field, y = work[:, k:], work[:, k : k + cubic]
+        y2 = squares[:, :cubic] if convective else cubes  # y^2 on the grid
         floor, ceiling = np.full(u.shape, -self.level.ell), np.full(u.shape, self.level.ell)
         growth, d = np.tile(self.growth, (rows, 1)), np.empty((rows, drive.shape[1]))
         reading, driving = _product(rows, read), _product(rows, drive)
@@ -238,10 +242,11 @@ class StepPlan:
         def step(states, out=None):
             reading(states if full else states[:, :width], read, out=r)
             if convective:
-                np.multiply(y, y_x, out=conv)
-            if products > convective:
-                c = np.multiply(y, y, out=cubic)
-                c *= y
+                np.multiply(field, field, out=squares)
+            if cubic:
+                if not convective:
+                    np.multiply(y, y, out=cubes)
+                np.multiply(y2, y, out=cubes)
             np.minimum(np.maximum(u, floor), ceiling, out=u)
             driving(w, drive, out=d)
             new = growth * states if out is None else np.multiply(growth, states, out=out)
@@ -275,11 +280,13 @@ def step_plan(ms, gain, level, dt, delta=0.0, nu=0.0):
         form[(0,) * form.ndim] = 1.0
         read = np.hstack([read, np.eye(len(read), 1)])
         drive = np.vstack([drive, np.concatenate([ms.A[:, 0], ms.a_tail])])
-    nodes = es.quadrature.nodes.size if delta or nu else 0
-    if nodes:
+    convective = cubic = 0
+    if delta or nu:
         fields, forcing = _forcing_tables(es, delta, nu)
         read = np.hstack([np.pad(read, ((0, len(sigma) - len(read)), (0, 0))), *fields])
         drive = np.vstack([*forcing, drive])
+        convective = sum(block.shape[1] for block in fields) if delta else 0
+        cubic = es.quadrature.nodes.size if nu else 0
     drive *= dt * _phi1(sigma * dt)  # in place: no third copy of the grid
     return StepPlan(
         growth=np.exp(sigma * dt),
@@ -289,8 +296,8 @@ def step_plan(ms, gain, level, dt, delta=0.0, nu=0.0):
         norm_form=form,
         head=ms.dim,
         level=level,
-        convective=nodes if delta else 0,
-        cubic=nodes if nu else 0,
+        convective=convective,
+        cubic=cubic,
     )
 
 
@@ -302,17 +309,25 @@ def step_linear_closed_loop(state, ms, gain, level, dt):
 def _forcing_tables(es, delta, nu):
     """The one home of the forcing's tables: the field table's and the forcing rows' blocks.
 
-    The field table [basis | basis_d1] gives y (and y_x, with delta on) on
-    the grid; its blocks are the eigen system's tables themselves.  The
-    rows [delta (-w basis)^T; nu (w basis_d2)^T], w the quadrature weights,
-    project [y y_x | y^3] onto the modes.  A switched-off term has no rows
-    or columns.  Each caller stacks the blocks once, and nothing is kept.
+    The field table [basis] gives y on the grid; its block is the eigen
+    system's table itself.  By parts, -<y y_x, e_j> = <y^2, e_j'> / 2 -
+    [y^2 e_j]_0^L / 2, so the rows [delta/2 (w basis_d1)^T; nu (w
+    basis_d2)^T], w the quadrature weights, project [y^2 | y^3] onto the
+    modes.  Hinged and clamped modes vanish at both walls; on Neumann walls,
+    with delta on, the field table also takes the wall values e_j(0) and
+    e_j(L) as two columns, whose squares the rows delta/2 e_j(0) and
+    -delta/2 e_j(L) project.  A switched-off term has no rows or columns.
+    Each caller stacks the blocks once, and nothing is kept.
     """
     w = es.quadrature.weights[:, None]
-    fields = [es.basis, es.basis_d1] if delta else [es.basis]
+    fields = [es.basis]
     forcing = []  # row-major like every matrix the products take: BLAS rounds F order differently
     if delta:
-        forcing.append(delta * np.multiply(-w, es.basis.T, order="C"))
+        forcing.append(0.5 * delta * np.multiply(w, es.basis_d1.T, order="C"))
+        if es.bc is BoundaryCondition.NEUMANN_CH:
+            walls = es.modes(np.array([0.0, es.params.length]))
+            fields.append(walls)
+            forcing.append(np.multiply([[0.5 * delta], [-0.5 * delta]], walls.T, order="C"))
     if nu:
         forcing.append(nu * np.multiply(w, es.basis_d2.T, order="C"))
     return fields, forcing
@@ -321,13 +336,14 @@ def _forcing_tables(es, delta, nu):
 def nonlinear_forcing(es, state, delta, nu, out=None):
     """Modal projection of the negated nonlinearity, for one state or a row batch.
 
-    The convective part projects -delta * y y_x directly; the dispersive part
-    uses <d_xx(y^3), e_j> = <y^3, e_j''>, valid for every supported BC family.
-    One product gives y (and y_x if delta is on) on the grid, and one more
-    projects [y y_x | y^3] against `_forcing_tables`' rows, into `out` when
-    given.  A switched-off term is never formed, so its overflow cannot turn
-    into NaN; with both off the forcing is zero.  Rows go `_CHUNK` at a
-    time, one vector-matrix product per row, so a row gets the same bits
+    The convective part projects -delta * y y_x by parts, as delta/2 * y^2
+    against e_j' less the wall term; the dispersive part uses <d_xx(y^3),
+    e_j> = <y^3, e_j''>, valid for every supported BC family.  One product
+    gives y on the grid (and at the walls where `_forcing_tables` reads
+    them), and one more projects [y^2 | y^3] against its rows, into `out`
+    when given.  A switched-off term is never formed, so its overflow cannot
+    turn into NaN; with both off the forcing is zero.  Rows go `_CHUNK` at
+    a time, one vector-matrix product per row, so a row gets the same bits
     alone or in any batch.
     """
     state = np.asarray(state, dtype=float)
@@ -343,10 +359,11 @@ def nonlinear_forcing(es, state, delta, nu, out=None):
         fields = _product(len(chunk), field_table)(chunk, field_table)
         y, products = fields[:, :nodes], np.empty((len(chunk), len(forcing_table)))
         if delta:
-            np.multiply(y, fields[:, nodes:], out=products[:, :nodes])
+            np.multiply(fields, fields, out=products[:, : fields.shape[1]])
         if nu:
-            cubic = np.multiply(y, y, out=products[:, -nodes:])
-            cubic *= y
+            cubic = products[:, -nodes:]
+            squared = products[:, :nodes] if delta else np.multiply(y, y, out=cubic)
+            np.multiply(squared, y, out=cubic)
         _product(len(chunk), forcing_table)(products, forcing_table, out=forcing[lo : lo + _CHUNK])
     return out
 

@@ -22,11 +22,11 @@ deriv)` evaluates every mode's derivative of order 0-4 at the points x as one
 antiderivative.  `es.modes.integral(a, b)` gives every mode's integral over
 (a, b) in closed form, one entry per mode.
 The tables of value, first and second derivative are also stored on a shared
-quadrature grid, on which the cubic products of the nonlinear forcing
-integrate exactly or essentially so.  Hinged modes use the midpoint rule with
-2 k_max + 1 nodes, exact for those products; Neumann and clamped modes use
-composite Gauss-Legendre.  The eigen system holds no table derived from
-these: the forcing's field and projection tables belong to `simulate`.
+quadrature grid, on which the nonlinear forcing's products y^2 e_j' and
+y^3 e_j'' integrate exactly or essentially so.  Hinged modes use the midpoint
+rule with 2 k_max + 1 nodes, exact for those products; Neumann and clamped
+modes use composite Gauss-Legendre.  The eigen system holds no table derived
+from these: the forcing's field and projection tables belong to `simulate`.
 """
 
 import functools
@@ -243,10 +243,10 @@ def eigen_closed_form(params, bc, count):
     sigma, ks = _sorted_sigma(params, ks)
     k_max = int(ks.max())
     if bc == BoundaryCondition.HINGED:
-        # y y_x e_j and y^3 e_j'' are cosine polynomials of degree <= 4 k_max
+        # y^2 e_j' and y^3 e_j'' are cosine polynomials of degree <= 3 k_max and 4 k_max
         quad = midpoint_rule(L, 2 * k_max + 1)
     else:
-        # y y_x e_j is a sine polynomial, which no equispaced rule integrates exactly
+        # y^2 e_j' is a sine polynomial, which no equispaced rule integrates exactly
         quad = quadrature_for_modes(L, max(k_max, count))
 
     modes = TrigFamily(

@@ -122,13 +122,20 @@ class TestNonlinearTerm:
         f = nonlinear_forcing(es, state, delta=1.0, nu=0.0)
         assert abs(f @ state) < 1e-10
 
-    def test_flux_cancellation_random_states(self, hinged_system):
-        es = hinged_system.es
+    def test_flux_cancellation_random_states(self, walls):
+        # f . y = -delta <y y_x, y> = -(delta/3) (y(L)^3 - y(0)^3): zero where
+        # the modes vanish at both walls (hinged, clamped), the wall flux on
+        # Neumann walls, whose forcing carries a wall term of its own
+        delta = 0.7
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            state = rng.normal(size=12) * 0.3
-            f = nonlinear_forcing(es, state, delta=1.0, nu=0.0)
-            assert abs(f @ state) < 1e-10 * max(1.0, np.sum(state**2))
+        for es, scale in walls:
+            ends = es.modes(np.array([0.0, es.params.length]))
+            for _ in range(20):
+                state = rng.normal(size=es.count) * scale
+                f = nonlinear_forcing(es, state, delta=delta, nu=0.0)
+                at_0, at_L = state @ ends
+                flux = -delta / 3.0 * (at_L**3 - at_0**3)
+                assert abs(f @ state - flux) < 1e-13 * max(1.0, np.sum(state**2))
 
     def test_dispersive_term_dissipative(self):
         es = eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 10)
@@ -303,7 +310,10 @@ def grid_tables(es):
 
     The field table [e | e'] takes coefficients to y and y_x at the
     quadrature nodes x; the projection [-w e; w e'']^T, with the quadrature
-    weights w, takes [y y_x | y^3] to <-y y_x, e_j> and <y^3, e_j''>.
+    weights w, takes [y y_x | y^3] to <-y y_x, e_j> and <y^3, e_j''>.  These
+    tables, `oracle_step` and `forcing_reach` stay on this y y_x form, which
+    `simulate` does not use (it projects y^2 against e' by parts), so they
+    check its forcing by an independent formula.
     """
     x, w = es.quadrature.nodes, es.quadrature.weights
     value, slope, curve = (es.modes(x, d) for d in (0, 1, 2))
@@ -596,6 +606,24 @@ class TestStepKernel:
                 bound = np.abs(new) + np.abs(stepped) + hold * forcing_reach(es, y, delta, nu)
                 assert np.all(np.abs(new - stepped - held) <= 32 * eps * bound)
             assert not np.array_equal(block[-1], kernel_steps(linear, rows, 12)[-1])
+
+    @pytest.mark.parametrize("delta, nu", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_nonlinear_read_holds_the_field_alone(self, walls, delta, nu):
+        # the read takes y on the grid, and with delta on y at Neumann walls,
+        # but no derivative of it; the drive holds one row per y^2 and y^3 column
+        gain = Gain(K=np.array([[-2.0]]), closed_loop_spectrum=np.array([-1.0]))
+        for es, _ in walls:
+            L = es.params.length
+            ms = assemble_internal(es, [Indicator(0.1 * L, 0.6 * L)], 1)
+            plan = step_plan(ms, gain, UNSATURATED, 1e-3, delta, nu)
+            m, nodes = plan.inputs, es.quadrature.nodes.size
+            ends = 2 if delta and es.bc is NEUMANN else 0
+            assert plan.read.shape == (es.count, m + nodes + ends)
+            assert_same_bits(plan.read[:, m : m + nodes], es.basis)
+            assert_same_bits(plan.read[:, m + nodes :], es.modes(np.array([0.0, L]))[:, 2 - ends :])
+            assert plan.convective == (nodes + ends if delta else 0)
+            assert plan.cubic == (nodes if nu else 0)
+            assert plan.drive.shape == (plan.convective + plan.cubic + m, es.count)
 
     def test_kernel_takes_only_states_and_a_slot(self, hinged_system, scalar_gain):
         plan = step_plan(hinged_system, scalar_gain, UNSATURATED, 1e-3, 1.0, 1.0)

@@ -538,7 +538,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("J", [1, 8, 24])
     def test_hinged_midpoint_rule_exact(self, J):
-        # y y_x e_j and y^3 e_j'' are cosine polynomials of degree <= 4J.  The
+        # y^2 e_j' and y^3 e_j'' are cosine polynomials of degree <= 4J.  The
         # phases m pi x_i / L = m pi (2i + 1) / 2N are reduced mod 2 pi in
         # integers: rounded float phases near 4J pi would be off by 1e-14.
         L = math.pi
