@@ -403,7 +403,9 @@ def cmd_gronwall(path, out_dir=None):
         b = float(doc["b"])
         k = float(doc["k"])
         horizon = float(doc["T"])
-        samples = int(doc.get("samples", 2001))
+        samples = doc.get("samples", 2001)
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 3:
+            raise ValueError(f"samples must be an integer >= 3, got {samples!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"gronwall config is malformed: {exc}")
     for key, value in (("v0", v0), ("p", p), ("b", b), ("k", k), ("T", horizon)):
@@ -411,10 +413,18 @@ def cmd_gronwall(path, out_dir=None):
             raise ConfigError(f"gronwall {key} must be finite, got {value}")
     directory, prefix = cfgmod.parse_output(doc, "gronwall")
     directory = out_dir if out_dir is not None else directory
+    nbytes = 8.0 * samples  # a column of the table
+    try:
+        if nbytes > sys.maxsize:  # numpy's size limit
+            raise MemoryError
+        t = np.linspace(0.0, horizon, samples)
+        out = gronwall_bound(v0, b, k, p, t)
+    except MemoryError:
+        raise ConfigError(
+            f"gronwall samples = {samples} take {nbytes:.3g} bytes for each column of "
+            "the bound's table: more than can be allocated"
+        ) from None
     os.makedirs(directory, exist_ok=True)
-
-    t = np.linspace(0.0, horizon, samples)
-    out = gronwall_bound(v0, b, k, p, t)
     csv_path = os.path.join(directory, f"{prefix}.csv")
     table = np.column_stack([out.times, out.values, out.w])
     _write_csv(csv_path, ["t", "bound", "w"], _csv_blocks(table))

@@ -10,8 +10,9 @@ move every derivative onto the basis, y y_x = (y^2)_x / 2 by parts with its
 wall term and (y^3)_xx twice, so the step forms no field derivative at all:
 only y on the grid, and at the walls where a mode does not vanish there.
 Every stepping pass, internal, boundary or nonlinear, runs one step kernel
-of two products, a read and a drive (`StepPlan`); the monitors take the
-forcing peak from the stored states.
+of two products, a read and a drive (`StepPlan`).  The monitors read the
+stored states back once, in chunks, against the same read: one product per
+chunk gives the command column and, for the forcing peak, the field values.
 """
 
 import contextlib
@@ -205,15 +206,6 @@ class StepPlan:
     convective: int = 0
     cubic: int = 0
 
-    def command(self, states):
-        """y_head K^T of each row from the step's own read product: the bits the step clamps."""
-        rows, read = states[:, : len(self.read)], self.read
-        control = np.empty((len(states), self.inputs))
-        for lo in range(0, len(rows), _CHUNK):
-            chunk = rows[lo : lo + _CHUNK]
-            control[lo : lo + _CHUNK] = _product(len(chunk), read)(chunk, read)[:, : self.inputs]
-        return control
-
     def head_map(self):
         """A_d = Phi_h + Gamma_h^T K (+ the integrator coupling): the unclamped step of the head."""
         head, products = self.head, self.convective + self.cubic
@@ -338,34 +330,51 @@ def nonlinear_forcing(es, state, delta, nu, out=None):
 
     The convective part projects -delta * y y_x by parts, as delta/2 * y^2
     against e_j' less the wall term; the dispersive part uses <d_xx(y^3),
-    e_j> = <y^3, e_j''>, valid for every supported BC family.  One product
-    gives y on the grid (and at the walls where `_forcing_tables` reads
-    them), and one more projects [y^2 | y^3] against its rows, into `out`
-    when given.  A switched-off term is never formed, so its overflow cannot
-    turn into NaN; with both off the forcing is zero.  Rows go `_CHUNK` at
-    a time, one vector-matrix product per row, so a row gets the same bits
-    alone or in any batch.
+    e_j> = <y^3, e_j''>, valid for every supported BC family.  It is
+    `_read_back` of the rows against the field table [basis | walls] of
+    `_forcing_tables`, into `out` when given.  A switched-off term is never
+    formed, so its overflow cannot turn into NaN; with both off the forcing
+    is zero.  A row gets the same bits alone or in any batch.
     """
-    state = np.asarray(state, dtype=float)
-    rows = state.reshape(-1, state.shape[-1])
-    out = np.empty(state.shape) if out is None else out
-    forcing = out.reshape(rows.shape)
+    rows = np.asarray(state, dtype=float).reshape(-1, np.shape(state)[-1])
+    out = np.empty(np.shape(state)) if out is None else out
     field_blocks, forcing_rows = _forcing_tables(es, delta, nu)
-    field_table = np.hstack(field_blocks)
     forcing_table = np.vstack(forcing_rows) if forcing_rows else np.empty((0, es.count))
-    nodes = es.quadrature.nodes.size
+    cubic = es.quadrature.nodes.size if nu else 0
+    _read_back(rows, np.hstack(field_blocks), 0, forcing_table, cubic, out.reshape(rows.shape))
+    return out
+
+
+def _read_back(rows, read, inputs, forcing_table=None, cubic=0, forcing=None):
+    """The rows' products with `read`, `_CHUNK` rows at a time: (first `inputs` columns, N(y)).
+
+    Each chunk takes one vector-matrix product per row, into buffers
+    allocated once and reused, so a row gets the same bits alone or in any
+    batch.  With `forcing_table`, the stacked forcing rows of
+    `_forcing_tables`, the columns after the first `inputs` are field values
+    y, on the grid first: [y^2 | y^3] is formed from them as the step kernel
+    forms it, y^2 of every field column when the table has rows for more
+    than the `cubic` y^3 columns and y^3 = y^2 y on the grid, and projected
+    against the table into `forcing` (a new array when not given).  Without
+    a table N(y) has no columns.
+    """
+    forcing_table = np.empty((0, 0)) if forcing_table is None else forcing_table
+    size = min(len(rows), _CHUNK)
+    control, values = np.empty((len(rows), inputs)), np.empty((size, read.shape[1]))
+    convective, products = len(forcing_table) - cubic, np.empty((size, len(forcing_table)))
+    forcing = np.empty((len(rows), forcing_table.shape[1])) if forcing is None else forcing
     for lo in range(0, len(rows), _CHUNK):
         chunk = rows[lo : lo + _CHUNK]
-        fields = _product(len(chunk), field_table)(chunk, field_table)
-        y, products = fields[:, :nodes], np.empty((len(chunk), len(forcing_table)))
-        if delta:
-            np.multiply(fields, fields, out=products[:, : fields.shape[1]])
-        if nu:
-            cubic = products[:, -nodes:]
-            squared = products[:, :nodes] if delta else np.multiply(y, y, out=cubic)
-            np.multiply(squared, y, out=cubic)
-        _product(len(chunk), forcing_table)(products, forcing_table, out=forcing[lo : lo + _CHUNK])
-    return out
+        r = _product(len(chunk), read)(chunk, read, out=values[: len(chunk)])
+        w, field, y = products[: len(chunk)], r[:, inputs:], r[:, inputs : inputs + cubic]
+        control[lo : lo + _CHUNK] = r[:, :inputs]
+        if convective:
+            np.multiply(field, field, out=w[:, :convective])
+        if cubic:
+            squared = w[:, :cubic] if convective else np.multiply(y, y, out=w[:, convective:])
+            np.multiply(squared, y, out=w[:, convective:])
+        _product(len(w), forcing_table)(w, forcing_table, out=forcing[lo : lo + _CHUNK])
+    return control, forcing
 
 
 def step_nonlinear_closed_loop(state, ms, gain, level, config):
@@ -451,10 +460,12 @@ def run_batch(config, ms, gain, initials, cert=None, constants=None, level=None)
     """Integrate each row of `initials` to the horizon or a blow-up.
 
     Rows hold J modal coefficients; boundary systems prepend the integrator at
-    rest.  Monitors come from the stored states after the run: with a
-    certificate v1 and the region-exit flag, with constants also v2; boundary
-    l2 reports the reconstructed physical field.  `level` defaults to the
-    unsaturated sentinel.  Returns one Trajectory per row.
+    rest.  Monitors come from the stored states after the run: the control
+    column and, for a nonlinear run, the forcing peak from one read-back
+    against the plan's read; with a certificate v1 and the region-exit flag,
+    with constants also v2; boundary l2 reports the reconstructed physical
+    field.  `level` defaults to the unsaturated sentinel.  Returns one
+    Trajectory per row.
     """
     return _stepping_pass(config, ms, gain, initials, level, cert=cert, constants=constants)[0]
 
@@ -482,12 +493,12 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
     batch, dim = rows.shape
     keep = batch if keep is None else keep
-    times, first = _fit_window(config, math.inf if t_start is None else t_start)
+    times, first, states, window = _fit_window(
+        config, math.inf if t_start is None else t_start, keep, batch, dim
+    )
     samples = times.size
-    states = np.empty((keep, samples, dim))
     filled = np.full(batch, samples)  # stored samples per row
     ended = np.zeros(batch, dtype=bool)
-    window = np.empty((batch, samples - first))
     cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
     nonlinear = config.nonlinear
     step = plan.stepper(batch)
@@ -547,24 +558,33 @@ def _initial_rows(ms, initials):
     return rows
 
 
-def _fit_window(config, t_start):
-    """A run's sample times and the index of the first one at t >= t_start.
+def _fit_window(config, t_start, keep=0, batch=0, width=0):
+    """A run's sample times, the index of the first at t >= t_start, and its stored arrays.
 
-    Raises ConfigError when T / dt asks for more samples than their times
-    can be allocated for.
+    The arrays are the states of `keep` rows of `width` values a sample and
+    the H2 norms of `batch` rows on the samples at t >= t_start.  Raises
+    ConfigError when T / dt asks for more samples than these arrays and
+    their times can be allocated for.
     """
     steps = config.T / config.dt
-    nbytes = 8.0 * (steps + 1.0)  # of the sample times alone
-    times = None
-    if nbytes <= sys.maxsize:  # numpy's size limit, past which `arange` may return no samples
+    norms = batch if t_start < math.inf else 0  # the fit window's, held on at most every sample
+    values = 1 + keep * width + norms
+    nbytes = 8.0 * values * (steps + 1.0)
+    arrays = None
+    if nbytes <= sys.maxsize:  # numpy's size limit: past it `arange` may return no samples
         with contextlib.suppress(MemoryError):
             times = np.arange(int(round(steps)) + 1) * config.dt
-    if times is None:
+            first = int(np.searchsorted(times, t_start))
+            states = np.empty((keep, times.size, width))
+            arrays = times, first, states, np.empty((batch, times.size - first))
+    if arrays is None:
         raise ConfigError(
             f"T = {config.T:g} and dt = {config.dt:g} take {steps + 1.0:.6g} samples, "
-            f"whose times alone request {nbytes:.3g} bytes: more than can be allocated"
+            f"each its time, {keep} stored row(s) {width} values wide and {norms} fit norm(s)"
+            f": up to {8 * values} bytes a sample and {nbytes:.3g} bytes in all, "
+            "more than can be allocated"
         )
-    return times, int(np.searchsorted(times, t_start))
+    return arrays
 
 
 def _crossed(plan, states, threshold):
@@ -575,12 +595,13 @@ def _crossed(plan, states, threshold):
 def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
     """Trajectory with every monitor channel computed from the stored states.
 
-    nl_ratio_max = max_k |N(y_k)|_inf / v2_k over the samples with v2 > 0
-    takes N from one `nonlinear_forcing` call, made only when v2 is.
+    One `_read_back` of the stored states against the plan's read gives the
+    control column, the bits each step clamped, and, for a nonlinear run
+    that reports v2, the field values from which nl_ratio_max = max_k
+    |N(y_k)|_inf / v2_k over the samples with v2 > 0 takes N.
     """
     es = ms.es
     boundary = ms.mode == "boundary"
-    control = plan.command(states)
     modal = states[:, 1:] if boundary else states
     w_sq = np.vecdot(modal, modal)
     if boundary:
@@ -592,17 +613,20 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
     v1 = np.full(times.size, np.nan)
     v2 = np.full(times.size, np.nan)
     nl_ratio_max = float("nan")
+    terms = ()  # the forcing table and its y^3 columns, when the forcing peak is taken
     if cert is not None:
         v1 = quad_form(states[:, : plan.head], _as_form(cert.P))
         if constants is not None:
             v2 = _v2(v1, modal, constants, es.values)
             positive = v2 > 0.0
             if config.nonlinear and positive.any():
-                # a sample under the blow-up threshold can still overflow y^3
-                with np.errstate(over="ignore", invalid="ignore"):
-                    forcing = nonlinear_forcing(es, modal, config.delta, config.nu)
-                peaks = np.max(np.abs(forcing, out=forcing), axis=1)
-                nl_ratio_max = float(np.fmax.reduce(peaks[positive] / v2[positive]))
+                terms = np.vstack(_forcing_tables(es, config.delta, config.nu)[1]), plan.cubic
+    # a sample under the blow-up threshold can still overflow y^3
+    with np.errstate(over="ignore", invalid="ignore"):
+        control, forcing = _read_back(states[:, : len(plan.read)], plan.read, plan.inputs, *terms)
+    if terms:  # the rows of N give way to their peaks before the norms' temporaries
+        forcing = np.max(np.abs(forcing, out=forcing), axis=1)
+        nl_ratio_max = float(np.fmax.reduce(forcing[positive] / v2[positive]))
     return Trajectory(
         times=times,
         states=states,
@@ -760,7 +784,7 @@ def estimate_basin(config, ms, gain, high, iters=12, t_start=None, level=None, m
     if low == 0.0:
         raise ValueError("basin estimation needs a nonzero initial.amplitude")
     start = t_start if t_start is not None else config.fit_start
-    times, first = _fit_window(config, start)
+    times, first = _fit_window(config, start)[:2]
     if times.size - first < 2:
         raise ValueError(
             f"basin search cannot fit a decay rate: T = {config.T} and dt = {config.dt} "

@@ -167,6 +167,22 @@ def test_infinite_gronwall_samples_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: gronwall config is malformed")
 
 
+@pytest.mark.parametrize("samples", ["5", 2.5, True, 2, 10**17])
+def test_gronwall_samples_other_than_an_integer_from_3_exit_2(tmp_path, capsys, samples):
+    # 10**17 samples take 711 PiB a column, more than any address space
+    doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": 10.0, "samples": samples}
+    path = tmp_path / "gron.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gronwall", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    if samples == 10**17:
+        assert err.startswith(f"config error: gronwall samples = {samples} take 8e+17 bytes")
+    else:
+        head = "config error: gronwall config is malformed: samples must be an integer >= 3, got"
+        assert err == f"{head} {samples!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "output", ["x", {"directory": "o", "prefx": "q"}], ids=["string", "misspelled-key"]
 )
@@ -732,6 +748,38 @@ class TestSimulateCommand:
         assert err.startswith(head)
         assert "bytes" in err and "Traceback" not in err
         assert not (tmp_path / "trajectory_sweep_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("basin", [False, True], ids=["run", "basin"])
+    def test_unallocatable_stored_states_exit_2(self, tmp_path, basin):
+        # the sample times take 16 MB, the stored states 16 GB: a process
+        # whose address space is capped at 2 GiB cannot allocate them,
+        # whatever the overcommit policy, and never touches their pages
+        doc = base_config(J=1000, dt=5e-7, T=1.0)
+        doc["actuators"] = [{"kind": "indicator", "a": 0.3, "b": 2.8}]
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        argv = ["simulate", "-c", path, "--certificate", str(tmp_path / "exp_certificate.json"),
+                "-o", str(tmp_path)] + (["--basin"] if basin else [])
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from satstab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(satstab.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", probe, *argv],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("config error: T = 1 and dt = 5e-07 take 2e+06 samples")
+        # a basin pass also holds the H2 norms of its 17 rows on the fit window
+        norms, per_sample, total = (17, 8144, "1.63e+10") if basin else (0, 8008, "1.6e+10")
+        assert f"1 stored row(s) 1000 values wide and {norms} fit norm(s)" in out.stderr
+        assert f"{per_sample} bytes a sample and {total} bytes in all" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "exp_trajectory.csv").exists()
+        assert not (tmp_path / "exp_summary.json").exists()
 
     def test_basin_fit_window_of_two_samples_brackets(self, tmp_path):
         assert self.sweep_basin(tmp_path, 0.0015) == 0

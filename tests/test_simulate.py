@@ -727,24 +727,39 @@ class TestControlColumn:
         for i, traj in enumerate(batch):
             assert traj.times.size == 151
             assert_same_bits(traj.control[:-1], np.array(commands)[:, i])
+        # no step reads the last sample: one more recorded step from it does
+        plan = step_plan(ms, gain, SaturationLevel(0.01), config.dt, *terms.values())
+        plan.stepper(3)(np.array([traj.states[-1] for traj in batch]))
+        assert len(commands) == 151
+        for i, traj in enumerate(batch):
+            assert_same_bits(traj.control[-1], commands[-1][i])
         assert not (batch[1].control.any() or batch[2].control.any())
 
 
 class TestForcingPeak:
-    """nl_ratio_max comes from `nonlinear_forcing` of the stored states."""
+    """nl_ratio_max is the peak of `nonlinear_forcing` of each stored state over its v2."""
 
     @pytest.mark.parametrize("loop", ["closed", "open"])
-    def test_ratio_is_the_peak_of_each_sample(self, hinged_system, loop):
-        # open, the unstable mode grows and with it the cubic forcing over
-        # v2, so the largest ratio is the last sample's
-        ms = hinged_system
+    @pytest.mark.parametrize("wall", ["hinged", "neumann", "clamped"])
+    def test_ratio_is_the_peak_of_each_sample(self, hinged_system, wall, loop):
+        # open, the unstable modes grow and with them the cubic forcing over
+        # v2, so the largest ratio is the last sample's; closed, the convective
+        # term takes the Neumann wall columns
+        if wall == "hinged":
+            ms = hinged_system
+        else:
+            es = (eigen_closed_form(OperatorParams(2.0, math.pi), NEUMANN, 12) if wall == "neumann"
+                  else eigen_clamped(OperatorParams(45.0, 1.0), 8))
+            L = es.params.length
+            ms = assemble_internal(es, [Indicator(0.1 * L, 0.6 * L)], unstable_count(es).n)
+        n = ms.dim
         level = SaturationLevel(1.0)
-        gain = design_gain(ms, poles=[-4.0])
+        gain = design_gain(ms, poles=[-4.0 - k for k in range(n)])
         cert = build_certificate(ms, gain, level)
         consts = select_h2_constants(cert, ms, gain)
         config = SimConfig(dt=1e-3, T=0.3, delta=1.0, nu=0.5, initial=("smooth", 0.2))
         if loop == "open":
-            gain = Gain(K=np.zeros((1, 1)), closed_loop_spectrum=np.array([1.0]))
+            gain = Gain(K=np.zeros((1, n)), closed_loop_spectrum=np.ones(n))
             config = replace(config, delta=0.0, nu=1.0, initial=("first_mode", 0.05))
         traj = run(config, ms, gain, cert, consts, level)
         ratios = [
@@ -1568,6 +1583,30 @@ class TestQuadForm:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (plan.read.nbytes + plan.drive.nbytes)
+
+    def test_monitors_hold_the_grid_four_times_at_most(self):
+        # 1,201 stored samples take three chunks of the read-back; its buffers,
+        # reused from chunk to chunk, hold one chunk of [R | y^2 | y^3] rows
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 256)
+        ms = assemble_internal(es, [Indicator(0.0, 0.6 * math.pi)], 1)
+        level = SaturationLevel(1.0)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain)
+        config = SimConfig(dt=5e-4, T=0.6, delta=1.0, nu=1.0, initial=("smooth", 0.1))
+        traj = run(config, ms, gain, cert, consts, level)
+        assert traj.times.size == 1201 > 2 * simulate._CHUNK
+        plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
+        tracemalloc.start()
+        try:
+            again = _monitored(
+                plan, ms, config, traj.times, traj.states, traj.exit_reason, cert, consts
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.nl_ratio_max == traj.nl_ratio_max
+        assert peak <= 4 * (plan.read.nbytes + plan.drive.nbytes)
 
 
 def fit_decay_rate_from(times, values):
