@@ -53,7 +53,9 @@ EXIT_OK = 0
 _CSV_CHUNK = 1024
 _NONFINITE = np.frombuffer(b"nan\0inf\0-inf", np.uint8).reshape(3, 4)
 # the one-byte markers `_csv_block` writes, and what each expands to
-_SPELLED = ((b"\1", b"-0"), (b"\2", b"e+"), (b"\3", b"e-05,"), (b"\4", b"e-05\r"))
+_SPELLED = (
+    (b"\1", b"-0"), (b"\2", b"e+"), (b"\3", b"e-05,"), (b"\4", b"e-05\r\n"), (b"\5", b"\r\n")
+)
 
 
 def _csv_block(table, int_columns=()):
@@ -66,13 +68,16 @@ def _csv_block(table, int_columns=()):
       - exponents get a sign and two digits: 1e16 -> 1e+16, 1e-7 -> 1e-07;
       - 1e-5 <= |x| < 1e-4, written 0.0000123, takes scientific form: 1.23e-05;
       - null becomes nan, inf or -inf, read off the table.
-    The row brackets become line ends.  A byte to drop (a bracket, an int's
-    ".0", a band cell's "0.000", the 4th byte of nan/inf) becomes 0x00; a
-    byte that must grow becomes a marker of `_SPELLED`: the "-" of a one-digit
-    exponent (0x01 -> "-0"), the "e" of a positive one (0x02 -> "e+"), the
-    end of a band cell (0x03 -> "e-05,", 0x04 -> "e-05" and CR).  Only the
-    closing bytes.replace calls change the length; orjson writes no byte
-    below 0x20, so none of its bytes is taken for a marker.
+    orjson dumps the table flat, "[c,c,...,c]": one scan for "," finds every
+    cell's end, once the final "]" is made a "," too.  A byte to drop (the
+    opening bracket, an int's ".0", a band cell's "0.000", the 4th byte of
+    nan/inf) becomes 0x00; a byte that must grow becomes a marker of
+    `_SPELLED`: the "-" of a one-digit exponent (0x01 -> "-0"), the "e" of a
+    positive one (0x02 -> "e+"), the end of a band cell (0x03 -> "e-05,",
+    0x04 -> "e-05" CRLF at a row's end) and the end of any other row's last
+    cell (0x05 -> CRLF).  Only the closing bytes.replace calls change the
+    length; orjson writes no byte below 0x20, so none of its bytes is taken
+    for a marker.
     Which cells have an exponent, and its digit count, come from the values:
     a double above fl(10^k) rounds only decimals above 10^k, and fl(10^k)
     prints as 1e{k}, so comparing against fl(10^k) is exact; floor(log10|x|)
@@ -82,16 +87,14 @@ def _csv_block(table, int_columns=()):
 
     table = np.ascontiguousarray(table, dtype=np.float64)
     rows, width = table.shape
-    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    flat = table.ravel()
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
     text = np.frombuffer(text, np.uint8).copy()
-    # "[[c,c],[c,c]]": each row has `width` cell ends ("," and the closing
-    # "]"), then the "," before the next row's "[" or the final "]"
-    seps = np.flatnonzero((text == ord(",")) | (text == ord("]"))).reshape(rows, width + 1)
-    ends = seps[:, :width]  # the byte after each cell
-    opens = np.r_[0, seps[:-1, width]] + 1  # each row's "["
-    text[ends[:, -1]] = ord("\r")
-    text[seps[:, width]] = ord("\n")
-    text[0] = text[opens] = 0
+    text[-1] = ord(",")  # the closing "]" ends the last cell
+    cells = np.flatnonzero(text == ord(","))  # the byte after each cell, in row-major order
+    ends = cells.reshape(rows, width)
+    text[0] = 0
+    text[ends[:, -1]] = 5  # the line ends
     text[ends[:, list(int_columns), None] - [1, 2]] = 0  # ints lose their ".0"
 
     bad = ~np.isfinite(table)  # orjson's "null", in row-major order
@@ -104,14 +107,14 @@ def _csv_block(table, int_columns=()):
     text[ends[(magnitude >= 1e-9) & (magnitude < 1e-5)] - 2] = 1  # the "-" of "e-7"
     big = (magnitude >= 1e16) & (magnitude < np.inf)  # the "e" of "e16" or "e100"
     text[ends[big] - 3 - (magnitude[big] >= 1e100)] = 2
-    r, c = np.nonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
-    if r.size:
-        end = ends[r, c]
-        lead = np.where(c > 0, ends[r, c - 1], opens[r]) + 1 + np.signbit(table[r, c])
+    band = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
+    if band.size:
+        end = cells[band]
+        lead = np.where(band > 0, cells[band - 1], 0) + 1 + np.signbit(flat[band])
         text[lead + 5] = text[lead + 6]  # the first significant digit
         text[lead + 6] = np.where(lead + 7 < end, ord("."), 0)
         text[lead[:, None] + np.arange(5)] = 0  # "0.000" before the moved digit
-        text[end] = np.where(c < width - 1, 3, 4)
+        text[end] = np.where(band % width < width - 1, 3, 4)
 
     # a replace whose marker is absent is one memchr pass and copies nothing
     text = text.tobytes().replace(b"\0", b"")
@@ -411,6 +414,8 @@ def cmd_gronwall(path, out_dir=None):
     for key, value in (("v0", v0), ("p", p), ("b", b), ("k", k), ("T", horizon)):
         if not math.isfinite(value):
             raise ConfigError(f"gronwall {key} must be finite, got {value}")
+    if not horizon > 0.0:
+        raise ConfigError(f"gronwall T must be positive, got {horizon}")
     directory, prefix = cfgmod.parse_output(doc, "gronwall")
     directory = out_dir if out_dir is not None else directory
     nbytes = 8.0 * samples  # a column of the table

@@ -10,9 +10,12 @@ move every derivative onto the basis, y y_x = (y^2)_x / 2 by parts with its
 wall term and (y^3)_xx twice, so the step forms no field derivative at all:
 only y on the grid, and at the walls where a mode does not vanish there.
 Every stepping pass, internal, boundary or nonlinear, runs one step kernel
-of two products, a read and a drive (`StepPlan`).  The monitors read the
-stored states back once, in chunks, against the same read: one product per
-chunk gives the command column and, for the forcing peak, the field values.
+of two products, a read and a drive (`StepPlan`), into one block buffer it
+reuses; where the blow-up form and the H2 Gram are both weights (hinged and
+Neumann walls) one squared block feeds both of a block's checks.  The
+monitors read the stored states back once, in chunks, against the same
+read: one product per chunk gives the command column and, for the forcing
+peak, the field values.
 """
 
 import contextlib
@@ -31,7 +34,14 @@ EXIT_HORIZON = "horizon"
 EXIT_BLOWUP = "blowup"
 
 _PRESETS = ("first_mode", "smooth", "bump")
-_BLOCK = 64  # samples stepped between exit checks
+# Samples stepped between exit checks, into one reused block buffer.  Benchmark
+# wall_s medians of 10 rounds, 64 / 128 / 256 in turn (2-vCPU Xeon host, 8 s
+# runs): nonlinear_single 0.0705 / 0.0704 / 0.0690 s, 256 lower than 64 in 8 of
+# 10 rounds by less than 64's quartile spread (0.0688-0.0714); trajectory_sweep
+# 0.2979 / 0.2912 / 0.2895 s, 256 lower in 9 of 10.  64 stays: on
+# nonlinear_single the gain is within the noise, and the tests lay their
+# crossings out on 64-sample blocks.
+_BLOCK = 64
 _CHUNK = 512  # stored samples per product when the monitors read them back
 _BUMP_RTOL = 1e-10  # bump projections below this fraction of its L2 norm are rounding noise
 _LEVELS_PER_PASS = 4  # bisection levels a basin-search pass settles: 15 amplitudes
@@ -191,9 +201,10 @@ class StepPlan:
     A step of a few rows costs its numpy calls, so `stepper(rows)` fixes
     everything but the states once per pass: the growth and clamp bounds
     laid out per row, one buffer [w | y] that the read fills and the drive
-    reads, and the product `_product` picks for each matrix.  Both
-    products are one vector-matrix product per row and the rest is
-    elementwise, so a row gets the same bits alone or in any batch.
+    reads, the drive's output buffer, the ufuncs and the product `_product`
+    picks for each matrix.  Both products are one vector-matrix product per
+    row and the rest is elementwise, so a row gets the same bits alone or
+    in any batch.
     """
 
     growth: np.ndarray  # exp(sigma dt)
@@ -217,7 +228,10 @@ class StepPlan:
         """The step kernel for batches of `rows` rows: (states, out=None) -> states.
 
         With `out`, an array of the states' shape, the new states are
-        written into it and it is returned.
+        written into it and it is returned.  Every call passes its output
+        positionally, which a call parses faster than the `out` keyword,
+        except the clamp's `np.minimum`: numpy deprecates a positional out
+        for it and `np.maximum`.
         """
         read, drive, convective, cubic = self.read, self.drive, self.convective, self.cubic
         products, k = convective + cubic, len(drive)
@@ -230,20 +244,20 @@ class StepPlan:
         growth, d = np.tile(self.growth, (rows, 1)), np.empty((rows, drive.shape[1]))
         reading, driving = _product(rows, read), _product(rows, drive)
         width, full = len(read), len(read) == len(self.growth)  # a view costs half a product
+        multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
 
         def step(states, out=None):
-            reading(states if full else states[:, :width], read, out=r)
+            reading(states if full else states[:, :width], read, r)
             if convective:
-                np.multiply(field, field, out=squares)
+                multiply(field, field, squares)
             if cubic:
                 if not convective:
-                    np.multiply(y, y, out=cubes)
-                np.multiply(y2, y, out=cubes)
-            np.minimum(np.maximum(u, floor), ceiling, out=u)
-            driving(w, drive, out=d)
-            new = growth * states if out is None else np.multiply(growth, states, out=out)
-            new += d
-            return new
+                    multiply(y, y, cubes)
+                multiply(y2, y, cubes)
+            minimum(maximum(u, floor), ceiling, out=u)  # a positional out is deprecated here
+            driving(w, drive, d)
+            new = multiply(growth, states, out)
+            return add(new, d, new)
 
         return step
 
@@ -476,7 +490,14 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
 
     One step kernel, `StepPlan.stepper`'s, steps every row, a time-major
     block of `_BLOCK` samples at a time (slot k - start holds sample k of
-    every row), until each row has ended or the horizon is reached.
+    every row), until each row has ended or the horizon is reached.  Every
+    block is stepped into one buffer allocated once per pass.  When the
+    blow-up form is a weight vector, and so gram_d2 is too (hinged and
+    Neumann walls), each block is squared once into a second reused buffer,
+    and both the blow-up test and the fit window's H2 norms contract it
+    with their weights: the bits `quad_form` gives, and a sum of
+    nonnegative terms needs no floor at zero.  Matrix forms (clamped Grams)
+    take `_crossed` and `_h2`, a product per form.
     A row ends at its first `_crossed` sample, which a nonlinear run drops
     unless it is the initial one; the samples it takes after that are
     discarded and may overflow.  The first `keep` rows (all by default) are
@@ -500,30 +521,38 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     filled = np.full(batch, samples)  # stored samples per row
     ended = np.zeros(batch, dtype=bool)
     cut = 1 if ms.mode == "boundary" else 0  # the integrator is no mode
-    nonlinear = config.nonlinear
+    nonlinear, form, gram_d2 = config.nonlinear, plan.norm_form, ms.es.gram_d2
     step = plan.stepper(batch)
-    y, start = rows, 0
+    buffer = np.empty((min(_BLOCK, samples), batch, dim))  # every block's samples
+    # weight forms (hinged, Neumann) share one squared block; a 1-D norm form has a 1-D gram_d2
+    squared = block_sq = np.empty_like(buffer) if form.ndim == 1 else None
+    buffer[0], y, start = rows, rows, 0
     while start < samples and not ended.all():
         end = min(start + _BLOCK, samples)
-        stepped = max(start, 1)  # the first sample this block steps to
-        block = np.empty((end - start, batch, dim))
-        if start == 0:
-            block[0] = y
+        block = buffer[: end - start]
         with np.errstate(over="ignore", invalid="ignore"):  # ended rows may overflow
-            for out in block[stepped - start :]:
+            for out in block[max(start, 1) - start :]:  # from the first sample it steps to
                 y = step(y, out)
-            crossed = _crossed(plan, block, config.blowup_threshold) & ~ended
+            if squared is None:
+                crossed = _crossed(plan, block, config.blowup_threshold)
+            else:  # one squared block feeds the blow-up test and the H2 norms
+                block_sq = np.multiply(block, block, squared[: len(block)])
+                crossed = ~(np.vecdot(block_sq, form) <= config.blowup_threshold**2)
             lo = max(start, first)
             if lo < end:
-                h2 = _h2(block[lo - start :, :, cut:], ms.es.gram_d2)
+                h2 = (
+                    _h2(block[lo - start :, :, cut:], gram_d2) if squared is None
+                    else np.sqrt(np.vecdot(block_sq[lo - start :, :, cut:], gram_d2))  # terms >= 0
+                )
                 window[:, lo - first : end - first] = h2.T
+        crossed &= ~ended
         states[:, start:end] = block[:, :keep].swapaxes(0, 1)
         for i in np.flatnonzero(crossed.any(axis=0)):
             k = start + int(np.argmax(crossed[:, i]))  # the row's first crossing
             filled[i] = k if nonlinear and k else k + 1  # a nonlinear crossing is not stored
             ended[i] = True
         start = end
-    del block, y  # free before the fit's and the monitors' temporaries
+    del buffer, squared, block, block_sq, y  # free before the fit's and the monitors' temporaries
     exits = [EXIT_BLOWUP if e else EXIT_HORIZON for e in ended]
 
     verdicts = None

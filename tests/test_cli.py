@@ -1133,8 +1133,12 @@ class TestCsvBlock:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_edges(self, sign):
         row = sign * np.array(CSV_EDGES)
-        assert cli._csv_block(row[None, :]) == table_oracle(row[None, :])
-        assert cli._csv_block(row[:, None]) == table_oracle(row[:, None])
+        # one row, one column, the row and its reverse, and every rotation of
+        # the row, in which each edge value is the first cell of one row and
+        # the last of another
+        rotations = np.array([np.roll(row, k) for k in range(len(row))])
+        for table in (row[None, :], row[:, None], np.array([row, row[::-1]]), rotations):
+            assert cli._csv_block(table) == table_oracle(table)
 
     def test_edge_bytes(self):
         assert cli._csv_block(np.array([EDGE_ROW + [np.inf]])) == (
@@ -1168,9 +1172,14 @@ class TestCsvBlock:
         assert text == (
             b"[0.00001,0.000015,9.99e-6,1e-9,1e-10,1000000000000000.0,1e16,1e100,-0.0,null]"
         )
-        # the writer's drop byte and markers lie below 0x20
+        # the writer dumps its table flat: a bracket, then cells and commas
         table = np.array([CSV_EDGES, np.negative(CSV_EDGES)])
-        for text in (text, orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)):
+        flat = orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        assert flat.startswith(b"[") and flat.endswith(b"]")
+        assert flat.count(b",") == table.size - 1 and b"[" not in flat[1:] and b"]" not in flat[:-1]
+        assert flat[1:-1].split(b",") == [orjson.dumps(float(x)) for x in table.ravel()]
+        # the writer's drop byte and markers lie below 0x20
+        for text in (text, orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY), flat):
             assert min(text) >= 0x20
 
 
@@ -1580,13 +1589,16 @@ class TestGronwallCommand:
         assert summary["final_bound"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
-    def test_non_increasing_grid_exits_2(self, tmp_path, capsys, horizon):
+    def test_non_positive_horizon_exits_2(self, tmp_path, capsys, horizon):
+        # rejected by name before the time grid or any output directory is made
         doc = {"v0": 0.5, "p": 2.0, "b": -1.0, "k": 1.0, "T": horizon}
         path = tmp_path / "gron.json"
         path.write_text(json.dumps(doc))
-        assert main(["gronwall", "-c", str(path), "-o", str(tmp_path)]) == 2
-        assert "strictly increase" in capsys.readouterr().err
-        assert not (tmp_path / "gronwall.csv").exists()
+        out = tmp_path / "out"
+        assert main(["gronwall", "-c", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: gronwall T must be positive, got {horizon}\n"
+        assert not out.exists()
 
     def test_expired_bound_exits_3(self, tmp_path):
         doc = {"v0": 2.0, "p": 2.0, "b": 1.0, "k": 1.0, "T": 2.0}

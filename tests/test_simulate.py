@@ -972,12 +972,26 @@ class TestBatch:
         assert all(t.states[0, 0] == 0.0 for t in batch)
         self.assert_same(batch, serial, ("l2", "h1", "h2", "u_plus_w"))
 
-    @pytest.mark.parametrize("iters", [12, 9, 8, 5, 4, 3, 2, 1])
-    def test_ksection_matches_serial_bisection(self, hinged_system, scalar_gain, iters):
-        level = SaturationLevel(1.0)
+    @pytest.mark.parametrize(
+        "iters, loop",
+        [pytest.param(i, "hinged", id=str(i)) for i in [12, 9, 8, 5, 4, 3, 2, 1]]
+        + [pytest.param(i, "clamped", id=f"clamped-{i}") for i in [12, 9, 4, 1]],
+    )
+    def test_ksection_matches_serial_bisection(self, hinged_system, scalar_gain, iters, loop):
+        # hinged Grams are weights, clamped ones matrices: the block check takes
+        # one squared block for the former and a product per form for the latter
+        ms, gain, level = hinged_system, scalar_gain, SaturationLevel(1.0)
+        if loop == "clamped":
+            # z' = s z + sat(-3 s z) at level s has its basin edge at z = 1 too
+            ms = assemble_internal(eigen_clamped(OperatorParams(39.6, 1.0), 8),
+                                   [ModeCombination([1.0])], 1)
+            s = float(ms.es.values[0])
+            gain = Gain(K=np.array([[-3.0 * s]]), closed_loop_spectrum=np.array([-2.0 * s]))
+            level = SaturationLevel(s)
+            assert ms.es.gram_d2.ndim == 2 and step_plan(ms, gain, level, 1e-3).norm_form.ndim == 2
 
         def decays(amplitude):
-            traj = run(scalar_edge_config(amplitude), hinged_system, scalar_gain, level=level)
+            traj = run(scalar_edge_config(amplitude), ms, gain, level=level)
             return decayed(traj, 1.0)
 
         low, high = 0.2, 2.0
@@ -986,7 +1000,7 @@ class TestBatch:
             low, high = (mid, high) if decays(mid) else (low, mid)
         assert low <= 1.0 <= high
         edge, bracketed = estimate_basin(
-            scalar_edge_config(0.2), hinged_system, scalar_gain, 2.0, iters=iters, level=level
+            scalar_edge_config(0.2), ms, gain, 2.0, iters=iters, level=level
         )
         assert bracketed
         assert edge == 0.5 * (low + high)
