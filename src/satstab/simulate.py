@@ -11,11 +11,14 @@ wall term and (y^3)_xx twice, so the step forms no field derivative at all:
 only y on the grid, and at the walls where a mode does not vanish there.
 Every stepping pass, internal, boundary or nonlinear, runs one step kernel
 of two products, a read and a drive (`StepPlan`), into one block buffer it
-reuses; where the blow-up form and the H2 Gram are both weights (hinged and
-Neumann walls) one squared block feeds both of a block's checks.  The
-monitors read the stored states back once, in chunks, against the same
-read: one product per chunk gives the command column and, for the forcing
-peak, the field values.
+reuses, whose slots and read input views it makes once per pass; where the
+blow-up form and the H2 Gram are both weights (hinged and Neumann walls)
+one squared block feeds both of a block's checks.  A product with an inner
+dimension of one is the IEEE elementwise product, so a zero factor of
+either sign gives a signed zero, as a lone product does.  The monitors
+read the stored states back once, in chunks, against the same read: one
+product per chunk gives the command column and, for the forcing peak, the
+field values; one squared block feeds every weight-form channel.
 """
 
 import contextlib
@@ -142,17 +145,22 @@ def _product(rows, matrix):
     It is called as (rows, matrix, out=None).  A single matrix-matrix
     product would round each row differently depending on the batch around
     it; one product per row gives a trajectory the same bits whether it runs
-    alone or in a batch: several rows take `np.vecmat`.  With an inner
-    dimension of at most one each entry is a single product (or none), and
-    the plain matrix product gives the same bits, signed zeros included, at
-    less cost.  One row with a longer inner dimension takes `ndarray.dot`,
-    which gives `vecmat`'s bits at less call cost (at inner dimension one it
-    would flip the sign of some zeros).  Each writes its product straight
-    into `out` when it is given, a slot of a larger block included (`dot`
-    needs a C-contiguous one).  The choice depends on the shapes only, so a
+    alone or in a batch: several rows take `np.vecmat`.  A matrix of one
+    row takes `np.multiply`, the broadcast outer product of the rows'
+    column with that row: each entry is the IEEE product of its two
+    factors, alone or in any batch, so a zero factor gives a signed zero
+    (+0 times a negative entry is -0, where a matrix product's 0 + a b
+    would be +0).  A 1-D vector gets the broadcast (1, columns) product.
+    Inner dimension 0 takes `np.matmul`, zeros.  One row with a longer
+    inner dimension takes `ndarray.dot`, which gives `vecmat`'s bits at
+    less call cost.  Each writes its product straight into `out` when it
+    is given, a slot of a larger block included (`dot` needs a
+    C-contiguous one).  The choice depends on the shapes only, so a
     stepping pass makes it once per matrix.
     """
-    if matrix.shape[0] <= 1:
+    if len(matrix) == 1:
+        return np.multiply
+    if len(matrix) == 0:
         return np.matmul
     return np.ndarray.dot if rows == 1 else np.vecmat
 
@@ -202,9 +210,11 @@ class StepPlan:
     everything but the states once per pass: the growth and clamp bounds
     laid out per row, one buffer [w | y] that the read fills and the drive
     reads, the drive's output buffer, the ufuncs and the product `_product`
-    picks for each matrix.  Both products are one vector-matrix product per
-    row and the rest is elementwise, so a row gets the same bits alone or
-    in any batch.
+    picks for each matrix (the elementwise product where it has one row).
+    The states' columns the read takes, `read_input`, are a view a pass
+    makes once per slot of its block buffer.  Both products are one
+    vector-matrix product per row and the rest is elementwise, so a row
+    gets the same bits alone or in any batch.
     """
 
     growth: np.ndarray  # exp(sigma dt)
@@ -224,11 +234,17 @@ class StepPlan:
         gamma = self.read[:head, :linear] @ self.drive[products:, :head]
         return np.diag(self.growth[:head]) + gamma.T
 
-    def stepper(self, rows):
-        """The step kernel for batches of `rows` rows: (states, out=None) -> states.
+    def read_input(self, states):
+        """The columns of `states` the read takes: the head's, or the states themselves."""
+        return states if len(self.read) == len(self.growth) else states[..., : len(self.read)]
 
-        With `out`, an array of the states' shape, the new states are
-        written into it and it is returned.  Every call passes its output
+    def stepper(self, rows):
+        """The step kernel for batches of `rows` rows: (states, read_in, out) -> states.
+
+        `read_in` is `read_input(states)`, which a stepping pass makes once
+        per slot, not once per step.  With `out`, an array of the states'
+        shape, the new states are written into it and it is returned; with
+        None they are a new array.  Every call passes its output
         positionally, which a call parses faster than the `out` keyword,
         except the clamp's `np.minimum`: numpy deprecates a positional out
         for it and `np.maximum`.
@@ -243,11 +259,10 @@ class StepPlan:
         floor, ceiling = np.full(u.shape, -self.level.ell), np.full(u.shape, self.level.ell)
         growth, d = np.tile(self.growth, (rows, 1)), np.empty((rows, drive.shape[1]))
         reading, driving = _product(rows, read), _product(rows, drive)
-        width, full = len(read), len(read) == len(self.growth)  # a view costs half a product
         multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
 
-        def step(states, out=None):
-            reading(states if full else states[:, :width], read, r)
+        def step(states, read_in, out):
+            reading(read_in, read, r)
             if convective:
                 multiply(field, field, squares)
             if cubic:
@@ -263,7 +278,7 @@ class StepPlan:
 
     def step(self, states, out=None):
         """y <- g y + h (a y_0 + sat(y_head K^T) B^T + N(y)), row by row."""
-        return self.stepper(len(states))(states, out)
+        return self.stepper(len(states))(states, self.read_input(states), out)
 
 
 def step_plan(ms, gain, level, dt, delta=0.0, nu=0.0):
@@ -459,9 +474,13 @@ def resolve_initial(config, es):
     return y0.copy()
 
 
-def _v2(v1, modal, constants, sigma):
-    """Frequency-weighted energy 0.5 M v1 + sum_j (-sigma_j) y_j^2."""
-    return 0.5 * constants.M * v1 + quad_form(modal, -sigma)
+def _v2(v1, squared, constants, sigma):
+    """Frequency-weighted energy 0.5 M v1 + sum_j (-sigma_j) y_j^2, from the squares y_j^2.
+
+    The sum contracts `squared`, the modal rows times themselves, with the
+    weights -sigma: `quad_form(modal, -sigma)`'s bits.
+    """
+    return 0.5 * constants.M * v1 + np.vecdot(squared, -sigma)
 
 
 def run(config, ms, gain, cert=None, constants=None, level=None):
@@ -491,11 +510,13 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     One step kernel, `StepPlan.stepper`'s, steps every row, a time-major
     block of `_BLOCK` samples at a time (slot k - start holds sample k of
     every row), until each row has ended or the horizon is reached.  Every
-    block is stepped into one buffer allocated once per pass.  When the
-    blow-up form is a weight vector, and so gram_d2 is too (hinged and
-    Neumann walls), each block is squared once into a second reused buffer,
-    and both the blow-up test and the fit window's H2 norms contract it
-    with their weights: the bits `quad_form` gives, and a sum of
+    block is stepped into one buffer allocated once per pass, whose slots
+    and their read input views are made once per pass too: each step
+    reads the slot before its own, the last slot for a block's first.
+    When the blow-up form is a weight vector, and so gram_d2 is too (hinged
+    and Neumann walls), each block is squared once into a second reused
+    buffer, and both the blow-up test and the fit window's H2 norms
+    contract it with their weights: the bits `quad_form` gives, and a sum of
     nonnegative terms needs no floor at zero.  Matrix forms (clamped Grams)
     take `_crossed` and `_h2`, a product per form.
     A row ends at its first `_crossed` sample, which a nonlinear run drops
@@ -524,15 +545,18 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
     nonlinear, form, gram_d2 = config.nonlinear, plan.norm_form, ms.es.gram_d2
     step = plan.stepper(batch)
     buffer = np.empty((min(_BLOCK, samples), batch, dim))  # every block's samples
+    slots, reads = list(buffer), list(plan.read_input(buffer))
+    steps = list(zip(slots[-1:] + slots[:-1], reads[-1:] + reads[:-1], slots))
     # weight forms (hinged, Neumann) share one squared block; a 1-D norm form has a 1-D gram_d2
     squared = block_sq = np.empty_like(buffer) if form.ndim == 1 else None
-    buffer[0], y, start = rows, rows, 0
+    buffer[0], start = rows, 0
     while start < samples and not ended.all():
         end = min(start + _BLOCK, samples)
         block = buffer[: end - start]
         with np.errstate(over="ignore", invalid="ignore"):  # ended rows may overflow
-            for out in block[max(start, 1) - start :]:  # from the first sample it steps to
-                y = step(y, out)
+            # from the first sample it steps to, each slot from the one before
+            for before, read_in, out in steps[max(start, 1) - start : end - start]:
+                step(before, read_in, out)
             if squared is None:
                 crossed = _crossed(plan, block, config.blowup_threshold)
             else:  # one squared block feeds the blow-up test and the H2 norms
@@ -552,7 +576,8 @@ def _stepping_pass(config, ms, gain, initials, level=None, keep=None, t_start=No
             filled[i] = k if nonlinear and k else k + 1  # a nonlinear crossing is not stored
             ended[i] = True
         start = end
-    del buffer, squared, block, block_sq, y  # free before the fit's and the monitors' temporaries
+    # free before the fit's and the monitors' temporaries
+    del buffer, slots, reads, steps, squared, block, block_sq
     exits = [EXIT_BLOWUP if e else EXIT_HORIZON for e in ended]
 
     verdicts = None
@@ -624,10 +649,14 @@ def _crossed(plan, states, threshold):
 def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
     """Trajectory with every monitor channel computed from the stored states.
 
-    One `_read_back` of the stored states against the plan's read gives the
-    control column, the bits each step clamped, and, for a nonlinear run
-    that reports v2, the field values from which nl_ratio_max = max_k
-    |N(y_k)|_inf / v2_k over the samples with v2 > 0 takes N.
+    The modal block is squared once for every weight-form channel: v2's
+    -sigma weights and each of the H1 and H2 Grams that is a weight vector
+    (hinged and Neumann walls) contract it, `quad_form`'s bits; a matrix
+    Gram (clamped walls) takes `quad_form`.  One `_read_back` of the stored
+    states against the plan's read gives the control column, the bits each
+    step clamped, and, for a nonlinear run that reports v2, the field
+    values from which nl_ratio_max = max_k |N(y_k)|_inf / v2_k over the
+    samples with v2 > 0 takes N.
     """
     es = ms.es
     boundary = ms.mode == "boundary"
@@ -639,20 +668,28 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
         l2 = np.sqrt(np.maximum(0.0, w_sq + 2.0 * u * inner_wd + u**2 * ms.lifting.d_norm_sq()))
     else:
         l2 = np.sqrt(w_sq)
+    reports_v2 = cert is not None and constants is not None
+    weighted = reports_v2 or es.gram_d1.ndim == 1 or es.gram_d2.ndim == 1
+    squared = modal * modal if weighted else None
+    h1, h2 = (
+        np.sqrt(np.maximum(0.0, quad_form(modal, g) if g.ndim > 1 else np.vecdot(squared, g)))
+        for g in (es.gram_d1, es.gram_d2)
+    )
     v1 = np.full(times.size, np.nan)
     v2 = np.full(times.size, np.nan)
     nl_ratio_max = float("nan")
     terms = ()  # the forcing table and its y^3 columns, when the forcing peak is taken
     if cert is not None:
         v1 = quad_form(states[:, : plan.head], _as_form(cert.P))
-        if constants is not None:
-            v2 = _v2(v1, modal, constants, es.values)
+        if reports_v2:
+            v2 = _v2(v1, squared, constants, es.values)
             positive = v2 > 0.0
             if config.nonlinear and positive.any():
                 terms = np.vstack(_forcing_tables(es, config.delta, config.nu)[1]), plan.cubic
+    del squared  # before the read-back's forcing rows
     # a sample under the blow-up threshold can still overflow y^3
     with np.errstate(over="ignore", invalid="ignore"):
-        control, forcing = _read_back(states[:, : len(plan.read)], plan.read, plan.inputs, *terms)
+        control, forcing = _read_back(plan.read_input(states), plan.read, plan.inputs, *terms)
     if terms:  # the rows of N give way to their peaks before the norms' temporaries
         forcing = np.max(np.abs(forcing, out=forcing), axis=1)
         nl_ratio_max = float(np.fmax.reduce(forcing[positive] / v2[positive]))
@@ -662,8 +699,8 @@ def _monitored(plan, ms, config, times, states, exit_reason, cert, constants):
         control=control,
         sat_active=np.abs(control) > plan.level.ell,
         l2=l2,
-        h1=np.sqrt(np.maximum(0.0, quad_form(modal, es.gram_d1))),
-        h2=_h2(modal, es.gram_d2),
+        h1=h1,
+        h2=h2,
         v1=v1,
         v2=v2,
         exit_reason=exit_reason,

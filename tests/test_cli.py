@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from satstab.config import load_config, parse_config, serialize_config
 from satstab.errors import SatStabError
 from satstab.modal import ModalSystem
 from satstab.simulate import Trajectory, gronwall_bound, run
-from satstab.spectral import ClampedFamily
+from satstab.spectral import ClampedFamily, EigenSystem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1028,6 +1029,25 @@ class TestTrajectoryCsv:
         expected = oracle_csv(cfg.J, ms, traj)
         assert (tmp_path / "exp_trajectory.csv").read_bytes() == expected
 
+    def test_zero_head_start_writes_a_negative_zero_command(self, tmp_path):
+        # the trajectory_sweep config from rest: the command is the IEEE product
+        # of K < 0 and +0, -0, while every state, norm and energy stays +0
+        doc = json.loads((ROOT / "bench" / "configs" / "trajectory_sweep.json").read_text())
+        J = doc["J"]
+        doc.update(T=0.002, initial={"modal": [0.0] * J}, output={"directory": ".", "prefix": "exp"})
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        cert = str(tmp_path / "exp_certificate.json")
+        assert main(["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]) == 0
+        header = ["t"] + [f"y_{j + 1}" for j in range(J)]
+        header += ["u_1", "sat_active_1", "l2", "h1", "h2", "v1", "v2"]
+        lines = [header] + [
+            [t] + ["0.0"] * J + ["-0.0", "0"] + ["0.0"] * 5
+            for t in ("0.0", "0.0005", "0.001", "0.0015", "0.002")
+        ]
+        expected = "".join(",".join(line) + "\r\n" for line in lines).encode()
+        assert (tmp_path / "exp_trajectory.csv").read_bytes() == expected
+
     # row counts: literals, and "block" plus an offset for the writer's block
     # size; the RNG is seeded from the name, so neither names nor data move
     # with the block size
@@ -1335,6 +1355,59 @@ class TestVerifyCommand:
             match = re.fullmatch(rf"PASS {re.escape(name)} \({pattern}\)", line)
             assert match, line
             assert holds(*map(float, match.groups())), line
+
+    @staticmethod
+    def tampered_verify(tmp_path, capsys, monkeypatch, tamper):
+        """`verify`'s exit code and lines on base_config(J=8), its eigen system passed through `tamper`."""
+        build = cfgmod.build_eigen
+        monkeypatch.setattr(cfgmod, "build_eigen", lambda cfg: tamper(build(cfg)))
+        path = write_config(tmp_path, base_config(J=8))
+        code = main(["verify", "-c", path])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_swapped_eigenvalues_fail_the_sort_check(self, tmp_path, capsys, monkeypatch):
+        # the last two (tail) eigenvalues swapped: the sequence rises by their gap
+        swapped = []
+
+        def tamper(es):
+            values = es.values.copy()
+            values[-2:] = values[-1], values[-2]
+            swapped.append(es.values[-2] - es.values[-1])
+            return replace(es, values=values)
+
+        code, lines = self.tampered_verify(tmp_path, capsys, monkeypatch, tamper)
+        assert code == 3
+        assert swapped[0] > 0.0
+        assert f"FAIL spectral.values_sorted (largest increase {swapped[0]:.2e})" in lines
+        assert lines[-1].endswith(" invariant(s) failed")
+
+    def test_scaled_basis_row_fails_orthonormality(self, tmp_path, capsys, monkeypatch):
+        # the last mode's grid values scaled by 1 + 1e-6: its squared norm is off by
+        # (1 + 1e-6)^2 - 1 = 2.000001e-6, and every other Gram entry stays within 1e-15
+        def tamper(es):
+            basis = es.basis.copy()
+            basis[-1] *= 1.0 + 1e-6
+            return replace(es, basis=basis)
+
+        code, lines = self.tampered_verify(tmp_path, capsys, monkeypatch, tamper)
+        assert code == 3
+        assert "FAIL spectral.orthonormality (worst 2.00e-06)" in lines
+        assert lines[-1].endswith(" invariant(s) failed")
+
+    def test_scaled_synthesis_fails_parseval(self, tmp_path, capsys, monkeypatch):
+        # a field synthesized 1 + 1e-6 too large has an L2 norm squared 2.000001e-6 too
+        # large against the modal sum; no other check reads the synthesis
+        synthesize = EigenSystem.synthesize
+        monkeypatch.setattr(
+            EigenSystem, "synthesize", lambda es, *args: (1.0 + 1e-6) * synthesize(es, *args)
+        )
+        path = write_config(tmp_path, base_config(J=8))
+        assert main(["verify", "-c", path]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL simulate.parseval (worst relative error 2.00e-06)"
+        ]
+        assert lines[-1] == "1 invariant(s) failed"
 
     def test_infeasible_design_exits_4(self, tmp_path, capsys):
         # the window (0.3, 2.8) is nearly symmetric on (0, pi): both unstable

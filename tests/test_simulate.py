@@ -55,6 +55,10 @@ from satstab.synthesis import (
 )
 
 HINGED = BoundaryCondition.HINGED
+# The tests lay their block edges out on the pass's block size, and step at
+# BLOCK_DT to give every block the same 0.64 time units at any block size.
+BLOCK = simulate._BLOCK
+BLOCK_DT = 0.64 / BLOCK
 NEUMANN = BoundaryCondition.NEUMANN_CH
 
 
@@ -484,37 +488,53 @@ class TestStepper:
     @pytest.mark.parametrize("rows", [1, 17, 64, 1000])
     @pytest.mark.parametrize("inner", [0, 1])
     def test_short_rowwise_is_the_stacked_product(self, rows, inner):
-        # the plain product `_product` picks for inner dimension <= 1 must give
-        # the stacked product's bits, signed zeros of underflowed products too
+        # inner dimension 0 takes the stacked product's zeros; inner dimension 1
+        # gives each entry the IEEE product of its two factors, as `np.multiply`
+        # of the broadcast operands does, signed zeros of underflowed products
+        # too, where the stacked product's 0 + a b would make them +0
         rng = np.random.default_rng(rows)
         states, matrix = special_draw(rng, (rows, 3)), special_draw(rng, (inner, 33))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             got = rowwise(states[:, :inner], matrix)
-            want = np.matmul(states[:, None, :inner], matrix)[:, 0, :]
+            stacked = np.matmul(states[:, None, :inner], matrix)[:, 0, :]
+            want = np.multiply(*np.broadcast_arrays(states[:, :1], matrix)) if inner else stacked
         assert_same_bits(got, want)
         check_rowwise_into_slots(states[:, :inner], matrix, want)
+        # the two differ in the sign of some zeros and in nothing else
+        np.testing.assert_array_equal(got, stacked)
+        if inner and rows == 1000:
+            assert np.any(np.signbit(got) != np.signbit(stacked))
 
     @pytest.mark.parametrize("vector", [False, True], ids=["2-D", "1-D"])
     @pytest.mark.parametrize("inner", [0, 1, 2, 3, 24, 33, 98])
     def test_one_row_rowwise_is_the_stacked_product(self, inner, vector):
-        # one row takes `dot`, which must give the stacked product's bits, in
-        # a new array and in `out`; with an inner dimension of one it does
-        # not (the sign of some zeros differs), so `_product` keeps `@` there
+        # one row takes `dot`, which must give the stacked product's bits, in a
+        # new array and in `out`; with an inner dimension of one it does not
+        # (the sign of some zeros differs), and `_product` takes the elementwise
+        # product there: its oracle is `np.multiply` of the broadcast operands,
+        # and a 1-D vector gets their broadcast (1, 33) shape
         rng = np.random.default_rng(inner)
+
+        def oracle(states, matrix):
+            if inner == 1:
+                return np.multiply(*np.broadcast_arrays(states, matrix))
+            return np.matmul(states[:, None, :], matrix)[:, 0, :]
+
         if not vector:  # several rows beside it take the stacked product, into `out` too
             states, matrix = special_draw(rng, (17, inner)), special_draw(rng, (inner, 33))
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                want = np.matmul(states[:, None, :], matrix)[:, 0, :]
+                want = oracle(states, matrix)
             check_rowwise_into_slots(states, matrix, want)
+        flat = vector and inner != 1  # a vector's product is a vector, save the broadcast one
         for _ in range(200):
             state, matrix = special_draw(rng, (1, inner)), special_draw(rng, (inner, 33))
             rows = state[0] if vector else state
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                want = np.matmul(state[:, None, :], matrix)[:, 0, :]
+                want = oracle(state, matrix)
                 got = rowwise(rows, matrix)
                 slot = np.full((1, 3, 33), np.nan)[:, 1]
-                into = rowwise(rows, matrix, slot[0] if vector else slot)
-            assert got.shape == rows.shape[:-1] + (33,)
+                into = rowwise(rows, matrix, slot[0] if flat else slot)
+            assert got.shape == ((33,) if flat else (1, 33))
             assert_same_bits(np.atleast_2d(got), want)
             assert np.shares_memory(into, slot)
             assert_same_bits(slot, want)
@@ -529,10 +549,10 @@ class TestStepper:
         # the smaller it starts the later it crosses the threshold
         starts = np.zeros((4, 10))
         starts[:, :3] = np.array([[1.0], [0.05], [2e-3], [0.0]]) * [1.0, 0.5, -0.2]
-        config = SimConfig(dt=1e-2, T=2.5, blowup_threshold=30.0)
+        config = SimConfig(dt=BLOCK_DT, T=2.5, blowup_threshold=30.0)
         batch = run_batch(config, ms, gain, starts, level=level)
         assert [t.exit_reason for t in batch] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
-        assert len({(t.times.size - 1) // 64 for t in batch[:3]}) == 3
+        assert len({(t.times.size - 1) // BLOCK for t in batch[:3]}) == 3
         assert_identical(batch, per_step_reference(config, ms, gain, starts, level=level))
         serial = [
             run(replace(config, initial=tuple(y0.tolist())), ms, gain, level=level)
@@ -544,15 +564,17 @@ class TestStepper:
 def kernel_steps(plan, rows, steps):
     """`steps` steps of one `plan.stepper` kernel as a stepping pass takes them.
 
-    Each step writes into the next slot of a time-major block, which is
-    returned.
+    Each step reads the read input view of the slot before, made once for
+    the whole block, and writes into the next slot of a time-major block,
+    which is returned.
     """
     step = plan.stepper(len(rows))
     block = np.full((steps + 1,) + rows.shape, np.nan)
     block[0] = rows
+    reads = plan.read_input(block)
     for k in range(steps):
         slot = block[k + 1]
-        assert step(block[k], slot) is slot
+        assert step(block[k], reads[k], slot) is slot
     return block
 
 
@@ -627,7 +649,10 @@ class TestStepKernel:
 
     def test_kernel_takes_only_states_and_a_slot(self, hinged_system, scalar_gain):
         plan = step_plan(hinged_system, scalar_gain, UNSATURATED, 1e-3, 1.0, 1.0)
-        assert list(inspect.signature(plan.stepper(1)).parameters) == ["states", "out"]
+        # the states, their read input view made once per pass, and a slot, none defaulted
+        parameters = inspect.signature(plan.stepper(1)).parameters
+        assert list(parameters) == ["states", "read_in", "out"]
+        assert all(p.default is inspect.Parameter.empty for p in parameters.values())
 
     @pytest.mark.parametrize("loop", ["internal", "boundary"])
     @pytest.mark.parametrize("batch", [1, 5])
@@ -729,7 +754,7 @@ class TestControlColumn:
             assert_same_bits(traj.control[:-1], np.array(commands)[:, i])
         # no step reads the last sample: one more recorded step from it does
         plan = step_plan(ms, gain, SaturationLevel(0.01), config.dt, *terms.values())
-        plan.stepper(3)(np.array([traj.states[-1] for traj in batch]))
+        plan.step(np.array([traj.states[-1] for traj in batch]))
         assert len(commands) == 151
         for i, traj in enumerate(batch):
             assert_same_bits(traj.control[-1], commands[-1][i])
@@ -1110,11 +1135,11 @@ class TestBlockExits:
             assert_identical([run(single, ms, gain, **kwargs)], [e])
         return expected
 
-    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65, 127, 128])
+    @pytest.mark.parametrize("p", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK])
     def test_linear_crossing_kept(self, loop, p):
         ms, gain, cert, consts, level, form = loop
         start = self.escaping(3.0)
-        free = SimConfig(dt=1e-2, T=2.0, blowup_threshold=1e150)
+        free = SimConfig(dt=BLOCK_DT, T=2.0, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, start[None], level=level)[0]
         config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
         kwargs = dict(cert=cert, constants=consts, level=level)
@@ -1122,11 +1147,11 @@ class TestBlockExits:
         assert traj.exit_reason == EXIT_BLOWUP
         assert traj.times.size == p + 1
 
-    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65])
+    @pytest.mark.parametrize("p", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_nonlinear_crossing_dropped(self, loop, p):
         ms, gain, cert, consts, level, form = loop
         start = self.escaping(3.0)
-        free = SimConfig(dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
+        free = SimConfig(dt=BLOCK_DT, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, start[None], level=level)[0]
         config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
         kwargs = dict(cert=cert, constants=consts, level=level)
@@ -1145,7 +1170,7 @@ class TestBlockExits:
         trajs = self.check(config, ms, gain, starts, **kwargs)
         assert [t.exit_reason for t in trajs] == [EXIT_HORIZON, EXIT_BLOWUP]
 
-    @pytest.mark.parametrize("samples", [31, 64, 128, 129])
+    @pytest.mark.parametrize("samples", [BLOCK // 2 - 1, BLOCK, 2 * BLOCK, 2 * BLOCK + 1])
     def test_horizon_inside_and_at_block_edges(self, loop, samples):
         ms, gain, cert, consts, level, _ = loop
         starts = np.zeros((3, 12))
@@ -1163,39 +1188,40 @@ class TestBlockExits:
     def test_rows_exit_in_different_blocks(self, loop):
         ms, gain, cert, consts, level, _ = loop
         # y1 = 1 + (a - 1) e^t while saturated: threshold 30 is crossed at
-        # about t = ln(16.3 / (a - 1)), samples 71, 210 and 279
+        # about t = ln(16.3 / (a - 1)), t = 0.71, 2.10 and 2.79: blocks 1, 3 and 4
         starts = np.array([self.escaping(a) for a in (9.0, 3.0, 2.0, 0.5)])
         starts[3, 1:] = 0.0
-        config = SimConfig(dt=1e-2, T=3.0, blowup_threshold=30.0)
+        config = SimConfig(dt=BLOCK_DT, T=3.0, blowup_threshold=30.0)
         kwargs = dict(cert=cert, constants=consts, level=level)
         trajs = self.check(config, ms, gain, starts, **kwargs)
         assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3 + [EXIT_HORIZON]
-        blocks = {(t.times.size - 1) // 64 for t in trajs[:3]}
+        blocks = {(t.times.size - 1) // BLOCK for t in trajs[:3]}
         assert len(blocks) == 3
 
     def test_nonlinear_pass_stops_after_the_crossing_block(self, loop, monkeypatch):
         ms, gain, _, _, level, form = loop
         start = self.escaping(3.0)
-        free = SimConfig(dt=1e-2, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
+        free = SimConfig(dt=BLOCK_DT, T=2.0, delta=1.0, nu=0.01, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, start[None], level=level)[0]
-        config = replace(free, blowup_threshold=crossing_threshold(probe, form, 100))
+        p = BLOCK + 36  # in the second block
+        config = replace(free, blowup_threshold=crossing_threshold(probe, form, p))
         steps = counted_steps(monkeypatch)
         (traj,) = run_batch(config, ms, gain, start[None], level=level)
-        assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, 100)
-        # the steps to samples 1..127 of the first two blocks, none to the horizon at 200
-        assert steps == [1] * 127
+        assert (traj.exit_reason, traj.times.size) == (EXIT_BLOWUP, p)
+        # the steps to samples 1..2 BLOCK - 1 of the first two blocks, none to the horizon
+        assert steps == [1] * (2 * BLOCK - 1)
 
     def test_linear_pass_stops_after_the_last_row_ends(self, loop, monkeypatch):
         ms, gain, cert, consts, level, _ = loop
-        # crossings of threshold 30 in the blocks of samples 0..63, 64..127 and 128..191
+        # crossings of threshold 30 in the first, second and third blocks
         starts = np.array([self.escaping(a) for a in (15.0, 9.0, 4.0)])
-        config = SimConfig(dt=1e-2, T=3.0, blowup_threshold=30.0)
+        config = SimConfig(dt=BLOCK_DT, T=3.0, blowup_threshold=30.0)
         steps = counted_steps(monkeypatch)
         trajs = run_batch(config, ms, gain, starts, cert, consts, level)
         assert [t.exit_reason for t in trajs] == [EXIT_BLOWUP] * 3
-        assert [(t.times.size - 1) // 64 for t in trajs] == [0, 1, 2]
-        # every row is stepped until the last one ends; no fourth block of the 301 samples
-        assert steps == [3] * 191
+        assert [(t.times.size - 1) // BLOCK for t in trajs] == [0, 1, 2]
+        # every row is stepped until the last one ends; no fourth block of the samples
+        assert steps == [3] * (3 * BLOCK - 1)
 
     @pytest.fixture(scope="class")
     def two_modes(self):
@@ -1208,7 +1234,7 @@ class TestBlockExits:
         starts = np.zeros((2, 6))
         starts[0, 0] = 1e-3  # leaves the region, then blows up
         starts[1, 1] = 1.0  # blows up
-        free = SimConfig(dt=2e-3, T=0.5, blowup_threshold=1e150)
+        free = SimConfig(dt=BLOCK_DT / 5.0, T=0.5, blowup_threshold=1e150)
         probe = run_batch(free, ms, gain, starts)
         return ms, gain, form, starts, free, probe
 
@@ -1222,9 +1248,9 @@ class TestBlockExits:
 
     def test_region_exit_and_blowup_in_one_block(self, two_modes):
         ms, gain, form, starts, free, probe = two_modes
-        # all in the block of samples 64..127: row 0 leaves the region at a,
-        # which only sets its flag, and blows up at a + 10; row 1 blows up at b
-        a, b = 100, 70
+        # all in the second block: row 0 leaves the region at a, which only
+        # sets its flag, and blows up at a + 10; row 1 blows up at b
+        a, b = BLOCK + 36, BLOCK + 6
         y1 = probe[0].states[:, 0]
         cert = self.region(1.0 / (y1[a - 1] * y1[a]))
         threshold = crossing_threshold(probe[0], form, a + 10)
@@ -1278,7 +1304,7 @@ class TestDiscardedOverflow:
         start = np.zeros((1, 12))
         start[0, 0] = 2.0
         dt = 20.0  # e^20 growth per step: crosses at sample 1, inf by sample ~35
-        config = SimConfig(dt=dt, T=63 * dt)
+        config = SimConfig(dt=dt, T=(BLOCK - 1) * dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (traj,) = run_batch(config, hinged_system, scalar_gain, start, level=level)
@@ -1293,7 +1319,7 @@ class TestDiscardedOverflow:
         plan = step_plan(hinged_system, scalar_gain, level, dt)
         y = traj.states[-1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(62):
+            for _ in range(BLOCK - 2):
                 y = plan.step(y)
         assert not np.all(np.isfinite(y))
 
@@ -1325,14 +1351,14 @@ class TestDiscardedOverflow:
             warnings.simplefilter("error")
             (traj,) = run_batch(config, ms, gain, start, cert, consts, level)
         assert traj.exit_reason == EXIT_BLOWUP
-        assert traj.times.size < 64
+        assert traj.times.size < BLOCK
         for name in ("states", "control", "l2", "h1", "h2", "v1", "v2"):
             assert np.all(np.isfinite(getattr(traj, name)))
         assert math.isfinite(traj.nl_ratio_max)
         plan = step_plan(ms, gain, level, config.dt, config.delta, config.nu)
         y = traj.states[-1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(63 - traj.times.size):
+            for _ in range(min(BLOCK, 101) - 1 - traj.times.size):  # to the block's end
                 y = plan.step(y)
         assert not np.all(np.isfinite(y))
 
@@ -1396,7 +1422,7 @@ class TestNonFiniteNorm:
 def v2_and_sandwich_lower(state, cert, consts, es):
     """v2 at one state as `run_batch` computes it, and its sandwich lower bound."""
     z = state[: cert.P.shape[0]]
-    v2 = float(simulate._v2(quad_form(z, cert.P), state, consts, es.values))
+    v2 = float(simulate._v2(quad_form(z, cert.P), state * state, consts, es.values))
     lower = 0.5 * consts.C1 * float(z @ z) + consts.C1 / (2.0 * consts.C2) * float(
         quad_form(state, es.gram_d2)
     )
@@ -1462,6 +1488,29 @@ class TestMonitors:
             ) / (eta - a_hat)
             assert np.all(np.abs(traj.states[:, j]) <= bound * (1.0 + 1e-6) + 1e-12)
 
+
+    @pytest.mark.parametrize("wall", ["hinged", "clamped"])
+    def test_channels_are_their_quadratic_forms(self, hinged_system, wall):
+        # hinged Grams are weights, which contract the one squared block;
+        # clamped ones are matrices, and only v2's -sigma weights contract it
+        if wall == "hinged":
+            ms = hinged_system
+        else:
+            es = eigen_clamped(OperatorParams(39.6, 1.0), 8)
+            ms = assemble_internal(es, [ModeCombination([1.0])], 1)
+        es, level = ms.es, SaturationLevel(1.0)
+        assert es.gram_d1.ndim == es.gram_d2.ndim == (1 if wall == "hinged" else 2)
+        gain = design_gain(ms, poles=[-4.0])
+        cert = build_certificate(ms, gain, level)
+        consts = select_h2_constants(cert, ms, gain)
+        starts = np.random.default_rng(5).normal(size=(3, es.count)) * 0.05
+        starts[2] = -0.0
+        for traj in run_batch(SimConfig(dt=1e-3, T=0.2), ms, gain, starts, cert, consts, level):
+            y = traj.states
+            assert_same_bits(traj.h1, np.sqrt(np.maximum(0.0, quad_form(y, es.gram_d1))))
+            assert_same_bits(traj.h2, simulate._h2(y, es.gram_d2))
+            assert_same_bits(traj.v1, quad_form(y[:, :1], simulate._as_form(cert.P)))
+            assert_same_bits(traj.v2, 0.5 * consts.M * traj.v1 + quad_form(y, -es.values))
 
     def test_boundary_l2_is_the_lifted_field_norm(self):
         # l2 of a boundary run is the physical field w + u d, integrated on the grid
