@@ -214,12 +214,12 @@ def cmd_modal(cfg, out_dir=None):
 
 def _system_head(cfg, ms, split):
     """The `certificate_head` of the system the config describes."""
-    return certificate_head(ms.mode, ms.n, ms.m, cfg.J, split.eta, cfg.ell)
+    return certificate_head(ms.mode, ms.n, ms.m, cfg.J, split.eta, cfg.ell, cfg.dt)
 
 
 def _design(cfg, ms):
     """Gain, certificate and energy constants; no certificate when no mode is unstable."""
-    gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None)
+    gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None, dt=cfg.dt)
     if ms.dim == 0:
         return gain, None, None
     cert = build_certificate(ms, gain, cfg.level())
@@ -471,7 +471,7 @@ def cmd_verify(cfg, certificate_path=None):
     ortho = _orthonormality_error(es)
     report.check("spectral.orthonormality", ortho <= 1e-10, f"worst {ortho:.2e}")
     residual = float(eigen_residual(es).max())
-    report.check("spectral.eigen_residual", residual <= 1e-6, f"worst {residual:.2e}")
+    report.check("spectral.eigen_residual", residual <= 1e-9, f"worst {residual:.2e}")
     rise = float(np.max(np.diff(es.values), initial=-math.inf))
     report.check("spectral.values_sorted", rise <= 1e-12, f"largest increase {rise:.2e}")
 

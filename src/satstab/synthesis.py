@@ -1,5 +1,8 @@
 """Gain design, certificate construction, and decay-constant selection.
 
+Explicit poles are placed by Ackermann's formula.  Without them the gain is
+designed on the pair the loop is stepped with at the config's dt, by one
+Stein solve (Bass's method), so the stepped head map is stable at that dt.
 The certificate follows a constructive feasibility path rather than an SDP
 solver: solve a Lyapunov equation for the closed loop, scale until the
 ellipsoid fits inside the clamp-free sector, then take the deadzone weight
@@ -14,7 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CertificateFailure, ConvergenceFailure, GapTooSmall, NotStabilizable
+from .errors import CertificateFailure, GapTooSmall, NotStabilizable
+from .saturation import UNSATURATED
+from .simulate import step_plan
 from .spectral import unstable_count
 
 _MARGIN = 0.1  # multiplicative slack turning strict inequalities into margins
@@ -175,32 +180,31 @@ def _single_input_direction(A, B):
     return None
 
 
-def design_gain(ms, poles=None):
+def design_gain(ms, poles=None, dt=None):
     """Stabilizing gain for the truncated pair, carrying the pair's `diagnose_pair` report.
 
-    Poles are placed on a controllable pair through one input direction g
-    (`_single_input_direction`, which picks g = [1] for a single input) by
-    Ackermann's formula on (A, Bg): K = g k.  A single input's poles default
-    to the tail gap times 1..dim.  Everything else goes through
-    `solve_riccati`, with identity state and input weights.  Raises
-    `NotStabilizable` when an unstable eigenvalue fails the rank test, when
-    the pole placement fails, or when the Riccati solve finds no stabilizing
-    solution; `ConvergenceFailure` when the Riccati solve misses its
-    residual gate.
+    Explicit poles are placed on a controllable pair through one input
+    direction g (`_single_input_direction`, which picks g = [1] for a
+    single input) by Ackermann's formula on (A, Bg): K = g k.  Without
+    poles the gain is Bass's (Armstrong, IEEE TAC 1975) on the pair the
+    loop is stepped with at `dt`: Phi, the head map of a plan with K = 0,
+    and Gamma, the plan's input rows on the head.  With r^2 = exp(-2 eta
+    dt) for the tail gap eta, W solves Phi W Phi^T - r^2 W = Gamma
+    Gamma^T (`solve_stein`) and K = -Gamma^T Phi^-T W^-1, so Phi + Gamma K
+    = r^2 W Phi^-T W^-1 steps with eigenvalues r^2 / phi_i, inside the unit
+    circle at every dt.  Raises `NotStabilizable` when an unstable
+    eigenvalue fails the rank test, when W is not positive definite, when
+    the pole placement fails, or when A + BK is not Hurwitz.
     """
     A, B = ms.A, ms.B
-    d = A.shape[0]
+    d, m = B.shape
     report = diagnose_pair(A, B)
     if d == 0:
-        return Gain(K=np.zeros((B.shape[1], 0)), closed_loop_spectrum=np.array([]), report=report)
+        return Gain(K=np.zeros((m, 0)), closed_loop_spectrum=np.array([]), report=report)
 
     if not report.stabilizable:
         bad = ", ".join(f"{f.real:.4g}" for f in report.pbh_failures if f.real >= 0)
         raise NotStabilizable(f"unstable eigenvalues fail the rank test: {bad}")
-
-    if poles is None and B.shape[1] == 1 and report.controllable:
-        eta = unstable_count(ms.es).eta
-        poles = [-eta * (i + 1) for i in range(d)]
 
     if poles is not None:
         if len(poles) != d:
@@ -210,23 +214,33 @@ def design_gain(ms, poles=None):
         g = _single_input_direction(A, B)
         if g is None:
             raise NotStabilizable(
-                f"pole placement failed: none of the {2 * d * (B.shape[1] - 1) + 2} input "
+                f"pole placement failed: none of the {2 * d * (m - 1) + 2} input "
                 f"directions g tried makes (A, Bg) pass the rank test"
             )
         K = g[:, None] @ _ackermann(A, B @ g[:, None], poles)
     else:
-        try:
-            X = solve_riccati(A, B)
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(f"Riccati solve (solve_riccati) failed: {exc}") from exc
-        except ValueError as exc:  # np.linalg.LinAlgError included
-            raise NotStabilizable(f"Riccati solve (solve_riccati) failed: {exc}") from exc
-        K = -B.T @ X
+        if dt is None:
+            raise ValueError("the stepped design needs the time step dt")
+        plan = step_plan(ms, Gain(np.zeros((m, d)), np.array([])), UNSATURATED, dt)
+        phi, gamma = plan.head_map(), plan.drive[:m, :d].T
+        r_sq = math.exp(-2.0 * unstable_count(ms.es).eta * dt)
+        w, _ = solve_stein(phi, gamma @ gamma.T, r_sq)
+        w = 0.5 * (w + w.T)
+        w_range = np.linalg.eigvalsh(w)[[0, -1]]
+        if not w_range[0] > 0.0:
+            raise NotStabilizable(
+                f"stepped design: the Gramian W of Phi W Phi^T - r^2 W = Gamma Gamma^T is not "
+                f"positive definite: lambda_min(W) = {w_range[0]:.3e}, "
+                f"lambda_max(W) = {w_range[1]:.3e}"
+            )
+        K = -np.linalg.solve(w, np.linalg.solve(phi, gamma)).T
 
     spectrum = np.linalg.eigvals(A + B @ K)
     gain = Gain(K=K, closed_loop_spectrum=spectrum, report=report)
     if not gain.hurwitz:
-        method = "Riccati" if poles is None else "pole placement"
+        method = "pole placement" if poles is not None else (
+            f"stepped design, sigma_max dt = {np.max(np.diag(A)) * dt:.6g}"
+        )
         raise NotStabilizable(
             f"designed gain ({method}) failed to produce a Hurwitz closed loop: "
             f"largest closed-loop real part {np.max(spectrum.real):.6g}"
@@ -240,10 +254,10 @@ def design_gain(ms, poles=None):
 _RESIDUAL_TOL = 1e-8  # largest normalized residual a solve may return: about sqrt(eps)
 
 
-def _gate(residual, error=np.linalg.LinAlgError):
+def _gate(residual):
     """`residual`, after checking that it is at most `_RESIDUAL_TOL` (NaN fails)."""
     if not residual <= _RESIDUAL_TOL:
-        raise error(
+        raise np.linalg.LinAlgError(
             f"normalized residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}"
         )
     return residual
@@ -258,86 +272,24 @@ def solve_lyapunov(a, q):
     Raises LinAlgError when the system is singular (a and -a share an
     eigenvalue) or the residual fails `_gate`.
     """
-    d = a.shape[0]
-    op = np.zeros((d, d, d, d))
-    idx = np.arange(d)
-    op[:, idx, :, idx] = a  # row (i, j), column (k, j): a[i, k]
-    op[idx, :, idx, :] += a  # row (i, j), column (i, l): a[j, l]
-    x = np.linalg.solve(op.reshape(d * d, d * d), q.ravel()).reshape(d, d)
+    eye = np.eye(a.shape[0])
+    x = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), q.ravel()).reshape(q.shape)
     scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
     return x, _gate(float(np.linalg.norm(a @ x + x @ a.T - q) / scale))
 
 
-def _riccati_residual(a, b, x):
-    """Normalized residual of a^T X + X a - X b b^T X + I = 0 (see `solve_riccati`)."""
-    d = a.shape[0]
-    xb = x @ b
-    res = a.T @ x + x @ a - xb @ xb.T + np.eye(d)
-    scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(xb) ** 2 + math.sqrt(d)
-    return float(np.linalg.norm(res) / scale)
+def solve_stein(phi, q, r_sq):
+    """W with phi W phi^T - r_sq W = q, and its normalized residual.
 
-
-_NEWTON_STEPS = 8  # Newton-Kleinman refinements at most; each one is a Lyapunov solve
-
-
-def solve_riccati(a, b):
-    """The stabilizing X of a^T X + X a - X b b^T X + I = 0.
-
-    The stable invariant subspace [U1; U2] of the Hamiltonian
-    [[a, -b b^T], [-I, -a^T]], from its eigenvectors, gives X = U2 U1^-1.
-    Newton-Kleinman steps then refine X: with k = b^T X, each solves
-    (a - b k)^T X' + X' (a - b k) = -(I + k^T k) by `solve_lyapunov`
-    (Kleinman, IEEE TAC 1968).  A step is kept while it lowers the residual
-    and a - b b^T X' stays Hurwitz; from a gain that does not stabilize,
-    the iteration can settle on a solution that does not stabilize either.
-    The residual is
-    ||a^T X + X a - X b b^T X + I||_F / (2 ||a||_F ||X||_F + ||X b||_F^2 + sqrt(d)).
-    Raises LinAlgError when there is no stabilizing X to working precision:
-    a Hamiltonian without d stable eigenvalues, a U1 that is singular or,
-    once the residual fails `_gate`, rank deficient by `np.linalg.matrix_rank`
-    (the stable subspace is then no graph over the state), or an X that
-    leaves a - b b^T X with an eigenvalue off the open left half-plane.
-    Raises ConvergenceFailure when the residual fails `_gate` and U1 has
-    full rank: a stabilizing X exists, and the solve missed it.
+    One LU solve of the Kronecker form (phi (x) phi - r_sq I) vec W = vec q,
+    vec stacking rows.  The residual is the backward error
+    ||phi W phi^T - r_sq W - q||_F / ((||phi||_F^2 + r_sq) ||W||_F + ||q||_F).
+    Raises LinAlgError when the system is singular (two eigenvalues of phi
+    multiply to r_sq) or the residual fails `_gate`.
     """
-    d = a.shape[0]
-    ham = np.block([[a, -b @ b.T], [-np.eye(d), -a.T]])
-    w, v = np.linalg.eig(ham)
-    stable = w.real < 0.0
-    if stable.sum() != d:
-        raise np.linalg.LinAlgError(
-            f"the Hamiltonian has {stable.sum()} eigenvalues in the open left half-plane, "
-            f"not {d}; the smallest |real part| is {np.min(np.abs(w.real)):.3e}"
-        )
-    u1 = v[:d, stable]
-    x = np.linalg.solve(u1.T, v[d:, stable].T).T.real  # U2 U1^-1
-    x = 0.5 * (x + x.T)
-    residual = _riccati_residual(a, b, x)
-    for _ in range(_NEWTON_STEPS):
-        k = b.T @ x
-        try:
-            step, _ = solve_lyapunov((a - b @ k).T, -(np.eye(d) + k.T @ k))
-        except np.linalg.LinAlgError:
-            break
-        step = 0.5 * (step + step.T)
-        step_residual = _riccati_residual(a, b, step)
-        stabilizes = np.max(np.linalg.eigvals(a - b @ (b.T @ step)).real) < 0.0
-        if not (step_residual < residual and stabilizes):
-            break
-        x, residual = step, step_residual
-    rank = d if residual <= _RESIDUAL_TOL else int(np.linalg.matrix_rank(u1))
-    if rank < d:
-        raise np.linalg.LinAlgError(
-            f"the stable eigenvectors' state block U1 has rank {rank} of {d} "
-            f"(condition number {np.linalg.cond(u1):.3e}); normalized residual {residual:.3e}"
-        )
-    _gate(residual, ConvergenceFailure)
-    largest = np.max(np.linalg.eigvals(a - b @ (b.T @ x)).real)
-    if not largest < 0.0:
-        raise np.linalg.LinAlgError(
-            f"the solution does not stabilize: largest closed-loop real part {largest:.6g}"
-        )
-    return x
+    w = np.linalg.solve(np.kron(phi, phi) - r_sq * np.eye(q.size), q.ravel()).reshape(q.shape)
+    scale = (np.linalg.norm(phi) ** 2 + r_sq) * np.linalg.norm(w) + np.linalg.norm(q)
+    return w, _gate(float(np.linalg.norm(phi @ w @ phi.T - r_sq * w - q) / scale))
 
 
 def _m1(A, B, K, P, D, C):
@@ -552,9 +504,9 @@ def _read_record(cls, values):
     return cls(**{f.name: _read(f, values[f.name]) for f in _stored(cls)})
 
 
-def certificate_head(mode, n, m, J, eta, ell):
-    """The system a certificate is built for, as its file writes it."""
-    return {"mode": mode, "n": n, "m": m, "J": J, "eta": eta, "ell": _write(ell)}
+def certificate_head(mode, n, m, J, eta, ell, dt):
+    """The system a certificate is built for, and the time step its gain was designed at."""
+    return {"mode": mode, "n": n, "m": m, "J": J, "eta": eta, "ell": _write(ell), "dt": dt}
 
 
 def certificate_document(head, gain, cert, consts):

@@ -21,7 +21,7 @@ from satstab.config import load_config, parse_config, serialize_config
 from satstab.errors import SatStabError
 from satstab.modal import ModalSystem
 from satstab.simulate import Trajectory, gronwall_bound, run
-from satstab.spectral import ClampedFamily, EigenSystem
+from satstab.spectral import ClampedFamily, EigenSystem, unstable_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -345,10 +345,14 @@ class TestSynthCommand:
     @pytest.mark.parametrize(
         "name, rho",
         [
-            ("nonlinear_single", 0.998),
+            # the stepped design: exp(-(2 eta + sigma_1) dt) = exp(-9 dt) for
+            # sigma_1 = 1, eta = 4
+            ("nonlinear_single", 0.995510),
             ("trajectory_sweep", 0.998),
             ("clamped_spectral", 0.99892),
-            ("fast_poles", 2.85),  # gap-scaled poles at -1946.5 and -3892.9: |p| dt = 1.95
+            # exp(-(2 eta + sigma_2) dt) for eta = 1946.5, sigma_2 = 217.9; the poles
+            # the default placed before (-1946.5 and -3892.9, |p| dt = 1.95) stepped 2.85
+            ("fast_poles", 0.128033),
         ],
     )
     def test_report_gives_the_stepped_head_map_radius(self, tmp_path, name, rho):
@@ -392,46 +396,58 @@ class TestSynthCommand:
         assert summary["exit_reason"] == "horizon"
         assert summary["rates"]["l2"]["rate"] > 0
 
-    def test_riccati_failure_exits_4(self, tmp_path, capsys):
-        # lam = 150: the Hamiltonian's stable subspace is no graph over the
-        # state to working precision, so no stabilizing solution is found
+    @staticmethod
+    def sigma_max(doc):
+        """The largest eigenvalue of the config's spectrum."""
+        cfg = parse_config(doc)
+        return float(cfgmod.build_eigen(cfg).values[0])
+
+    def test_w_not_positive_definite_exits_4(self, tmp_path, capsys):
+        # hinged lam = 150, L = 2, one indicator on (0.1, 1.3): seven unstable
+        # modes, sigma up to 5448; the stepped pair's Gramian W is singular to
+        # working precision, so no stepped design exists
         doc = base_config(
-            bc="neumann_ch",
             **{"lambda": 150.0},
             length=2.0,
-            actuators=[{"kind": "indicator", "a": 1.2, "b": 1.9}],
+            actuators=[{"kind": "indicator", "a": 0.1, "b": 1.3}],
             poles=None,
             J=12,
         )
         path = write_config(tmp_path, doc)
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
-        err = capsys.readouterr().err
-        assert "Riccati solve (solve_riccati) failed" in err
-        assert "the stable eigenvectors' state block U1 has rank 7 of 8" in err
+        err = capsys.readouterr().err.strip()
+        match = re.fullmatch(
+            r"infeasible: stepped design: the Gramian W of Phi W Phi\^T - r\^2 W = Gamma Gamma\^T "
+            r"is not positive definite: lambda_min\(W\) = (\S+), lambda_max\(W\) = (\S+)",
+            err,
+        )
+        assert match, err
+        low, high = map(float, match.groups())
+        assert low <= 0.0 < high  # W > 0 is the failed condition
+        assert abs(low) < 1e-15 * high  # singular to working precision
+        assert not (tmp_path / "exp_certificate.json").exists()
 
-    # lam = 150: unstable sigma up to about 5e3 for one indicator, and
-    # sigma_1 = 5447.7, sigma_2 = 5433.8 barely separated by one input.  On
-    # the hinged heads U1 has full rank (cond(U1) about 4e14 and 1e14 with 80
-    # digits), but no X the solve reaches meets the residual gate: a
-    # numerical failure.  The Neumann head's U1 is rank deficient at working
-    # precision (cond(U1) about 3e16 with 80 digits): no stabilizing X.
+    # lam = 150: unstable sigma up to about 5e3 for one indicator, so sigma_max
+    # dt = 5.45 at dt = 1e-3.  On both hinged windows W is singular to working
+    # precision; on the Neumann one the stepped loop is stable, but its gain
+    # leaves A + BK with an eigenvalue near +sigma_max: the design exits 4
+    # naming that real part and sigma_max dt.
     @pytest.mark.parametrize(
-        "bc, window, code, pattern",
+        "bc, window, pattern",
         [
-            ("hinged", (0.1, 1.3), 3,
-             r"numerical failure: Riccati solve \(solve_riccati\) failed: "
-             r"normalized residual (\S+) exceeds 1e-08"),
-            ("hinged", (0.3, 0.9), 3,
-             r"numerical failure: Riccati solve \(solve_riccati\) failed: "
-             r"normalized residual (\S+) exceeds 1e-08"),
-            ("neumann_ch", (0.1, 1.3), 4,
-             r"infeasible: Riccati solve \(solve_riccati\) failed: the stable eigenvectors' "
-             r"state block U1 has rank 7 of 8 \(condition number \S+\); "
-             r"normalized residual (\S+)"),
+            ("hinged", (0.1, 1.3),
+             r"infeasible: stepped design: the Gramian W of .* is not positive definite: "
+             r"lambda_min\(W\) = (\S+), lambda_max\(W\) = \S+"),
+            ("hinged", (0.3, 0.9),
+             r"infeasible: stepped design: the Gramian W of .* is not positive definite: "
+             r"lambda_min\(W\) = (\S+), lambda_max\(W\) = \S+"),
+            ("neumann_ch", (1.2, 1.9),
+             r"infeasible: designed gain \(stepped design, sigma_max dt = (\S+)\) failed to "
+             r"produce a Hurwitz closed loop: largest closed-loop real part (\S+)"),
         ],
         ids=["hinged-wide", "hinged-narrow", "neumann"],
     )
-    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window, code, pattern):
+    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window, pattern):
         doc = base_config(
             bc=bc,
             **{"lambda": 150.0},
@@ -441,16 +457,22 @@ class TestSynthCommand:
             J=12,
         )
         path = write_config(tmp_path, doc)
-        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
         err = capsys.readouterr().err.strip()
-        residual = float(re.fullmatch(pattern, err).group(1))
-        assert residual > 1e-8  # the failed inequality asks for at most 1e-8
+        values = [float(v) for v in re.fullmatch(pattern, err).groups()]
+        if len(values) == 1:
+            assert values[0] <= 0.0  # the failed condition asks for lambda_min(W) > 0
+        else:
+            scaled, real = values
+            assert scaled == pytest.approx(self.sigma_max(doc) * doc["dt"], rel=1e-5)
+            assert real >= 0.0  # the failed condition asks for a negative real part
+            assert real == pytest.approx(self.sigma_max(doc), rel=0.25)
 
     @pytest.mark.parametrize("window", [(0.1, 1.3), (0.3, 0.9)], ids=["wide", "narrow"])
-    def test_refined_riccati_certifies_ill_conditioned_head(self, tmp_path, window):
-        # lam = 110: six unstable modes, sigma up to 2980; the eigenvector
-        # start leaves a Riccati residual of 2e-2 / 3e-4 (U1 condition 6e11 /
-        # 4e10), and the Newton-Kleinman steps bring it under the gate
+    def test_ill_conditioned_head_exits_4(self, tmp_path, capsys, window):
+        # hinged lam = 110, L = 2: six unstable modes, sigma up to 2980, so
+        # sigma_max dt = 2.98 at dt = 1e-3; the stepped loop is stable, A + BK
+        # is not, and the message gives both numbers
         doc = base_config(
             **{"lambda": 110.0},
             length=2.0,
@@ -459,23 +481,30 @@ class TestSynthCommand:
             J=12,
         )
         path = write_config(tmp_path, doc)
-        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
-        cert_doc = json.loads((tmp_path / "exp_certificate.json").read_text())
-        assert cert_doc["n"] == 6
-        assert max(cert_doc["closed_loop_spectrum_real"]) < 0.0
-        assert cert_doc["alpha"] > 0.0
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.strip()
+        match = re.fullmatch(
+            r"infeasible: designed gain \(stepped design, sigma_max dt = (\S+)\) failed to "
+            r"produce a Hurwitz closed loop: largest closed-loop real part (\S+)",
+            err,
+        )
+        assert match, err
+        scaled, real = map(float, match.groups())
+        assert scaled == pytest.approx(self.sigma_max(doc) * doc["dt"], rel=1e-5)
+        assert real >= 0.0
+        assert not (tmp_path / "exp_certificate.json").exists()
 
-    @pytest.mark.parametrize("window", [(0.1, 1.3), (1.2, 1.9)], ids=["wide", "right"])
+    @pytest.mark.parametrize("window", [(0.0, 3.0), (4.0, 6.2)], ids=["wide", "right"])
     def test_lyapunov_block_at_rounding_exits_3(self, tmp_path, capsys, window):
-        # Neumann lam = 110, L = 2: the scaled P fails the Lyapunov inequality to
-        # working precision, so no deadzone weight exists; the message says so
+        # hinged lam = 2, L = 2 pi with explicit poles -1e5 and -2e5: the gain's
+        # closed loop is so far from normal that the scaled P fails the Lyapunov
+        # inequality to working precision, so no deadzone weight exists; the
+        # message says so
         doc = base_config(
-            bc="neumann_ch",
-            **{"lambda": 110.0},
-            length=2.0,
+            **{"lambda": 2.0},
+            length=2 * math.pi,
             actuators=[{"kind": "indicator", "a": window[0], "b": window[1]}],
-            poles=None,
-            J=12,
+            poles=[-1e5, -2e5],
         )
         path = write_config(tmp_path, doc)
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 3
@@ -488,6 +517,53 @@ class TestSynthCommand:
         assert match, err
         assert float(match.group(1)) >= 0.0
         assert not (tmp_path / "exp_certificate.json").exists()
+
+    @staticmethod
+    def windows(length, count):
+        """`count` indicators of width 0.5371 L / count from (0.0731 + 0.9 i / count) L."""
+        starts = [(0.0731 + 0.9 * i / count) * length for i in range(count)]
+        return [{"kind": "indicator", "a": a, "b": a + 0.5371 * length / count} for a in starts]
+
+    def test_default_design_exits_0_with_a_stable_map_or_4_with_a_number(self, tmp_path, capsys):
+        # the lam = 110 / 150, L = 2 windows above, two-input windows, clamped
+        # boundary heads and a ladder of four inputs: synth either certifies a
+        # stepped map of radius below 1 or exits 4 naming a number, never 3
+        docs = [
+            base_config(bc=bc, **{"lambda": lam}, length=2.0, J=12, dt=5e-4, poles=None,
+                        actuators=[{"kind": "indicator", "a": a, "b": b}])
+            for bc in ("hinged", "neumann_ch") for lam in (110.0, 150.0)
+            for a, b in ((0.1, 1.3), (0.3, 0.9), (1.2, 1.9))
+        ]
+        docs += [
+            base_config(bc=bc, **{"lambda": lam}, length=2.0, J=12, dt=5e-4, poles=None, ell=20.0,
+                        actuators=self.windows(2.0, 2))
+            for bc in ("hinged", "clamped", "neumann_ch") for lam in (20.0, 110.0)
+        ]
+        docs += [
+            base_config(bc="clamped", **{"lambda": lam}, length=length, J=8, dt=5e-4,
+                        poles=None, ell=20.0, actuators=[])
+            for lam, length in ((20.0, 1.0), (45.0, 1.0), (60.0, 1.5), (100.0, 1.5))
+        ]
+        docs += [
+            base_config(**{"lambda": (d + 0.5) ** 2}, J=d + 8, dt=5e-4, poles=None, ell=20.0,
+                        actuators=self.windows(math.pi, 4))
+            for d in (4, 8)
+        ]
+        outcomes = []
+        for doc in docs:
+            path = write_config(tmp_path, doc)
+            code = main(["synth", "-c", path, "-o", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code in (0, 4), err
+            if code == 0:
+                report = (tmp_path / "exp_synth_report.txt").read_text()
+                rho = float(re.search(r"^stepped head map: spectral radius (\S+)", report, re.M)[1])
+                assert rho < 1.0
+            else:
+                assert re.fullmatch(r"infeasible: .*\d\.?\d*(e[+-]\d+)?\)?\n", err), err
+            outcomes.append(code)
+        assert len(docs) == 24
+        assert 0 in outcomes and 4 in outcomes
 
     def test_non_definite_lyapunov_names_margin(self, tmp_path, capsys, monkeypatch):
         # a solve that returns -P0: the message carries lambda_min(-P0) and the residual
@@ -727,6 +803,22 @@ class TestSimulateCommand:
         assert not (tmp_path / "exp_trajectory.csv").exists()
         assert not (tmp_path / "exp_summary.json").exists()
 
+    def test_certificate_for_another_dt_exits_2(self, tmp_path, capsys):
+        # the default gain is designed on the pair stepped at dt: a file made at
+        # 5e-4 is refused at 1e-3 by both commands, naming both values
+        doc = base_config(poles=None, dt=5e-4)
+        path = write_config(tmp_path, doc)
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "exp_certificate.json").read_text())["dt"] == 5e-4
+        cert = str(tmp_path / "exp_certificate.json")
+        path = write_config(tmp_path, dict(doc, dt=1e-3))
+        for argv in (["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)],
+                     ["verify", "-c", path, "--certificate", cert]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "was synthesized for a different system (dt: file 0.0005, config 0.001)" in err
+
     @pytest.mark.parametrize(
         "horizon, dt, samples", [(1e300, 1e-300, "inf"), (1e9, 1e-6, "1e+15")], ids=["inf", "1e15"]
     )
@@ -737,10 +829,9 @@ class TestSimulateCommand:
         bench = os.path.join(os.path.dirname(__file__), "..", "bench", "configs")
         with open(os.path.join(bench, "trajectory_sweep.json")) as f:
             doc = json.load(f)
-        path = write_config(tmp_path, doc)
+        path = write_config(tmp_path, dict(doc, T=horizon, dt=dt))
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 0
         cert = str(tmp_path / "trajectory_sweep_certificate.json")
-        path = write_config(tmp_path, dict(doc, T=horizon, dt=dt))
         argv = ["simulate", "-c", path, "--certificate", cert, "-o", str(tmp_path)]
         capsys.readouterr()
         assert main(argv + (["--basin"] if basin else [])) == 2
@@ -1393,6 +1484,34 @@ class TestVerifyCommand:
         assert code == 3
         assert "FAIL spectral.orthonormality (worst 2.00e-06)" in lines
         assert lines[-1].endswith(" invariant(s) failed")
+
+    def test_scaled_basis_row_fails_eigen_residual(self, tmp_path, capsys, monkeypatch):
+        # the last mode's grid values scaled by 1 + 1e-8: its residual is 1e-8 of
+        # |sigma| y over max(1, |sigma|), above the 1e-9 bound
+        def tamper(es):
+            basis = es.basis.copy()
+            basis[-1] *= 1.0 + 1e-8
+            return replace(es, basis=basis)
+
+        code, lines = self.tampered_verify(tmp_path, capsys, monkeypatch, tamper)
+        assert code == 3
+        assert "FAIL spectral.eigen_residual (worst 1.00e-08)" in lines
+
+    def test_unstable_stepped_map_fails_region_invariance(self, tmp_path, capsys):
+        # hinged lam = 45, L = 1, explicit poles -eta (1, 2): |p| dt = 1.95 at
+        # dt = 5e-4, so the stepped map has radius 2.85 and sampled starts inside
+        # the ellipsoid leave it
+        doc = base_config(**{"lambda": 45.0}, length=1.0, J=12, dt=5e-4, T=0.5)
+        doc["actuators"] = [{"kind": "indicator", "a": 0.05, "b": 0.65}]
+        eta = unstable_count(cfgmod.build_eigen(parse_config(doc))).eta
+        doc["poles"] = [-eta, -2.0 * eta]
+        path = write_config(tmp_path, doc)
+        assert main(["verify", "-c", path]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        [line] = [line for line in lines if "simulate.region_invariance" in line]
+        match = re.fullmatch(r"FAIL simulate\.region_invariance \(largest v1 (\S+)\)", line)
+        assert match, line
+        assert float(match.group(1)) > 1.0e4  # the region is v1 <= 1
 
     def test_scaled_synthesis_fails_parseval(self, tmp_path, capsys, monkeypatch):
         # a field synthesized 1 + 1e-6 too large has an L2 norm squared 2.000001e-6 too

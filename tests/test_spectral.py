@@ -68,7 +68,7 @@ class TestClosedForm:
         residuals = eigen_residual(es)
         assert residuals.shape == (12,)
         for j in range(12):
-            assert residuals[j] < 1e-6
+            assert residuals[j] < 1e-9
 
     def test_bc_residual_and_norm_error(self):
         for bc in (HINGED, NEUMANN):

@@ -16,7 +16,7 @@ from satstab.modal import (
     assemble_internal,
 )
 from satstab.saturation import UNSATURATED, SaturationLevel
-from satstab.simulate import quad_form
+from satstab.simulate import _phi1, quad_form, step_plan
 from satstab.spectral import (
     BoundaryCondition,
     OperatorParams,
@@ -41,7 +41,7 @@ from satstab.synthesis import (
     sample_ellipsoid,
     select_h2_constants,
     solve_lyapunov,
-    solve_riccati,
+    solve_stein,
 )
 
 HINGED = BoundaryCondition.HINGED
@@ -51,6 +51,24 @@ def scalar_system(b_coeff=1.0):
     """lam=2, L=pi: one unstable mode with sigma_1 = 1 and a unit actuator."""
     es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
     return assemble_internal(es, [ModeCombination([b_coeff])], 1)
+
+
+DT = 5e-4  # the time step of the stepped designs below
+
+
+def stepped_pair(ms, dt):
+    """(Phi, Gamma, r^2) of the head as `simulate` steps it: an independent build.
+
+    Phi = diag(exp(sigma dt)) and Gamma = diag(dt phi1(sigma dt)) B, with the
+    integrator (sigma = 0) first on a boundary head, whose coupling column
+    is frozen over a step like its input; r^2 = exp(-2 eta dt).
+    """
+    sigma = np.diag(ms.A)
+    hold = dt * _phi1(sigma * dt)
+    phi = np.diag(np.exp(sigma * dt))
+    if ms.mode == "boundary":
+        phi[1:, 0] = hold[1:] * ms.A[1:, 0]
+    return phi, hold[:, None] * ms.B, math.exp(-2.0 * unstable_count(ms.es).eta * dt)
 
 
 def manual_gain(K):
@@ -134,7 +152,9 @@ class TestDesignGain:
     @pytest.mark.parametrize("head", ["internal", "boundary"])
     @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "default"])
     def test_single_input_gain_is_ackermanns(self, head, explicit):
-        # one pole-placement path: for m = 1 it is Ackermann's formula on (A, B), bit for bit
+        # for m = 1 explicit poles are Ackermann's formula on (A, B), bit for bit; the
+        # default is the gain that Ackermann's formula gives on the stepped pair
+        # (Phi, Gamma) for the stepped poles r^2 / phi_i, the only one that places them
         if head == "internal":
             es = eigen_closed_form(OperatorParams(2.0, 2 * math.pi), HINGED, 8)
             ms = assemble_internal(es, [Indicator(0.0, 3.0)], 2)
@@ -142,18 +162,31 @@ class TestDesignGain:
             es = eigen_clamped(OperatorParams(45.0, 1.0), 8)
             ms = assemble_boundary(es, unstable_count(es).n)
         d = ms.dim
-        step = 1.5 if explicit else unstable_count(es).eta
-        poles = [-step * (i + 1) for i in range(d)]
-        gain = design_gain(ms, poles=poles if explicit else None)
-        expected = _ackermann(ms.A, ms.B, poles)
-        assert gain.K.shape == expected.shape == (1, d)
-        assert gain.K.tobytes() == expected.tobytes()
+        if explicit:
+            poles = [-1.5 * (i + 1) for i in range(d)]
+            gain = design_gain(ms, poles=poles)
+            expected = _ackermann(ms.A, ms.B, poles)
+            assert gain.K.shape == expected.shape == (1, d)
+            assert gain.K.tobytes() == expected.tobytes()
+        else:
+            phi, gamma, r_sq = stepped_pair(ms, DT)
+            gain = design_gain(ms, dt=DT)
+            expected = _ackermann(phi, gamma, r_sq / np.diag(phi))
+            assert gain.K.shape == expected.shape == (1, d)
+            np.testing.assert_allclose(gain.K, expected, rtol=1e-9)
 
     def test_default_poles_use_gap(self):
+        # eta = 4 for lam = 2, L = pi and sigma_1 = 1: the stepped pole is
+        # r^2 / phi = exp(-(2 eta + sigma_1) dt), and the ODE's pole
+        # 1 + (exp(-9 dt) - exp(dt)) / (exp(dt) - 1) tends to -9 as dt -> 0
         ms = scalar_system()
-        gain = design_gain(ms)
-        # eta = 4 for lam=2, L=pi
-        assert gain.closed_loop_spectrum[0].real == pytest.approx(-4.0, abs=1e-10)
+        for dt in (1e-4, 5e-4, 1e-2):
+            gain = design_gain(ms, dt=dt)
+            stepped = step_plan(ms, gain, UNSATURATED, dt).head_map()[0, 0]
+            assert stepped == pytest.approx(math.exp(-9.0 * dt), rel=1e-12)
+            ode = 1.0 + (math.exp(-9.0 * dt) - math.exp(dt)) / math.expm1(dt)
+            assert gain.closed_loop_spectrum[0].real == pytest.approx(ode, rel=1e-9)
+            assert ode == pytest.approx(-9.0, rel=10.0 * dt)
 
     def test_not_stabilizable(self):
         ms = scalar_system()
@@ -177,34 +210,41 @@ class TestDesignGain:
         real = float(message.rsplit("largest closed-loop real part ", 1)[1])
         assert real == pytest.approx(3.0, rel=1e-12)
 
-    def test_riccati_for_stabilizable_pair(self):
-        ms = scalar_system()
-        pair = type(ms)(
-            es=ms.es,
-            n=3,
-            A=np.diag([-1.0, -1.0, 1.0]),
-            B=np.array([[0.0], [0.0], [1.0]]),
-            b_tail=np.zeros((0, 1)),
-            mode="internal",
-            shape_norms_sq=np.array([1.0]),
+    def test_stepped_design_needs_a_controllable_head(self):
+        # lam = 2, L = pi: the second head mode (sigma = -8) is stable and no input
+        # reaches it, so the pair is stabilizable, but W's row for it is 0: the
+        # stepped design names lambda_min(W) = 0 and W_11 = gamma^2 / (phi^2 - r^2)
+        es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
+        ms = assemble_internal(es, [ModeCombination([1.0])], 2)
+        report = diagnose_pair(ms.A, ms.B)
+        assert report.stabilizable and not report.controllable
+        with pytest.raises(NotStabilizable) as info:
+            design_gain(ms, dt=DT)
+        match = re.fullmatch(
+            r"stepped design: the Gramian W of Phi W Phi\^T - r\^2 W = Gamma Gamma\^T is not "
+            r"positive definite: lambda_min\(W\) = (\S+), lambda_max\(W\) = (\S+)",
+            str(info.value),
         )
-        gain = design_gain(pair)
-        assert gain.hurwitz
+        assert match, str(info.value)
+        gamma = DT * _phi1(DT)
+        w11 = gamma**2 / (math.exp(2.0 * DT) - math.exp(-8.0 * DT))  # eta = 4
+        assert float(match.group(1)) == 0.0
+        assert float(match.group(2)) == pytest.approx(w11, rel=1e-3)
 
-    def test_multi_input_riccati(self):
-        ms = scalar_system()
-        pair = type(ms)(
-            es=ms.es,
-            n=2,
-            A=np.diag([1.0, 0.5]),
-            B=np.array([[1.0, 0.2], [0.0, 1.0]]),
-            b_tail=np.zeros((0, 2)),
-            mode="internal",
-            shape_norms_sq=np.array([1.0, 1.0]),
-        )
-        gain = design_gain(pair)
-        assert gain.hurwitz
-
+    def test_multi_input_stepped_design(self):
+        # lam = 12, L = pi: sigma = 32, 27, 11 unstable, two indicators; the
+        # stepped loop has the eigenvalues r^2 / phi_i at every dt, and its ODE
+        # is Hurwitz
+        es = eigen_closed_form(OperatorParams(12.0, math.pi), HINGED, 12)
+        ms = assemble_internal(es, [Indicator(0.2, 1.1), Indicator(1.6, 2.7)], 3)
+        for dt in (1e-4, 5e-4, 2e-3):
+            gain = design_gain(ms, dt=dt)
+            assert gain.K.shape == (2, 3)
+            assert gain.hurwitz
+            _, _, r_sq = stepped_pair(ms, dt)
+            moduli = np.abs(np.linalg.eigvals(step_plan(ms, gain, UNSATURATED, dt).head_map()))
+            expected = r_sq / np.exp(es.values[:3] * dt)
+            np.testing.assert_allclose(np.sort(moduli), np.sort(expected), rtol=1e-9)
 
     def test_multi_input_explicit_poles(self):
         # lam = 12, L = pi: sigma = 32, 27, 11 unstable, two indicators
@@ -240,11 +280,10 @@ def lyapunov_residual(a, x, q):
     )
 
 
-def riccati_residual(a, b, x):
-    xb = x @ b
-    res = a.T @ x + x @ a - xb @ xb.T + np.eye(len(a))
-    scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(xb) ** 2
-    return np.linalg.norm(res) / (scale + math.sqrt(len(a)))
+def stein_residual(phi, w, q, r_sq):
+    return np.linalg.norm(phi @ w @ phi.T - r_sq * w - q) / (
+        (np.linalg.norm(phi) ** 2 + r_sq) * np.linalg.norm(w) + np.linalg.norm(q)
+    )
 
 
 # entries on a 1e-3 grid: no subnormal inputs for scipy's balancing to choke on
@@ -261,11 +300,18 @@ def hurwitz_heads(draw):
 
 
 @st.composite
-def random_pairs(draw):
-    d = draw(st.integers(1, 5))
+def anti_stable_heads(draw):
+    """(phi, gamma, r^2): phi d x d, d <= 6, scaled so that every |eigenvalue| is over r."""
+    d = draw(st.integers(1, 6))
     m = draw(st.integers(1, 3))
-    flat = np.array(draw(st.lists(ENTRIES, min_size=d * (d + m), max_size=d * (d + m))))
-    return flat[: d * d].reshape(d, d), flat[d * d :].reshape(d, m)
+    a = np.array(draw(st.lists(ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+    gamma = np.array(draw(st.lists(ENTRIES, min_size=d * m, max_size=d * m))).reshape(d, m)
+    assume(np.any(gamma))  # q = 0 has the solution 0 and a residual of 0 / 0
+    r_sq = draw(st.floats(0.5, 1.0))
+    smallest = np.min(np.abs(np.linalg.eigvals(a)))
+    assume(smallest > 1e-3)
+    margin = draw(st.floats(1e-3, 2.0))
+    return a * (math.sqrt(r_sq) * (1.0 + margin) / smallest), gamma, r_sq
 
 
 class TestMatrixEquations:
@@ -296,58 +342,113 @@ class TestMatrixEquations:
         with pytest.raises(np.linalg.LinAlgError):
             solve_lyapunov(np.diag([0.0, -1.0]), -np.eye(2))
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            (np.diag([-1.0, -1.0, 1.0]), np.array([[0.0], [0.0], [1.0]])),
-            (np.diag([1.0, 0.5]), np.array([[1.0, 0.2], [0.0, 1.0]])),
-            (np.array([[1.0]]), np.array([[1.0]])),
-        ],
-        ids=["stabilizable", "multi-input", "scalar"],
-    )
-    def test_riccati_matches_scipy_on_fixed_pairs(self, a, b):
-        from scipy.linalg import solve_continuous_are
-
-        x = solve_riccati(a, b)
-        oracle = solve_continuous_are(a, b, np.eye(len(a)), np.eye(b.shape[1]))
-        assert riccati_residual(a, b, x) <= 1e-14
-        np.testing.assert_allclose(x, oracle, rtol=1e-12, atol=1e-12 * np.linalg.norm(oracle))
-
     @settings(max_examples=200, deadline=None, database=None, print_blob=True)
-    @given(random_pairs())
-    def test_riccati_matches_scipy_on_drawn_pairs(self, pair):
-        from scipy.linalg import solve_continuous_are
+    @given(anti_stable_heads())
+    def test_stein_matches_scipy(self, head):
+        from scipy.linalg import solve_discrete_lyapunov
 
-        a, b = pair
-        d, m = b.shape
-        try:
-            oracle = solve_continuous_are(a, b, np.eye(d), np.eye(m))
-        except ValueError:  # np.linalg.LinAlgError included: no solution to compare with
-            reject()
-        # scipy also returns an X for some pairs that cannot be stabilized:
-        # keep the pairs it solves, to a stabilizing, well-conditioned X
-        assume(riccati_residual(a, b, oracle) <= 1e-12)
-        assume(np.max(np.linalg.eigvals(a - b @ b.T @ oracle).real) < 0.0)
-        assume(np.linalg.cond(oracle) <= 1e4)
-        x = solve_riccati(a, b)
-        assert riccati_residual(a, b, x) <= 1e-13
-        assert np.max(np.linalg.eigvals(a - b @ b.T @ x).real) < 0.0
-        assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        phi, gamma, r_sq = head
+        d = len(phi)
+        q = gamma @ gamma.T
+        w, residual = solve_stein(phi, q, r_sq)
+        assert residual == pytest.approx(stein_residual(phi, w, q, r_sq), rel=1e-6, abs=1e-300)
+        assert stein_residual(phi, w, q, r_sq) <= 1e-14
+        # phi W phi^T - r^2 W = q is W = a W a^T + q' for a = phi / r, q' = -q / r^2
+        r = math.sqrt(r_sq)
+        oracle = solve_discrete_lyapunov(phi / r, -q / r_sq, method="direct")
+        # both solves are backward stable: each forward error is at most the
+        # Kronecker operator's condition number times its backward error
+        op = np.kron(phi, phi) - r_sq * np.eye(d * d)
+        norm_op = np.linalg.norm(op, 2)
+        backward = [np.linalg.norm(op @ y.ravel() - q.ravel()) / (norm_op * np.linalg.norm(y))
+                    for y in (w, oracle)]
+        bound = 2.0 * np.linalg.cond(op) * (sum(backward) + np.finfo(float).eps)
+        assert np.linalg.norm(w - oracle) <= bound * np.linalg.norm(oracle)
 
-    @pytest.mark.parametrize(
-        "a, b, cause",
-        [
-            # the stable eigenvector of the unreached mode's Hamiltonian
-            # block has no state part, so U1 is singular
-            (np.diag([1.0, -2.0]), np.array([[0.0], [1.0]]), "Singular matrix"),
-            # the mode (1, -1) sits at 0 and no input reaches it
-            (np.full((2, 2), -1.218), np.full((2, 1), -1.218), "does not stabilize"),
-        ],
-        ids=["unstable-unreached", "zero-unreached"],
+    @pytest.mark.parametrize("sigma", [[1.0], [2.0, 0.5], [30.0, 12.0, 0.0]], ids=["1", "2", "3"])
+    def test_stein_on_a_diagonal_head_is_cauchy_like(self, sigma):
+        # Phi = diag(phi): W_ij = (Gamma Gamma^T)_ij / (phi_i phi_j - r^2), entry by entry
+        phi = np.exp(np.array(sigma) * DT)
+        gamma = np.array([[1.0, -0.5], [0.25, 2.0], [-3.0, 0.5]])[: len(sigma)]
+        q, r_sq = gamma @ gamma.T, math.exp(-2.0 * 4.0 * DT)
+        w, residual = solve_stein(np.diag(phi), q, r_sq)
+        assert residual <= 1e-14
+        np.testing.assert_allclose(w, q / (np.outer(phi, phi) - r_sq), rtol=1e-9)
+
+    def test_stein_singular_operator_raises(self):
+        # phi_1 phi_2 = 2 x 0.5 = r^2: the operator is singular
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_stein(np.diag([2.0, 0.5]), np.eye(2), 1.0)
+
+
+@st.composite
+def designed_heads(draw):
+    """A head as `design_gain` meets it, and the dt it is stepped at.
+
+    Distinct sigma >= 0 (at least 0.5 apart) on d = 1..4 modes of a hinged
+    eigen system, then a tail of negative eigenvalues whose first sets the
+    gap eta; m = 1..3 inputs.  Internal heads are diag(sigma); boundary
+    heads add the integrator, coupled to every mode by a drawn column, and
+    their sigma are positive: a mode at sigma = 0 beside the integrator
+    makes Phi a Jordan block, whose eigenvalues rounding moves by sqrt(eps).
+    """
+    es = eigen_closed_form(OperatorParams(2.0, math.pi), HINGED, 8)
+    internal = draw(st.booleans())
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    gaps = np.array(draw(st.lists(st.floats(0.5, 20.0), min_size=d, max_size=d)))
+    sigma = np.cumsum(gaps)[::-1]
+    if internal and draw(st.booleans()):
+        sigma -= gaps[0]  # sigma_d = 0
+    eta = draw(st.floats(0.25, 20.0))
+    values = np.concatenate([sigma, -2.0 * eta - np.arange(es.count - d)])
+    es = replace(es, values=values)
+    entries = st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 0.05)
+    B = np.array(draw(st.lists(entries, min_size=d * m, max_size=d * m))).reshape(d, m)
+    b_tail = np.zeros((es.count - d, m))
+    dt = draw(st.sampled_from([1e-4, 5e-4, 2e-3]))
+    if internal:
+        return assemble_like(es, d, np.diag(sigma), B, b_tail, "internal"), dt
+    A = np.zeros((d + 1, d + 1))
+    A[1:, 0] = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    A[1:, 1:] = np.diag(sigma)
+    B = np.vstack([np.ones((1, m)), B])
+    return assemble_like(es, d, A, B, b_tail, "boundary"), dt
+
+
+def assemble_like(es, n, A, B, b_tail, mode):
+    return type(scalar_system())(
+        es=es, n=n, A=A, B=B, b_tail=b_tail, mode=mode, shape_norms_sq=np.ones(B.shape[1]),
+        a_tail=np.zeros(len(b_tail)) if mode == "boundary" else None,
     )
-    def test_riccati_unstabilizable_pair_raises(self, a, b, cause):
-        with pytest.raises(np.linalg.LinAlgError, match=cause):
-            solve_riccati(a, b)
+
+
+class TestSteppedDesign:
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
+    @given(designed_heads())
+    def test_stepped_loop_has_the_mirrored_eigenvalues(self, drawn):
+        # Phi + Gamma K = r^2 W Phi^-T W^-1: its eigenvalues are r^2 / phi_i.  Its
+        # eigenvectors are W times Phi^-T's, so rounding moves the eigenvalues by
+        # up to about eps cond(W) relative: over 1500 draws the error reached
+        # 20 eps cond(W), 6.2e-8 at cond(W) between 1e7 and 1e8, and 2.6e-12
+        # below 1e4
+        from scipy.linalg import solve_discrete_lyapunov
+
+        ms, dt = drawn
+        phi, gamma, r_sq = stepped_pair(ms, dt)
+        r = math.sqrt(r_sq)
+        w = solve_discrete_lyapunov(phi / r, -(gamma @ gamma.T) / r_sq, method="direct")
+        cond = np.linalg.cond(w)
+        assume(cond <= 1e8)
+        try:
+            gain = design_gain(ms, dt=dt)
+        except NotStabilizable as exc:  # a stepped loop whose ODE is not Hurwitz
+            assert "failed to produce a Hurwitz closed loop" in str(exc)
+            reject()
+        moduli = np.abs(np.linalg.eigvals(step_plan(ms, gain, UNSATURATED, dt).head_map()))
+        rtol = 64.0 * np.finfo(float).eps * cond
+        np.testing.assert_allclose(np.sort(moduli), np.sort(r_sq / np.diag(phi)), rtol=rtol)
+        assert np.max(moduli) < 1.0
 
 
 class TestCertificate:
@@ -457,7 +558,7 @@ class TestCertificate:
         shapes = [Indicator(0.0, 1.0), Indicator(1.5, 3.0)]
         n = unstable_count(es).n
         ms = assemble_internal(es, shapes, n)
-        gain = design_gain(ms)
+        gain = design_gain(ms, dt=DT)
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         acl = ms.A + ms.B @ gain.K
         lyap = acl.T @ cert.P + cert.P @ acl
@@ -577,7 +678,9 @@ def synth_records(draw):
             alpha=draw(FINITE), beta_min=draw(FINITE), beta_max=draw(FINITE), ell=ell,
         )
         consts = H2Constants(*floats(draw, 6).tolist())
-    head = certificate_head("internal", n, m, draw(st.integers(n + 1, 64)), draw(FINITE), ell)
+    head = certificate_head(
+        "internal", n, m, draw(st.integers(n + 1, 64)), draw(FINITE), ell, draw(FINITE)
+    )
     return head, gain, cert, consts
 
 
@@ -608,9 +711,9 @@ class TestCertificateFile:
         gain = design_gain(ms, poles=[-2.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         consts = select_h2_constants(cert, ms, gain)
-        head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
+        head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0, DT)
         top = [
-            "mode", "n", "m", "J", "eta", "ell", "K", "closed_loop_spectrum_real",
+            "mode", "n", "m", "J", "eta", "ell", "dt", "K", "closed_loop_spectrum_real",
             "closed_loop_spectrum_imag", "diagnostics", "P", "D", "C", "alpha", "beta_min",
             "beta_max", "constants",
         ]
@@ -622,8 +725,8 @@ class TestCertificateFile:
         assert list(doc["constants"]) == ["M", "C1", "C2", "C3", "C4", "a"]
         null = certificate_document(head, gain, None, None)
         assert list(null) == top
-        assert {key: null[key] for key in top[:6]} == head
-        assert [null[key] for key in top[10:]] == [None] * 7
+        assert {key: null[key] for key in top[:7]} == head
+        assert [null[key] for key in top[11:]] == [None] * 7
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -642,7 +745,7 @@ class TestCertificateFile:
         gain = design_gain(ms, poles=[-2.0])
         cert = build_certificate(ms, gain, SaturationLevel(1.0))
         consts = select_h2_constants(cert, ms, gain)
-        head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0)
+        head = certificate_head(ms.mode, ms.n, ms.m, 8, 4.0, 1.0, DT)
         doc = certificate_document(head, gain, cert, consts)
         read_certificate(doc)
         doc[field] = value
@@ -650,4 +753,4 @@ class TestCertificateFile:
             read_certificate(doc)
 
     def test_unsaturated_level_written_as_inf(self):
-        assert certificate_head("internal", 1, 1, 8, 4.0, math.inf)["ell"] == "inf"
+        assert certificate_head("internal", 1, 1, 8, 4.0, math.inf, DT)["ell"] == "inf"
