@@ -17,7 +17,14 @@ from dataclasses import fields
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, Infeasible, NonPositiveChannel, SatStabError
+from .errors import (
+    CertificateFailure,
+    ConfigError,
+    Infeasible,
+    NonPositiveChannel,
+    NotStabilizable,
+    SatStabError,
+)
 from .saturation import SaturationLevel, sector_holds
 from .simulate import (
     SimConfig,
@@ -218,11 +225,22 @@ def _system_head(cfg, ms, split):
 
 
 def _design(cfg, ms):
-    """Gain, certificate and energy constants; no certificate when no mode is unstable."""
+    """Gain, certificate and energy constants; no certificate when no mode is unstable.
+
+    A gain of the stepped design (`poles: null`) that `build_certificate`
+    rejects raises `NotStabilizable`, carrying the rejection's message: the
+    design has no continuous certificate.  With explicit poles the
+    `CertificateFailure` itself propagates.
+    """
     gain = design_gain(ms, poles=list(cfg.poles) if cfg.poles else None, dt=cfg.dt)
     if ms.dim == 0:
         return gain, None, None
-    cert = build_certificate(ms, gain, cfg.level())
+    try:
+        cert = build_certificate(ms, gain, cfg.level())
+    except CertificateFailure as exc:
+        if cfg.poles:
+            raise
+        raise NotStabilizable(f"stepped design: no continuous certificate: {exc}") from exc
     return gain, cert, select_h2_constants(cert, ms, gain)
 
 

@@ -193,8 +193,10 @@ def design_gain(ms, poles=None, dt=None):
     Gamma^T (`solve_stein`) and K = -Gamma^T Phi^-T W^-1, so Phi + Gamma K
     = r^2 W Phi^-T W^-1 steps with eigenvalues r^2 / phi_i, inside the unit
     circle at every dt.  Raises `NotStabilizable` when an unstable
-    eigenvalue fails the rank test, when W is not positive definite, when
-    the pole placement fails, or when A + BK is not Hurwitz.
+    eigenvalue fails the rank test, when the pole placement fails, when
+    A + BK is not Hurwitz, and in the stepped design when W is not positive
+    definite to working precision (lambda_min(W) <= d eps lambda_max(W))
+    or when rounding leaves Phi + Gamma K a spectral radius of 1 or more.
     """
     A, B = ms.A, ms.B
     d, m = B.shape
@@ -226,14 +228,22 @@ def design_gain(ms, poles=None, dt=None):
         r_sq = math.exp(-2.0 * unstable_count(ms.es).eta * dt)
         w, _ = solve_stein(phi, gamma @ gamma.T, r_sq)
         w = 0.5 * (w + w.T)
-        w_range = np.linalg.eigvalsh(w)[[0, -1]]
-        if not w_range[0] > 0.0:
+        low, high = np.linalg.eigvalsh(w)[[0, -1]]
+        floor = d * np.finfo(float).eps * high  # eigvalsh's error bound, up to a factor
+        if not low > floor:
             raise NotStabilizable(
                 f"stepped design: the Gramian W of Phi W Phi^T - r^2 W = Gamma Gamma^T is not "
-                f"positive definite: lambda_min(W) = {w_range[0]:.3e}, "
-                f"lambda_max(W) = {w_range[1]:.3e}"
+                f"positive definite to working precision: lambda_min(W) = {low:.3e}, "
+                f"lambda_max(W) = {high:.3e} (needs lambda_min(W) > d eps lambda_max(W) "
+                f"= {floor:.3e})"
             )
         K = -np.linalg.solve(w, np.linalg.solve(phi, gamma)).T
+        rho = float(np.max(np.abs(np.linalg.eigvals(phi + gamma @ K))))
+        if not rho < 1.0:
+            raise NotStabilizable(
+                f"stepped design: the stepped head map Phi + Gamma K has spectral radius "
+                f"{rho:.6g} at dt = {dt:g} (needs < 1)"
+            )
 
     spectrum = np.linalg.eigvals(A + B @ K)
     gain = Gain(K=K, closed_loop_spectrum=spectrum, report=report)

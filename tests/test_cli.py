@@ -18,7 +18,7 @@ from satstab import cli, simulate, synthesis
 from satstab import config as cfgmod
 from satstab.cli import main
 from satstab.config import load_config, parse_config, serialize_config
-from satstab.errors import SatStabError
+from satstab.errors import CertificateFailure, SatStabError
 from satstab.modal import ModalSystem
 from satstab.simulate import Trajectory, gronwall_bound, run
 from satstab.spectral import ClampedFamily, EigenSystem, unstable_count
@@ -402,55 +402,28 @@ class TestSynthCommand:
         cfg = parse_config(doc)
         return float(cfgmod.build_eigen(cfg).values[0])
 
-    def test_w_not_positive_definite_exits_4(self, tmp_path, capsys):
-        # hinged lam = 150, L = 2, one indicator on (0.1, 1.3): seven unstable
-        # modes, sigma up to 5448; the stepped pair's Gramian W is singular to
-        # working precision, so no stepped design exists
-        doc = base_config(
-            **{"lambda": 150.0},
-            length=2.0,
-            actuators=[{"kind": "indicator", "a": 0.1, "b": 1.3}],
-            poles=None,
-            J=12,
-        )
-        path = write_config(tmp_path, doc)
-        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
-        err = capsys.readouterr().err.strip()
-        match = re.fullmatch(
-            r"infeasible: stepped design: the Gramian W of Phi W Phi\^T - r\^2 W = Gamma Gamma\^T "
-            r"is not positive definite: lambda_min\(W\) = (\S+), lambda_max\(W\) = (\S+)",
-            err,
-        )
-        assert match, err
-        low, high = map(float, match.groups())
-        assert low <= 0.0 < high  # W > 0 is the failed condition
-        assert abs(low) < 1e-15 * high  # singular to working precision
-        assert not (tmp_path / "exp_certificate.json").exists()
-
-    # lam = 150: unstable sigma up to about 5e3 for one indicator, so sigma_max
-    # dt = 5.45 at dt = 1e-3.  On both hinged windows W is singular to working
-    # precision; on the Neumann one the stepped loop is stable, but its gain
-    # leaves A + BK with an eigenvalue near +sigma_max: the design exits 4
-    # naming that real part and sigma_max dt.
+    # lam = 150, L = 2: seven (hinged) or eight (Neumann) unstable modes, sigma
+    # up to about 5e3 for one indicator, so sigma_max dt = 5.45 at dt = 1e-3;
+    # lam = 110, L = 2: six unstable modes, sigma up to 2980.  On every window
+    # the stepped pair's Gramian W is singular to working precision: its
+    # smallest eigenvalue is rounding, of either sign, below d eps
+    # lambda_max(W), so no stepped design exists, and the message gives the
+    # three numbers
     @pytest.mark.parametrize(
-        "bc, window, pattern",
+        "bc, lam, window, d",
         [
-            ("hinged", (0.1, 1.3),
-             r"infeasible: stepped design: the Gramian W of .* is not positive definite: "
-             r"lambda_min\(W\) = (\S+), lambda_max\(W\) = \S+"),
-            ("hinged", (0.3, 0.9),
-             r"infeasible: stepped design: the Gramian W of .* is not positive definite: "
-             r"lambda_min\(W\) = (\S+), lambda_max\(W\) = \S+"),
-            ("neumann_ch", (1.2, 1.9),
-             r"infeasible: designed gain \(stepped design, sigma_max dt = (\S+)\) failed to "
-             r"produce a Hurwitz closed loop: largest closed-loop real part (\S+)"),
+            ("hinged", 150.0, (0.1, 1.3), 7),
+            ("hinged", 150.0, (0.3, 0.9), 7),
+            ("neumann_ch", 150.0, (1.2, 1.9), 8),
+            ("hinged", 110.0, (0.1, 1.3), 6),
+            ("hinged", 110.0, (0.3, 0.9), 6),
         ],
-        ids=["hinged-wide", "hinged-narrow", "neumann"],
+        ids=["hinged-wide", "hinged-narrow", "neumann", "hinged-110-wide", "hinged-110-narrow"],
     )
-    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, window, pattern):
+    def test_solver_failure_names_margin(self, tmp_path, capsys, bc, lam, window, d):
         doc = base_config(
             bc=bc,
-            **{"lambda": 150.0},
+            **{"lambda": lam},
             length=2.0,
             actuators=[{"kind": "indicator", "a": window[0], "b": window[1]}],
             poles=None,
@@ -459,23 +432,27 @@ class TestSynthCommand:
         path = write_config(tmp_path, doc)
         assert main(["synth", "-c", path, "-o", str(tmp_path)]) == 4
         err = capsys.readouterr().err.strip()
-        values = [float(v) for v in re.fullmatch(pattern, err).groups()]
-        if len(values) == 1:
-            assert values[0] <= 0.0  # the failed condition asks for lambda_min(W) > 0
-        else:
-            scaled, real = values
-            assert scaled == pytest.approx(self.sigma_max(doc) * doc["dt"], rel=1e-5)
-            assert real >= 0.0  # the failed condition asks for a negative real part
-            assert real == pytest.approx(self.sigma_max(doc), rel=0.25)
+        match = re.fullmatch(
+            r"infeasible: stepped design: the Gramian W of Phi W Phi\^T - r\^2 W = Gamma Gamma\^T "
+            r"is not positive definite to working precision: lambda_min\(W\) = (\S+), "
+            r"lambda_max\(W\) = (\S+) \(needs lambda_min\(W\) > d eps lambda_max\(W\) = (\S+)\)",
+            err,
+        )
+        assert match, err
+        low, high, floor = map(float, match.groups())
+        assert floor == pytest.approx(d * np.finfo(float).eps * high, rel=1e-3)
+        assert abs(low) <= floor  # singular to working precision, whatever the sign of low
+        assert not (tmp_path / "exp_certificate.json").exists()
 
-    @pytest.mark.parametrize("window", [(0.1, 1.3), (0.3, 0.9)], ids=["wide", "narrow"])
-    def test_ill_conditioned_head_exits_4(self, tmp_path, capsys, window):
-        # hinged lam = 110, L = 2: six unstable modes, sigma up to 2980, so
-        # sigma_max dt = 2.98 at dt = 1e-3; the stepped loop is stable, A + BK
-        # is not, and the message gives both numbers
+    @pytest.mark.parametrize("window", [(0.1, 0.6), (0.3, 0.9)], ids=["left", "right"])
+    def test_stable_stepped_loop_with_unstable_ode_exits_4(self, tmp_path, capsys, window):
+        # hinged lam = 110, L = 1: sigma = 2784, 1881, 988, so sigma_max dt = 2.78
+        # at dt = 1e-3; W is well conditioned (lambda_min(W) is over 200 times
+        # d eps lambda_max(W)), the stepped loop is stable, A + BK is not, and
+        # the message gives both numbers
         doc = base_config(
             **{"lambda": 110.0},
-            length=2.0,
+            length=1.0,
             actuators=[{"kind": "indicator", "a": window[0], "b": window[1]}],
             poles=None,
             J=12,
@@ -549,6 +526,12 @@ class TestSynthCommand:
                         actuators=self.windows(math.pi, 4))
             for d in (4, 8)
         ]
+        # acceptance criterion 04's Neumann lam = 7, L = 2 pi head, whose
+        # certificate is decided by rounding
+        docs.append(base_config(bc="neumann_ch", **{"lambda": 7.0}, length=2 * math.pi, J=24,
+                                dt=5e-4, poles=None, ell=0.5, actuators=[
+                                    {"kind": "indicator", "a": 0.13 * 2 * math.pi,
+                                     "b": 0.61 * 2 * math.pi}]))
         outcomes = []
         for doc in docs:
             path = write_config(tmp_path, doc)
@@ -560,10 +543,31 @@ class TestSynthCommand:
                 rho = float(re.search(r"^stepped head map: spectral radius (\S+)", report, re.M)[1])
                 assert rho < 1.0
             else:
-                assert re.fullmatch(r"infeasible: .*\d\.?\d*(e[+-]\d+)?\)?\n", err), err
+                assert err.startswith("infeasible: "), err
+                number = r"(?<![\w^.])-?\d+(\.\d+)?(e[+-]\d+)?(?![\w^])"  # not M1 or r^2
+                assert re.search(number, err), err
             outcomes.append(code)
-        assert len(docs) == 24
+        assert len(docs) == 25
         assert 0 in outcomes and 4 in outcomes
+
+    @pytest.mark.parametrize("poles, code", [(None, 4), ([-4.0], 3)], ids=["null", "explicit"])
+    def test_rejected_certificate_exits_4_for_the_stepped_design(
+        self, tmp_path, capsys, monkeypatch, poles, code
+    ):
+        # a certificate that build_certificate rejects: the stepped design has no
+        # continuous certificate (exit 4, with the rejection's message), while
+        # explicit poles keep the numerical failure (exit 3)
+        def rejecting(ms, gain, level):
+            raise CertificateFailure("the Lyapunov block has lambda_max = 1.000e+00 (needs < 0)")
+
+        monkeypatch.setattr(cli, "build_certificate", rejecting)
+        path = write_config(tmp_path, base_config(poles=poles))
+        assert main(["synth", "-c", path, "-o", str(tmp_path)]) == code
+        label = "infeasible: stepped design: no continuous certificate: " if poles is None else (
+            "numerical failure: ")
+        expected = label + "the Lyapunov block has lambda_max = 1.000e+00 (needs < 0)"
+        assert capsys.readouterr().err.strip() == expected
+        assert not (tmp_path / "exp_certificate.json").exists()
 
     def test_non_definite_lyapunov_names_margin(self, tmp_path, capsys, monkeypatch):
         # a solve that returns -P0: the message carries lambda_min(-P0) and the residual

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 from satstab.errors import GapTooSmall, NotStabilizable
@@ -222,7 +222,8 @@ class TestDesignGain:
             design_gain(ms, dt=DT)
         match = re.fullmatch(
             r"stepped design: the Gramian W of Phi W Phi\^T - r\^2 W = Gamma Gamma\^T is not "
-            r"positive definite: lambda_min\(W\) = (\S+), lambda_max\(W\) = (\S+)",
+            r"positive definite to working precision: lambda_min\(W\) = (\S+), "
+            r"lambda_max\(W\) = (\S+) \(needs lambda_min\(W\) > d eps lambda_max\(W\) = (\S+)\)",
             str(info.value),
         )
         assert match, str(info.value)
@@ -230,6 +231,25 @@ class TestDesignGain:
         w11 = gamma**2 / (math.exp(2.0 * DT) - math.exp(-8.0 * DT))  # eta = 4
         assert float(match.group(1)) == 0.0
         assert float(match.group(2)) == pytest.approx(w11, rel=1e-3)
+        assert float(match.group(3)) == pytest.approx(2 * np.finfo(float).eps * w11, rel=1e-3)
+
+    def test_stepped_design_checks_its_radius(self, monkeypatch):
+        # a Stein solve that returns W = I: K = -Gamma / Phi leaves the scalar head
+        # map at Phi - Gamma^2 / Phi > 1, which the design names instead of
+        # returning the gain
+        from satstab import synthesis
+
+        monkeypatch.setattr(synthesis, "solve_stein", lambda phi, q, r_sq: (np.eye(1), 0.0))
+        with pytest.raises(NotStabilizable) as info:
+            design_gain(scalar_system(), dt=DT)
+        match = re.fullmatch(
+            r"stepped design: the stepped head map Phi \+ Gamma K has spectral radius (\S+) "
+            r"at dt = 0.0005 \(needs < 1\)",
+            str(info.value),
+        )
+        assert match, str(info.value)
+        phi, gamma = math.exp(DT), DT * _phi1(DT)  # sigma_1 = 1, b = 1
+        assert float(match.group(1)) == pytest.approx(phi - gamma**2 / phi, rel=1e-6)
 
     def test_multi_input_stepped_design(self):
         # lam = 12, L = pi: sigma = 32, 27, 11 unstable, two indicators; the
@@ -431,7 +451,8 @@ class TestSteppedDesign:
         # eigenvectors are W times Phi^-T's, so rounding moves the eigenvalues by
         # up to about eps cond(W) relative: over 1500 draws the error reached
         # 20 eps cond(W), 6.2e-8 at cond(W) between 1e7 and 1e8, and 2.6e-12
-        # below 1e4
+        # below 1e4.  Up to cond(W) = 1e5 the eigenvalues hold to rtol 1e-9
+        # (20 eps cond(W) <= 4.4e-10 there); above, to 64 eps cond(W)
         from scipy.linalg import solve_discrete_lyapunov
 
         ms, dt = drawn
@@ -446,7 +467,8 @@ class TestSteppedDesign:
             assert "failed to produce a Hurwitz closed loop" in str(exc)
             reject()
         moduli = np.abs(np.linalg.eigvals(step_plan(ms, gain, UNSATURATED, dt).head_map()))
-        rtol = 64.0 * np.finfo(float).eps * cond
+        rtol = 1e-9 if cond <= 1e5 else 64.0 * np.finfo(float).eps * cond
+        event("cond(W) <= 1e5" if cond <= 1e5 else "1e5 < cond(W) <= 1e8")
         np.testing.assert_allclose(np.sort(moduli), np.sort(r_sq / np.diag(phi)), rtol=rtol)
         assert np.max(moduli) < 1.0
 
